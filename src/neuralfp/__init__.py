@@ -78,7 +78,6 @@ from .preprocess import (
     reduction_report,
 )
 from .signatures import (
-    MatchError,
     Observation,
     ParseError,
     Signature,

@@ -7,8 +7,9 @@ curves or the encoding layout.  Every command is deterministic for a
 given --seed.
 
 Exit codes: 0 success (classify: verdict reached), 1 operational error,
-2 missing input file, 3 classify said not relevant, 4 classify could
-not decide.
+2 an input or output path that cannot be used (missing, a directory,
+no permission), 3 classify said not relevant, 4 classify could not
+decide.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .neural import Mlp, TrainConfig, TrainingDivergedError, init_mlp, train, tr
 from .persistence import PersistenceError, load, load_container, save
 from .preprocess import ReductionError, fit_pipeline, reduction_report
 from .signatures import (
-    MatchError,
     ParseError,
     best_fit,
     parse_fingerprint_db,
@@ -54,7 +54,6 @@ EXIT_UNKNOWN = 4
 
 _USER_ERRORS = (
     ParseError,
-    MatchError,
     GenerationError,
     ReductionError,
     HierarchyError,
@@ -378,8 +377,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # missing file, a directory, no permission: name the path
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {(exc.strerror or str(exc)).lower()}{where}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,26 +1,44 @@
 """Versioned on-disk containers for trained artifacts.
 
-Everything is one JSON document: a small header (format version, kind
-tag, metadata) plus a body whose sha256 digest is stored alongside.
-Floats serialize through repr, so numeric fields round-trip exactly.
-Writes go to a temp file in the target directory and are renamed into
-place, so a crash never leaves a half-written model.
+A container is a one-line JSON header, a newline, then the body:
+
+    {"digest":"<sha256 hex>","format_version":2,"kind":"...","metadata":{...}}
+    <canonical JSON body>
+
+The body is serialized once, as canonical JSON (sorted keys, no spaces),
+and the digest covers exactly those bytes; it is checked before the body
+is parsed. One codec walks the artifact's dataclass fields and type
+hints. A dict becomes a list of [key, value] pairs, which keeps its
+order. An ndarray becomes an array record,
+{"dtype": "<f8" | "|b1", "shape": [...], "zlib": base64(zlib(bytes))},
+whose raw bytes round-trip exactly. Decoding checks every field's type,
+each array's byte count, and the shapes that tie a stage together; any
+mismatch is a CorruptContainerError. A format-1 container (one JSON
+document) reads as a header with format_version 1 and is rejected.
+Writes go to a fresh temp file in the target directory, are fsynced and
+then renamed into place, so a crash never leaves a half-written model.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import os
-import tempfile
+import types
+import typing
+import zlib
 
 import numpy as np
 
-from .datagen import Dataset, SampleLabel
-from .dcerpc import WindowsLabelSpace, WindowsRefiner
+from .datagen import Dataset
+from .dcerpc import WindowsRefiner
 from .encoding import EndpointSchema
 from .hierarchy import HierarchyModel, Stage
-from .neural import Mlp, TrainHistory
+from .neural import Mlp
 from .preprocess import Normalizer, ReductionPipeline
 
 __all__ = [
@@ -30,10 +48,47 @@ __all__ = [
     "PersistenceError",
     "FORMAT_VERSION",
     "load",
+    "load_container",
     "save",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# zlib level 1: on a 1500-row corpus, higher levels shrink the file by a
+# few percent and make the save several times slower
+_ZLIB_LEVEL = 1
+
+# every array is float64 except these boolean masks
+_BOOL_ARRAYS = {(Normalizer, "constant")}
+
+_KINDS = {
+    "network": Mlp,
+    "pipeline": ReductionPipeline,
+    "stage": Stage,
+    "hierarchy": HierarchyModel,
+    "windows-refiner": WindowsRefiner,
+    "endpoint-schema": EndpointSchema,
+    "dataset": Dataset,
+}
+
+# invariants that span fields, which the type walk cannot see
+_CHECKS = {
+    Mlp: (lambda m: bool(m.weights) and all(w.ndim == 2 and w.shape[1] > 0 for w in m.weights)
+          and all(a.shape[0] + 1 == b.shape[1] for a, b in zip(m.weights, m.weights[1:])),
+          "2-D layers whose widths chain"),
+    Normalizer: (lambda n: n.mean.ndim == 1 and n.mean.shape == n.std.shape == n.constant.shape,
+                 "1-D mean, std and constant of one width"),
+    ReductionPipeline: (lambda p: p.basis.ndim == 2 and p.basis.shape[0] == len(p.kept)
+                        and all(0 <= i < len(p.normalizer.mean) for i in p.kept),
+                        "one basis row per kept column, each within the normalizer"),
+    Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
+            "net input width = PCA k and one net output per label"),
+    WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),
+                     "net widths = schema size and label space size"),
+    Dataset: (lambda d: d.inputs.ndim == d.targets.ndim == 2
+              and len(d.inputs) == len(d.targets) == len(d.labels),
+              "one 2-D input row and target row per label"),
+}
 
 
 class PersistenceError(Exception):
@@ -41,7 +96,8 @@ class PersistenceError(Exception):
 
 
 class CorruptContainerError(PersistenceError):
-    """Unparseable container or a body that fails its digest."""
+    """Unparseable container, a body that fails its digest, or a body
+    whose content does not fit the artifact it claims to be."""
 
 
 class FormatVersionError(PersistenceError):
@@ -53,183 +109,118 @@ class KindMismatchError(PersistenceError):
 
 
 # ---------------------------------------------------------------------------
-# Body codecs, one pair per payload kind
+# Codec: one walk over dataclass fields and their type hints
 
 
-def _mat(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _encode_network(net: Mlp) -> dict:
-    body = {"weights": [_mat(w) for w in net.weights]}
-    if net.history is not None:
-        body["history"] = [list(r) for r in net.history.rows]
-    return body
+def _encode(value):
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value, dtype=bool if value.dtype == bool else "<f8")
+        data = base64.b64encode(zlib.compress(a.tobytes(), _ZLIB_LEVEL)).decode("ascii")
+        return {"dtype": a.dtype.str, "shape": list(a.shape), "zlib": data}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return [[_encode(k), _encode(v)] for k, v in value.items()]
+    if isinstance(value, np.generic):
+        return value.item()
+    return {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
 
 
-def _decode_network(body: dict) -> Mlp:
-    net = Mlp([np.array(w, dtype=float) for w in body["weights"]])
-    rows = body.get("history")
-    if rows is not None:
-        net.history = TrainHistory([(int(g), m, l, x) for g, m, l, x in rows])
-    return net
+def _expect(value, tp, where: str):
+    if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+        raise TypeError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
+    return value
 
 
-def _encode_pipeline(pipe: ReductionPipeline) -> dict:
-    return {
-        "mean": _mat(pipe.normalizer.mean),
-        "std": _mat(pipe.normalizer.std),
-        "constant": [bool(v) for v in pipe.normalizer.constant],
-        "kept": list(pipe.kept),
-        "basis": _mat(pipe.basis),
-        "eigenvalues": _mat(pipe.eigenvalues),
-        "variance_kept": float(pipe.variance_kept),
-    }
+def _decode_array(rec, where: str, dtype: str) -> np.ndarray:
+    rec = _expect(rec, dict, where)
+    shape = _expect(rec.get("shape"), list, f"{where}.shape")
+    if rec.get("dtype") != dtype:
+        raise ValueError(f"{where}: dtype {rec.get('dtype')!r}, expected {dtype!r}")
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{where}: bad shape {shape!r}")
+    raw = zlib.decompress(base64.b64decode(_expect(rec.get("zlib"), str, where), validate=True))
+    dt = np.dtype(dtype)
+    if len(raw) != dt.itemsize * math.prod(shape):
+        raise ValueError(f"{where}: {len(raw)} bytes do not fill shape {tuple(shape)}")
+    return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
 
-def _decode_pipeline(body: dict) -> ReductionPipeline:
-    norm = Normalizer(
-        np.array(body["mean"], dtype=float),
-        np.array(body["std"], dtype=float),
-        np.array(body["constant"], dtype=bool),
-    )
-    return ReductionPipeline(
-        normalizer=norm,
-        kept=tuple(int(i) for i in body["kept"]),
-        basis=np.array(body["basis"], dtype=float),
-        eigenvalues=np.array(body["eigenvalues"], dtype=float),
-        variance_kept=float(body["variance_kept"]),
-    )
+@functools.cache
+def _decoder(tp, dtype: str = "<f8"):
+    """A checking decoder (value, where) -> object for type hint tp, built
+    once per hint so that long lists of records cost one call per field."""
+    if tp is np.ndarray:
+        return lambda v, where: _decode_array(v, where, dtype)
+    if dataclasses.is_dataclass(tp):
+        fields = [(name, _decoder(hint, "|b1" if (tp, name) in _BOOL_ARRAYS else "<f8"))
+                  for name, hint in _fields(tp)]
+        valid, wants = _CHECKS.get(tp, (None, None))
+
+        def decode_dataclass(v, where):
+            _expect(v, dict, where)
+            for name, _ in fields:
+                if name not in v:
+                    raise ValueError(f"{where}: missing key {name!r}")
+            obj = tp(**{name: dec(v[name], f"{where}.{name}") for name, dec in fields})
+            if valid is not None and not valid(obj):
+                raise ValueError(f"{where}: expected {wants}")
+            return obj
+
+        return decode_dataclass
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):  # only `X | None` occurs
+        (inner,) = [a for a in args if a is not type(None)]
+        dec = _decoder(inner, dtype)
+        return lambda v, where: None if v is None else dec(v, where)
+    if origin is dict:
+        key, val = _decoder(args[0]), _decoder(args[1])
+
+        def decode_dict(v, where):
+            pairs = [_expect(p, list, where) for p in _expect(v, list, where)]
+            if any(len(p) != 2 for p in pairs):
+                raise ValueError(f"{where}: expected [key, value] pairs")
+            return {key(k, where): val(x, where) for k, x in pairs}
+
+        return decode_dict
+    if origin is tuple and args[-1] is not Ellipsis:
+        decs = [_decoder(a, dtype) for a in args]
+
+        def decode_record(v, where):
+            if len(_expect(v, list, where)) != len(decs):
+                raise ValueError(f"{where}: expected {len(decs)} items, got {len(v)}")
+            return tuple(dec(x, where) for dec, x in zip(decs, v))
+
+        return decode_record
+    if origin in (list, tuple):
+        item = _decoder(args[0], dtype)
+        return lambda v, where: origin([item(x, where) for x in _expect(v, list, where)])
+    if tp is float:
+        return lambda v, where: float(v) if type(v) is int else _expect(v, float, where)
+    return lambda v, where: _expect(v, tp, where)
 
 
-def _encode_stage(stage: Stage) -> dict:
-    return {
-        "pipeline": _encode_pipeline(stage.pipeline),
-        "network": _encode_network(stage.net),
-        "labels": list(stage.labels),
-    }
+def _canonical(body) -> bytes:
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _decode_stage(body: dict) -> Stage:
-    return Stage(
-        pipeline=_decode_pipeline(body["pipeline"]),
-        net=_decode_network(body["network"]),
-        labels=tuple(body["labels"]),
-    )
-
-
-def _encode_schema(schema: EndpointSchema) -> dict:
-    return {
-        "uuids": [[u, i] for u, i in schema.uuid_index.items()],
-        "bindings": [[u, proto, ep, i] for (u, proto, ep), i in schema.binding_index.items()],
-    }
-
-
-def _decode_schema(body: dict) -> EndpointSchema:
-    return EndpointSchema(
-        uuid_index={u: int(i) for u, i in body["uuids"]},
-        binding_index={(u, proto, ep): int(i) for u, proto, ep, i in body["bindings"]},
-    )
-
-
-def _encode_label_space(labels: WindowsLabelSpace) -> dict:
-    return {
-        "versions": list(labels.versions),
-        "editions": {v: list(e) for v, e in labels.editions.items()},
-        "service_packs": {v: list(s) for v, s in labels.service_packs.items()},
-    }
-
-
-def _decode_label_space(body: dict) -> WindowsLabelSpace:
-    return WindowsLabelSpace(
-        versions=tuple(body["versions"]),
-        editions={v: tuple(e) for v, e in body["editions"].items()},
-        service_packs={v: tuple(s) for v, s in body["service_packs"].items()},
-    )
-
-
-def _encode_refiner(ref: WindowsRefiner) -> dict:
-    return {
-        "network": _encode_network(ref.net),
-        "schema": _encode_schema(ref.schema),
-        "labels": _encode_label_space(ref.labels),
-    }
-
-
-def _decode_refiner(body: dict) -> WindowsRefiner:
-    return WindowsRefiner(
-        net=_decode_network(body["network"]),
-        schema=_decode_schema(body["schema"]),
-        labels=_decode_label_space(body["labels"]),
-    )
-
-
-def _encode_hierarchy(model: HierarchyModel) -> dict:
-    return {
-        "relevance": _encode_stage(model.relevance),
-        "family": _encode_stage(model.family),
-        "versions": {name: _encode_stage(s) for name, s in model.versions.items()},
-        "relevance_threshold": float(model.relevance_threshold),
-        "decision_threshold": float(model.decision_threshold),
-        "windows": None if model.windows is None else _encode_refiner(model.windows),
-    }
-
-
-def _decode_hierarchy(body: dict) -> HierarchyModel:
-    windows = body.get("windows")
-    return HierarchyModel(
-        relevance=_decode_stage(body["relevance"]),
-        family=_decode_stage(body["family"]),
-        versions={name: _decode_stage(s) for name, s in body["versions"].items()},
-        relevance_threshold=float(body["relevance_threshold"]),
-        decision_threshold=float(body["decision_threshold"]),
-        windows=None if windows is None else _decode_refiner(windows),
-    )
-
-
-def _encode_dataset(ds: Dataset) -> dict:
-    return {
-        "stage": ds.stage,
-        "inputs": _mat(ds.inputs),
-        "targets": _mat(ds.targets),
-        "labels": [[l.signature, l.relevant, l.family, l.line] for l in ds.labels],
-        "output_labels": list(ds.output_labels),
-        "seed": int(ds.seed),
-    }
-
-
-def _decode_dataset(body: dict) -> Dataset:
-    return Dataset(
-        stage=body["stage"],
-        inputs=np.array(body["inputs"], dtype=float),
-        targets=np.array(body["targets"], dtype=float),
-        labels=[SampleLabel(s, bool(r), f, l) for s, r, f, l in body["labels"]],
-        output_labels=tuple(body["output_labels"]),
-        seed=int(body["seed"]),
-    )
-
-
-_CODECS = {
-    "network": (Mlp, _encode_network, _decode_network),
-    "pipeline": (ReductionPipeline, _encode_pipeline, _decode_pipeline),
-    "stage": (Stage, _encode_stage, _decode_stage),
-    "hierarchy": (HierarchyModel, _encode_hierarchy, _decode_hierarchy),
-    "windows-refiner": (WindowsRefiner, _encode_refiner, _decode_refiner),
-    "endpoint-schema": (EndpointSchema, _encode_schema, _decode_schema),
-    "dataset": (Dataset, _encode_dataset, _decode_dataset),
-}
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _kind_of(obj) -> str:
-    for kind, (cls, _, _) in _CODECS.items():
+    for kind, cls in _KINDS.items():
         if type(obj) is cls:
             return kind
     raise PersistenceError(f"no container kind for {type(obj).__name__}")
-
-
-def _digest(body: dict) -> str:
-    canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +228,23 @@ def _digest(body: dict) -> str:
 
 
 def save(obj, path, metadata: dict | None = None) -> None:
-    """Serialize a supported artifact; the write is atomic."""
+    """Serialize a supported artifact; the write is atomic and durable."""
     kind = _kind_of(obj)
-    encode = _CODECS[kind][1]
-    body = encode(obj)
     meta = dict(metadata or {})
     if isinstance(obj, Dataset):
         meta.setdefault("seed", obj.seed)
-    container = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "metadata": meta,
-        "digest": _digest(body),
-        "body": body,
-    }
+    body = _canonical(_encode(obj))
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": meta}
+    data = _canonical({**header, "digest": _digest(body)}) + b"\n" + body
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # 0o666 lets the umask decide the final mode, as for any new file
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(container, fh, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -264,34 +253,43 @@ def save(obj, path, metadata: dict | None = None) -> None:
 
 
 def load_container(path, expected_kind: str | None = None) -> dict:
-    """Read and validate a container without decoding the body."""
+    """Read and check a container: header, version, digest, kind.
+
+    Returns the header fields plus "body", the parsed but undecoded JSON.
+    """
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
     try:
-        with open(path) as fh:
-            container = json.load(fh)
-    except ValueError as exc:
+        container = json.loads(head)
+    except (ValueError, RecursionError) as exc:
         raise CorruptContainerError(f"{path}: not a valid container: {exc}") from exc
     if not isinstance(container, dict):
         raise CorruptContainerError(f"{path}: not a valid container")
-    for key in ("format_version", "kind", "metadata", "digest", "body"):
+    for key in ("format_version", "kind", "metadata", "digest"):
         if key not in container:
             raise CorruptContainerError(f"{path}: missing field {key!r}")
     version = container["format_version"]
     if version != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: format version {version!r} (supported: {FORMAT_VERSION})"
-        )
-    if _digest(container["body"]) != container["digest"]:
+        raise FormatVersionError(f"{path}: format version {version!r} "
+                                 f"(supported: {FORMAT_VERSION})")
+    if _digest(body) != container["digest"]:
         raise CorruptContainerError(f"{path}: body does not match its digest")
     kind = container["kind"]
-    if kind not in _CODECS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise CorruptContainerError(f"{path}: unknown payload kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise KindMismatchError(f"{path}: holds {kind!r}, expected {expected_kind!r}")
+    try:
+        container["body"] = json.loads(body)
+    except (ValueError, RecursionError) as exc:
+        raise CorruptContainerError(f"{path}: body is not valid JSON: {exc}") from exc
     return container
 
 
 def load(path, expected_kind: str | None = None):
     """Load an artifact saved by save(); see load_container for checks."""
     container = load_container(path, expected_kind)
-    decode = _CODECS[container["kind"]][2]
-    return decode(container["body"])
+    try:
+        return _decoder(_KINDS[container["kind"]])(container["body"], "body")
+    except (ValueError, TypeError, zlib.error) as exc:
+        raise CorruptContainerError(f"{path}: malformed {container['kind']}: {exc}") from exc

@@ -52,10 +52,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class MatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Const:
     """Literal value; hex case is normalized for numeric fields."""

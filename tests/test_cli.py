@@ -208,6 +208,13 @@ class TestClassify:
         assert "Setting OS to Linux 2.6.X" in capsys.readouterr().out
 
 
+class TestBadPaths:
+    @pytest.mark.parametrize("command, flag", [("baseline", "--db"), ("classify", "--model")])
+    def test_directory_is_exit_2_and_one_line(self, work, tmp_path, capsys, command, flag):
+        assert main([command, flag, str(tmp_path), "--obs", str(work["sol_obs"])]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: is a directory: {tmp_path}"]
+
+
 class TestEvaluateBaseline:
     def test_evaluate_report(self, work, capsys):
         assert main(["evaluate", "--model", str(work["model"]),

@@ -1,13 +1,19 @@
 """Container round-trips, integrity checks, and error taxonomy."""
 
 import json
+import math
 import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from neuralfp.cli import main
 from neuralfp.corpus import demo_database
-from neuralfp.datagen import generate_dataset
+from neuralfp.datagen import Dataset, SampleLabel, generate_dataset, sample_observation
 from neuralfp.encoding import build_endpoint_schema
 from neuralfp.dcerpc import parse_endpoint_dump, synthetic_windows_corpus, train_windows_net
 from neuralfp.hierarchy import HierarchyConfig, classify_vector, train_hierarchy
@@ -18,12 +24,33 @@ from neuralfp.persistence import (
     FormatVersionError,
     KindMismatchError,
     PersistenceError,
+    _canonical,
+    _digest,
+    _encode,
     load,
     load_container,
     save,
 )
 from neuralfp.preprocess import fit_pipeline
-from neuralfp.signatures import parse_fingerprint_db
+from neuralfp.signatures import format_observation, parse_fingerprint_db
+
+
+def _split(path):
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def _join(path, header, body: bytes):
+    path.write_bytes(_canonical(header) + b"\n" + body)
+
+
+def _rewrite_body(path, mutate):
+    """Edit the parsed body and re-digest it, so that only decoding can object."""
+    header, body = _split(path)
+    raw = json.loads(body)
+    mutate(raw)
+    body = _canonical(raw)
+    _join(path, {**header, "digest": _digest(body)}, body)
 
 
 def _trained_net(sizes=(2, 2, 1), seed=0):
@@ -128,20 +155,34 @@ class TestOtherKinds:
 class TestContainerChecks:
     def test_tampered_body_is_an_integrity_error(self, tmp_path):
         path = tmp_path / "n.model"
-        save(_trained_net(), path)
-        raw = json.loads(path.read_text())
-        raw["body"]["weights"][0][0][0] += 1e-12
-        path.write_text(json.dumps(raw))
+        net = _trained_net()
+        save(net, path)
+        header, body = _split(path)
+        raw = json.loads(body)
+        w = net.weights[0].copy()
+        w[0, 0] += 1e-12
+        raw["weights"][0] = _encode(w)
+        _join(path, header, _canonical(raw))
         with pytest.raises(CorruptContainerError, match="does not match its digest"):
             load(path)
 
     def test_unknown_format_version(self, tmp_path):
         path = tmp_path / "n.model"
         save(_trained_net(), path)
-        raw = json.loads(path.read_text())
-        raw["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(raw))
+        header, body = _split(path)
+        header["format_version"] = FORMAT_VERSION + 1
+        _join(path, header, body)
         with pytest.raises(FormatVersionError, match="format version"):
+            load(path)
+
+    def test_format_1_container_rejected(self, tmp_path):
+        # format 1 wrote one JSON document, with the body inline
+        path = tmp_path / "v1.model"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "network", "metadata": {},
+            "digest": "0" * 64, "body": {"weights": [[[0.5, 1.0]]]},
+        }, separators=(",", ":")))
+        with pytest.raises(FormatVersionError, match="format version 1 "):
             load(path)
 
     def test_kind_mismatch(self, tmp_path):
@@ -159,9 +200,9 @@ class TestContainerChecks:
     def test_missing_field_is_corrupt(self, tmp_path):
         path = tmp_path / "n.model"
         save(_trained_net(), path)
-        raw = json.loads(path.read_text())
-        del raw["digest"]
-        path.write_text(json.dumps(raw))
+        header, body = _split(path)
+        del header["digest"]
+        _join(path, header, body)
         with pytest.raises(CorruptContainerError, match="missing field 'digest'"):
             load(path)
 
@@ -196,3 +237,159 @@ class TestAtomicity:
             save(bad, tmp_path / "w.model")
         assert not (tmp_path / "w.model").exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
+class TestWrites:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            save(_trained_net(), tmp_path / "n.model")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "n.model").st_mode) == 0o666 & ~umask
+
+    def test_fsync_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd)))
+        monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b)))
+        save(_trained_net(), tmp_path / "n.model")
+        assert calls == ["fsync", "replace"]
+
+
+@pytest.fixture(scope="module")
+def small_hierarchy(tmp_path_factory):
+    db = parse_fingerprint_db(demo_database())
+    ds = generate_dataset(db, None, 300, stage="relevance", seed=8)
+    model = train_hierarchy(
+        db, cfg=HierarchyConfig(seed=2, generations=5), corpus=(ds.inputs, ds.labels)
+    )
+    root = tmp_path_factory.mktemp("hier")
+    save(model, root / "h.model")
+    sig = next(s for s in db if s.name == "Linux Kernel 2.4.20")
+    obs = format_observation(sample_observation(sig, np.random.default_rng(5)))
+    (root / "host.obs").write_text(obs + "\n")
+    return model, root
+
+
+def _drop_key(body, model):
+    del body["relevance"]["pipeline"]
+
+
+def _short_bytes(body, model):
+    body["relevance"]["pipeline"]["basis"]["shape"][0] += 1
+
+
+def _narrow_basis(body, model):
+    body["family"]["pipeline"]["basis"] = _encode(model.family.pipeline.basis[:, :-1])
+
+
+def _float_mask(body, model):
+    mask = model.relevance.pipeline.normalizer.constant
+    body["relevance"]["pipeline"]["normalizer"]["constant"] = _encode(mask.astype(float))
+
+
+def _string_labels(body, model):
+    body["family"]["labels"] = "Linux"
+
+
+def _bad_base64(body, model):
+    body["relevance"]["net"]["weights"][0]["zlib"] = "not base64!"
+
+
+MALFORMED = {
+    "missing key": (_drop_key, "missing key 'pipeline'"),
+    "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
+    "net width is not PCA k": (_narrow_basis, "net input width = PCA k"),
+    "mask stored as float": (_float_mask, "dtype '<f8', expected '\\|b1'"),
+    "labels not a list": (_string_labels, "expected list, got str"),
+    "array data not base64": (_bad_base64, "malformed hierarchy"),
+}
+
+
+class TestMalformedBody:
+    """Digest-valid bodies that do not describe a model."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_load_raises_corrupt(self, small_hierarchy, tmp_path, case):
+        model, root = small_hierarchy
+        mutate, match = MALFORMED[case]
+        path = tmp_path / "bad.model"
+        path.write_bytes((root / "h.model").read_bytes())
+        _rewrite_body(path, lambda body: mutate(body, model))
+        with pytest.raises(CorruptContainerError, match=match):
+            load(path)
+
+    @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape",
+                                      "net width is not PCA k"])
+    def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
+        model, root = small_hierarchy
+        path = tmp_path / "bad.model"
+        path.write_bytes((root / "h.model").read_bytes())
+        _rewrite_body(path, lambda body: MALFORMED[case][0](body, model))
+        assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# every float64 class the raw bytes must carry: signed zeros, nans,
+# infinities, subnormals and the extremes
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
+                     1.7976931348623157e308]),
+    st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 6))
+    inputs = draw(arrays(np.float64, st.tuples(st.just(n), st.integers(0, 5)), elements=FLOATS))
+    targets = draw(arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3)), elements=FLOATS))
+    labels = [SampleLabel(f"sig {i}", i % 2 == 0, "Linux" if i % 3 else None, None)
+              for i in range(n)]
+    return Dataset("relevance", inputs, targets, labels, ("relevant",), draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def networks(draw):
+    sizes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4))
+    return Mlp([draw(arrays(np.float64, (n_out, n_in + 1), elements=FLOATS))
+                for n_in, n_out in zip(sizes, sizes[1:])])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop")
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets())
+    def test_dataset_round_trip_is_bit_identical(self, scratch, ds):
+        save(ds, scratch / "d.ds")
+        back = load(scratch / "d.ds")
+        for a, b in ((ds.inputs, back.inputs), (ds.targets, back.targets)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (back.labels, back.seed) == (ds.labels, ds.seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks())
+    def test_network_round_trip_is_bit_identical(self, scratch, net):
+        save(net, scratch / "n.model")
+        back = load(scratch / "n.model")
+        assert [w.shape for w in back.weights] == [w.shape for w in net.weights]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(net.weights, back.weights))
+
+    @settings(max_examples=100, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
+    def test_any_flipped_body_byte_is_corrupt(self, scratch, where, bit):
+        path = scratch / "flip.model"
+        save(_trained_net(), path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1
+        data[start + int(where * (len(data) - start))] ^= 1 << bit
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptContainerError):
+            load(path)
