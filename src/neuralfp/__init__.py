@@ -46,6 +46,7 @@ from .hierarchy import (
     HierarchyModel,
     Stage,
     classify,
+    classify_batch,
     classify_vector,
     evaluate,
     report_classification,
@@ -58,10 +59,8 @@ from .neural import (
     TrainingDivergedError,
     fitness_g,
     forward,
-    forward_batch,
     init_mlp,
     train,
-    train_subsets,
 )
 from .persistence import (
     CorruptContainerError,

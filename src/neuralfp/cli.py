@@ -30,14 +30,15 @@ from .hierarchy import (
     STAGE_HIDDEN,
     HierarchyConfig,
     HierarchyError,
+    HierarchyModel,
     Stage,
     classify_vector,
     evaluate,
     report_classification,
     train_hierarchy,
 )
-from .neural import Mlp, TrainConfig, TrainingDivergedError, init_mlp, train, train_subsets
-from .persistence import PersistenceError, load, load_container, save
+from .neural import Mlp, TrainConfig, TrainingDivergedError, init_mlp, train
+from .persistence import PersistenceError, load, save
 from .preprocess import ReductionError, fit_pipeline, reduction_report
 from .signatures import (
     ParseError,
@@ -201,8 +202,7 @@ def cmd_train(args) -> int:
         pipe = fit_pipeline(ds.inputs, variance=variance)
         net = init_mlp([pipe.output_dim, hidden, ds.targets.shape[1]], seed=cfg.seed)
 
-    trainer = train_subsets if cfg.subset_size else train
-    history = trainer(net, pipe.apply(ds.inputs), ds.targets, cfg)
+    history = train(net, pipe.apply(ds.inputs), ds.targets, cfg)
     stage = Stage(pipe, net, tuple(ds.output_labels))
     save(
         stage,
@@ -262,20 +262,18 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    container = load_container(args.model)
-    kind = container["kind"]
     model = load(args.model)
-    if kind == "network":
+    if isinstance(model, Mlp):
         nets = {None: model}
-    elif kind == "stage":
+    elif isinstance(model, Stage):
         nets = {None: model.net}
-    elif kind == "hierarchy":
+    elif isinstance(model, HierarchyModel):
         nets = {"relevance": model.relevance.net, "family": model.family.net}
         nets.update({name: s.net for name, s in model.versions.items()})
         if model.windows is not None:
             nets["windows"] = model.windows.net
     else:
-        raise ValueError(f"{args.model}: kind {kind!r} carries no training curves")
+        raise ValueError(f"{args.model}: a {type(model).__name__} carries no training curves")
     missing = [name or "network" for name, net in nets.items() if net.history is None]
     if len(missing) == len(nets):
         raise ValueError(f"{args.model}: no training history recorded")

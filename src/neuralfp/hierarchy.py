@@ -24,7 +24,7 @@ from .datagen import (
 )
 from .dcerpc import WindowsRefiner, WindowsVerdict
 from .encoding import EndpointMap, encode_observation
-from .neural import Mlp, TrainConfig, forward, forward_batch, init_mlp, train, train_subsets
+from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .preprocess import ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
@@ -36,6 +36,7 @@ __all__ = [
     "HierarchyModel",
     "Stage",
     "classify",
+    "classify_batch",
     "classify_vector",
     "evaluate",
     "report_classification",
@@ -46,6 +47,8 @@ __all__ = [
 # absent falls back to DEFAULT_HIDDEN
 STAGE_HIDDEN = {"relevance": 20, "family": 20, "Linux": 18, "Solaris": 7, "OpenBSD": 4}
 DEFAULT_HIDDEN = 8
+
+OUTCOMES = ("perfect match", "partial match", "error", "no answer")
 
 
 class HierarchyError(Exception):
@@ -60,11 +63,9 @@ class Stage:
     net: Mlp
     labels: tuple[str, ...]
 
-    def scores(self, vec: np.ndarray) -> np.ndarray:
-        return forward(self.net, self.pipeline.apply(vec))
-
-    def scores_batch(self, X: np.ndarray) -> np.ndarray:
-        return forward_batch(self.net, self.pipeline.apply(X))
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Net outputs for one encoded vector or for each row of a stack."""
+        return forward(self.net, self.pipeline.apply(X))
 
 
 @dataclass
@@ -144,8 +145,7 @@ def _train_stage(
         subset_size=cfg.subset_size,
         seed=seed,
     )
-    trainer = train_subsets if cfg.subset_size else train
-    trainer(net, pipe.apply(inputs), targets, tcfg)
+    train(net, pipe.apply(inputs), targets, tcfg)
     return Stage(pipe, net, labels)
 
 
@@ -230,44 +230,60 @@ def train_hierarchy(
     )
 
 
+def classify_batch(
+    model: HierarchyModel, X: np.ndarray, dumps: list[EndpointMap | None] | None = None
+) -> list[ClassificationResult]:
+    """Run the cascade on encoded rows, one result per row.
+
+    Each stage scores only the rows that reach it, and every product is
+    taken row by row, so row i gets the same bits as a batch of one:
+    classify_vector(model, X[i], dumps[i]).
+    """
+    X = np.asarray(X, dtype=float)
+    if len(X) == 0:
+        return []
+    dumps = dumps or [None] * len(X)
+    relevance = model.relevance.scores(X)[:, 0].tolist()
+    results = [ClassificationResult(r, None, None, "not relevant", ("relevance",))
+               if r < model.relevance_threshold else None for r in relevance]
+    reached = [i for i, r in enumerate(results) if r is None]
+
+    trace = ("relevance", "family")
+    family_scores: dict[int, dict[str, float]] = {}
+    by_family: dict[str, list[int]] = {}
+    for i, out in zip(reached, model.family.scores(X[reached]) if reached else ()):
+        family_scores[i] = dict(zip(model.family.labels, out.tolist()))
+        best = int(out.argmax())
+        family = model.family.labels[best]
+        verdict, windows = (family, None), None
+        if out[best] < model.decision_threshold:
+            verdict = "unknown"
+        elif family == "Windows" and dumps[i] is not None and model.windows is not None:
+            windows = model.windows.classify(dumps[i])
+            verdict = ("Windows", f"{windows.version} {windows.edition} sp{windows.service_pack}")
+        elif family in model.versions:
+            by_family.setdefault(family, []).append(i)
+            continue
+        results[i] = ClassificationResult(relevance[i], family_scores[i], None, verdict,
+                                          trace + (("dcerpc",) if windows else ()), windows)
+
+    for family, rows in by_family.items():
+        stage = model.versions[family]
+        for i, out in zip(rows, stage.scores(X[rows])):
+            best = int(out.argmax())
+            verdict = ("unknown" if out[best] < model.decision_threshold
+                       else (family, stage.labels[best]))
+            results[i] = ClassificationResult(relevance[i], family_scores[i],
+                                              dict(zip(stage.labels, out.tolist())), verdict,
+                                              trace + (f"version:{family}",))
+    return results
+
+
 def classify_vector(
     model: HierarchyModel, vec: np.ndarray, dump: EndpointMap | None = None
 ) -> ClassificationResult:
-    """Run the cascade on an already-encoded feature vector."""
-    trace = ["relevance"]
-    relevance = float(model.relevance.scores(vec)[0])
-    if relevance < model.relevance_threshold:
-        return ClassificationResult(relevance, None, None, "not relevant", tuple(trace))
-
-    trace.append("family")
-    fam_out = model.family.scores(vec)
-    family_scores = dict(zip(model.family.labels, (float(v) for v in fam_out)))
-    best = int(np.argmax(fam_out))
-    if fam_out[best] < model.decision_threshold:
-        return ClassificationResult(relevance, family_scores, None, "unknown", tuple(trace))
-    family = model.family.labels[best]
-
-    if family == "Windows" and dump is not None and model.windows is not None:
-        trace.append("dcerpc")
-        verdict = model.windows.classify(dump)
-        line = f"{verdict.version} {verdict.edition} sp{verdict.service_pack}"
-        return ClassificationResult(
-            relevance, family_scores, None, ("Windows", line), tuple(trace), windows=verdict
-        )
-
-    stage = model.versions.get(family)
-    if stage is None:
-        return ClassificationResult(relevance, family_scores, None, (family, None), tuple(trace))
-
-    trace.append(f"version:{family}")
-    ver_out = stage.scores(vec)
-    version_scores = dict(zip(stage.labels, (float(v) for v in ver_out)))
-    vbest = int(np.argmax(ver_out))
-    if ver_out[vbest] < model.decision_threshold:
-        return ClassificationResult(relevance, family_scores, version_scores, "unknown", tuple(trace))
-    return ClassificationResult(
-        relevance, family_scores, version_scores, (family, stage.labels[vbest]), tuple(trace)
-    )
+    """Run the cascade on one already-encoded feature vector: a batch of one."""
+    return classify_batch(model, np.asarray(vec, dtype=float)[None, :], [dump])[0]
 
 
 def classify(
@@ -345,9 +361,20 @@ class EvaluationReport:
         for i, lab in enumerate(self.confusion_labels):
             row = " ".join(f"{int(v):>{width}}" for v in self.confusion[i])
             lines.append(f"  {lab:>{width}} {row}")
-        order = ("perfect match", "partial match", "error", "no answer")
-        lines.append("  outcomes: " + ", ".join(f"{k} {self.categories[k]}" for k in order))
+        lines.append("  outcomes: " + ", ".join(f"{k} {self.categories[k]}" for k in OUTCOMES))
         return "\n".join(lines)
+
+
+def _outcome(label: SampleLabel, verdict) -> str:
+    if verdict == "unknown":
+        return "no answer"
+    if not label.relevant:
+        return "perfect match" if verdict == "not relevant" else "error"
+    if isinstance(verdict, str) or verdict[0] != label.family:
+        return "error"
+    if verdict[1] is not None and verdict[1] == label.line:
+        return "perfect match"
+    return "partial match"
 
 
 def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
@@ -355,64 +382,44 @@ def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
 
     Stage accuracies are measured independently on the rows where ground
     truth makes the stage applicable (family accuracy over truly
-    relevant rows, and so on).  The outcome buckets run the full cascade:
-    perfect match needs family and version both right, partial match is
-    a right family with a missing or wrong version, "unknown" verdicts
-    count as no answer, and everything else is an error.
+    relevant rows, and so on); relevance accuracy reads the cascade's own
+    first decision.  The outcome buckets come from one classify_batch
+    call: perfect match needs family and version both right, partial
+    match is a right family with a missing or wrong version, "unknown"
+    verdicts count as no answer, and everything else is an error.
     """
     X = heldout.inputs
     labels = heldout.labels
-    n = len(X)
-    rel_out = model.relevance.scores_batch(X)[:, 0]
-    fam_out = model.family.scores_batch(X)
+    results = classify_batch(model, X)
     rel_truth = np.array([l.relevant for l in labels], dtype=bool)
-    rel_pred = rel_out >= model.relevance_threshold
+    rel_pred = np.array([r.verdict != "not relevant" for r in results], dtype=bool)
     relevance_accuracy = float((rel_pred == rel_truth).mean())
 
     fam_labels = model.family.labels
-    fam_pred_idx = fam_out.argmax(axis=1)
-    nfam = len(fam_labels)
-    confusion = np.zeros((nfam, nfam))
-    fam_ok = 0
-    fam_total = 0
-    for i, lab in enumerate(labels):
-        if not lab.relevant:
-            continue
-        true_idx = fam_labels.index(lab.family)
-        confusion[true_idx, fam_pred_idx[i]] += 1
-        fam_ok += int(fam_pred_idx[i] == true_idx)
-        fam_total += 1
+    relevant = np.flatnonzero(rel_truth)
+    fam_pred = model.family.scores(X[relevant]).argmax(axis=1)
+    confusion = np.zeros((len(fam_labels), len(fam_labels)))
+    for i, pred in zip(relevant, fam_pred):
+        confusion[fam_labels.index(labels[i].family), pred] += 1
+    fam_ok = int(np.trace(confusion))
+    fam_total = len(relevant)
     family_accuracy = fam_ok / fam_total if fam_total else 0.0
 
     version_accuracy: dict[str, float] = {}
     for fam, stage in model.versions.items():
-        rows = np.array([l.family == fam for l in labels], dtype=bool)
-        if not rows.any():
+        rows = [i for i, l in enumerate(labels) if l.family == fam]
+        if not rows:
             continue
-        out = stage.scores_batch(X[rows])
-        pred = out.argmax(axis=1)
-        truth = [l.line for l in labels if l.family == fam]
-        ok = sum(stage.labels[p] == t for p, t in zip(pred, truth))
-        version_accuracy[fam] = ok / len(truth)
+        pred = stage.scores(X[rows]).argmax(axis=1)
+        ok = sum(stage.labels[p] == labels[i].line for p, i in zip(pred, rows))
+        version_accuracy[fam] = ok / len(rows)
 
-    categories = {"perfect match": 0, "partial match": 0, "error": 0, "no answer": 0}
-    for i, lab in enumerate(labels):
-        verdict = classify_vector(model, X[i]).verdict
-        if verdict == "unknown":
-            categories["no answer"] += 1
-        elif not lab.relevant:
-            categories["perfect match" if verdict == "not relevant" else "error"] += 1
-        elif isinstance(verdict, str):
-            categories["error"] += 1
-        elif verdict[0] != lab.family:
-            categories["error"] += 1
-        elif verdict[1] is not None and verdict[1] == lab.line:
-            categories["perfect match"] += 1
-        else:
-            categories["partial match"] += 1
+    categories = dict.fromkeys(OUTCOMES, 0)
+    for label, result in zip(labels, results):
+        categories[_outcome(label, result.verdict)] += 1
 
     return EvaluationReport(
-        n=n,
+        n=len(X),
         relevance_accuracy=relevance_accuracy,
         family_accuracy=family_accuracy,
         family_interval=_wilson(fam_ok, fam_total),

@@ -17,7 +17,7 @@ Fitness G summarizes a net against labeled data: for one output,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,22 +88,18 @@ def init_mlp(sizes: tuple[int, ...] | list[int], seed: int = 0) -> Mlp:
 
 
 def _activations(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    acts = [np.asarray(x, dtype=float)]
+    """Every layer's output for one input vector (n,) or a stack of rows
+    (..., n).  Each row is its own matrix-vector product on contiguous
+    memory, so a row gets the same bits alone as inside any batch."""
+    acts = [np.ascontiguousarray(x, dtype=float)]
     for W in mlp.weights:
-        acts.append(np.tanh(W[:, 1:] @ acts[-1] - W[:, 0]))
+        acts.append(np.tanh(np.matvec(W[:, 1:], acts[-1]) - W[:, 0]))
     return acts
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Network output for one input vector."""
+    """Network output for one input vector or each row of a stack."""
     return _activations(mlp, x)[-1]
-
-
-def forward_batch(mlp: Mlp, X: np.ndarray) -> np.ndarray:
-    A = np.asarray(X, dtype=float)
-    for W in mlp.weights:
-        A = np.tanh(A @ W[:, 1:].T - W[:, 0])
-    return A
 
 
 def _deltas(mlp: Mlp, acts: list[np.ndarray], target: np.ndarray) -> list[np.ndarray]:
@@ -163,7 +159,7 @@ def backprop_generation(
             upd = prev_update[l]
             upd *= momentum
             upd[:, 0] -= lam * delta
-            upd[:, 1:] += lam * np.outer(delta, acts[l])
+            upd[:, 1:] += lam * (delta[:, None] * acts[l])
             mlp.weights[l] += upd
     return total / len(inputs), prev_update
 
@@ -174,40 +170,65 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     The lambda recorded per generation is the one that generation used;
     adaptation compares consecutive generation errors, ties counting as
     improvement.
+
+    With cfg.subset_size, training runs over a seeded partition of the
+    data, one full run per subset.  After each subset, fitness G is
+    measured on the next subset in line (not yet trained on; the last
+    wraps around to the first) and recorded on that run's final
+    generation.  When G improved, the starting lambda of the next subset
+    is raised.  A subset size covering all the data is one plain run
+    plus one G.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if len(inputs) == 0:
+    n = len(inputs)
+    if n == 0:
         raise ValueError("no training pairs")
-    rng = np.random.default_rng(cfg.seed)
+    if cfg.subset_size and cfg.subset_size < n:
+        order = np.random.default_rng((cfg.seed, 1)).permutation(n)
+        chunks = [order[i:i + cfg.subset_size] for i in range(0, n, cfg.subset_size)]
+    else:
+        chunks = [slice(None)]
     history = TrainHistory()
-    lam = cfg.lam
-    prev_mse = None
-    update = None
-    for gen in range(1, cfg.generations + 1):
-        order = rng.permutation(len(inputs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            mse, update = backprop_generation(
-                mlp, inputs[order], targets[order], lam, cfg.momentum, update
-            )
-        history.rows.append((gen, mse, lam, None))
-        if not np.isfinite(mse) or not all(np.isfinite(W).all() for W in mlp.weights):
-            raise TrainingDivergedError(gen)
-        if cfg.target_error is not None and mse <= cfg.target_error:
-            break
-        if cfg.adaptive and prev_mse is not None:
-            if mse <= prev_mse:
-                lam = min(lam * cfg.lam_up, cfg.lam_max)
-            else:
-                lam = max(lam * cfg.lam_down, cfg.lam_min)
-        prev_mse = mse
+    lam0 = cfg.lam
+    prev_g = None
+    for s, chunk in enumerate(chunks):
+        X, Y = inputs[chunk], targets[chunk]
+        rng = np.random.default_rng(cfg.seed + s)
+        gen0 = history.generations()
+        lam = lam0
+        prev_mse = None
+        update = None
+        for gen in range(gen0 + 1, gen0 + cfg.generations + 1):
+            order = rng.permutation(len(X))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mse, update = backprop_generation(mlp, X[order], Y[order], lam, cfg.momentum, update)
+            history.rows.append((gen, mse, lam, None))
+            if not np.isfinite(mse) or not all(np.isfinite(W).all() for W in mlp.weights):
+                raise TrainingDivergedError(gen)
+            if cfg.target_error is not None and mse <= cfg.target_error:
+                break
+            if cfg.adaptive and prev_mse is not None:
+                if mse <= prev_mse:
+                    lam = min(lam * cfg.lam_up, cfg.lam_max)
+                else:
+                    lam = max(lam * cfg.lam_down, cfg.lam_min)
+            prev_mse = mse
+        if not cfg.subset_size:
+            continue
+        probe = chunks[(s + 1) % len(chunks)]
+        g = fitness_g(mlp, inputs[probe], targets[probe])
+        history.rows[-1] = history.rows[-1][:3] + (g,)
+        if prev_g is not None and g > prev_g:
+            lam0 = min(lam0 * cfg.lam_up, cfg.lam_max)
+        prev_g = g
     mlp.history = history
     return history
 
 
 def fitness_g(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray) -> float:
     """G = 1 - (fp rate + fn rate) for one output, 1 - error share else."""
-    out = forward_batch(mlp, inputs)
+    out = forward(mlp, inputs)
     targets = np.asarray(targets, dtype=float)
     if out.shape[1] == 1:
         pred = out[:, 0] >= 0.0
@@ -219,40 +240,3 @@ def fitness_g(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray) -> float:
         return 1.0 - (fp + fn)
     errors = int((out.argmax(axis=1) != targets.argmax(axis=1)).sum())
     return 1.0 - errors / len(targets)
-
-
-def train_subsets(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
-    """Sequential training over a seeded partition of the data.
-
-    After each subset, fitness G is measured on the next subset in line
-    (not yet trained on; the last wraps around to the first) and recorded
-    on that run's final generation.  When G improved, the starting lambda
-    of the next subset is raised.  A subset size covering all the data
-    degenerates to plain train().
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n = len(inputs)
-    size = cfg.subset_size or n
-    if size >= n:
-        chunks = [np.arange(n)]
-    else:
-        order = np.random.default_rng((cfg.seed, 1)).permutation(n)
-        chunks = [order[i:i + size] for i in range(0, n, size)]
-    history = TrainHistory()
-    lam0 = cfg.lam
-    prev_g = None
-    for s, chunk in enumerate(chunks):
-        sub_cfg = replace(cfg, lam=lam0, seed=cfg.seed + s, subset_size=None)
-        sub_history = train(mlp, inputs[chunk], targets[chunk], sub_cfg)
-        probe = chunks[(s + 1) % len(chunks)]
-        g = fitness_g(mlp, inputs[probe], targets[probe])
-        gen0 = history.rows[-1][0] if history.rows else 0
-        rows = [(gen0 + gen, mse, lam, None) for gen, mse, lam, _ in sub_history.rows]
-        rows[-1] = (rows[-1][0], rows[-1][1], rows[-1][2], g)
-        history.rows.extend(rows)
-        if prev_g is not None and g > prev_g:
-            lam0 = min(lam0 * cfg.lam_up, cfg.lam_max)
-        prev_g = g
-    mlp.history = history
-    return history

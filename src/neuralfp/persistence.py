@@ -16,7 +16,8 @@ each array's byte count, and the shapes that tie a stage together; any
 mismatch is a CorruptContainerError. A format-1 container (one JSON
 document) reads as a header with format_version 1 and is rejected.
 Writes go to a fresh temp file in the target directory, are fsynced and
-then renamed into place, so a crash never leaves a half-written model.
+then renamed into place, and the directory is fsynced after the rename,
+so a crash never leaves a half-written model.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def save(obj, path, metadata: dict | None = None) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    # the rename itself is durable only once the directory is synced
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_container(path, expected_kind: str | None = None) -> dict:

@@ -124,11 +124,14 @@ class ReductionPipeline:
         return self.basis.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Project vectors into the reduced space; (p,) -> (k,)."""
-        single = np.ndim(x) == 1
-        Xn = self.normalizer.transform(x)
-        out = Xn[:, self.kept] @ self.basis
-        return out[0] if single else out
+        """Project into the reduced space; (p,) -> (k,), (n, p) -> (n, k).
+
+        Each row is its own vector-matrix product, so a row gets the same
+        bits alone as inside any batch.
+        """
+        # vecmat's bits follow the row layout: take() copies into contiguous rows
+        out = np.vecmat(self.normalizer.transform(x).take(self.kept, axis=1), self.basis)
+        return out[0] if np.ndim(x) == 1 else out
 
 
 def fit_pipeline(

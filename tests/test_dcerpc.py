@@ -1,7 +1,11 @@
 """Endpoint dump parsing, the Windows label space, and the refiner."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfp.dcerpc import (
     DumpParseError,
@@ -13,7 +17,7 @@ from neuralfp.dcerpc import (
     synthetic_windows_corpus,
     train_windows_net,
 )
-from neuralfp.encoding import build_endpoint_schema, encode_endpoint_map
+from neuralfp.encoding import EndpointMap, RpcProgram, build_endpoint_schema, encode_endpoint_map
 from neuralfp.neural import Mlp
 
 from conftest import MESSENGER_DUMP
@@ -199,3 +203,23 @@ class TestRefiner:
         a = synthetic_windows_corpus(per_triple=2, seed=9, dropout=0.2)
         b = synthetic_windows_corpus(per_triple=2, seed=9, dropout=0.2)
         assert [(m.programs, t) for m, t in a] == [(m.programs, t) for m, t in b]
+
+
+_TOKEN = st.text(string.ascii_letters + string.digits + "_\\.$", min_size=1, max_size=12)
+_TEXT = st.text(string.ascii_letters + string.digits + " ._-", min_size=1, max_size=24).map(
+    str.strip).filter(bool)
+_UUIDS = st.uuids().map(lambda u: str(u).upper())
+_PROGRAMS = st.builds(
+    RpcProgram,
+    _UUIDS,
+    st.none() | _TEXT,
+    st.lists(st.tuples(_TOKEN, st.none() | _TOKEN), min_size=1, max_size=4).map(tuple),
+)
+
+
+class TestDumpProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.none() | _TEXT, programs=st.lists(_PROGRAMS, max_size=5).map(tuple))
+    def test_format_parse_is_identity(self, name, programs):
+        emap = EndpointMap(name, programs)
+        assert parse_endpoint_dump(format_endpoint_dump(emap), name=name) == emap

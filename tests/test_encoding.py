@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfp.encoding import (
     PU_BASE,
@@ -16,7 +18,9 @@ from neuralfp.encoding import (
     feature_label,
     layout_table,
 )
-from neuralfp.signatures import parse_observation
+from neuralfp.corpus import demo_database, large_database
+from neuralfp.datagen import sample_observation
+from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
 from conftest import LINUX_260_T3
 
@@ -270,3 +274,16 @@ class TestEndpointEncoding:
             None, (RpcProgram("00000000-0000-0000-0000-000000000000", None, ()),)
         )
         assert list(encode_endpoint_map(schema, stranger)) == [-1.0] * schema.size
+
+
+_DBS = [parse_fingerprint_db(demo_database()), parse_fingerprint_db(large_database(40))]
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.integers(0, 1), pick=st.integers(0, 2**32 - 1))
+    def test_sampled_observation_encodes_finite_and_full_width(self, which, pick):
+        db = _DBS[which]
+        vec = encode_observation(sample_observation(db[pick % len(db)], np.random.default_rng(pick)))
+        assert vec.shape == (TOTAL_NEURONS,) == (568,)
+        assert np.isfinite(vec).all()

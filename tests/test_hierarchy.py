@@ -1,8 +1,13 @@
 """Decision cascade: training, classification, reporting, evaluation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neuralfp import hierarchy
 from neuralfp.corpus import demo_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
@@ -15,9 +20,11 @@ from neuralfp.datagen import (
 from neuralfp.dcerpc import synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS, encode_observation
 from neuralfp.hierarchy import (
+    OUTCOMES,
     HierarchyConfig,
     HierarchyError,
     classify,
+    classify_batch,
     classify_vector,
     evaluate,
     report_classification,
@@ -137,6 +144,39 @@ class TestClassification:
         assert a.stage_trace == b.stage_trace
 
 
+@pytest.fixture(scope="module")
+def batch(model, dataset):
+    """120 rows from across the db, a dump on every third, and their results."""
+    X = dataset.inputs[::7][:120]
+    corpus = synthetic_windows_corpus(seed=5)
+    dumps = [corpus[i % len(corpus)][0] if i % 3 == 0 else None for i in range(len(X))]
+    return X, dumps, classify_batch(model, X, dumps)
+
+
+class TestBatch:
+    def test_each_row_equals_its_batch_of_one(self, model, batch):
+        X, dumps, results = batch
+        assert len(results) == len(X)
+        for i, result in enumerate(results):
+            assert result == classify_vector(model, X[i], dumps[i])
+        # every way out of the cascade is exercised
+        ends = {r.stage_trace[-1].split(":")[0] for r in results}
+        assert ends == {"relevance", "family", "version", "dcerpc"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(idx=st.lists(st.integers(0, 119), max_size=25))
+    def test_any_sub_batch_gives_the_same_results(self, model, batch, idx):
+        X, dumps, results = batch
+        assert classify_batch(model, X[idx], [dumps[i] for i in idx]) == [results[i] for i in idx]
+
+    def test_without_dumps_matches_one_by_one(self, model, batch):
+        X, _, _ = batch
+        assert classify_batch(model, X[:30]) == [classify_vector(model, x) for x in X[:30]]
+
+    def test_empty_batch(self, model):
+        assert classify_batch(model, np.empty((0, TOTAL_NEURONS))) == []
+
+
 class TestReport:
     def test_full_listing(self, db, model):
         obs = sample_observation(_pick(db, "Solaris", "8"), np.random.default_rng(17))
@@ -204,3 +244,20 @@ class TestEvaluate:
         assert "95% CI" in text
         assert "confusion (rows true, columns predicted):" in text
         assert "outcomes:" in text
+
+    def test_buckets_equal_the_one_by_one_cascade(self, model, report):
+        rep, heldout = report
+        counts = Counter(
+            hierarchy._outcome(label, classify_vector(model, x).verdict)
+            for label, x in zip(heldout.labels, heldout.inputs)
+        )
+        assert rep.categories == {k: counts[k] for k in OUTCOMES}
+
+    def test_evaluate_classifies_in_one_batch(self, model, report, monkeypatch):
+        _, heldout = report
+
+        def one_row(*args, **kwargs):
+            raise AssertionError("evaluate classified a row on its own")
+
+        monkeypatch.setattr(hierarchy, "classify_vector", one_row)
+        assert evaluate(model, heldout).n == len(heldout.inputs)

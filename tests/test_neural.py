@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfp.neural import (
     Mlp,
@@ -10,12 +12,10 @@ from neuralfp.neural import (
     backprop_generation,
     fitness_g,
     forward,
-    forward_batch,
     init_mlp,
     loss_gradient,
     pair_error,
     train,
-    train_subsets,
 )
 
 
@@ -60,12 +60,19 @@ class TestPerceptron:
         net = Mlp([np.array([[0.2, 0.0]])])
         assert forward(net, np.array([3.0]))[0] == pytest.approx(np.tanh(-0.2), abs=1e-15)
 
-    def test_forward_batch_matches_forward(self):
-        net = init_mlp([5, 4, 3], seed=2)
-        X = np.random.default_rng(0).uniform(-1, 1, size=(10, 5))
-        batch = forward_batch(net, X)
-        for i, x in enumerate(X):
-            assert batch[i] == pytest.approx(forward(net, x), abs=1e-15)
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           fortran=st.booleans())
+    def test_forward_batch_matches_forward(self, sizes, rows, seed, fortran):
+        # each row of a batch gets exactly the bits it gets alone
+        net = init_mlp(sizes, seed=seed)
+        X = np.random.default_rng(seed).uniform(-3, 3, size=(rows, sizes[0]))
+        batch = forward(net, np.asfortranarray(X) if fortran else X)
+        assert batch.shape == (rows, sizes[-1])
+        for i in range(rows):
+            assert np.array_equal(batch[i], forward(net, X[i]))
+        assert np.array_equal(forward(net, X[::2]), batch[::2])
 
 
 class TestInit:
@@ -146,7 +153,7 @@ class TestTraining:
         net = init_mlp([2, 4, 1], seed=0)
         hist = train(net, X, Y, TrainConfig(generations=2000, target_error=0.05, lam=0.1, momentum=0.9, seed=0))
         assert hist.last_mse() <= 0.05
-        out = forward_batch(net, X)
+        out = forward(net, X)
         assert np.array_equal(np.sign(out), Y)
 
     def test_lambda_trace_follows_error(self):
@@ -238,7 +245,7 @@ class TestSubsets:
         cfg = TrainConfig(generations=25, lam=0.05, seed=4, subset_size=len(X))
         a, b = init_mlp([3, 4, 1], seed=4), init_mlp([3, 4, 1], seed=4)
         ha = train(a, X, Y, TrainConfig(generations=25, lam=0.05, seed=4))
-        hb = train_subsets(b, X, Y, cfg)
+        hb = train(b, X, Y, cfg)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
         assert [r[:3] for r in ha.rows] == [r[:3] for r in hb.rows]
         gs = [r[3] for r in hb.rows if r[3] is not None]
@@ -248,7 +255,7 @@ class TestSubsets:
         X, Y = self.data()
         cfg = TrainConfig(generations=10, lam=0.02, seed=4, subset_size=20)
         net = init_mlp([3, 4, 1], seed=4)
-        hist = train_subsets(net, X, Y, cfg)
+        hist = train(net, X, Y, cfg)
         gs = [r[3] for r in hist.rows if r[3] is not None]
         assert len(gs) == 2
         # generation indices keep counting across subsets
@@ -261,7 +268,7 @@ class TestSubsets:
         X, Y = self.data()
         cfg = TrainConfig(generations=5, lam=0.02, seed=4, subset_size=10)
         net = init_mlp([3, 4, 1], seed=4)
-        hist = train_subsets(net, X, Y, cfg)
+        hist = train(net, X, Y, cfg)
         gs = [r[3] for r in hist.rows if r[3] is not None]
         assert len(gs) == 4
         lam0s = [hist.rows[i][2] for i in (0, 5, 10, 15)]

@@ -17,7 +17,7 @@ from neuralfp.datagen import Dataset, SampleLabel, generate_dataset, sample_obse
 from neuralfp.encoding import build_endpoint_schema
 from neuralfp.dcerpc import parse_endpoint_dump, synthetic_windows_corpus, train_windows_net
 from neuralfp.hierarchy import HierarchyConfig, classify_vector, train_hierarchy
-from neuralfp.neural import Mlp, TrainConfig, forward_batch, init_mlp, train
+from neuralfp.neural import Mlp, TrainConfig, forward, init_mlp, train
 from neuralfp.persistence import (
     FORMAT_VERSION,
     CorruptContainerError,
@@ -69,7 +69,7 @@ class TestNetworkRoundTrip:
         save(net, path)
         back = load(path)
         probe = np.random.default_rng(42).uniform(-10.0, 10.0, (100, 2))
-        assert np.array_equal(forward_batch(net, probe), forward_batch(back, probe))
+        assert np.array_equal(forward(net, probe), forward(back, probe))
 
     def test_history_survives(self, tmp_path):
         net = _trained_net()
@@ -252,10 +252,16 @@ class TestWrites:
     def test_fsync_before_rename(self, tmp_path, monkeypatch):
         calls = []
         fsync, replace = os.fsync, os.replace
-        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd)))
+
+        def spy_fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b)))
         save(_trained_net(), tmp_path / "n.model")
-        assert calls == ["fsync", "replace"]
+        # the file reaches the disk before the rename, the rename after it
+        assert calls == ["fsync file", "replace", "fsync dir"]
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,28 @@
 """Database grammar, match scoring, and round-trip serialization."""
 
 import logging
+import string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neuralfp.corpus import demo_database, large_database
+from neuralfp.datagen import sample_observation
 from neuralfp.signatures import (
+    KNOWN_FIELDS,
+    NUMERIC_FIELDS,
+    TEST_IDS,
     And,
     AnyValue,
     Cmp,
     Const,
+    FieldConstraint,
+    Observation,
     OneOf,
     ParseError,
+    Signature,
     best_fit,
     format_observation,
     match_score,
@@ -241,3 +253,82 @@ class TestObservations:
             parse_observation("Observation a\nT1(DF=Y)\nObservation b\nT1(DF=N)\n")
         with pytest.raises(ParseError, match="exactly one"):
             parse_observation("# nothing\n")
+
+
+# values free of the grammar's separators: % = ( ) | < > & and whitespace
+_WORD = st.text(string.ascii_letters + string.digits + "+-_.", min_size=1, max_size=8)
+_HEX = st.integers(0, 0xFFFFF).map(lambda v: f"{v:X}")
+_NAME = st.text(string.ascii_letters + string.digits + " .-_()", min_size=1, max_size=20).map(
+    str.strip).filter(bool)
+
+
+@st.composite
+def _probe_fields(draw, tid, value):
+    """An ordered subset of a probe's known fields, each with a value."""
+    names = draw(st.lists(st.sampled_from(KNOWN_FIELDS[tid]), unique=True))
+    return {name: draw(value(name)) for name in names}
+
+
+@st.composite
+def observations(draw):
+    tids = draw(st.lists(st.sampled_from(TEST_IDS), min_size=1, unique=True))
+    value = lambda name: _HEX if name in NUMERIC_FIELDS else _WORD  # noqa: E731
+    tests = {tid: draw(_probe_fields(tid, value)) for tid in tids}
+    return Observation(draw(st.none() | _NAME), tests)
+
+
+def _atom(name):
+    cmp = st.builds(Cmp, st.sampled_from("<>"), st.integers(0, 0xFFFFF))
+    const = st.builds(Const, _HEX if name in NUMERIC_FIELDS else _WORD)
+    if name not in NUMERIC_FIELDS:
+        return const
+    return const | cmp | st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple))
+
+
+def _constraint(name):
+    return _atom(name) | st.builds(OneOf, st.lists(_atom(name), min_size=2, max_size=3).map(tuple))
+
+
+@st.composite
+def signatures(draw):
+    tids = draw(st.lists(st.sampled_from(TEST_IDS), unique=True))
+    tests = {}
+    for tid in tids:
+        fields = draw(_probe_fields(tid, _constraint))
+        tests[tid] = tuple(FieldConstraint(f, c) for f, c in fields.items())
+    classes = draw(st.lists(st.tuples(_WORD, _WORD, _WORD, _WORD), max_size=2).map(tuple))
+    return Signature(draw(_NAME), classes, tests)
+
+
+_DEMO = parse_fingerprint_db(demo_database())
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(obs=observations())
+    def test_observation_format_parse_is_identity(self, obs):
+        assert parse_observation(format_observation(obs)) == obs
+
+    @settings(max_examples=30, deadline=None)
+    @given(db=st.lists(signatures(), max_size=3))
+    def test_db_serialize_parse_is_identity(self, db):
+        assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**16))
+    def test_machine_written_db_round_trips(self, n, seed):
+        db = parse_fingerprint_db(large_database(n, seed))
+        assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.integers(0, len(_DEMO) - 1), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_observation_matches_its_signature(self, index, seed):
+        sig = _DEMO[index]
+        assert match_score(sig, sample_observation(sig, np.random.default_rng(seed))) == 1.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), pick=st.integers(0, 2**32 - 1))
+    def test_sampled_observation_matches_machine_written_signature(self, seed, pick):
+        db = parse_fingerprint_db(large_database(10, seed))
+        sig = db[pick % len(db)]
+        assert match_score(sig, sample_observation(sig, np.random.default_rng(pick))) == 1.0
