@@ -51,6 +51,7 @@ from .hierarchy import (
     evaluate,
     report_classification,
     train_hierarchy,
+    train_stage,
 )
 from .neural import (
     Mlp,

@@ -20,14 +20,10 @@ import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from .datagen import GenerationError, PrevalenceTable, generate_dataset
 from .encoding import TOTAL_NEURONS, encode_observation, feature_label, layout_table
 from .dcerpc import DumpParseError, parse_endpoint_dump
 from .hierarchy import (
-    DEFAULT_HIDDEN,
-    STAGE_HIDDEN,
     HierarchyConfig,
     HierarchyError,
     HierarchyModel,
@@ -36,8 +32,9 @@ from .hierarchy import (
     evaluate,
     report_classification,
     train_hierarchy,
+    train_stage,
 )
-from .neural import Mlp, TrainConfig, TrainingDivergedError, init_mlp, train
+from .neural import Mlp, TrainConfig, TrainingDivergedError
 from .persistence import PersistenceError, load, save
 from .preprocess import ReductionError, fit_pipeline, reduction_report
 from .signatures import (
@@ -146,10 +143,6 @@ def _train_hierarchy_cmd(args, cfg_json: dict) -> int:
         raise ValueError("--stage hierarchy requires --db")
     db = _load_db(args.db)
     prev = _load_prevalence(args.prevalence)
-    if args.seed is not None:
-        cfg_json["seed"] = args.seed
-    if args.fixed_lr:
-        cfg_json["adaptive"] = False
     cfg = _build(HierarchyConfig, cfg_json, args.config or "--config")
     model = train_hierarchy(db, prev, cfg)
     save(model, args.out, metadata={"seed": cfg.seed, "config_digest": _config_digest(cfg_json)})
@@ -166,6 +159,10 @@ def _train_hierarchy_cmd(args, cfg_json: dict) -> int:
 
 def cmd_train(args) -> int:
     cfg_json = _load_config(args.config)
+    if args.seed is not None:
+        cfg_json["seed"] = args.seed
+    if args.fixed_lr:
+        cfg_json["adaptive"] = False
     if args.stage == "hierarchy":
         return _train_hierarchy_cmd(args, cfg_json)
 
@@ -176,34 +173,13 @@ def cmd_train(args) -> int:
     if stage_name != ds.stage:
         raise ValueError(f"dataset holds stage {ds.stage!r}, not {stage_name!r}")
 
-    variance = cfg_json.pop("variance", 0.98)
-    short = stage_name.split(":", 1)[-1]
-    hidden = cfg_json.pop("hidden", STAGE_HIDDEN.get(short, DEFAULT_HIDDEN))
-    if args.seed is not None:
-        cfg_json["seed"] = args.seed
-    if args.fixed_lr:
-        cfg_json["adaptive"] = False
-    cfg = _build(TrainConfig, cfg_json, args.config or "--config")
-
-    if args.resume:
-        prior = load(args.resume, expected_kind="stage")
-        if prior.labels != ds.output_labels:
-            raise ValueError(
-                f"resume model schema mismatch: outputs {list(prior.labels)} "
-                f"vs dataset {list(ds.output_labels)}"
-            )
-        if len(prior.pipeline.normalizer.mean) != ds.inputs.shape[1]:
-            raise ValueError(
-                f"resume model schema mismatch: input width "
-                f"{len(prior.pipeline.normalizer.mean)} vs dataset {ds.inputs.shape[1]}"
-            )
-        pipe, net = prior.pipeline, prior.net
-    else:
-        pipe = fit_pipeline(ds.inputs, variance=variance)
-        net = init_mlp([pipe.output_dim, hidden, ds.targets.shape[1]], seed=cfg.seed)
-
-    history = train(net, pipe.apply(ds.inputs), ds.targets, cfg)
-    stage = Stage(pipe, net, tuple(ds.output_labels))
+    train_json = dict(cfg_json)
+    variance = train_json.pop("variance", 0.98)
+    hidden = train_json.pop("hidden", None)
+    cfg = _build(TrainConfig, train_json, args.config or "--config")
+    resume = load(args.resume, expected_kind="stage") if args.resume else None
+    stage = train_stage(stage_name, ds.inputs, ds.targets, ds.output_labels, cfg,
+                        variance, hidden, resume)
     save(
         stage,
         args.out,
@@ -213,10 +189,10 @@ def cmd_train(args) -> int:
             "config_digest": _config_digest(cfg_json),
         },
     )
-    gen, mse, lam, _ = history.rows[-1]
+    gen, mse, lam, _ = stage.net.history.rows[-1]
     print(f"wrote {args.out} (stage {stage_name}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
     if args.history:
-        _write_history(history, args.history)
+        _write_history(stage.net.history, args.history)
     return EXIT_OK
 
 

@@ -46,22 +46,12 @@ class GenerationError(ValueError):
 
 def signature_family(sig: Signature) -> str | None:
     """First class family that names a supported OS family, else None."""
-    for _, family, _, _ in sig.classes:
-        if family in RELEVANT_FAMILIES:
-            return family
-    return None
+    return sample_label(sig).family
 
 
 def signature_line(sig: Signature) -> str | None:
     """Version line of the class that carries the supported family."""
-    for _, family, line, _ in sig.classes:
-        if family in RELEVANT_FAMILIES:
-            return line
-    return None
-
-
-def is_relevant(sig: Signature) -> bool:
-    return signature_family(sig) is not None
+    return sample_label(sig).line
 
 
 @dataclass(frozen=True)
@@ -184,6 +174,15 @@ class SampleLabel:
     line: str | None
 
 
+def sample_label(sig: Signature) -> SampleLabel:
+    """The provenance label every sample of sig carries: the family and
+    line of its first class that names a supported OS family."""
+    for _, family, line, _ in sig.classes:
+        if family in RELEVANT_FAMILIES:
+            return SampleLabel(sig.name, True, family, line)
+    return SampleLabel(sig.name, False, None, None)
+
+
 @dataclass
 class Dataset:
     """Encoded samples plus per-sample provenance labels.
@@ -201,31 +200,41 @@ class Dataset:
     seed: int
 
 
-def _stage_slice(db: list[Signature], stage: str) -> tuple[list[Signature], tuple[str, ...]]:
+def stage_outputs(db: list[Signature], stage: str) -> tuple[str, ...]:
+    """Output labels of a stage, in target-column order."""
     if stage == "relevance":
-        return list(db), ("relevant",)
+        return ("relevant",)
     if stage == "family":
-        slice_ = [s for s in db if is_relevant(s)]
-        return slice_, RELEVANT_FAMILIES
-    if stage.startswith("version:"):
-        family = stage.split(":", 1)[1]
-        if family not in RELEVANT_FAMILIES:
-            raise GenerationError(f"unknown family {family!r}")
-        slice_ = [s for s in db if signature_family(s) == family]
-        lines = tuple(sorted({signature_line(s) for s in slice_}))
-        return slice_, lines
-    raise GenerationError(f"unknown stage {stage!r}")
+        return RELEVANT_FAMILIES
+    if not stage.startswith("version:"):
+        raise GenerationError(f"unknown stage {stage!r}")
+    family = stage.split(":", 1)[1]
+    if family not in RELEVANT_FAMILIES:
+        raise GenerationError(f"unknown family {family!r}")
+    return tuple(sorted({l.line for l in map(sample_label, db) if in_stage(l, stage)}))
 
 
-def _target_row(sig: Signature, stage: str, output_labels: tuple[str, ...]) -> np.ndarray:
-    row = np.full(len(output_labels), -1.0)
+def in_stage(label: SampleLabel, stage: str) -> bool:
+    """Whether a sample belongs to a stage's slice: every sample for
+    relevance, relevant ones for family, one family's for version:<F>."""
     if stage == "relevance":
-        row[0] = 1.0 if is_relevant(sig) else -1.0
-    elif stage == "family":
-        row[output_labels.index(signature_family(sig))] = 1.0
+        return True
+    if stage == "family":
+        return label.relevant
+    return label.family == stage.split(":", 1)[1]
+
+
+def stage_targets(
+    labels: list[SampleLabel], stage: str, outputs: tuple[str, ...]
+) -> np.ndarray:
+    """One +-1 row per label: +1 in the column whose output label equals
+    the sample's relevance, family or line, -1 everywhere else."""
+    if stage == "relevance":
+        keys = ["relevant" if l.relevant else None for l in labels]
     else:
-        row[output_labels.index(signature_line(sig))] = 1.0
-    return row
+        keys = [l.family if stage == "family" else l.line for l in labels]
+    rows = [[1.0 if key == out else -1.0 for out in outputs] for key in keys]
+    return np.array(rows, dtype=float).reshape(len(labels), len(outputs))
 
 
 def generate_dataset(
@@ -236,24 +245,18 @@ def generate_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Synthesize an encoded, labeled corpus for one pipeline stage."""
-    slice_, output_labels = _stage_slice(db, stage)
+    output_labels = stage_outputs(db, stage)
+    labeled = [(sig, sample_label(sig)) for sig in db]
+    slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
     if not slice_:
         raise GenerationError(f"stage {stage!r} has no signatures to sample")
-    weights = resolve_weights(slice_, prev)
-    counts = signature_counts(weights, total)
+    counts = signature_counts(resolve_weights([sig for sig, _ in slice_], prev), total)
     inputs = np.zeros((total, TOTAL_NEURONS))
-    targets = np.zeros((total, len(output_labels)))
     labels: list[SampleLabel] = []
-    row = 0
-    for i, sig in enumerate(slice_):
-        if counts[i] == 0:
-            continue
+    for i, ((sig, label), count) in enumerate(zip(slice_, counts)):
         rng = np.random.default_rng((seed, i))
-        target = _target_row(sig, stage, output_labels)
-        label = SampleLabel(sig.name, is_relevant(sig), signature_family(sig), signature_line(sig))
-        for _ in range(counts[i]):
-            inputs[row] = encode_observation(sample_observation(sig, rng))
-            targets[row] = target
+        for _ in range(count):
+            inputs[len(labels)] = encode_observation(sample_observation(sig, rng))
             labels.append(label)
-            row += 1
+    targets = stage_targets(labels, stage, output_labels)
     return Dataset(stage, inputs, targets, labels, output_labels, seed)

@@ -19,8 +19,9 @@ from .datagen import (
     Dataset,
     SampleLabel,
     generate_dataset,
-    signature_family,
-    signature_line,
+    in_stage,
+    stage_outputs,
+    stage_targets,
 )
 from .dcerpc import WindowsRefiner, WindowsVerdict
 from .encoding import EndpointMap, encode_observation
@@ -41,6 +42,7 @@ __all__ = [
     "evaluate",
     "report_classification",
     "train_hierarchy",
+    "train_stage",
 ]
 
 # hidden-layer sizes that worked for the reference corpus; anything
@@ -118,40 +120,39 @@ class ClassificationResult:
         return family if line is None else f"{family} {line}"
 
 
-def _stage_seed(base: int, index: int) -> int:
-    return base * 1000 + index
-
-
-def _train_stage(
-    name: str,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    labels: tuple[str, ...],
-    cfg: HierarchyConfig,
-    index: int,
+def train_stage(
+    stage: str,
+    X: np.ndarray,
+    Y: np.ndarray,
+    outputs: tuple[str, ...],
+    tcfg: TrainConfig,
+    variance: float,
+    hidden: int | None = None,
+    resume: Stage | None = None,
 ) -> Stage:
-    if len(inputs) == 0:
-        raise HierarchyError(f"stage {name!r} has an empty dataset")
-    pipe = fit_pipeline(inputs, variance=cfg.variance)
-    hidden = cfg.hidden.get(name, STAGE_HIDDEN.get(name, DEFAULT_HIDDEN))
-    seed = _stage_seed(cfg.seed, index)
-    net = init_mlp([pipe.output_dim, hidden, targets.shape[1]], seed=seed)
-    tcfg = TrainConfig(
-        generations=cfg.generations,
-        target_error=cfg.target_error,
-        lam=cfg.lam,
-        momentum=cfg.momentum,
-        adaptive=cfg.adaptive,
-        subset_size=cfg.subset_size,
-        seed=seed,
-    )
-    train(net, pipe.apply(inputs), targets, tcfg)
-    return Stage(pipe, net, labels)
+    """Train one stage net on its rows X with +-1 targets Y over outputs.
 
-
-def _version_lines(db: list[Signature], family: str) -> tuple[str, ...]:
-    lines = {signature_line(s) for s in db if signature_family(s) == family}
-    return tuple(sorted(lines))
+    A fresh stage fits its reduction pipeline on X and a net with `hidden`
+    units (default: STAGE_HIDDEN of the stage's short name) seeded by
+    tcfg.seed; `resume` continues a saved stage whose schema matches.
+    """
+    if len(X) == 0:
+        raise HierarchyError(f"stage {stage!r} has an empty dataset")
+    if resume is not None:
+        width = len(resume.pipeline.normalizer.mean)
+        if resume.labels != tuple(outputs) or width != X.shape[1]:
+            raise HierarchyError(
+                f"resume model schema mismatch: outputs {list(resume.labels)}, input width "
+                f"{width} vs dataset {list(outputs)}, input width {X.shape[1]}"
+            )
+        pipe, net = resume.pipeline, resume.net
+    else:
+        pipe = fit_pipeline(X, variance=variance)
+        if hidden is None:
+            hidden = STAGE_HIDDEN.get(stage.split(":", 1)[-1], DEFAULT_HIDDEN)
+        net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=tcfg.seed)
+    train(net, pipe.apply(X), Y, tcfg)
+    return Stage(pipe, net, tuple(outputs))
 
 
 def train_hierarchy(
@@ -169,50 +170,32 @@ def train_hierarchy(
     Windows (refined via DCE-RPC, not TCP/IP probes) get no version net.
     """
     cfg = cfg or HierarchyConfig()
-    stages: list[tuple[str, np.ndarray, np.ndarray, tuple[str, ...]]] = []
-
-    version_families = [
-        fam
+    stages = ["relevance", "family"] + [
+        f"version:{fam}"
         for fam in RELEVANT_FAMILIES
-        if fam != "Windows" and len(_version_lines(db, fam)) >= 2
+        if fam != "Windows" and len(stage_outputs(db, f"version:{fam}")) >= 2
     ]
-
-    if corpus is None:
-        rel = generate_dataset(db, prev, cfg.samples, stage="relevance",
-                               seed=_stage_seed(cfg.seed, 0))
-        stages.append(("relevance", rel.inputs, rel.targets, rel.output_labels))
-        fam = generate_dataset(db, prev, cfg.samples, stage="family",
-                              seed=_stage_seed(cfg.seed, 1))
-        stages.append(("family", fam.inputs, fam.targets, fam.output_labels))
-        for i, family in enumerate(version_families):
-            ds = generate_dataset(db, prev, cfg.samples, stage=f"version:{family}",
-                                  seed=_stage_seed(cfg.seed, 2 + i))
-            stages.append((family, ds.inputs, ds.targets, ds.output_labels))
-    else:
-        inputs, labels = corpus
-        inputs = np.asarray(inputs, dtype=float)
-        rel_y = np.array([[1.0 if l.relevant else -1.0] for l in labels])
-        stages.append(("relevance", inputs, rel_y, ("relevant",)))
-        rel_idx = [i for i, l in enumerate(labels) if l.relevant]
-        fam_y = np.array([
-            [1.0 if labels[i].family == f else -1.0 for f in RELEVANT_FAMILIES]
-            for i in rel_idx
-        ])
-        stages.append(("family", inputs[rel_idx], fam_y, RELEVANT_FAMILIES))
-        for family in version_families:
-            lines = _version_lines(db, family)
-            rows = [i for i, l in enumerate(labels) if l.family == family]
-            if not rows:
-                continue
-            ver_y = np.array([
-                [1.0 if labels[i].line == line else -1.0 for line in lines]
-                for i in rows
-            ])
-            stages.append((family, inputs[rows], ver_y, lines))
-
+    # the TrainConfig fields the hierarchy config also names carry over
+    shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
     trained: dict[str, Stage] = {}
-    for index, (name, X, Y, labs) in enumerate(stages):
-        trained[name] = _train_stage(name, X, Y, tuple(labs), cfg, index)
+    for stage in stages:
+        # stage i seeds from index i; a skipped stage takes no index
+        seed = cfg.seed * 1000 + len(trained)
+        outputs = stage_outputs(db, stage)
+        if corpus is None:
+            ds = generate_dataset(db, prev, cfg.samples, stage=stage, seed=seed)
+            X, Y = ds.inputs, ds.targets
+        else:
+            inputs, labels = corpus
+            rows = [i for i, l in enumerate(labels) if in_stage(l, stage)]
+            # a version stage without corpus rows is skipped, not an error
+            if not rows and stage.startswith("version:"):
+                continue
+            X = np.asarray(inputs, dtype=float)[rows]
+            Y = stage_targets([labels[i] for i in rows], stage, outputs)
+        tcfg = TrainConfig(**{**shared, "seed": seed})
+        name = stage.split(":", 1)[-1]
+        trained[name] = train_stage(stage, X, Y, outputs, tcfg, cfg.variance, cfg.hidden.get(name))
 
     refiner = None
     if cfg.windows:
@@ -390,13 +373,15 @@ def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
     """
     X = heldout.inputs
     labels = heldout.labels
+    if len(X) == 0:
+        raise HierarchyError("held-out dataset has no rows")
     results = classify_batch(model, X)
     rel_truth = np.array([l.relevant for l in labels], dtype=bool)
     rel_pred = np.array([r.verdict != "not relevant" for r in results], dtype=bool)
     relevance_accuracy = float((rel_pred == rel_truth).mean())
 
     fam_labels = model.family.labels
-    relevant = np.flatnonzero(rel_truth)
+    relevant = [i for i, l in enumerate(labels) if in_stage(l, "family")]
     fam_pred = model.family.scores(X[relevant]).argmax(axis=1)
     confusion = np.zeros((len(fam_labels), len(fam_labels)))
     for i, pred in zip(relevant, fam_pred):
@@ -407,7 +392,7 @@ def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
 
     version_accuracy: dict[str, float] = {}
     for fam, stage in model.versions.items():
-        rows = [i for i, l in enumerate(labels) if l.family == fam]
+        rows = [i for i, l in enumerate(labels) if in_stage(l, f"version:{fam}")]
         if not rows:
             continue
         pred = stage.scores(X[rows]).argmax(axis=1)

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from neuralfp.cli import main
+from neuralfp import hierarchy
+from neuralfp.cli import _config_digest, main
 from neuralfp.corpus import demo_database, pathology_observation
-from neuralfp.datagen import sample_observation, signature_family
+from neuralfp.datagen import Dataset, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
-from neuralfp.persistence import load, load_container
+from neuralfp.encoding import TOTAL_NEURONS
+from neuralfp.persistence import load, load_container, save
 from neuralfp.signatures import format_observation, parse_fingerprint_db
 
 TWO_SIG_DB = """\
@@ -125,6 +127,34 @@ class TestTrain:
         assert meta["seed"] == 11
         assert "config_digest" in meta
 
+    def test_digest_covers_the_whole_config(self, work, tmp_path):
+        digests = []
+        for hidden in (5, 6):
+            cfg, out = tmp_path / f"h{hidden}.cfg", tmp_path / f"h{hidden}.stage"
+            cfg.write_text(json.dumps({"generations": 3, "hidden": hidden}))
+            assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+                         "--seed", "11", "--out", str(out)]) == 0
+            digests.append(load_container(out)["metadata"]["config_digest"])
+            assert load(out).net.sizes[1] == hidden
+        assert digests[0] != digests[1]
+        assert digests[0] == _config_digest({"generations": 3, "hidden": 5, "seed": 11})
+
+    def test_trains_through_the_stage_trainer(self, work, tmp_path, monkeypatch):
+        # the traced bench times these three names on the hierarchy module
+        called = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("fit_pipeline", "init_mlp", "train"):
+            monkeypatch.setattr(hierarchy, name, spy(name, getattr(hierarchy, name)))
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--seed", "11",
+                     "--out", str(tmp_path / "t.stage")]) == 0
+        assert called == ["fit_pipeline", "init_mlp", "train"]
+
     def test_fixed_lr_flag_freezes_lambda(self, work, tmp_path):
         out = tmp_path / "fixed.stage"
         csv = tmp_path / "fixed.csv"
@@ -227,6 +257,15 @@ class TestEvaluateBaseline:
         assert main(["evaluate", "--model", str(work["model"]),
                      "--dataset", str(work["fam_ds"])]) == 1
         assert "relevance-stage" in capsys.readouterr().err
+
+    def test_evaluate_rejects_an_empty_dataset(self, work, tmp_path, capsys):
+        empty = tmp_path / "empty.ds"
+        save(Dataset("relevance", np.zeros((0, TOTAL_NEURONS)), np.zeros((0, 1)), [],
+                     ("relevant",), 0), empty)
+        assert main(["evaluate", "--model", str(work["model"]), "--dataset", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: held-out dataset has no rows"]
+        assert "nan" not in captured.out
 
     def test_baseline_top_flag(self, work, tmp_path, capsys):
         obs = tmp_path / "pathology.obs"

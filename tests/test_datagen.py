@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
+    RELEVANT_FAMILIES,
     GenerationError,
     PrevalenceTable,
+    SampleLabel,
     generate_dataset,
+    in_stage,
     resolve_weights,
+    sample_label,
     sample_observation,
     signature_counts,
+    stage_outputs,
+    stage_targets,
 )
 from neuralfp.signatures import match_score, parse_fingerprint_db
 
@@ -147,6 +156,8 @@ class TestDatasets:
     def test_unknown_stage(self):
         with pytest.raises(GenerationError, match="stage"):
             generate_dataset(self.db(), None, 10, "versions", seed=0)
+        with pytest.raises(GenerationError, match="unknown family 'Plan9'"):
+            generate_dataset(self.db(), None, 10, "version:Plan9", seed=0)
 
     def test_empty_slice(self):
         with pytest.raises(GenerationError, match="no signatures"):
@@ -174,3 +185,38 @@ class TestDatasets:
         for j in range(counts[2]):
             vec = encode_observation(sample_observation(db[2], rng))
             assert np.array_equal(ds.inputs[start + j], vec)
+
+
+_DEMO = parse_fingerprint_db(demo_database())
+_LARGE = parse_fingerprint_db(large_database())
+# large_database has no relevant family, so its family and version stages
+# are empty; joined to the demo db they gain many irrelevant signatures
+_STAGE_DBS = [_DEMO, _LARGE, _DEMO + _LARGE]
+_STAGES = ["relevance", "family"] + [f"version:{f}" for f in RELEVANT_FAMILIES]
+
+
+class TestStageVocabulary:
+    @settings(max_examples=30, deadline=None)
+    @given(db=st.sampled_from(_STAGE_DBS), stage=st.sampled_from(_STAGES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_builder_gives_every_dataset_its_targets(self, db, stage, seed):
+        members = {sig.name for sig in db if in_stage(sample_label(sig), stage)}
+        if not members:
+            with pytest.raises(GenerationError, match="no signatures"):
+                generate_dataset(db, None, 10, stage, seed=seed)
+            return
+        # enough rows that every member signature is sampled at least once
+        ds = generate_dataset(db, None, len(members) + 30, stage, seed=seed)
+        built = stage_targets(ds.labels, ds.stage, ds.output_labels)
+        assert built.shape == ds.targets.shape
+        assert built.tobytes() == ds.targets.tobytes()
+        assert {label.signature for label in ds.labels} == members
+
+    def test_a_line_outside_the_db_gives_an_all_minus_one_row(self):
+        outputs = stage_outputs(_DEMO, "version:Linux")
+        labels = [SampleLabel("stray", True, "Linux", "9.9.X"),
+                  SampleLabel("known", True, "Linux", outputs[1])]
+        targets = stage_targets(labels, "version:Linux", outputs)
+        assert targets[0].tolist() == [-1.0] * len(outputs)
+        assert targets[1].tolist() == [1.0 if i == 1 else -1.0 for i in range(len(outputs))]
+        assert stage_targets([], "family", RELEVANT_FAMILIES).shape == (0, 6)

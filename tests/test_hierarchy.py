@@ -21,6 +21,7 @@ from neuralfp.dcerpc import synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS, encode_observation
 from neuralfp.hierarchy import (
     OUTCOMES,
+    STAGE_HIDDEN,
     HierarchyConfig,
     HierarchyError,
     classify,
@@ -29,7 +30,9 @@ from neuralfp.hierarchy import (
     evaluate,
     report_classification,
     train_hierarchy,
+    train_stage,
 )
+from neuralfp.neural import TrainConfig
 from neuralfp.signatures import parse_fingerprint_db
 
 
@@ -77,6 +80,12 @@ class TestTraining:
                 cfg=HierarchyConfig(seed=0, generations=5),
                 corpus=(dataset.inputs[:50], labels),
             )
+
+    def test_stage_hidden_size_defaults_by_short_name(self, db):
+        ds = generate_dataset(db, None, 60, stage="version:OpenBSD", seed=2)
+        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels, TrainConfig(generations=2), 0.98)
+        assert train_stage(*args).net.sizes[1] == STAGE_HIDDEN["OpenBSD"]
+        assert train_stage(*args, hidden=5).net.sizes[1] == 5
 
     def test_monte_carlo_branch_trains_without_corpus(self, db):
         cfg = HierarchyConfig(seed=5, samples=240, generations=40)
@@ -252,6 +261,12 @@ class TestEvaluate:
             for label, x in zip(heldout.labels, heldout.inputs)
         )
         assert rep.categories == {k: counts[k] for k in OUTCOMES}
+
+    def test_empty_heldout_is_a_named_error(self, model):
+        empty = Dataset("relevance", np.zeros((0, TOTAL_NEURONS)), np.zeros((0, 1)), [],
+                        ("relevant",), 0)
+        with pytest.raises(HierarchyError, match="held-out dataset has no rows"):
+            evaluate(model, empty)
 
     def test_evaluate_classifies_in_one_batch(self, model, report, monkeypatch):
         _, heldout = report
