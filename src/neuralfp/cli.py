@@ -98,14 +98,31 @@ def _build(cls, cfg: dict, path_hint: str):
     return cls(**cfg)
 
 
-def _write_history(history, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(history.to_csv())
-    print(f"wrote {path}")
-
-
-def _history_stem(path: str) -> str:
-    return path[:-4] if path.endswith(".csv") else path
+def _write_curves(model, out: str, source: str) -> None:
+    """Write the training curve of each net in model: to `out` for a single
+    net, to `<stem>-<name>.csv` for each net of a hierarchy."""
+    if isinstance(model, Mlp):
+        nets = {None: model}
+    elif isinstance(model, Stage):
+        nets = {None: model.net}
+    elif isinstance(model, HierarchyModel):
+        nets = {"relevance": model.relevance.net, "family": model.family.net}
+        nets.update({name: s.net for name, s in model.versions.items()})
+        if model.windows is not None:
+            nets["windows"] = model.windows.net
+    else:
+        raise ValueError(f"{source}: a {type(model).__name__} carries no training curves")
+    if all(net.history is None for net in nets.values()):
+        raise ValueError(f"{source}: no training history recorded")
+    stem = out[:-4] if out.endswith(".csv") else out
+    for name, net in nets.items():
+        if net.history is None:
+            print(f"skipping {name}: no history recorded")
+            continue
+        path = out if name is None else f"{stem}-{name}.csv"
+        with open(path, "w") as fh:
+            fh.write(net.history.to_csv())
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +165,7 @@ def _train_hierarchy_cmd(args, cfg_json: dict) -> int:
     save(model, args.out, metadata={"seed": cfg.seed, "config_digest": _config_digest(cfg_json)})
     print(f"wrote {args.out}")
     if args.history:
-        stem = _history_stem(args.history)
-        stages = {"relevance": model.relevance, "family": model.family, **model.versions}
-        for name, stage in stages.items():
-            _write_history(stage.net.history, f"{stem}-{name}.csv")
-        if model.windows is not None and model.windows.net.history is not None:
-            _write_history(model.windows.net.history, f"{stem}-windows.csv")
+        _write_curves(model, args.history, args.out)
     return EXIT_OK
 
 
@@ -192,7 +204,7 @@ def cmd_train(args) -> int:
     gen, mse, lam, _ = stage.net.history.rows[-1]
     print(f"wrote {args.out} (stage {stage_name}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
     if args.history:
-        _write_history(stage.net.history, args.history)
+        _write_curves(stage, args.history, args.out)
     return EXIT_OK
 
 
@@ -238,28 +250,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    model = load(args.model)
-    if isinstance(model, Mlp):
-        nets = {None: model}
-    elif isinstance(model, Stage):
-        nets = {None: model.net}
-    elif isinstance(model, HierarchyModel):
-        nets = {"relevance": model.relevance.net, "family": model.family.net}
-        nets.update({name: s.net for name, s in model.versions.items()})
-        if model.windows is not None:
-            nets["windows"] = model.windows.net
-    else:
-        raise ValueError(f"{args.model}: a {type(model).__name__} carries no training curves")
-    missing = [name or "network" for name, net in nets.items() if net.history is None]
-    if len(missing) == len(nets):
-        raise ValueError(f"{args.model}: no training history recorded")
-    stem = _history_stem(args.out)
-    for name, net in nets.items():
-        if net.history is None:
-            print(f"skipping {name}: no history recorded")
-            continue
-        path = args.out if name is None else f"{stem}-{name}.csv"
-        _write_history(net.history, path)
+    _write_curves(load(args.model), args.out, args.model)
     return EXIT_OK
 
 

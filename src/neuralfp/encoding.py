@@ -14,225 +14,192 @@ present and -1 when not.
 
 from __future__ import annotations
 
+import logging
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-TOTAL_NEURONS = 568
-TCP_BLOCK = 75
-TSEQ_BLOCK = 27
-PU_BLOCK = 16
+log = logging.getLogger(__name__)
 
 TCP_TESTS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
-TSEQ_BASE = 7 * TCP_BLOCK
-PU_BASE = TSEQ_BASE + TSEQ_BLOCK
-
-# TCP flag letters as they appear in Flags values. The reserved bit was
-# written B in first-gen databases; both spellings land on the ECE neuron.
-FLAG_NAMES = ("ECE", "URG", "ACK", "PSH", "RST", "SYN", "FIN")
-_FLAG_SLOT = {"B": 0, "E": 0, "U": 1, "A": 2, "P": 3, "R": 4, "S": 5, "F": 6}
-
-OPTION_KINDS = ("EOL", "MAXSEG", "NOP", "TIMESTAMP", "WINDOW", "ECHOED")
-_OPTION_SLOT = {"L": 0, "M": 1, "N": 2, "T": 3, "W": 4, "E": 5}
 OPTION_GROUPS = 10
 
-SEQ_CLASSES = ("TD", "64K", "RI", "TR", "C", "i800")
-IPID_CLASSES = ("I", "BI", "RPI", "RD", "C", "Z")
-IPID_LABELS = ("INCR", "BROKEN INCR", "RPI", "RD", "CONSTANT", "ZERO")
-TS_CLASSES = ("0", "2HZ", "100HZ", "1000HZ", "U")
-TS_LABELS = ("ZERO", "2HZ", "100HZ", "1000HZ", "UNSUPPORTED")
-PU_OUTCOME_LABELS = {"0": "ZERO", "E": "EQ", "F": "FAIL"}
-
-# Intra-block offsets. TCP tests: field markers and categories first, ten
-# option groups of six, window size last.
-_ACK_OFF = 0
-_SEQ_OFF = {"S": 1, "S++": 2, "O": 3}
-_DF_OFF = 4
-_RESP_OFF = 5
-_FLAGS_OFF = 6
-_FLAG0_OFF = 7
-_OPT0_OFF = 14
-_W_OFF = 74
-
-# TSeq offsets
-_TS_CLASS_FIELD = 0
-_TS_CLASS0 = 1
-_TS_GCD = 7
-_TS_IPID_FIELD = 8
-_TS_IPID0 = 9
-_TS_SI = 15
-_TS_TS_FIELD = 16
-_TS_TS0 = 17
-_TS_VAL = 22
-_TS_PAD0 = 23
-
-# PU offsets: outcome triples for UCK/RID/RIPCK, pair for DAT, numerics.
-_PU_DF = 0
-_PU_UCK = {"0": 1, "F": 2, "E": 3}
-_PU_RID = {"E": 4, "F": 5, "0": 6}
-_PU_RIPCK = {"E": 7, "F": 8, "0": 9}
-_PU_ULEN = 10
-_PU_DAT = {"E": 11, "F": 12}
-_PU_RIPTL = 13
-_PU_TOS = 14
-_PU_IPLEN = 15
+# The layout: each block is an ordered list of (field, kind, known values),
+# and each field's slots follow the previous field's. The kind fixes the
+# slots a field owns and how its value fills them:
+#   num      one slot: the hex value
+#   yn       one slot: Y -> 1, N -> -1
+#   resp     like yn, but 1 when a test that answered has no such field
+#   marked   a presence slot, then one slot per known value
+#   outcome  one slot per known value; any other value is an EncodeError
+#   flags    the count of known letters, then one slot per flag
+#   ops      OPTION_GROUPS groups of one slot per option kind, one group per letter
+#   pad      a given number of slots that stay 0
+# Known values map to slot labels; letters that name one label share its
+# slot. A present categorical field puts 1 on each hit and -1 on its other
+# slots; a value it does not know hits nothing and is logged.
+_TCP = (
+    ("ACK", "marked", {v: f"SEQ {v}" for v in ("S", "S++", "O")}),
+    ("DF", "yn", None),
+    ("Resp", "resp", None),
+    # the reserved bit was written B in first-gen databases
+    ("Flags", "flags", {"B": "FLAG ECE", "E": "FLAG ECE", "U": "FLAG URG", "A": "FLAG ACK",
+                        "P": "FLAG PSH", "R": "FLAG RST", "S": "FLAG SYN", "F": "FLAG FIN"}),
+    ("Ops", "ops", {"L": "EOL", "M": "MAXSEG", "N": "NOP", "T": "TIMESTAMP", "W": "WINDOW",
+                    "E": "ECHOED"}),
+    ("W", "num", None),
+)
+_TSEQ = (
+    ("Class", "marked", {v: f"SEQ {v.upper()}" for v in ("TD", "64K", "RI", "TR", "C", "i800")}),
+    ("gcd", "num", None),
+    ("IPID", "marked", {"I": "IPID SEQ INCR", "BI": "IPID SEQ BROKEN INCR", "RPI": "IPID SEQ RPI",
+                        "RD": "IPID SEQ RD", "C": "IPID SEQ CONSTANT", "Z": "IPID SEQ ZERO"}),
+    ("SI", "num", None),
+    ("TS", "marked", {"0": "TS SEQ ZERO", "2HZ": "TS SEQ 2HZ", "100HZ": "TS SEQ 100HZ",
+                      "1000HZ": "TS SEQ 1000HZ", "U": "TS SEQ UNSUPPORTED"}),
+    ("VAL", "num", None),
+    ("PAD", "pad", 4),
+)
+_PU = (
+    ("DF", "yn", None),
+    ("UCK", "outcome", {"0": "UCK ZERO", "F": "UCK FAIL", "E": "UCK EQ"}),
+    ("RID", "outcome", {"E": "RID EQ", "F": "RID FAIL", "0": "RID ZERO"}),
+    ("RIPCK", "outcome", {"E": "RIPCK EQ", "F": "RIPCK FAIL", "0": "RIPCK ZERO"}),
+    ("ULEN", "num", None),
+    ("DAT", "outcome", {"E": "DAT EQ", "F": "DAT FAIL"}),
+    ("RIPTL", "num", None),
+    ("TOS", "num", None),
+    ("IPLEN", "num", None),
+)
 
 
 class EncodeError(ValueError):
     """Raised when an observation value cannot be encoded."""
 
 
-def _hex(test: str, name: str, value: str) -> float:
+@dataclass(frozen=True, slots=True)
+class _Field:
+    test: str
+    name: str
+    kind: str
+    start: int
+    stop: int
+    labels: tuple[str, ...]
+    slot: dict[str, int]   # known value -> offset in the field (ops: in a group)
+    absent: str | None     # the value a test that answered implies when the field is missing
+
+
+def _declare() -> tuple[_Field, ...]:
+    """Every field of the layout in vector order, with its slots and labels."""
+    fields, start = [], 0
+    for test, block in [(t, _TCP) for t in TCP_TESTS] + [("TSeq", _TSEQ), ("PU", _PU)]:
+        for name, kind, values in block:
+            known = {} if kind == "pad" else values or {}
+            distinct = list(dict.fromkeys(known.values()))
+            if kind == "pad":
+                labels = [f"{name} {i}" for i in range(values)]
+            elif kind == "ops":
+                labels = [f"TCP OPT {g} {k}" for g in range(OPTION_GROUPS) for k in distinct]
+            elif kind == "outcome":
+                labels = distinct
+            else:
+                labels = [f"{name.upper()} {'YES' if kind == 'resp' else 'FIELD'}"] + distinct
+            head = 1 if kind in ("marked", "flags") else 0
+            slot = {v: head + distinct.index(label) for v, label in known.items()}
+            fields.append(_Field(test, name, kind, start, start + len(labels), tuple(labels), slot,
+                                 "Y" if kind == "resp" else None))
+            start += len(labels)
+    return tuple(fields)
+
+
+_FIELDS = _declare()
+_TABLE = tuple((f.start + i, f.test, label) for f in _FIELDS for i, label in enumerate(f.labels))
+TOTAL_NEURONS = len(_TABLE)
+TSEQ_BASE = next(f.start for f in _FIELDS if f.test == "TSeq")
+PU_BASE = next(f.start for f in _FIELDS if f.test == "PU")
+# what encode_observation walks: each test and the fields that write
+_BLOCKS = tuple((test, tuple(f for f in _FIELDS if f.test == test and f.kind != "pad"))
+                for test in dict.fromkeys(f.test for f in _FIELDS))
+# struct packs a list of floats ~3x faster than np.array does
+_PACK = struct.Struct(f"{TOTAL_NEURONS}d")
+
+
+def _encode_num(f: _Field, value: str) -> list[float]:
     try:
-        return float(int(value, 16))
+        return [float(int(value, 16))]
     except ValueError:
-        raise EncodeError(f"{test}.{name} not hexadecimal: {value!r}") from None
+        raise EncodeError(f"{f.test}.{f.name} not hexadecimal: {value!r}") from None
 
 
-def _yes_no(test: str, name: str, value: str) -> float:
-    if value == "Y":
-        return 1.0
-    if value == "N":
-        return -1.0
-    raise EncodeError(f"{test}.{name} must be Y or N, got {value!r}")
+def _encode_yn(f: _Field, value: str) -> list[float]:
+    if value not in ("Y", "N"):
+        raise EncodeError(f"{f.test}.{f.name} must be Y or N, got {value!r}")
+    return [1.0 if value == "Y" else -1.0]
 
 
-def _one_hot(vec, base: int, slots: int, hit: int | None):
-    vec[base:base + slots] = -1.0
-    if hit is not None:
-        vec[base + hit] = 1.0
+def _encode_choice(f: _Field, value: str) -> list[float]:
+    # marked: the presence slot, then the one-hot; outcome: the one-hot alone
+    out = [-1.0] * len(f.labels)
+    if f.kind == "marked":
+        out[0] = 1.0
+    if value in f.slot:
+        out[f.slot[value]] = 1.0
+    elif f.kind == "outcome":
+        raise EncodeError(f"{f.test}.{f.name} outcome must be one of {sorted(f.slot)}, got {value!r}")
+    else:
+        log.warning("unknown value %s.%s=%s encoded as no known value", f.test, f.name, value)
+    return out
 
 
-def _encode_tcp(vec, base: int, test: str, fields: dict[str, str]) -> None:
-    resp = fields.get("Resp")
-    vec[base + _RESP_OFF] = _yes_no(test, "Resp", resp) if resp is not None else 1.0
-    if "ACK" in fields:
-        vec[base + _ACK_OFF] = 1.0
-        hit = _SEQ_OFF.get(fields["ACK"])
-        _one_hot(vec, base + 1, 3, (hit - 1) if hit else None)
-    if "DF" in fields:
-        vec[base + _DF_OFF] = _yes_no(test, "DF", fields["DF"])
-    if "Flags" in fields:
-        slots = [_FLAG_SLOT[c] for c in fields["Flags"] if c in _FLAG_SLOT]
-        vec[base + _FLAGS_OFF] = float(len(slots))
-        vec[base + _FLAG0_OFF:base + _FLAG0_OFF + 7] = -1.0
-        for s in slots:
-            vec[base + _FLAG0_OFF + s] = 1.0
-    if "Ops" in fields:
-        letters = fields["Ops"]
-        for g in range(OPTION_GROUPS):
-            hit = _OPTION_SLOT.get(letters[g]) if g < len(letters) else None
-            _one_hot(vec, base + _OPT0_OFF + 6 * g, 6, hit)
-    if "W" in fields:
-        vec[base + _W_OFF] = _hex(test, "W", fields["W"])
+def _encode_flags(f: _Field, value: str) -> list[float]:
+    out = [0.0] + [-1.0] * (len(f.labels) - 1)
+    for c in value:
+        if c in f.slot:
+            out[0] += 1.0
+            out[f.slot[c]] = 1.0
+    if unknown := "".join(c for c in value if c not in f.slot):
+        log.warning("unknown letters %r in %s.Flags=%s dropped", unknown, f.test, value)
+    return out
 
 
-def _encode_tseq(vec, fields: dict[str, str]) -> None:
-    base = TSEQ_BASE
-    if "Class" in fields:
-        vec[base + _TS_CLASS_FIELD] = 1.0
-        hit = SEQ_CLASSES.index(fields["Class"]) if fields["Class"] in SEQ_CLASSES else None
-        _one_hot(vec, base + _TS_CLASS0, 6, hit)
-    if "gcd" in fields:
-        vec[base + _TS_GCD] = _hex("TSeq", "gcd", fields["gcd"])
-    if "IPID" in fields:
-        vec[base + _TS_IPID_FIELD] = 1.0
-        hit = IPID_CLASSES.index(fields["IPID"]) if fields["IPID"] in IPID_CLASSES else None
-        _one_hot(vec, base + _TS_IPID0, 6, hit)
-    if "SI" in fields:
-        vec[base + _TS_SI] = _hex("TSeq", "SI", fields["SI"])
-    if "TS" in fields:
-        vec[base + _TS_TS_FIELD] = 1.0
-        hit = TS_CLASSES.index(fields["TS"]) if fields["TS"] in TS_CLASSES else None
-        _one_hot(vec, base + _TS_TS0, 5, hit)
-    if "VAL" in fields:
-        vec[base + _TS_VAL] = _hex("TSeq", "VAL", fields["VAL"])
+def _encode_ops(f: _Field, value: str) -> list[float]:
+    out = [-1.0] * len(f.labels)
+    group = len(f.labels) // OPTION_GROUPS
+    for g, c in enumerate(value[:OPTION_GROUPS]):
+        if c in f.slot:
+            out[g * group + f.slot[c]] = 1.0
+    if unknown := "".join(c for c in value[:OPTION_GROUPS] if c not in f.slot):
+        log.warning("unknown letters %r in %s.Ops=%s: their groups stay empty", unknown, f.test, value)
+    if len(value) > OPTION_GROUPS:
+        log.warning("%s.Ops=%s: groups past %d dropped", f.test, value, OPTION_GROUPS)
+    return out
 
 
-def _outcome(vec, base: int, slots: dict[str, int], test: str, name: str, value: str) -> None:
-    if value not in slots:
-        raise EncodeError(f"{test}.{name} outcome must be one of {sorted(slots)}, got {value!r}")
-    for off in slots.values():
-        vec[base + off] = -1.0
-    vec[base + slots[value]] = 1.0
-
-
-def _encode_pu(vec, fields: dict[str, str]) -> None:
-    base = PU_BASE
-    if "DF" in fields:
-        vec[base + _PU_DF] = _yes_no("PU", "DF", fields["DF"])
-    for name, slots in (("UCK", _PU_UCK), ("RID", _PU_RID), ("RIPCK", _PU_RIPCK), ("DAT", _PU_DAT)):
-        if name in fields:
-            _outcome(vec, base, slots, "PU", name, fields[name])
-    for name, off in (("ULEN", _PU_ULEN), ("RIPTL", _PU_RIPTL), ("TOS", _PU_TOS), ("IPLEN", _PU_IPLEN)):
-        if name in fields:
-            vec[base + off] = _hex("PU", name, fields[name])
+_ENCODE = {"num": _encode_num, "yn": _encode_yn, "resp": _encode_yn, "marked": _encode_choice,
+           "outcome": _encode_choice, "flags": _encode_flags, "ops": _encode_ops}
 
 
 def encode_observation(obs) -> np.ndarray:
     """Encode an Observation into the 568-neuron vector."""
-    vec = np.zeros(TOTAL_NEURONS)
-    for i, test in enumerate(TCP_TESTS):
-        fields = obs.tests.get(test)
-        if fields:
-            _encode_tcp(vec, i * TCP_BLOCK, test, fields)
-    if obs.tests.get("TSeq"):
-        _encode_tseq(vec, obs.tests["TSeq"])
-    if obs.tests.get("PU"):
-        _encode_pu(vec, obs.tests["PU"])
-    return vec
-
-
-def _tcp_labels() -> list[str]:
-    labels = ["ACK FIELD", "SEQ S", "SEQ S++", "SEQ O", "DF FIELD", "RESP YES", "FLAGS FIELD"]
-    labels += [f"FLAG {n}" for n in FLAG_NAMES]
-    for g in range(OPTION_GROUPS):
-        labels += [f"TCP OPT {g} {kind}" for kind in OPTION_KINDS]
-    labels.append("W FIELD")
-    return labels
-
-
-def _tseq_labels() -> list[str]:
-    labels = ["CLASS FIELD"]
-    labels += [f"SEQ {c.upper()}" for c in SEQ_CLASSES]
-    labels.append("GCD FIELD")
-    labels.append("IPID FIELD")
-    labels += [f"IPID SEQ {n}" for n in IPID_LABELS]
-    labels.append("SI FIELD")
-    labels.append("TS FIELD")
-    labels += [f"TS SEQ {n}" for n in TS_LABELS]
-    labels.append("VAL FIELD")
-    labels += [f"PAD {i}" for i in range(4)]
-    return labels
-
-
-def _pu_labels() -> list[str]:
-    labels = [""] * PU_BLOCK
-    labels[_PU_DF] = "DF FIELD"
-    for name, slots in (("UCK", _PU_UCK), ("RID", _PU_RID), ("RIPCK", _PU_RIPCK), ("DAT", _PU_DAT)):
-        for value, off in slots.items():
-            labels[off] = f"{name} {PU_OUTCOME_LABELS[value]}"
-    labels[_PU_ULEN] = "ULEN FIELD"
-    labels[_PU_RIPTL] = "RIPTL FIELD"
-    labels[_PU_TOS] = "TOS FIELD"
-    labels[_PU_IPLEN] = "IPLEN FIELD"
-    return labels
+    vec = [0.0] * TOTAL_NEURONS
+    for test, fields in _BLOCKS:
+        if values := obs.tests.get(test):
+            for f in fields:
+                value = values.get(f.name, f.absent)
+                if value is not None:
+                    vec[f.start:f.stop] = _ENCODE[f.kind](f, value)
+    return np.frombuffer(_PACK.pack(*vec)).copy()
 
 
 def layout_table() -> list[tuple[int, str, str]]:
     """(index, test id, feature label) for all 568 positions."""
-    rows = []
-    tcp = _tcp_labels()
-    for i, test in enumerate(TCP_TESTS):
-        rows += [(i * TCP_BLOCK + off, test, label) for off, label in enumerate(tcp)]
-    rows += [(TSEQ_BASE + off, "TSeq", label) for off, label in enumerate(_tseq_labels())]
-    rows += [(PU_BASE + off, "PU", label) for off, label in enumerate(_pu_labels())]
-    return rows
+    return list(_TABLE)
 
 
 def feature_label(index: int) -> str:
     """Human-readable name of one vector position, e.g. 'T1: W FIELD'."""
-    _, test, label = layout_table()[index]
+    _, test, label = _TABLE[index]
     return f"{test}: {label}"
 
 

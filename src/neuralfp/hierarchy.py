@@ -175,10 +175,13 @@ def train_hierarchy(
         for fam in RELEVANT_FAMILIES
         if fam != "Windows" and len(stage_outputs(db, f"version:{fam}")) >= 2
     ]
+    names = [stage.split(":", 1)[-1] for stage in stages]
+    if unknown := sorted(set(cfg.hidden) - set(names)):
+        raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {names}")
     # the TrainConfig fields the hierarchy config also names carry over
     shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
     trained: dict[str, Stage] = {}
-    for stage in stages:
+    for stage, name in zip(stages, names):
         # stage i seeds from index i; a skipped stage takes no index
         seed = cfg.seed * 1000 + len(trained)
         outputs = stage_outputs(db, stage)
@@ -194,7 +197,6 @@ def train_hierarchy(
             X = np.asarray(inputs, dtype=float)[rows]
             Y = stage_targets([labels[i] for i in rows], stage, outputs)
         tcfg = TrainConfig(**{**shared, "seed": seed})
-        name = stage.split(":", 1)[-1]
         trained[name] = train_stage(stage, X, Y, outputs, tcfg, cfg.variance, cfg.hidden.get(name))
 
     refiner = None

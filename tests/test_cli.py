@@ -185,6 +185,16 @@ class TestTrain:
         assert main(["train", "--stage", "hierarchy", "--out", str(tmp_path / "h.model")]) == 1
         assert "requires --db" in capsys.readouterr().err
 
+    def test_hierarchy_rejects_unknown_hidden_keys(self, work, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(json.dumps({"samples": 60, "generations": 1, "hidden": {"linux": 3}}))
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--out", str(tmp_path / "h.model")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'linux'" in err[0] and "'Linux'" in err[0]
+        assert not (tmp_path / "h.model").exists()
+
     def test_hierarchy_history_per_stage(self, work, tmp_path):
         stem = tmp_path / "curves.csv"
         cfg = tmp_path / "small.cfg"
@@ -308,3 +318,33 @@ class TestExports:
         assert lines[0] == "index  test  feature"
         assert len(lines) == 1 + 568
         assert lines[1].split() == ["0", "T1", "ACK", "FIELD"]
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestCurves:
+    """train --history and export-curves of the saved model agree."""
+
+    def _compare(self, train_args, model, tmp_path):
+        trained, exported = tmp_path / "trained", tmp_path / "exported"
+        trained.mkdir()
+        exported.mkdir()
+        assert main(train_args + ["--out", str(model), "--history", str(trained / "c.csv")]) == 0
+        assert main(["export-curves", "--model", str(model), "--out", str(exported / "c.csv")]) == 0
+        written = _files(trained)
+        assert written == _files(exported)
+        return written
+
+    def test_stage(self, work, tmp_path):
+        written = self._compare(["train", "--dataset", str(work["fam_ds"]), "--seed", "11"],
+                                tmp_path / "s.stage", tmp_path)
+        assert list(written) == ["c.csv"]
+
+    def test_hierarchy(self, work, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(json.dumps({"samples": 300, "generations": 20, "windows": True}))
+        written = self._compare(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                                 "--config", str(cfg), "--seed", "2"], tmp_path / "h.model", tmp_path)
+        assert {"c-relevance.csv", "c-family.csv", "c-Linux.csv", "c-windows.csv"} <= set(written)

@@ -1,5 +1,8 @@
 """Vector layout and encoding semantics."""
 
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,3 +290,70 @@ class TestProperties:
         vec = encode_observation(sample_observation(db[pick % len(db)], np.random.default_rng(pick)))
         assert vec.shape == (TOTAL_NEURONS,) == (568,)
         assert np.isfinite(vec).all()
+
+
+# Digests of the layout and of encoded samples, recorded before the layout
+# was declared as one field table; any moved slot or changed bit fails.
+LAYOUT_SHA256 = "4dc92de25d56525fe09d708dfbd61bdb3db21502c8d5c5088f4985c72686ce0a"
+SAMPLES_SHA256 = "2907ca3f7afc4e16ba2f3f7520963caa0ce9ce9cab1dc07603be8353c76fc594"
+
+
+class TestGolden:
+    def test_layout_digest(self):
+        text = "".join(f"{i}\t{test}\t{label}\n" for i, test, label in layout_table())
+        assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_SHA256
+
+    def test_sample_digest(self):
+        # five samples per signature of the demo db and large_database(40)
+        digest = hashlib.sha256()
+        for db in _DBS:
+            for k, sig in enumerate(db):
+                rng = np.random.default_rng(k)
+                for _ in range(5):
+                    vec = encode_observation(sample_observation(sig, rng))
+                    digest.update(vec.astype("<f8").tobytes())
+        assert digest.hexdigest() == SAMPLES_SHA256
+
+
+def _encoder_records(caplog):
+    return [r for r in caplog.records if r.name == "neuralfp.encoding"]
+
+
+class TestLoggedDrops:
+    @pytest.mark.parametrize("text, message, start, bits", [
+        ("T1(ACK=Z)", "T1.ACK=Z", 0, [1.0, -1.0, -1.0, -1.0]),
+        ("TSeq(Class=WEIRD)", "TSeq.Class=WEIRD", TSEQ_BASE, [1.0] + [-1.0] * 6),
+        ("TSeq(IPID=QQ)", "TSeq.IPID=QQ", TSEQ_BASE + 8, [1.0] + [-1.0] * 6),
+        ("TSeq(TS=7HZ)", "TSeq.TS=7HZ", TSEQ_BASE + 16, [1.0] + [-1.0] * 5),
+        # the count and the slots see only the known letters A and S
+        ("T3(Flags=AXS)", "'X' in T3.Flags=AXS", 156, [2.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0]),
+        # the unknown letter's group stays all -1, the next group is M
+        ("T2(Ops=QM)", "'Q' in T2.Ops=QM", 89, [-1.0] * 7 + [1.0] + [-1.0] * 4),
+        # group 9 is the tenth letter; the eleventh is dropped
+        ("T5(Ops=MMMMMMMMMMN)", "T5.Ops=MMMMMMMMMMN: groups past 10", 368,
+         [-1.0, 1.0, -1.0, -1.0, -1.0, -1.0]),
+    ])
+    def test_one_warning_and_the_same_bits(self, caplog, text, message, start, bits):
+        obs = parse_observation(text + "\n")
+        with caplog.at_level(logging.WARNING, logger="neuralfp.encoding"):
+            vec = encode_observation(obs)
+        records = _encoder_records(caplog)
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        assert message in records[0].getMessage()
+        assert list(vec[start:start + len(bits)]) == bits
+
+    def test_known_values_log_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="neuralfp.encoding"):
+            enc("T1(Resp=Y%DF=Y%W=16A0%ACK=S++%Flags=BEUAPRSF%Ops=LMNTWELMNT)\n"
+                "TSeq(Class=i800%gcd=1%IPID=RPI%TS=1000HZ%VAL=9E)\n")
+        assert _encoder_records(caplog) == []
+
+    def test_sampled_observations_log_nothing(self, caplog):
+        dbs = [parse_fingerprint_db(demo_database()), parse_fingerprint_db(large_database())]
+        rng = np.random.default_rng(3)
+        with caplog.at_level(logging.DEBUG, logger="neuralfp.encoding"):
+            for db in dbs:
+                for sig in db:
+                    for _ in range(5):
+                        encode_observation(sample_observation(sig, rng))
+        assert _encoder_records(caplog) == []

@@ -87,6 +87,18 @@ class TestTraining:
         assert train_stage(*args).net.sizes[1] == STAGE_HIDDEN["OpenBSD"]
         assert train_stage(*args, hidden=5).net.sizes[1] == 5
 
+    def test_unknown_hidden_key_is_rejected_before_training(self, db, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hierarchy, "train_stage", lambda *a, **k: calls.append(a[0]))
+        cfg = HierarchyConfig(samples=60, generations=1, hidden={"linux": 3, "Linux": 4, "Plan9": 2})
+        with pytest.raises(HierarchyError) as err:
+            train_hierarchy(db, cfg=cfg)
+        assert calls == []
+        message = str(err.value)
+        assert "['Plan9', 'linux']" in message
+        for name in ("relevance", "family", "Linux", "Solaris", "OpenBSD"):
+            assert repr(name) in message
+
     def test_monte_carlo_branch_trains_without_corpus(self, db):
         cfg = HierarchyConfig(seed=5, samples=240, generations=40)
         model = train_hierarchy(db, cfg=cfg)
