@@ -21,14 +21,14 @@ import sys
 from collections import Counter
 
 from .datagen import GenerationError, PrevalenceTable, generate_dataset
-from .encoding import TOTAL_NEURONS, encode_observation, feature_label, layout_table
+from .encoding import TOTAL_NEURONS, feature_label, has_encoded_field, layout_table
 from .dcerpc import DumpParseError, parse_endpoint_dump
 from .hierarchy import (
     HierarchyConfig,
     HierarchyError,
     HierarchyModel,
     Stage,
-    classify_vector,
+    classify,
     evaluate,
     report_classification,
     train_hierarchy,
@@ -211,17 +211,18 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = load(args.model, expected_kind="hierarchy")
     obs = parse_observation(_read(args.obs))
-    vec = encode_observation(obs)
+    if not has_encoded_field(obs):
+        raise ValueError(f"{args.obs}: no probe field the layout encodes")
     expected = len(model.relevance.pipeline.normalizer.mean)
-    if len(vec) != expected:
+    if expected != TOTAL_NEURONS:
         raise ValueError(
             f"model/observation layout mismatch: model expects {expected} "
-            f"features, observation encodes to {len(vec)}"
+            f"features, observation encodes to {TOTAL_NEURONS}"
         )
     dump = None
     if args.dump:
         dump = parse_endpoint_dump(_read(args.dump), name=args.dump)
-    result = classify_vector(model, vec, dump)
+    result = classify(model, obs, dump)
     print(report_classification(result))
     if result.verdict == "not relevant":
         return EXIT_NOT_RELEVANT

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import sample_observation
+from .encoding import TCP_TESTS
 from .signatures import Observation, Signature, parse_fingerprint_db
 
 __all__ = [
@@ -502,7 +503,7 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
         tseq.append(f"IPID={ipids[int(rng.integers(len(ipids)))]}")
         tseq.append(f"TS={rates[int(rng.integers(len(rates)))]}")
         lines.append(f"TSeq({'%'.join(tseq)})")
-        for tid in ("T1", "T2", "T3", "T4", "T5", "T6", "T7"):
+        for tid in TCP_TESTS:
             r = rng.random()
             if r < 0.15:
                 continue  # probe never sent

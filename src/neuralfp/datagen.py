@@ -14,6 +14,7 @@ reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import floor
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .encoding import TOTAL_NEURONS, encode_observation
 from .signatures import (
+    NUMERIC_FIELDS,
     And,
     AnyValue,
     Atom,
@@ -34,9 +36,7 @@ from .signatures import (
 # OS families the pipeline is trained to tell apart, in output order.
 RELEVANT_FAMILIES = ("Windows", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD")
 
-# Upper bounds for open comparisons; hex integers in first-gen data are
-# 16-bit window-ish quantities except the sequence statistics.
-_DOMAIN_CAP = {"gcd": 0xFFFFFF, "SI": 0xFFFFFF, "VAL": 0xFFFFFF, "TOS": 0xFF}
+# the bound of an open comparison on a field the encoding table gives none
 _DEFAULT_CAP = 0xFFFF
 
 
@@ -90,16 +90,12 @@ def resolve_weights(db: list[Signature], prev: PrevalenceTable | None) -> list[f
     uniform = 1.0 / len(db)
     weights = [uniform] * len(db)
     if prev is not None:
-        family_sizes: dict[str, int] = {}
-        for sig in db:
-            fam = signature_family(sig)
-            if fam is not None:
-                family_sizes[fam] = family_sizes.get(fam, 0) + 1
-        for i, sig in enumerate(db):
-            fam = signature_family(sig)
+        families = [signature_family(sig) for sig in db]
+        family_sizes = Counter(families)
+        for i, (sig, fam) in enumerate(zip(db, families)):
             if sig.name in prev.weights:
                 weights[i] = prev.weights[sig.name]
-            elif fam is not None and fam in prev.weights:
+            elif fam in prev.weights:
                 weights[i] = prev.weights[fam] / family_sizes[fam]
     mass = sum(weights)
     if mass <= 0:
@@ -127,7 +123,7 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
 
 
 def _interval(field: str, atoms: tuple[Cmp, ...]) -> tuple[int, int]:
-    lo, hi = 0, _DOMAIN_CAP.get(field, _DEFAULT_CAP)
+    lo, hi = 0, NUMERIC_FIELDS.get(field, _DEFAULT_CAP)
     for cmp_ in atoms:
         if cmp_.op == "<":
             hi = min(hi, cmp_.bound - 1)

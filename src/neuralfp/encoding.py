@@ -25,17 +25,19 @@ log = logging.getLogger(__name__)
 TCP_TESTS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
 OPTION_GROUPS = 10
 
-# The layout: each block is an ordered list of (field, kind, known values),
-# and each field's slots follow the previous field's. The kind fixes the
-# slots a field owns and how its value fills them:
-#   num      one slot: the hex value
+# The probe vocabulary and its layout: each block is an ordered list of
+# (field, kind, values), and each field's slots follow the previous field's.
+# The parser knows every field but padding, and the sampler reads num bounds.
+# The kind fixes the slots a field owns and how its value fills them:
+#   num      one slot: the hex value; values bounds an open comparison's draw
 #   yn       one slot: Y -> 1, N -> -1
 #   resp     like yn, but 1 when a test that answered has no such field
 #   marked   a presence slot, then one slot per known value
 #   outcome  one slot per known value; any other value is an EncodeError
 #   flags    the count of known letters, then one slot per flag
 #   ops      OPTION_GROUPS groups of one slot per option kind, one group per letter
-#   pad      a given number of slots that stay 0
+#   pad      a given number of slots that stay 0; not a field of the probe
+#   unslotted  no slot: a known field the paper's layout leaves out
 # Known values map to slot labels; letters that name one label share its
 # slot. A present categorical field puts 1 on each hit and -1 on its other
 # slots; a value it does not know hits nothing and is logged.
@@ -48,29 +50,30 @@ _TCP = (
                         "P": "FLAG PSH", "R": "FLAG RST", "S": "FLAG SYN", "F": "FLAG FIN"}),
     ("Ops", "ops", {"L": "EOL", "M": "MAXSEG", "N": "NOP", "T": "TIMESTAMP", "W": "WINDOW",
                     "E": "ECHOED"}),
-    ("W", "num", None),
+    ("W", "num", 0xFFFF),
 )
 _TSEQ = (
     ("Class", "marked", {v: f"SEQ {v.upper()}" for v in ("TD", "64K", "RI", "TR", "C", "i800")}),
-    ("gcd", "num", None),
+    ("gcd", "num", 0xFFFFFF),
     ("IPID", "marked", {"I": "IPID SEQ INCR", "BI": "IPID SEQ BROKEN INCR", "RPI": "IPID SEQ RPI",
                         "RD": "IPID SEQ RD", "C": "IPID SEQ CONSTANT", "Z": "IPID SEQ ZERO"}),
-    ("SI", "num", None),
+    ("SI", "num", 0xFFFFFF),
     ("TS", "marked", {"0": "TS SEQ ZERO", "2HZ": "TS SEQ 2HZ", "100HZ": "TS SEQ 100HZ",
                       "1000HZ": "TS SEQ 1000HZ", "U": "TS SEQ UNSUPPORTED"}),
-    ("VAL", "num", None),
+    ("VAL", "num", 0xFFFFFF),
     ("PAD", "pad", 4),
 )
 _PU = (
+    ("Resp", "unslotted", None),  # silent encodes like unsent: see README
     ("DF", "yn", None),
     ("UCK", "outcome", {"0": "UCK ZERO", "F": "UCK FAIL", "E": "UCK EQ"}),
     ("RID", "outcome", {"E": "RID EQ", "F": "RID FAIL", "0": "RID ZERO"}),
     ("RIPCK", "outcome", {"E": "RIPCK EQ", "F": "RIPCK FAIL", "0": "RIPCK ZERO"}),
-    ("ULEN", "num", None),
+    ("ULEN", "num", 0xFFFF),
     ("DAT", "outcome", {"E": "DAT EQ", "F": "DAT FAIL"}),
-    ("RIPTL", "num", None),
-    ("TOS", "num", None),
-    ("IPLEN", "num", None),
+    ("RIPTL", "num", 0xFFFF),
+    ("TOS", "num", 0xFF),
+    ("IPLEN", "num", 0xFFFF),
 )
 
 
@@ -79,7 +82,7 @@ class EncodeError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class _Field:
+class Field:
     test: str
     name: str
     kind: str
@@ -88,17 +91,20 @@ class _Field:
     labels: tuple[str, ...]
     slot: dict[str, int]   # known value -> offset in the field (ops: in a group)
     absent: str | None     # the value a test that answered implies when the field is missing
+    bound: int | None      # num: the largest value the sampler draws
 
 
-def _declare() -> tuple[_Field, ...]:
+def _declare() -> tuple[Field, ...]:
     """Every field of the layout in vector order, with its slots and labels."""
     fields, start = [], 0
     for test, block in [(t, _TCP) for t in TCP_TESTS] + [("TSeq", _TSEQ), ("PU", _PU)]:
         for name, kind, values in block:
-            known = {} if kind == "pad" else values or {}
+            known = values if isinstance(values, dict) else {}
             distinct = list(dict.fromkeys(known.values()))
             if kind == "pad":
                 labels = [f"{name} {i}" for i in range(values)]
+            elif kind == "unslotted":
+                labels = []
             elif kind == "ops":
                 labels = [f"TCP OPT {g} {k}" for g in range(OPTION_GROUPS) for k in distinct]
             elif kind == "outcome":
@@ -107,38 +113,35 @@ def _declare() -> tuple[_Field, ...]:
                 labels = [f"{name.upper()} {'YES' if kind == 'resp' else 'FIELD'}"] + distinct
             head = 1 if kind in ("marked", "flags") else 0
             slot = {v: head + distinct.index(label) for v, label in known.items()}
-            fields.append(_Field(test, name, kind, start, start + len(labels), tuple(labels), slot,
-                                 "Y" if kind == "resp" else None))
+            fields.append(Field(test, name, kind, start, start + len(labels), tuple(labels), slot,
+                                "Y" if kind == "resp" else None, values if kind == "num" else None))
             start += len(labels)
     return tuple(fields)
 
 
-_FIELDS = _declare()
-_TABLE = tuple((f.start + i, f.test, label) for f in _FIELDS for i, label in enumerate(f.labels))
+FIELDS = _declare()
+_TABLE = tuple((f.start + i, f.test, label) for f in FIELDS for i, label in enumerate(f.labels))
 TOTAL_NEURONS = len(_TABLE)
-TSEQ_BASE = next(f.start for f in _FIELDS if f.test == "TSeq")
-PU_BASE = next(f.start for f in _FIELDS if f.test == "PU")
-# what encode_observation walks: each test and the fields that write
-_BLOCKS = tuple((test, tuple(f for f in _FIELDS if f.test == test and f.kind != "pad"))
-                for test in dict.fromkeys(f.test for f in _FIELDS))
+TSEQ_BASE = next(f.start for f in FIELDS if f.test == "TSeq")
+PU_BASE = next(f.start for f in FIELDS if f.test == "PU")
 # struct packs a list of floats ~3x faster than np.array does
 _PACK = struct.Struct(f"{TOTAL_NEURONS}d")
 
 
-def _encode_num(f: _Field, value: str) -> list[float]:
+def _encode_num(f: Field, value: str) -> list[float]:
     try:
         return [float(int(value, 16))]
     except ValueError:
         raise EncodeError(f"{f.test}.{f.name} not hexadecimal: {value!r}") from None
 
 
-def _encode_yn(f: _Field, value: str) -> list[float]:
+def _encode_yn(f: Field, value: str) -> list[float]:
     if value not in ("Y", "N"):
         raise EncodeError(f"{f.test}.{f.name} must be Y or N, got {value!r}")
     return [1.0 if value == "Y" else -1.0]
 
 
-def _encode_choice(f: _Field, value: str) -> list[float]:
+def _encode_choice(f: Field, value: str) -> list[float]:
     # marked: the presence slot, then the one-hot; outcome: the one-hot alone
     out = [-1.0] * len(f.labels)
     if f.kind == "marked":
@@ -152,7 +155,7 @@ def _encode_choice(f: _Field, value: str) -> list[float]:
     return out
 
 
-def _encode_flags(f: _Field, value: str) -> list[float]:
+def _encode_flags(f: Field, value: str) -> list[float]:
     out = [0.0] + [-1.0] * (len(f.labels) - 1)
     for c in value:
         if c in f.slot:
@@ -163,7 +166,7 @@ def _encode_flags(f: _Field, value: str) -> list[float]:
     return out
 
 
-def _encode_ops(f: _Field, value: str) -> list[float]:
+def _encode_ops(f: Field, value: str) -> list[float]:
     out = [-1.0] * len(f.labels)
     group = len(f.labels) // OPTION_GROUPS
     for g, c in enumerate(value[:OPTION_GROUPS]):
@@ -178,6 +181,9 @@ def _encode_ops(f: _Field, value: str) -> list[float]:
 
 _ENCODE = {"num": _encode_num, "yn": _encode_yn, "resp": _encode_yn, "marked": _encode_choice,
            "outcome": _encode_choice, "flags": _encode_flags, "ops": _encode_ops}
+# what encode_observation walks: each test and the fields that write
+_BLOCKS = tuple((test, tuple(f for f in FIELDS if f.test == test and f.kind in _ENCODE))
+                for test in dict.fromkeys(f.test for f in FIELDS))
 
 
 def encode_observation(obs) -> np.ndarray:
@@ -190,6 +196,11 @@ def encode_observation(obs) -> np.ndarray:
                 if value is not None:
                     vec[f.start:f.stop] = _ENCODE[f.kind](f, value)
     return np.frombuffer(_PACK.pack(*vec)).copy()
+
+
+def has_encoded_field(obs) -> bool:
+    """Whether obs carries a field that owns slots, i.e. any evidence at all."""
+    return any(f.name in obs.tests.get(test, ()) for test, fields in _BLOCKS for f in fields)
 
 
 def layout_table() -> list[tuple[int, str, str]]:

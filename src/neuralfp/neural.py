@@ -126,13 +126,6 @@ def loss_gradient(mlp: Mlp, x: np.ndarray, target: np.ndarray) -> list[np.ndarra
     return grads
 
 
-def pair_error(mlp: Mlp, x: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared output error sum((y - v)^2) / n for one pair."""
-    v = forward(mlp, x)
-    e = np.asarray(target, dtype=float) - v
-    return float(e @ e) / len(e)
-
-
 def backprop_generation(
     mlp: Mlp,
     inputs: np.ndarray,

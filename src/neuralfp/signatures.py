@@ -23,20 +23,16 @@ import logging
 import re
 from dataclasses import dataclass, field
 
+from .encoding import FIELDS
+
 log = logging.getLogger(__name__)
 
-# Probe names in canonical emission order.
-TEST_IDS = ("TSeq", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "PU")
+# Each test's fields, in layout order: the encoding table minus its padding.
+KNOWN_FIELDS = {test: tuple(f.name for f in FIELDS if f.test == test and f.kind != "pad")
+                for test in dict.fromkeys(f.test for f in FIELDS)}
 
-# Fields whose values are hexadecimal integers.
-NUMERIC_FIELDS = frozenset({"W", "gcd", "SI", "VAL", "TOS", "IPLEN", "RIPTL", "ULEN"})
-
-_TCP_FIELDS = ("Resp", "DF", "W", "ACK", "Flags", "Ops")
-KNOWN_FIELDS = {
-    "TSeq": ("Class", "gcd", "SI", "IPID", "TS", "VAL"),
-    "PU": ("Resp", "DF", "TOS", "IPLEN", "RIPTL", "RID", "RIPCK", "UCK", "ULEN", "DAT"),
-}
-KNOWN_FIELDS.update({f"T{i}": _TCP_FIELDS for i in range(1, 8)})
+# Fields whose values are hexadecimal integers -> the sampler's upper bound.
+NUMERIC_FIELDS = {f.name: f.bound for f in FIELDS if f.kind == "num"}
 
 # lower-cased field name -> canonical spelling, per test
 _FIELD_CASE = {

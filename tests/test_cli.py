@@ -247,6 +247,22 @@ class TestClassify:
         assert main(["classify", "--model", str(work["model"]), "--obs", str(obs)]) == 0
         assert "Setting OS to Linux 2.6.X" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["T9(W=1)\n", "T1(\n", "TSeq()\n", "PU(Resp=N)\n"])
+    def test_no_encoded_field_is_exit_1_and_one_line(self, work, tmp_path, capsys, text):
+        obs = tmp_path / "empty.obs"
+        obs.write_text(text)
+        assert main(["classify", "--model", str(work["model"]), "--obs", str(obs)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {obs}: no probe field the layout encodes"]
+
+    def test_one_known_field_reaches_a_verdict(self, work, tmp_path, capsys):
+        # gcd=0 encodes to an all-zero vector, but it is evidence
+        obs = tmp_path / "gcd.obs"
+        obs.write_text("TSeq(gcd=0)\n")
+        assert main(["classify", "--model", str(work["model"]), "--obs", str(obs)]) in (0, 3, 4)
+        assert "Relevant / not relevant analysis" in capsys.readouterr().out
+
 
 class TestBadPaths:
     @pytest.mark.parametrize("command, flag", [("baseline", "--db"), ("classify", "--model")])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfp.encoding import (
+    FIELDS,
     PU_BASE,
     TOTAL_NEURONS,
     TSEQ_BASE,
@@ -23,7 +24,13 @@ from neuralfp.encoding import (
 )
 from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import sample_observation
-from neuralfp.signatures import parse_fingerprint_db, parse_observation
+from neuralfp.signatures import (
+    KNOWN_FIELDS,
+    AnyValue,
+    FieldConstraint,
+    parse_fingerprint_db,
+    parse_observation,
+)
 
 from conftest import LINUX_260_T3
 
@@ -357,3 +364,57 @@ class TestLoggedDrops:
                     for _ in range(5):
                         encode_observation(sample_observation(sig, rng))
         assert _encoder_records(caplog) == []
+
+    def test_silent_udp_probe_encodes_like_an_unsent_one(self, caplog):
+        # the paper's 16-neuron PU block has no slot for Resp
+        with caplog.at_level(logging.DEBUG, logger="neuralfp.encoding"):
+            silent = enc("T1(DF=Y)\nPU(Resp=N)\n")
+            answered = enc("PU(Resp=Y%DF=N)\n")
+        assert np.array_equal(silent, enc("T1(DF=Y)\n"))
+        assert np.array_equal(answered, enc("PU(DF=N)\n"))
+        assert _encoder_records(caplog) == []
+
+
+_ENTRY = {(f.test, f.name): f for f in FIELDS}
+_PARSER_FIELDS = [(test, name) for test, names in KNOWN_FIELDS.items() for name in names]
+
+
+def _known_value(f):
+    """A value of f's kind that the encoder knows."""
+    return {"num": "1", "yn": "Y", "resp": "Y", "unslotted": "Y"}.get(f.kind) or next(iter(f.slot))
+
+
+class TestVocabulary:
+    """The parser, the sampler and the encoder read one field table."""
+
+    @pytest.mark.parametrize("test, name", _PARSER_FIELDS)
+    def test_each_known_field_parses_and_encodes_in_its_span(self, caplog, test, name):
+        f = _ENTRY[test, name]
+        with caplog.at_level(logging.DEBUG, logger="neuralfp"):
+            vec = enc(f"{test}({name}={_known_value(f)})\n")
+        assert caplog.records == []
+        # a TCP test that answered implies Resp=Y
+        implied = [g for g in FIELDS if g.test == test and g.absent is not None and g is not f]
+        allowed = np.zeros(TOTAL_NEURONS, dtype=bool)
+        for g in [f] + implied:
+            allowed[g.start:g.stop] = True
+        assert not vec[~allowed].any()
+        assert vec[f.start:f.stop].any() == (f.stop > f.start)
+
+    def test_only_pu_resp_owns_no_slot(self):
+        assert [(f.test, f.name) for f in FIELDS if f.start == f.stop] == [("PU", "Resp")]
+
+    def test_padding_is_not_a_field(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="neuralfp.signatures"):
+            sig, = parse_fingerprint_db("Fingerprint Padded\nTSeq(PAD=1)\n")
+        assert sig.tests["TSeq"] == (FieldConstraint("PAD", AnyValue("1")),)
+        assert "unknown field TSeq.PAD kept verbatim" in caplog.text
+
+    @pytest.mark.parametrize("test, name", [(f.test, f.name) for f in FIELDS if f.kind == "num"])
+    def test_open_comparison_samples_within_the_table_bound(self, test, name):
+        bound = _ENTRY[test, name].bound
+        rng = np.random.default_rng(0)
+        for rule, low in ((">0", 1), (f">{bound - 1:X}", bound)):
+            sig, = parse_fingerprint_db(f"Fingerprint Open\n{test}({name}={rule})\n")
+            values = [int(sample_observation(sig, rng).tests[test][name], 16) for _ in range(50)]
+            assert low <= min(values) and max(values) <= bound

@@ -14,7 +14,6 @@ from neuralfp.neural import (
     forward,
     init_mlp,
     loss_gradient,
-    pair_error,
     train,
 )
 
@@ -138,10 +137,14 @@ class TestGenerationError:
         clone = Mlp([W.copy() for W in net.weights])
         X = np.array([[0.5, -0.5], [0.1, 0.9]])
         Y = np.array([[1.0], [-1.0]])
+        def pair_error(x, y):
+            e = y - forward(clone, x)
+            return float(e @ e) / len(e)
+
         # manual replay: pair errors on the evolving weights
-        e1 = pair_error(clone, X[0], Y[0])
+        e1 = pair_error(X[0], Y[0])
         backprop_generation(clone, X[:1], Y[:1], 0.1, 0.0, None)
-        e2 = pair_error(clone, X[1], Y[1])
+        e2 = pair_error(X[1], Y[1])
         mse, _ = backprop_generation(net, X, Y, 0.1, 0.0, None)
         assert mse == pytest.approx((e1 + e2) / 2.0, abs=1e-15)
 

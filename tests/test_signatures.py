@@ -13,7 +13,6 @@ from neuralfp.datagen import sample_observation
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
-    TEST_IDS,
     And,
     AnyValue,
     Cmp,
@@ -271,7 +270,7 @@ def _probe_fields(draw, tid, value):
 
 @st.composite
 def observations(draw):
-    tids = draw(st.lists(st.sampled_from(TEST_IDS), min_size=1, unique=True))
+    tids = draw(st.lists(st.sampled_from(list(KNOWN_FIELDS)), min_size=1, unique=True))
     value = lambda name: _HEX if name in NUMERIC_FIELDS else _WORD  # noqa: E731
     tests = {tid: draw(_probe_fields(tid, value)) for tid in tids}
     return Observation(draw(st.none() | _NAME), tests)
@@ -291,7 +290,7 @@ def _constraint(name):
 
 @st.composite
 def signatures(draw):
-    tids = draw(st.lists(st.sampled_from(TEST_IDS), unique=True))
+    tids = draw(st.lists(st.sampled_from(list(KNOWN_FIELDS)), unique=True))
     tests = {}
     for tid in tids:
         fields = draw(_probe_fields(tid, _constraint))
