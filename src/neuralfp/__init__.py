@@ -44,6 +44,7 @@ from .hierarchy import (
     HierarchyConfig,
     HierarchyError,
     HierarchyModel,
+    ObservationError,
     Stage,
     classify,
     classify_batch,

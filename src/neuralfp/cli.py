@@ -21,12 +21,13 @@ import sys
 from collections import Counter
 
 from .datagen import GenerationError, PrevalenceTable, generate_dataset
-from .encoding import TOTAL_NEURONS, feature_label, has_encoded_field, layout_table
+from .encoding import TOTAL_NEURONS, feature_label, layout_table
 from .dcerpc import DumpParseError, parse_endpoint_dump
 from .hierarchy import (
     HierarchyConfig,
     HierarchyError,
     HierarchyModel,
+    ObservationError,
     Stage,
     classify,
     evaluate,
@@ -211,18 +212,11 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = load(args.model, expected_kind="hierarchy")
     obs = parse_observation(_read(args.obs))
-    if not has_encoded_field(obs):
-        raise ValueError(f"{args.obs}: no probe field the layout encodes")
-    expected = len(model.relevance.pipeline.normalizer.mean)
-    if expected != TOTAL_NEURONS:
-        raise ValueError(
-            f"model/observation layout mismatch: model expects {expected} "
-            f"features, observation encodes to {TOTAL_NEURONS}"
-        )
-    dump = None
-    if args.dump:
-        dump = parse_endpoint_dump(_read(args.dump), name=args.dump)
-    result = classify(model, obs, dump)
+    dump = parse_endpoint_dump(_read(args.dump), name=args.dump) if args.dump else None
+    try:
+        result = classify(model, obs, dump)
+    except ObservationError as exc:
+        raise ValueError(f"{args.obs}: {exc}") from None
     print(report_classification(result))
     if result.verdict == "not relevant":
         return EXIT_NOT_RELEVANT

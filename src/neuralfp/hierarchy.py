@@ -24,7 +24,7 @@ from .datagen import (
     stage_targets,
 )
 from .dcerpc import WindowsRefiner, WindowsVerdict
-from .encoding import EndpointMap, encode_observation
+from .encoding import TOTAL_NEURONS, EndpointMap, encode_observation, has_encoded_field
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .preprocess import ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
@@ -35,6 +35,7 @@ __all__ = [
     "HierarchyConfig",
     "HierarchyError",
     "HierarchyModel",
+    "ObservationError",
     "Stage",
     "classify",
     "classify_batch",
@@ -55,6 +56,10 @@ OUTCOMES = ("perfect match", "partial match", "error", "no answer")
 
 class HierarchyError(Exception):
     pass
+
+
+class ObservationError(HierarchyError):
+    """An observation with no field the layout encodes: an all-zero vector, no evidence."""
 
 
 @dataclass
@@ -220,9 +225,9 @@ def classify_batch(
 ) -> list[ClassificationResult]:
     """Run the cascade on encoded rows, one result per row.
 
-    Each stage scores only the rows that reach it, and every product is
-    taken row by row, so row i gets the same bits as a batch of one:
-    classify_vector(model, X[i], dumps[i]).
+    Each stage scores only the rows that reach it (X itself, uncopied,
+    when all do), and every product is taken row by row, so row i gets
+    the same bits as a batch of one: classify_vector(model, X[i], dumps[i]).
     """
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
@@ -236,7 +241,8 @@ def classify_batch(
     trace = ("relevance", "family")
     family_scores: dict[int, dict[str, float]] = {}
     by_family: dict[str, list[int]] = {}
-    for i, out in zip(reached, model.family.scores(X[reached]) if reached else ()):
+    scores = model.family.scores(X if len(reached) == len(X) else X[reached]) if reached else ()
+    for i, out in zip(reached, scores):
         family_scores[i] = dict(zip(model.family.labels, out.tolist()))
         best = int(out.argmax())
         family = model.family.labels[best]
@@ -254,7 +260,7 @@ def classify_batch(
 
     for family, rows in by_family.items():
         stage = model.versions[family]
-        for i, out in zip(rows, stage.scores(X[rows])):
+        for i, out in zip(rows, stage.scores(X if len(rows) == len(X) else X[rows])):
             best = int(out.argmax())
             verdict = ("unknown" if out[best] < model.decision_threshold
                        else (family, stage.labels[best]))
@@ -274,6 +280,12 @@ def classify_vector(
 def classify(
     model: HierarchyModel, obs: Observation, dump: EndpointMap | None = None
 ) -> ClassificationResult:
+    """Encode one observation and run the cascade on it (see ObservationError)."""
+    if not has_encoded_field(obs):
+        raise ObservationError("no probe field the layout encodes")
+    if (width := len(model.relevance.pipeline.normalizer.mean)) != TOTAL_NEURONS:
+        raise HierarchyError(f"model/observation layout mismatch: model expects {width} "
+                             f"features, observation encodes to {TOTAL_NEURONS}")
     return classify_vector(model, encode_observation(obs), dump)
 
 

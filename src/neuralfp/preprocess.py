@@ -10,7 +10,8 @@ reduction pipeline is fitted per training corpus:
 2. build the correlation matrix R = E[Xi Xj] of the normalized data;
 3. walk columns in ascending index order, keeping a column only when its
    R-column is not (numerically) in the span of the kept ones, which drops
-   exact duplicates and affine copies while keeping the first witness;
+   exact duplicates and affine copies while keeping the first witness
+   (classical Gram-Schmidt run twice, two matrix-vector products a pass);
 4. diagonalize R restricted to the kept columns and keep the smallest
    eigenvector prefix holding at least the target share (98%) of total
    variance.
@@ -72,17 +73,17 @@ def reduce_dependent_columns(R: np.ndarray, tol: float = DEPENDENCE_TOL) -> list
     """
     p = R.shape[0]
     kept: list[int] = []
-    basis: list[np.ndarray] = []
+    # CGS2: Q's leading columns are the kept unit vectors; twice is enough
+    Q = np.empty((p, p), order="F")
     for j in range(p):
         r = R[:, j].copy()
-        # projection with one re-orthogonalization pass for stability
+        basis = Q[:, : len(kept)]
         for _ in range(2):
-            for q in basis:
-                r -= (q @ r) * q
+            r -= basis @ (r @ basis)
         norm = np.linalg.norm(r)
         if norm > tol:
+            Q[:, len(kept)] = r / norm
             kept.append(j)
-            basis.append(r / norm)
     return kept
 
 

@@ -24,6 +24,7 @@ from neuralfp.hierarchy import (
     STAGE_HIDDEN,
     HierarchyConfig,
     HierarchyError,
+    ObservationError,
     classify,
     classify_batch,
     classify_vector,
@@ -33,7 +34,7 @@ from neuralfp.hierarchy import (
     train_stage,
 )
 from neuralfp.neural import TrainConfig
-from neuralfp.signatures import parse_fingerprint_db
+from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,27 @@ class TestClassification:
         b = classify_vector(model, encode_observation(obs))
         assert a.verdict == b.verdict
         assert a.stage_trace == b.stage_trace
+
+    @pytest.mark.parametrize("text", ["T9(W=1)", "T1(", "TSeq()", "PU(Resp=N)"])
+    def test_no_encoded_field_is_a_named_error(self, model, text):
+        with pytest.raises(ObservationError, match="^no probe field the layout encodes$"):
+            classify(model, parse_observation(text))
+
+    def test_one_known_field_reaches_a_verdict(self, model):
+        # gcd=0 encodes to an all-zero vector, but it is evidence
+        assert classify(model, parse_observation("TSeq(gcd=0)")).stage_trace[0] == "relevance"
+
+    def test_model_of_another_width_is_a_named_error(self, db, model):
+        import dataclasses
+
+        norm = model.relevance.pipeline.normalizer
+        narrow = dataclasses.replace(norm, mean=norm.mean[:-1], std=norm.std[:-1],
+                                     constant=norm.constant[:-1])
+        relevance = dataclasses.replace(
+            model.relevance, pipeline=dataclasses.replace(model.relevance.pipeline, normalizer=narrow))
+        obs = sample_observation(_pick(db, "OpenBSD"), np.random.default_rng(29))
+        with pytest.raises(HierarchyError, match="model expects 567 features, observation encodes to 568"):
+            classify(dataclasses.replace(model, relevance=relevance), obs)
 
 
 @pytest.fixture(scope="module")

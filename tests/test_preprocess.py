@@ -1,8 +1,14 @@
 """Normalization, correlation, column elimination, PCA."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neuralfp.corpus import demo_database, large_database
+from neuralfp.datagen import generate_dataset
 from neuralfp.preprocess import (
     ReductionError,
     correlation_matrix,
@@ -12,6 +18,7 @@ from neuralfp.preprocess import (
     reduce_dependent_columns,
     reduction_report,
 )
+from neuralfp.signatures import parse_fingerprint_db
 
 
 class TestNormalizer:
@@ -91,6 +98,93 @@ class TestColumnElimination:
     def test_all_constant_rejected_by_pipeline(self):
         with pytest.raises(ReductionError, match="constant or dependent"):
             fit_pipeline(np.full((10, 3), 2.0))
+
+
+def one_vector_at_a_time(R, tol=1e-6):
+    """The column-by-column Gram-Schmidt rank test, kept as an oracle."""
+    kept, basis = [], []
+    for j in range(R.shape[0]):
+        r = R[:, j].copy()
+        for _ in range(2):
+            for q in basis:
+                r -= (q @ r) * q
+        norm = np.linalg.norm(r)
+        if norm > tol:
+            kept.append(j)
+            basis.append(r / norm)
+    return kept
+
+
+# how a planted column derives from the earlier ones
+_PLANTS = st.sampled_from(["fresh", "duplicate", "affine", "negation", "combination", "constant"])
+
+
+@st.composite
+def planted_columns(draw):
+    """Rows of fresh normal columns mixed with columns planted dependent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(30, 80))
+
+    def scale():
+        return draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+
+    columns = []
+    for kind in draw(st.lists(_PLANTS, min_size=1, max_size=24)):
+        earlier = [c for c in columns if c.std() > 0]
+        if kind == "constant":
+            columns.append(np.full(n, draw(st.floats(-5.0, 5.0))))
+        elif kind == "fresh" or not earlier:
+            columns.append(rng.normal(size=n))
+        else:
+            a, b = (earlier[draw(st.integers(0, len(earlier) - 1))] for _ in range(2))
+            columns.append({
+                "duplicate": lambda: a.copy(),
+                "affine": lambda: scale() * a + draw(st.floats(-5.0, 5.0)),
+                "negation": lambda: -a,
+                "combination": lambda: scale() * a + scale() * b,
+            }[kind]())
+    return np.column_stack(columns)
+
+
+class TestRankTestEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(X=planted_columns())
+    def test_same_kept_columns_as_the_one_vector_loop(self, X):
+        R = correlation_matrix(fit_normalizer(X).transform(X))
+        assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
+
+    def test_same_kept_columns_on_a_sampled_corpus(self):
+        db = parse_fingerprint_db(demo_database())
+        X = generate_dataset(db, None, 600, stage="family", seed=3).inputs
+        R = correlation_matrix(fit_normalizer(X).transform(X))
+        assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
+
+
+# The bench corpus recipes (relevance, seed 42) and the sha256 of the fitted
+# kept columns (int64), PCA basis and eigenvalues, recorded with the
+# one-vector-at-a-time rank test.  The basis and spectrum come from LAPACK,
+# so these two digests hold for one BLAS build (OpenBLAS 0.3.31).
+_PIPELINE_RECIPES = {
+    "demo": (demo_database(), 1000,
+             "110e58207bc1b4494a004df05c79ea8cdd5cbf90ee10b71bd0ad35f91ed307b8",
+             "0357788b5e225648b34270f53b1817787f638a1732eade340ebb3cf4acae522e",
+             "810fa8dce98c8d03cd474a2b67aa66b9feb34cab6fa620801aa690521c77a646"),
+    "demo+large": (demo_database() + "\n" + large_database(220), 1500,
+                   "aa9dc23ec458b424541f1627e6e4e2ac35825eb8adc9a148036891bcb4f72c4d",
+                   "ae120546413c78f43dbaa58092cc3f6d8407166e094f4e5808228ac8d5e7fb96",
+                   "53a19fa985aa6191bd07ad90b84848526b52fc1441a073250bff73cd7e1f6b0c"),
+}
+
+
+class TestGoldenPipeline:
+    @pytest.mark.parametrize("recipe", list(_PIPELINE_RECIPES))
+    def test_bench_corpus_pipeline_digest(self, recipe):
+        text, total, kept_sha, basis_sha, eigen_sha = _PIPELINE_RECIPES[recipe]
+        ds = generate_dataset(parse_fingerprint_db(text), None, total, stage="relevance", seed=42)
+        pipe = fit_pipeline(ds.inputs)
+        digest = [hashlib.sha256(a.tobytes()).hexdigest()
+                  for a in (np.asarray(pipe.kept, dtype=np.int64), pipe.basis, pipe.eigenvalues)]
+        assert digest == [kept_sha, basis_sha, eigen_sha]
 
 
 class TestPca:
