@@ -20,7 +20,7 @@ import json
 import sys
 from collections import Counter
 
-from .datagen import GenerationError, PrevalenceTable, generate_dataset
+from .datagen import PrevalenceTable, generate_dataset
 from .encoding import TOTAL_NEURONS, feature_label, layout_table
 from .dcerpc import DumpParseError, parse_endpoint_dump
 from .hierarchy import (
@@ -36,14 +36,9 @@ from .hierarchy import (
     train_stage,
 )
 from .neural import Mlp, TrainConfig, TrainingDivergedError
-from .persistence import PersistenceError, load, save
-from .preprocess import ReductionError, fit_pipeline, reduction_report
-from .signatures import (
-    ParseError,
-    best_fit,
-    parse_fingerprint_db,
-    parse_observation,
-)
+from .persistence import PersistenceError, decode_config, load, save
+from .preprocess import fit_pipeline, reduction_report
+from .signatures import best_fit, parse_fingerprint_db, parse_observation
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,15 +46,8 @@ EXIT_MISSING_FILE = 2
 EXIT_NOT_RELEVANT = 3
 EXIT_UNKNOWN = 4
 
-_USER_ERRORS = (
-    ParseError,
-    GenerationError,
-    ReductionError,
-    HierarchyError,
-    PersistenceError,
-    DumpParseError,
-    ValueError,
-)
+# ValueError covers the parse, generation and reduction errors
+_USER_ERRORS = (HierarchyError, PersistenceError, DumpParseError, TrainingDivergedError, ValueError)
 
 
 def _read(path: str) -> str:
@@ -77,26 +65,9 @@ def _load_prevalence(path: str | None) -> PrevalenceTable | None:
     return PrevalenceTable.parse(_read(path))
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = json.loads(_read(path))
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
-
-
 def _config_digest(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _build(cls, cfg: dict, path_hint: str):
-    known = set(cls.__dataclass_fields__)
-    bad = sorted(set(cfg) - known)
-    if bad:
-        raise ValueError(f"{path_hint}: unknown config keys {bad}")
-    return cls(**cfg)
 
 
 def _write_curves(model, out: str, source: str) -> None:
@@ -156,14 +127,13 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _train_hierarchy_cmd(args, cfg_json: dict) -> int:
+def _train_hierarchy_cmd(args, cfg: HierarchyConfig, digest: str) -> int:
     if args.db is None:
         raise ValueError("--stage hierarchy requires --db")
     db = _load_db(args.db)
     prev = _load_prevalence(args.prevalence)
-    cfg = _build(HierarchyConfig, cfg_json, args.config or "--config")
     model = train_hierarchy(db, prev, cfg)
-    save(model, args.out, metadata={"seed": cfg.seed, "config_digest": _config_digest(cfg_json)})
+    save(model, args.out, metadata={"seed": cfg.seed, "config_digest": digest})
     print(f"wrote {args.out}")
     if args.history:
         _write_curves(model, args.history, args.out)
@@ -171,13 +141,19 @@ def _train_hierarchy_cmd(args, cfg_json: dict) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_json = _load_config(args.config)
-    if args.seed is not None:
-        cfg_json["seed"] = args.seed
-    if args.fixed_lr:
-        cfg_json["adaptive"] = False
+    cfg_json = json.loads(_read(args.config)) if args.config else {}
+    where = args.config or "--config"
     if args.stage == "hierarchy":
-        return _train_hierarchy_cmd(args, cfg_json)
+        kwargs = decode_config(HierarchyConfig, cfg_json, where)
+    else:
+        kwargs = decode_config(TrainConfig, cfg_json, where, variance=float, hidden=int | None)
+    if args.seed is not None:
+        cfg_json["seed"] = kwargs["seed"] = args.seed
+    if args.fixed_lr:
+        cfg_json["adaptive"] = kwargs["adaptive"] = False
+    digest = _config_digest(cfg_json)
+    if args.stage == "hierarchy":
+        return _train_hierarchy_cmd(args, HierarchyConfig(**kwargs), digest)
 
     if args.dataset is None:
         raise ValueError("training a single stage requires --dataset")
@@ -186,10 +162,9 @@ def cmd_train(args) -> int:
     if stage_name != ds.stage:
         raise ValueError(f"dataset holds stage {ds.stage!r}, not {stage_name!r}")
 
-    train_json = dict(cfg_json)
-    variance = train_json.pop("variance", 0.98)
-    hidden = train_json.pop("hidden", None)
-    cfg = _build(TrainConfig, train_json, args.config or "--config")
+    variance = kwargs.pop("variance", 0.98)
+    hidden = kwargs.pop("hidden", None)
+    cfg = TrainConfig(**kwargs)
     resume = load(args.resume, expected_kind="stage") if args.resume else None
     stage = train_stage(stage_name, ds.inputs, ds.targets, ds.output_labels, cfg,
                         variance, hidden, resume)
@@ -199,7 +174,7 @@ def cmd_train(args) -> int:
         metadata={
             "seed": cfg.seed,
             "stage": stage_name,
-            "config_digest": _config_digest(cfg_json),
+            "config_digest": digest,
         },
     )
     gen, mse, lam, _ = stage.net.history.rows[-1]
@@ -342,9 +317,6 @@ def main(argv=None) -> int:
         where = f": {exc.filename}" if exc.filename else ""
         print(f"error: {(exc.strerror or str(exc)).lower()}{where}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -102,7 +102,7 @@ class HierarchyConfig:
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     subset_size: int | None = None
-    hidden: dict = field(default_factory=dict)
+    hidden: dict[str, int] = field(default_factory=dict)
     # train a DCE-RPC refiner on the synthetic dump corpus and attach it
     windows: bool = False
 
@@ -119,8 +119,6 @@ class ClassificationResult:
     def os_name(self) -> str | None:
         if isinstance(self.verdict, str):
             return None
-        if self.windows is not None:
-            return self.windows.os_name()
         family, line = self.verdict
         return family if line is None else f"{family} {line}"
 

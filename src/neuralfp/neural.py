@@ -172,6 +172,10 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     is raised.  A subset size covering all the data is one plain run
     plus one G.
     """
+    if not (cfg.generations >= 1 and cfg.lam > 0
+            and (cfg.subset_size is None or cfg.subset_size >= 1)):
+        raise ValueError(f"training needs generations >= 1, lam > 0 and subset_size >= 1 or "
+                         f"None, got {cfg.generations}, {cfg.lam!r} and {cfg.subset_size}")
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(inputs)

@@ -18,6 +18,9 @@ document) reads as a header with format_version 1 and is rejected.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
 so a crash never leaves a half-written model.
+
+The same field walk decodes training configs: decode_config checks a
+JSON config object's keys and value types against a config dataclass.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "KindMismatchError",
     "PersistenceError",
     "FORMAT_VERSION",
+    "decode_config",
     "load",
     "load_container",
     "save",
@@ -207,6 +211,25 @@ def _decoder(tp, dtype: str = "<f8"):
     if tp is float:
         return lambda v, where: float(v) if type(v) is int else _expect(v, float, where)
     return lambda v, where: _expect(v, tp, where)
+
+
+def decode_config(cls, obj, where: str, **extra_hints) -> dict:
+    """Check a JSON config object against the fields of dataclass cls plus
+    extra_hints; return the decoded values of the keys it sets.  A JSON
+    object stands for a dict-typed field.  Any mismatch is a ValueError."""
+    hints = dict(_fields(cls), **extra_hints)
+    try:
+        if unknown := sorted(set(_expect(obj, dict, where)) - set(hints)):
+            raise ValueError(f"{where}: unknown config keys {unknown}")
+        out = {}
+        for key, value in obj.items():
+            tp, at = hints[key], f"{where}.{key}"
+            if typing.get_origin(tp) is dict:
+                value = [list(p) for p in _expect(value, dict, at).items()]
+            out[key] = _decoder(tp)(value, at)
+        return out
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _canonical(body) -> bytes:

@@ -94,6 +94,8 @@ def fit_pca(R_kept: np.ndarray, variance: float = VARIANCE_TARGET):
     eigenvectors spanning at least the requested share of total variance,
     eigenvalues the full descending spectrum.
     """
+    if not 0 < variance <= 1:  # also rejects nan
+        raise ReductionError(f"variance share {variance!r} is not in (0, 1]")
     try:
         w, V = np.linalg.eigh(R_kept)
     except np.linalg.LinAlgError as exc:

@@ -1,6 +1,12 @@
 """Shared fixtures: circulated signature blocks and small databases."""
 
 import pytest
+from hypothesis import settings
+
+# no per-example deadline: timing noise of up to 1.8x on a shared machine
+# (bench/README.md, "Noise") would make one flaky
+settings.register_profile("neuralfp", deadline=None)
+settings.load_profile("neuralfp")
 
 # Linux 2.6.0-test5 block as printed in circulated copies of the first-gen
 # database: test lines truncated after the first field, no closing parens.

@@ -1,9 +1,13 @@
 """Command line surface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfp import hierarchy
 from neuralfp.cli import _config_digest, main
@@ -11,6 +15,7 @@ from neuralfp.corpus import demo_database, pathology_observation
 from neuralfp.datagen import Dataset, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
+from neuralfp.neural import TrainConfig
 from neuralfp.persistence import load, load_container, save
 from neuralfp.signatures import format_observation, parse_fingerprint_db
 
@@ -79,6 +84,15 @@ def work(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def family40(work):
+    """A 40-row family dataset: configs train on it in milliseconds."""
+    path = work["db"].parent / "fam40.ds"
+    assert main(["generate", "--db", str(work["two"]), "--total", "40", "--stage", "family",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return path
+
+
 class TestGenerate:
     def test_prints_per_family_counts(self, work, capsys):
         out = work["rel_ds"].parent / "counts.ds"
@@ -114,6 +128,12 @@ class TestReduce:
         assert "columns kept" in text
         assert "% of variance" in text
         assert load_container(out)["kind"] == "pipeline"
+
+    @pytest.mark.parametrize("variance", ["0", "2", "nan"])
+    def test_variance_outside_unit_interval_is_exit_1(self, family40, capsys, variance):
+        assert main(["reduce", "--dataset", str(family40), "--variance", variance]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: variance share {float(variance)!r} is not in (0, 1]"]
 
 
 class TestTrain:
@@ -194,6 +214,50 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'linux'" in err[0] and "'Linux'" in err[0]
         assert not (tmp_path / "h.model").exists()
+
+    # each config names the key it gets wrong, or None for a value out of range
+    @pytest.mark.parametrize("config, key", [
+        ({"hidden": "a"}, "hidden"),
+        ({"generations": "x"}, "generations"),
+        ({"lam": None}, "lam"),
+        ({"lam_up": "x"}, "lam_up"),
+        ({"seed": 1.5}, "seed"),
+        ({"hidden": {"Linux": "a"}}, "hidden"),
+        ({"adaptive": "no"}, "adaptive"),
+        ({"generations": 0}, None),
+        ({"subset_size": -5}, None),
+        ({"variance": 0}, None),
+        ({"variance": 2}, None),
+        ({"generations": 2, "bogus": 1}, ""),
+    ])
+    def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--dataset", str(family40), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if key:
+            assert err[0].startswith(f"error: {cfg}.{key}: expected ")
+        elif key == "":
+            assert err[0] == f"error: {cfg}: unknown config keys ['bogus']"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ([], ": expected dict, got list"),
+        ({"hidden": 5}, ".hidden: expected dict, got int"),
+        ({"hidden": {"Linux": "a"}}, ".hidden: expected int, got str"),
+        ({"windows": "yes"}, ".windows: expected bool, got str"),
+        ({"variance": 0.98, "hiden": {}}, ": unknown config keys ['hiden']"),
+    ])
+    def test_hierarchy_config_is_checked_before_training(self, work, tmp_path, capsys,
+                                                          config, message):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}{message}"]
+        assert not out.exists()
 
     def test_hierarchy_history_per_stage(self, work, tmp_path):
         stem = tmp_path / "curves.csv"
@@ -364,3 +428,92 @@ class TestCurves:
         written = self._compare(["train", "--db", str(work["db"]), "--stage", "hierarchy",
                                  "--config", str(cfg), "--seed", "2"], tmp_path / "h.model", tmp_path)
         assert {"c-relevance.csv", "c-family.csv", "c-Linux.csv", "c-windows.csv"} <= set(written)
+
+
+# ---------------------------------------------------------------------------
+# Every input gets a defined outcome
+
+
+def _run(argv):
+    """main(argv) -> (exit code, the stderr lines that start with "error:");
+    logged warnings share stderr, so only those lines count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """data with one to three byte edits: a byte replaced, deleted or inserted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        op, i = draw(st.sampled_from("rdi")), draw(st.integers(0, len(data)))
+        if op == "i":
+            data.insert(i, draw(st.integers(0, 255)))
+        elif i < len(data) and op == "d":
+            del data[i]
+        elif i < len(data):
+            data[i] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3))
+_JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
+                         st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+# the keys a single-stage config may set
+_CONFIG_KEYS = [*TrainConfig.__dataclass_fields__, "variance", "hidden"]
+_STAGE_CONFIG = b'{"generations": 2, "hidden": 3, "variance": 0.9}'
+
+
+class TestMainProperty:
+    """Mutated inputs and drawn config values end in an exit code of the
+    documented set; a failure leaves exactly one "error:" line."""
+
+    @staticmethod
+    def _check(code, errors):
+        assert code in (0, 1, 2, 3, 4)
+        assert len(errors) == (1 if code in (1, 2) else 0)
+
+    def _mutated_file(self, work, name, data):
+        path = work["db"].parent / name
+        path.write_bytes(data)
+        return str(path)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_mutated_db_observation_and_dump(self, work, data):
+        db = self._mutated_file(work, "fuzz.db", data.draw(_mutated(work["two"].read_bytes())))
+        self._check(*_run(["baseline", "--db", db, "--obs", str(work["sol_obs"])]))
+        obs = self._mutated_file(work, "fuzz.obs",
+                                 data.draw(_mutated(work["win_obs"].read_bytes())))
+        self._check(*_run(["classify", "--model", str(work["model"]), "--obs", obs]))
+        dump = self._mutated_file(work, "fuzz.dump", data.draw(_mutated(work["dump"].read_bytes())))
+        self._check(*_run(["classify", "--model", str(work["model"]),
+                           "--obs", str(work["win_obs"]), "--dump", dump]))
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_container(self, work, data):
+        model = self._mutated_file(work, "fuzz.model",
+                                   data.draw(_mutated(work["model"].read_bytes())))
+        self._check(*_run(["classify", "--model", model, "--obs", str(work["sol_obs"])]))
+
+    def _train(self, work, family40, config: bytes):
+        cfg = self._mutated_file(work, "fuzz.cfg", config)
+        out = work["db"].parent / "fuzz.stage"
+        out.unlink(missing_ok=True)
+        code, errors = _run(["train", "--dataset", str(family40), "--config", cfg,
+                             "--out", str(out)])
+        self._check(code, errors)
+        assert out.exists() == (code == 0)
+
+    @settings(max_examples=60)
+    @given(config=_mutated(_STAGE_CONFIG))
+    def test_mutated_config(self, work, family40, config):
+        self._train(work, family40, config)
+
+    @settings(max_examples=100)
+    @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=3))
+    def test_drawn_config_values(self, work, family40, drawn):
+        self._train(work, family40, json.dumps({"generations": 2, **drawn}).encode())

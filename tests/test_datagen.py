@@ -198,7 +198,7 @@ _STAGES = ["relevance", "family"] + [f"version:{f}" for f in RELEVANT_FAMILIES]
 
 
 class TestStageVocabulary:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(db=st.sampled_from(_STAGE_DBS), stage=st.sampled_from(_STAGES),
            seed=st.integers(0, 2**32 - 1))
     def test_one_builder_gives_every_dataset_its_targets(self, db, stage, seed):

@@ -218,7 +218,7 @@ _PROGRAMS = st.builds(
 
 
 class TestDumpProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(name=st.none() | _TEXT, programs=st.lists(_PROGRAMS, max_size=5).map(tuple))
     def test_format_parse_is_identity(self, name, programs):
         emap = EndpointMap(name, programs)

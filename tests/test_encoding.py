@@ -290,7 +290,7 @@ _DBS = [parse_fingerprint_db(demo_database()), parse_fingerprint_db(large_databa
 
 
 class TestProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(which=st.integers(0, 1), pick=st.integers(0, 2**32 - 1))
     def test_sampled_observation_encodes_finite_and_full_width(self, which, pick):
         db = _DBS[which]

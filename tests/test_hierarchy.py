@@ -148,6 +148,7 @@ class TestClassification:
         assert result.windows is not None
         version, edition, sp = triple
         assert result.verdict[1] == f"{version} {edition} sp{sp}"
+        assert result.os_name() == result.windows.os_name()
 
     def test_thresholds_gate_the_cascade(self, db, model, dataset):
         vec = dataset.inputs[0]
@@ -206,7 +207,7 @@ class TestBatch:
         ends = {r.stage_trace[-1].split(":")[0] for r in results}
         assert ends == {"relevance", "family", "version", "dcerpc"}
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(idx=st.lists(st.integers(0, 119), max_size=25))
     def test_any_sub_batch_gives_the_same_results(self, model, batch, idx):
         X, dumps, results = batch

@@ -59,7 +59,7 @@ class TestPerceptron:
         net = Mlp([np.array([[0.2, 0.0]])])
         assert forward(net, np.array([3.0]))[0] == pytest.approx(np.tanh(-0.2), abs=1e-15)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
            rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            fortran=st.booleans())
@@ -193,6 +193,17 @@ class TestTraining:
         net = init_mlp([2, 3, 1], seed=3)
         with pytest.raises(TrainingDivergedError):
             train(net, X, Y, TrainConfig(generations=200, lam=10.0, momentum=2.0, adaptive=False, seed=3))
+
+    @pytest.mark.parametrize("bad", [{"generations": 0}, {"generations": -3}, {"lam": 0.0},
+                                     {"lam": float("nan")}, {"subset_size": 0},
+                                     {"subset_size": -5}])
+    def test_out_of_range_config_is_a_value_error(self, bad):
+        X = np.array([[0.5], [-0.5]])
+        Y = np.array([[0.4], [-0.4]])
+        net = init_mlp([1, 2, 1], seed=6)
+        with pytest.raises(ValueError, match="training needs"):
+            train(net, X, Y, TrainConfig(**bad))
+        assert net.history is None
 
     def test_target_error_stops_early(self):
         X = np.array([[0.5], [-0.5]])

@@ -27,6 +27,7 @@ from neuralfp.persistence import (
     _canonical,
     _digest,
     _encode,
+    decode_config,
     load,
     load_container,
     save,
@@ -371,7 +372,7 @@ def scratch(tmp_path_factory):
 
 
 class TestProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(ds=datasets())
     def test_dataset_round_trip_is_bit_identical(self, scratch, ds):
         save(ds, scratch / "d.ds")
@@ -380,7 +381,7 @@ class TestProperties:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert (back.labels, back.seed) == (ds.labels, ds.seed)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(net=networks())
     def test_network_round_trip_is_bit_identical(self, scratch, net):
         save(net, scratch / "n.model")
@@ -388,7 +389,7 @@ class TestProperties:
         assert [w.shape for w in back.weights] == [w.shape for w in net.weights]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(net.weights, back.weights))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
     def test_any_flipped_body_byte_is_corrupt(self, scratch, where, bit):
         path = scratch / "flip.model"
@@ -399,3 +400,30 @@ class TestProperties:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptContainerError):
             load(path)
+
+
+class TestDecodeConfig:
+    def test_decodes_to_the_directly_built_config(self):
+        kwargs = decode_config(HierarchyConfig, {"hidden": {"Linux": 3}, "lam": 1}, "c")
+        assert HierarchyConfig(**kwargs) == HierarchyConfig(hidden={"Linux": 3}, lam=1.0)
+        assert type(kwargs["lam"]) is float
+        assert set(kwargs) == {"hidden", "lam"}
+
+    def test_extra_hints_join_the_fields(self):
+        got = decode_config(TrainConfig, {"hidden": None, "variance": 1}, "c",
+                            variance=float, hidden=int | None)
+        assert got == {"hidden": None, "variance": 1.0}
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "c: expected dict, got list"),
+        ({"bogus": 1, "lam": 0.1}, "c: unknown config keys ['bogus']"),
+        ({"hidden": [["Linux", 3]]}, "c.hidden: expected dict, got list"),
+        ({"hidden": {"Linux": 3.0}}, "c.hidden: expected int, got float"),
+        ({"adaptive": 1}, "c.adaptive: expected bool, got int"),
+        ({"seed": True}, "c.seed: expected int, got bool"),
+        ({"subset_size": "4"}, "c.subset_size: expected int, got str"),
+    ])
+    def test_mismatch_is_a_value_error_naming_the_key(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            decode_config(HierarchyConfig, obj, "c")
+        assert str(err.value) == message

@@ -147,7 +147,7 @@ def planted_columns(draw):
 
 
 class TestRankTestEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(X=planted_columns())
     def test_same_kept_columns_as_the_one_vector_loop(self, X):
         R = correlation_matrix(fit_normalizer(X).transform(X))
@@ -215,6 +215,15 @@ class TestPca:
         assert np.cumsum(w)[k - 1] / total >= 0.98
         if k > 1:
             assert np.cumsum(w)[k - 2] / total < 0.98
+
+    @pytest.mark.parametrize("variance", [0.0, -0.5, 1.5, float("nan")])
+    def test_variance_share_outside_unit_interval_is_rejected(self, variance):
+        with pytest.raises(ReductionError, match="not in"):
+            fit_pca(self.corr(), variance=variance)
+
+    def test_whole_variance_is_accepted(self):
+        _, _, share = fit_pca(self.corr(), variance=1.0)
+        assert share == pytest.approx(1.0, abs=1e-12)
 
     def test_component_variances_match_eigenvalues(self):
         rng = np.random.default_rng(11)

@@ -303,29 +303,29 @@ _DEMO = parse_fingerprint_db(demo_database())
 
 
 class TestProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(obs=observations())
     def test_observation_format_parse_is_identity(self, obs):
         assert parse_observation(format_observation(obs)) == obs
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(db=st.lists(signatures(), max_size=3))
     def test_db_serialize_parse_is_identity(self, db):
         assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(n=st.integers(1, 30), seed=st.integers(0, 2**16))
     def test_machine_written_db_round_trips(self, n, seed):
         db = parse_fingerprint_db(large_database(n, seed))
         assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(index=st.integers(0, len(_DEMO) - 1), seed=st.integers(0, 2**32 - 1))
     def test_sampled_observation_matches_its_signature(self, index, seed):
         sig = _DEMO[index]
         assert match_score(sig, sample_observation(sig, np.random.default_rng(seed))) == 1.0
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2**16), pick=st.integers(0, 2**32 - 1))
     def test_sampled_observation_matches_machine_written_signature(self, seed, pick):
         db = parse_fingerprint_db(large_database(10, seed))
