@@ -141,8 +141,11 @@ def _train_hierarchy_cmd(args, cfg: HierarchyConfig, digest: str) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_json = json.loads(_read(args.config)) if args.config else {}
     where = args.config or "--config"
+    try:
+        cfg_json = json.loads(_read(args.config)) if args.config else {}
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{where}: {exc}") from None
     if args.stage == "hierarchy":
         kwargs = decode_config(HierarchyConfig, cfg_json, where)
     else:

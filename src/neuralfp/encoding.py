@@ -198,9 +198,17 @@ def encode_observation(obs) -> np.ndarray:
     return np.frombuffer(_PACK.pack(*vec)).copy()
 
 
+# test -> the names of its fields that own slots
+_SLOTTED = {test: frozenset(f.name for f in fields) for test, fields in _BLOCKS}
+
+
 def has_encoded_field(obs) -> bool:
     """Whether obs carries a field that owns slots, i.e. any evidence at all."""
-    return any(f.name in obs.tests.get(test, ()) for test, fields in _BLOCKS for f in fields)
+    # a plain loop: this runs on every classify, and any() over a generator costs more
+    for test, values in obs.tests.items():
+        if not _SLOTTED.get(test, frozenset()).isdisjoint(values):
+            return True
+    return False
 
 
 def layout_table() -> list[tuple[int, str, str]]:

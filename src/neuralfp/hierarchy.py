@@ -141,6 +141,8 @@ def train_stage(
     """
     if len(X) == 0:
         raise HierarchyError(f"stage {stage!r} has an empty dataset")
+    if hidden is not None and hidden < 1:
+        raise HierarchyError(f"stage {stage!r}: hidden must be >= 1, got {hidden}")
     if resume is not None:
         width = len(resume.pipeline.normalizer.mean)
         if resume.labels != tuple(outputs) or width != X.shape[1]:
@@ -181,6 +183,10 @@ def train_hierarchy(
     names = [stage.split(":", 1)[-1] for stage in stages]
     if unknown := sorted(set(cfg.hidden) - set(names)):
         raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {names}")
+    # stage seeds and sizes derive from these: reject them before any stage trains
+    if cfg.seed < 0 or any(h < 1 for h in cfg.hidden.values()):
+        raise HierarchyError(f"hierarchy training needs seed >= 0 and every hidden size >= 1, "
+                             f"got seed {cfg.seed} and hidden {cfg.hidden}")
     # the TrainConfig fields the hierarchy config also names carry over
     shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
     trained: dict[str, Stage] = {}

@@ -10,6 +10,16 @@ adapts between generations: a generation that does not increase the error
 scales lambda up, a worse one scales it down, both within fixed bounds.
 Each generation visits the pairs in a freshly shuffled, seeded order.
 
+The per-pair kernel (_Workspace) allocates nothing: each step writes with
+`out=` into buffers built once per generation, and a step that is the
+same for every layer is one call on a flat buffer.  Each element still
+goes through the same numpy operations, in the same order, as in the
+plain formulas, and the -1 slot of each buffered activation turns the
+bias column into one more product: upd + lam * (-delta) equals
+upd - lam * delta bit for bit, since IEEE negation is exact.  So training
+gives the same weights as a loop that allocates every intermediate, and
+loss_gradient reads its gradient from the same kernel.
+
 Fitness G summarizes a net against labeled data: for one output,
 1 - (false positive rate + false negative rate) at threshold 0; for several,
 1 - share of argmax mismatches.
@@ -79,6 +89,8 @@ def init_mlp(sizes: tuple[int, ...] | list[int], seed: int = 0) -> Mlp:
     """Uniform init on [-r, r] with r = 1/sqrt(fan-in), bias included."""
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     weights = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -102,28 +114,97 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return _activations(mlp, x)[-1]
 
 
-def _deltas(mlp: Mlp, acts: list[np.ndarray], target: np.ndarray) -> list[np.ndarray]:
-    # output layer: f'(v)(y - v); hidden: f'(v) * backpropagated sum
-    deltas = [None] * len(mlp.weights)
-    out = acts[-1]
-    deltas[-1] = (1.0 - out * out) * (target - out)
-    for l in range(len(mlp.weights) - 2, -1, -1):
-        v = acts[l + 1]
-        deltas[l] = (1.0 - v * v) * (mlp.weights[l + 1][:, 1:].T @ deltas[l + 1])
-    return deltas
+def _flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A copy of arrays in one buffer, and a view of it shaped like each."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    return flat, [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _extended(inputs: np.ndarray) -> np.ndarray:
+    """Each input row behind the fixed -1 of the bias input: [-1, x]."""
+    xe = np.empty((len(inputs), inputs.shape[1] + 1))
+    xe[:, 0] = -1.0
+    xe[:, 1:] = inputs
+    return xe
+
+
+class _Workspace:
+    """Buffers for one net's online backprop, and the per-pair step on them.
+
+    A pair's input arrives as [-1, x], and each later layer's output sits
+    in one activation buffer behind a fixed -1.  The weights, the momentum
+    state and the gradient are each one flat copy; an element-wise
+    operation gives each element the same bits however the elements are
+    grouped, so one call on a flat buffer stands for one call per layer.
+    """
+
+    def __init__(self, mlp: Mlp, update: list[np.ndarray]):
+        sizes = mlp.sizes[1:]
+        starts = np.cumsum([0] + [n + 1 for n in sizes])
+        act = np.empty(starts[-1])
+        act[starts[:-1]] = -1.0
+        ext = [act[i:i + n + 1] for i, n in zip(starts, sizes)]
+        self.out = out = ext[-1][1:]
+        # f'(v) = 1 - v^2 for every layer in one go; the -1 slots give 0
+        fprime_all = np.empty_like(act)
+        fprime = [fprime_all[i + 1:i + 1 + n] for i, n in zip(starts, sizes)]
+        self.w, self.weights = _flat(mlp.weights)
+        self.upd, self.updates = _flat(update)
+        self.g, self.grad = _flat(mlp.weights)
+        delta = [np.empty(n) for n in sizes]
+        delta_col = [d[:, None] for d in delta]
+        # per layer: v, W[:, 1:], W[:, 0]
+        forward_steps = [(e[1:], W[:, 1:], W[:, 0]) for e, W in zip(ext, self.weights)]
+        # per hidden layer, last first: W[:, 1:].T of the layer above and its delta,
+        # a buffer for the backpropagated sum, f'(v) and delta
+        backward_steps = [(self.weights[l + 1][:, 1:].T, delta[l + 1], np.empty(sizes[l]),
+                           fprime[l], delta[l]) for l in range(len(sizes) - 2, -1, -1)]
+        # past the first layer: delta[:, None], [-1, a] below and the gradient view
+        outer_steps = list(zip(delta_col[1:], ext, self.grad[1:]))
+        delta_col0, grad0, fprime_out, delta_out = delta_col[0], self.grad[0], fprime[-1], delta[-1]
+        matvec, matmul, multiply, subtract, tanh = np.matvec, np.matmul, np.multiply, np.subtract, np.tanh
+
+        # numpy's call overhead on arrays of a few elements is the whole cost
+        # here, so the step closes over its buffers rather than looking them
+        # up, and passes each output buffer as the positional `out` argument,
+        # which skips the keyword parsing
+        def pair(xe: np.ndarray, y: np.ndarray, err: np.ndarray) -> None:
+            """Forward [-1, x] as _activations does, set err = y - v, and leave
+            every layer's delta [-1, a] (minus E's gradient) in grad.
+
+            Output delta: f'(v)(y - v); hidden: f'(v) * backpropagated sum.
+            """
+            a = xe[1:]
+            for v, W, b in forward_steps:
+                matvec(W, a, v)
+                subtract(v, b, v)
+                tanh(v, v)
+                a = v
+            subtract(y, out, err)
+            multiply(act, act, fprime_all)
+            subtract(_ONE, fprime_all, fprime_all)
+            multiply(fprime_out, err, delta_out)
+            for WT, above, s, fp, d in backward_steps:
+                matmul(WT, above, s)
+                multiply(fp, s, d)
+            multiply(delta_col0, xe, grad0)
+            for d, e, g in outer_steps:
+                multiply(d, e, g)
+
+        self.pair = pair
+
+
+# a 0-d array passes its double to a ufunc without a Python float's conversion
+_ONE = np.array(1.0)
 
 
 def loss_gradient(mlp: Mlp, x: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
     """Gradient of E = 1/2 sum (y - v)^2 with respect to every weight."""
-    acts = _activations(mlp, x)
-    deltas = _deltas(mlp, acts, np.asarray(target, dtype=float))
-    grads = []
-    for l, delta in enumerate(deltas):
-        g = np.empty_like(mlp.weights[l])
-        g[:, 0] = delta          # bias input is fixed at -1
-        g[:, 1:] = -np.outer(delta, acts[l])
-        grads.append(g)
-    return grads
+    ws = _Workspace(mlp, mlp.weights)  # its momentum buffer goes unused
+    ws.pair(_extended(np.asarray(x, dtype=float)[None, :])[0], np.asarray(target, dtype=float),
+            np.empty(mlp.sizes[-1]))
+    return [-g for g in ws.grad]
 
 
 def backprop_generation(
@@ -137,23 +218,29 @@ def backprop_generation(
     """One pass over the pairs with per-pair updates.
 
     Returns the generation error (each pair's error taken at its own
-    forward pass, before its update) and the final momentum state.
+    forward pass, before its update) and the final momentum state, which
+    is prev_update updated in place.  Each layer's update is
+    mu * upd + lam * delta [-1, a].
     """
     if prev_update is None:
         prev_update = [np.zeros_like(W) for W in mlp.weights]
+    ws = _Workspace(mlp, prev_update)
+    pair, g, upd, w = ws.pair, ws.g, ws.upd, ws.w
+    lam, momentum = np.array(lam), np.array(momentum)
+    errors = np.empty(targets.shape)
+    for xe, y, err in zip(_extended(inputs), targets, errors):
+        pair(xe, y, err)
+        g *= lam
+        upd *= momentum
+        upd += g
+        w += upd
+    for dst, src in zip(mlp.weights + prev_update, ws.weights + ws.updates):
+        np.copyto(dst, src)
+    # err @ err of each pair, summed in pair order
     total = 0.0
     n_out = targets.shape[1]
-    for x, y in zip(inputs, targets):
-        acts = _activations(mlp, x)
-        err = y - acts[-1]
-        total += float(err @ err) / n_out
-        deltas = _deltas(mlp, acts, y)
-        for l, delta in enumerate(deltas):
-            upd = prev_update[l]
-            upd *= momentum
-            upd[:, 0] -= lam * delta
-            upd[:, 1:] += lam * (delta[:, None] * acts[l])
-            mlp.weights[l] += upd
+    for e in np.vecdot(errors, errors).tolist():
+        total += e / n_out
     return total / len(inputs), prev_update
 
 
@@ -172,10 +259,11 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     is raised.  A subset size covering all the data is one plain run
     plus one G.
     """
-    if not (cfg.generations >= 1 and cfg.lam > 0
-            and (cfg.subset_size is None or cfg.subset_size >= 1)):
-        raise ValueError(f"training needs generations >= 1, lam > 0 and subset_size >= 1 or "
-                         f"None, got {cfg.generations}, {cfg.lam!r} and {cfg.subset_size}")
+    in_range = {"generations": cfg.generations >= 1, "lam": cfg.lam > 0, "seed": cfg.seed >= 0,
+                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1}
+    if bad := [key for key, ok in in_range.items() if not ok]:
+        raise ValueError("training needs generations >= 1, lam > 0, seed >= 0 and subset_size >= 1 "
+                         "or None, got " + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(inputs)

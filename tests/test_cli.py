@@ -215,7 +215,9 @@ class TestTrain:
         assert "'linux'" in err[0] and "'Linux'" in err[0]
         assert not (tmp_path / "h.model").exists()
 
-    # each config names the key it gets wrong, or None for a value out of range
+    # each config names the key it gets wrong in a type error, None for values
+    # out of range (the message names each key of the config), "" for an
+    # unknown key; text that is not JSON is named by its path
     @pytest.mark.parametrize("config, key", [
         ({"hidden": "a"}, "hidden"),
         ({"generations": "x"}, "generations"),
@@ -229,10 +231,14 @@ class TestTrain:
         ({"variance": 0}, None),
         ({"variance": 2}, None),
         ({"generations": 2, "bogus": 1}, ""),
+        ({"seed": -1}, None),
+        ({"hidden": 0}, None),
+        (b'{"generations" 2}', None),
+        (b'{"generations": "\xff"}', None),
     ])
     def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         assert main(["train", "--dataset", str(family40), "--config", str(cfg),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -241,6 +247,23 @@ class TestTrain:
             assert err[0].startswith(f"error: {cfg}.{key}: expected ")
         elif key == "":
             assert err[0] == f"error: {cfg}: unknown config keys ['bogus']"
+        elif isinstance(config, dict):
+            assert all(name in err[0] for name in config)
+        else:
+            assert err[0].startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [{"seed": -1}, {"hidden": {"Linux": 0}}])
+    def test_hierarchy_range_is_checked_before_training(self, work, tmp_path, capsys,
+                                                         monkeypatch, config):
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: hierarchy training needs ")
+        assert all(name in err[0] for name in config)
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [

@@ -5,7 +5,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralfp.encoding import (
@@ -20,6 +20,7 @@ from neuralfp.encoding import (
     encode_endpoint_map,
     encode_observation,
     feature_label,
+    has_encoded_field,
     layout_table,
 )
 from neuralfp.corpus import demo_database, large_database
@@ -28,6 +29,7 @@ from neuralfp.signatures import (
     KNOWN_FIELDS,
     AnyValue,
     FieldConstraint,
+    Observation,
     parse_fingerprint_db,
     parse_observation,
 )
@@ -400,6 +402,22 @@ class TestVocabulary:
             allowed[g.start:g.stop] = True
         assert not vec[~allowed].any()
         assert vec[f.start:f.stop].any() == (f.stop > f.start)
+
+    @settings(max_examples=200)
+    @given(tests=st.dictionaries(
+        st.sampled_from(sorted({f.test for f in FIELDS}) + ["T9"]),
+        st.dictionaries(st.sampled_from(sorted({f.name for f in FIELDS}) + ["ZZ"]),
+                        st.sampled_from(["1", "N", "Y"]), max_size=3),
+        max_size=4))
+    @example(tests={"T9": {"W": "1"}})
+    @example(tests={"TSeq": {}})
+    @example(tests={"PU": {"Resp": "N"}})
+    @example(tests={"TSeq": {"PAD": "1"}, "PU": {"Resp": "Y"}})
+    def test_has_encoded_field_is_the_walk_over_the_table(self, tests):
+        obs = Observation(None, tests)
+        walk = any(f.name in tests.get(f.test, ()) for f in FIELDS
+                   if f.kind not in ("pad", "unslotted"))
+        assert has_encoded_field(obs) == walk
 
     def test_only_pu_resp_owns_no_slot(self):
         assert [(f.test, f.name) for f in FIELDS if f.start == f.stop] == [("PU", "Resp")]

@@ -1,5 +1,6 @@
 """Decision cascade: training, classification, reporting, evaluation."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -106,6 +107,27 @@ class TestTraining:
         obs = sample_observation(_pick(db, "Linux", "2.4.X"), np.random.default_rng(0))
         result = classify(model, obs)
         assert result.verdict[0] == "Linux"
+
+
+class TestGolden:
+    # recorded before the buffered backprop kernel: training must keep these bits
+    SCAN_RECIPE_DIGEST = "5df6d9e34d855a33863b9e417ea17eb0b08284a06894068abe584ccdcd48023e"
+
+    def test_scan_recipe_weights_and_histories(self, db):
+        # the bench scan recipe: corpus seed 42, 1000 rows, 30 generations
+        ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)
+        cfg = HierarchyConfig(seed=7, generations=30, windows=True)
+        model = train_hierarchy(db, cfg=cfg, corpus=(ds.inputs, ds.labels))
+        nets = {"relevance": model.relevance.net, "family": model.family.net,
+                **{name: stage.net for name, stage in model.versions.items()},
+                "windows": model.windows.net}
+        h = hashlib.sha256()
+        for name, net in nets.items():
+            h.update(name.encode())
+            for W in net.weights:
+                h.update(W.tobytes())
+            h.update(repr(net.history.rows).encode())
+        assert h.hexdigest() == self.SCAN_RECIPE_DIGEST
 
 
 class TestClassification:

@@ -1,14 +1,18 @@
 """Perceptron math, backprop against finite differences, training loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralfp import neural
 from neuralfp.neural import (
     Mlp,
     TrainConfig,
     TrainingDivergedError,
+    _Workspace,
     backprop_generation,
     fitness_g,
     forward,
@@ -16,6 +20,53 @@ from neuralfp.neural import (
     loss_gradient,
     train,
 )
+
+
+def one_pair_at_a_time(mlp, inputs, targets, lam, momentum, prev_update=None):
+    """The reference online backprop: every intermediate a fresh array.
+
+    backprop_generation must give the same bits: same weights, same
+    momentum state, same generation error.
+    """
+    if prev_update is None:
+        prev_update = [np.zeros_like(W) for W in mlp.weights]
+    total = 0.0
+    n_out = targets.shape[1]
+    for x, y in zip(inputs, targets):
+        acts = [np.ascontiguousarray(x, dtype=float)]
+        for W in mlp.weights:
+            acts.append(np.tanh(np.matvec(W[:, 1:], acts[-1]) - W[:, 0]))
+        err = y - acts[-1]
+        total += float(err @ err) / n_out
+        # output layer: f'(v)(y - v); hidden: f'(v) * backpropagated sum
+        deltas = [None] * len(mlp.weights)
+        out = acts[-1]
+        deltas[-1] = (1.0 - out * out) * (y - out)
+        for l in range(len(mlp.weights) - 2, -1, -1):
+            v = acts[l + 1]
+            deltas[l] = (1.0 - v * v) * (mlp.weights[l + 1][:, 1:].T @ deltas[l + 1])
+        for l, delta in enumerate(deltas):
+            upd = prev_update[l]
+            upd *= momentum
+            upd[:, 0] -= lam * delta
+            upd[:, 1:] += lam * (delta[:, None] * acts[l])
+            mlp.weights[l] += upd
+    return total / len(inputs), prev_update
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@st.composite
+def nets_and_pairs(draw):
+    """A net of 1-3 weight layers (widths 1-30) and 1-60 pairs for it."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
+    rows = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-3, 3, size=(rows, sizes[0]))
+    Y = np.where(rng.random((rows, sizes[-1])) < 0.5, -1.0, 1.0)
+    return init_mlp(sizes, seed=int(rng.integers(2**32))), X, Y, rng
 
 
 def fd_gradient(mlp, x, y, h=1e-5):
@@ -93,6 +144,8 @@ class TestInit:
             init_mlp([4], seed=0)
         with pytest.raises(ValueError):
             init_mlp([4, 0, 2], seed=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            init_mlp([4, 3, 2], seed=-1)
 
     def test_sizes_property(self):
         assert init_mlp([6, 5, 4], seed=0).sizes == (6, 5, 4)
@@ -129,6 +182,57 @@ class TestGradient:
         for b, W, u in zip(before, net.weights, update):
             assert np.allclose(W - b, 0.008, atol=1e-15)
             assert np.allclose(u, 0.008, atol=1e-15)
+
+
+class TestKernelAgainstOracle:
+    """The buffered per-pair kernel against the allocate-everything loop."""
+
+    @settings(max_examples=150)
+    @given(case=nets_and_pairs(), lam=st.floats(0.001, 1.0), momentum=st.floats(0.0, 0.99),
+           carried=st.booleans())
+    def test_generation_is_bit_identical(self, case, lam, momentum, carried):
+        net, X, Y, rng = case
+        twin = Mlp([W.copy() for W in net.weights])
+        prev = [rng.uniform(-0.1, 0.1, W.shape) for W in net.weights]
+
+        def carry():
+            return [u.copy() for u in prev] if carried else None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse, update = backprop_generation(net, X, Y, lam, momentum, carry())
+            want_mse, want_update = one_pair_at_a_time(twin, X, Y, lam, momentum, carry())
+        assert np.float64(mse).tobytes() == np.float64(want_mse).tobytes()
+        assert same_bits(net.weights, twin.weights)
+        assert same_bits(update, want_update)
+
+    @settings(max_examples=40)
+    @given(case=nets_and_pairs(), lam=st.floats(0.001, 0.5), subsets=st.booleans())
+    def test_train_is_bit_identical(self, case, lam, subsets):
+        net, X, Y, _ = case
+        twin = Mlp([W.copy() for W in net.weights])
+        cfg = TrainConfig(generations=4, lam=lam, seed=3,
+                          subset_size=max(1, len(X) // 3) if subsets else None)
+
+        def run(mlp):
+            try:
+                return train(mlp, X, Y, cfg).rows
+            except TrainingDivergedError as exc:
+                return exc.generation
+
+        got = run(net)
+        with mock.patch.object(neural, "backprop_generation", one_pair_at_a_time):
+            want = run(twin)
+        assert repr(got) == repr(want)
+        assert same_bits(net.weights, twin.weights)
+
+    @settings(max_examples=60)
+    @given(case=nets_and_pairs())
+    def test_workspace_forward_is_forward(self, case):
+        net, X, Y, _ = case
+        ws = _Workspace(net, net.weights)
+        for x, xe, y in zip(X, neural._extended(X), Y):
+            ws.pair(xe, y, np.empty(len(y)))
+            assert ws.out.tobytes() == forward(net, x).tobytes()
 
 
 class TestGenerationError:
@@ -196,12 +300,13 @@ class TestTraining:
 
     @pytest.mark.parametrize("bad", [{"generations": 0}, {"generations": -3}, {"lam": 0.0},
                                      {"lam": float("nan")}, {"subset_size": 0},
-                                     {"subset_size": -5}])
+                                     {"subset_size": -5}, {"seed": -1}])
     def test_out_of_range_config_is_a_value_error(self, bad):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])
         net = init_mlp([1, 2, 1], seed=6)
-        with pytest.raises(ValueError, match="training needs"):
+        (key, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^training needs .*, got {key}={value!r}$"):
             train(net, X, Y, TrainConfig(**bad))
         assert net.history is None
 
