@@ -102,6 +102,8 @@ def _write_curves(model, out: str, source: str) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     db = _load_db(args.db)
     prev = _load_prevalence(args.prevalence)
     ds = generate_dataset(db, prev, args.total, stage=args.stage, seed=args.seed)

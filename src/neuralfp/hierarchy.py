@@ -20,6 +20,7 @@ from .datagen import (
     SampleLabel,
     generate_dataset,
     in_stage,
+    resolve_weights,
     stage_outputs,
     stage_targets,
 )
@@ -83,10 +84,6 @@ class HierarchyModel:
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     windows: WindowsRefiner | None = None
-
-    @property
-    def family_labels(self) -> tuple[str, ...]:
-        return self.family.labels
 
 
 @dataclass(frozen=True)
@@ -187,6 +184,10 @@ def train_hierarchy(
     if cfg.seed < 0 or any(h < 1 for h in cfg.hidden.values()):
         raise HierarchyError(f"hierarchy training needs seed >= 0 and every hidden size >= 1, "
                              f"got seed {cfg.seed} and hidden {cfg.hidden}")
+    # the relevance stage samples every signature of positive weight at least once
+    if corpus is None and cfg.samples < (need := sum(w > 0 for w in resolve_weights(db, prev))):
+        raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
+                             f"signature count, got samples {cfg.samples}")
     # the TrainConfig fields the hierarchy config also names carry over
     shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
     trained: dict[str, Stage] = {}

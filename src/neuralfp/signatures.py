@@ -14,7 +14,8 @@ a comparison (``<1C``, ``>5``, hex bounds) or a ``&``-conjunction of
 comparisons.  ``#`` starts a comment line.  Whitespace around tokens is
 ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
 
-Observations use the same test-line grammar but carry concrete values only.
+Observations use the same test-line grammar but carry concrete values only;
+a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
 """
 
 from __future__ import annotations
@@ -143,25 +144,12 @@ def _parse_atom(text: str, lineno: int) -> Atom:
     return Const(text)
 
 
-def _parse_field(tid: str, token: str, lineno: int) -> FieldConstraint:
-    if "=" not in token:
-        raise ParseError(f"missing '=' in {token!r}", lineno)
-    name, _, expr = token.partition("=")
-    name = name.strip()
-    expr = expr.strip()
-    canonical = _FIELD_CASE.get(tid, {}).get(name.lower())
-    if canonical is None:
-        log.warning("line %d: unknown field %s.%s kept verbatim", lineno, tid, name)
-        return FieldConstraint(name, AnyValue(expr))
-    if canonical in NUMERIC_FIELDS:
-        expr = expr.upper()
-    alts = tuple(_parse_atom(a, lineno) for a in expr.split("|"))
-    if len(alts) == 1:
-        return FieldConstraint(canonical, alts[0])
-    return FieldConstraint(canonical, OneOf(alts))
+def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool, str]]]:
+    """Tokenize one test line into its id and its fields, in line order.
 
-
-def _parse_test_line(line: str, lineno: int) -> tuple[str, tuple[FieldConstraint, ...]]:
+    Each field is (name, known, expr): the canonical name of a known field or
+    the raw name of an unknown one, and the stripped expression, unparsed.
+    """
     m = _TEST_RE.match(line)
     if not m:
         raise ParseError(f"unrecognized line {line!r}", lineno)
@@ -175,20 +163,36 @@ def _parse_test_line(line: str, lineno: int) -> tuple[str, tuple[FieldConstraint
             raise ParseError(f"text after ')' in {line!r}", lineno)
     else:
         log.warning("line %d: unterminated test line %r", lineno, line)
-    if tid not in KNOWN_FIELDS:
+    if tid not in _FIELD_CASE:
         log.warning("line %d: unknown test id %s", lineno, tid)
-    rules = []
+    cases = _FIELD_CASE.get(tid, {})
+    fields = []
     seen = set()
     for token in body.split("%"):
-        token = token.strip()
-        if not token:
+        name, eq, expr = token.partition("=")
+        if not eq:
+            if token.strip():
+                raise ParseError(f"missing '=' in {token.strip()!r}", lineno)
             continue
-        rule = _parse_field(tid, token, lineno)
-        if rule.field in seen:
-            raise ParseError(f"duplicate field {rule.field} in {tid}", lineno)
-        seen.add(rule.field)
-        rules.append(rule)
-    return tid, tuple(rules)
+        name = name.strip()
+        canonical = cases.get(name.lower())
+        if canonical is None:
+            log.warning("line %d: unknown field %s.%s kept verbatim", lineno, tid, name)
+        key = canonical or name
+        if key in seen:
+            raise ParseError(f"duplicate field {key} in {tid}", lineno)
+        seen.add(key)
+        fields.append((key, canonical is not None, expr.strip()))
+    return tid, fields
+
+
+def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
+    if not known:
+        return FieldConstraint(name, AnyValue(expr))
+    if name in NUMERIC_FIELDS:
+        expr = expr.upper()
+    alts = tuple(_parse_atom(a, lineno) for a in expr.split("|"))
+    return FieldConstraint(name, alts[0] if len(alts) == 1 else OneOf(alts))
 
 
 def parse_fingerprint_db(text: str) -> list[Signature]:
@@ -224,7 +228,8 @@ def parse_fingerprint_db(text: str) -> list[Signature]:
             continue
         if name is None:
             raise ParseError("test line before any Fingerprint line", lineno)
-        tid, rules = _parse_test_line(line, lineno)
+        tid, fields = _split_test_line(line, lineno)
+        rules = tuple(_parse_rule(*f, lineno) for f in fields)
         if tid in tests:
             raise ParseError(f"duplicate test {tid}", lineno)
         tests[tid] = rules
@@ -325,9 +330,6 @@ def best_fit(db: list[Signature], obs: Observation, top: int = 10) -> list[tuple
     return scored[: max(top, 0)]
 
 
-_VALUE_OK_RE = re.compile(r"^[^|<>&]*$")
-
-
 def parse_observations(text: str) -> list[Observation]:
     """Parse one or more observation blocks.
 
@@ -355,18 +357,15 @@ def parse_observations(text: str) -> list[Observation]:
             flush()
             name, started = m.group(1), True
             continue
-        tid, rules = _parse_test_line(line, lineno)
-        fields: dict[str, str] = {}
-        for rule in rules:
-            if isinstance(rule.constraint, Const):
-                fields[rule.field] = rule.constraint.value
-            elif isinstance(rule.constraint, AnyValue) and _VALUE_OK_RE.match(rule.constraint.raw):
-                fields[rule.field] = rule.constraint.raw
-            else:
-                raise ParseError(f"constraint syntax in observation field {rule.field}", lineno)
+        tid, fields = _split_test_line(line, lineno)
+        values = {}
+        for key, known, expr in fields:
+            if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
+                raise ParseError(f"constraint syntax in observation field {key}", lineno)
+            values[key] = expr.upper() if known and key in NUMERIC_FIELDS else expr
         if tid in tests:
             raise ParseError(f"duplicate test {tid}", lineno)
-        tests[tid] = fields
+        tests[tid] = values
         started = True
     flush()
     return obs

@@ -111,6 +111,13 @@ class TestGenerate:
                      "--out", "/tmp/never.ds"]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_negative_seed_is_exit_1_and_one_line(self, work, tmp_path, capsys):
+        out = tmp_path / "neg.ds"
+        assert main(["generate", "--db", str(work["db"]), "--total", "100",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_determinism(self, work, tmp_path):
         a, b = tmp_path / "a.ds", tmp_path / "b.ds"
         for out in (a, b):
@@ -264,6 +271,20 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: hierarchy training needs ")
         assert all(name in err[0] for name in config)
+        assert not out.exists()
+
+    def test_hierarchy_samples_are_checked_before_training(self, work, tmp_path, capsys,
+                                                           monkeypatch):
+        # the demo db has 61 signatures, each of positive weight without --prevalence
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        monkeypatch.setattr(hierarchy, "train_stage", None)
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text(json.dumps({"samples": 5}))
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hierarchy training needs samples >= 61, the positive-weight signature "
+            "count, got samples 5"]
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [

@@ -64,7 +64,7 @@ def _pick(db, family, line=None):
 
 class TestTraining:
     def test_stage_inventory(self, model):
-        assert model.family_labels == RELEVANT_FAMILIES
+        assert model.family.labels == RELEVANT_FAMILIES
         # Windows versions come from DCE-RPC, never from a TCP/IP stage
         assert set(model.versions) == set(RELEVANT_FAMILIES) - {"Windows"}
         assert model.windows is not None
