@@ -21,7 +21,6 @@ from .dcerpc import (
     WindowsLabelSpace,
     WindowsRefiner,
     WindowsVerdict,
-    classify_windows,
     parse_endpoint_dump,
     report_windows,
     synthetic_windows_corpus,

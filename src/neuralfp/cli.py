@@ -215,6 +215,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     db = _load_db(args.db)
     obs = parse_observation(_read(args.obs))
     ranked = best_fit(db, obs, top=args.top)

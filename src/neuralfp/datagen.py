@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class PrevalenceTable:
                 w = float(head)
             except ValueError:
                 raise GenerationError(f"prevalence line {lineno}: bad weight {head!r}") from None
-            if w < 0 or not name.strip():
-                raise GenerationError(f"prevalence line {lineno}: need non-negative weight and name")
+            if not isfinite(w) or w < 0 or not name.strip():
+                raise GenerationError(f"prevalence line {lineno}: need a finite non-negative weight and name")
             weights[name.strip()] = w
         return cls(weights)
 
@@ -98,6 +98,8 @@ def resolve_weights(db: list[Signature], prev: PrevalenceTable | None) -> list[f
             elif fam in prev.weights:
                 weights[i] = prev.weights[fam] / family_sizes[fam]
     mass = sum(weights)
+    if not isfinite(mass):
+        raise GenerationError(f"signature weights must sum to a finite number, got {mass}")
     if mass <= 0:
         raise GenerationError("all signature weights are zero")
     return [w / mass for w in weights]
@@ -243,6 +245,9 @@ def generate_dataset(
     """Synthesize an encoded, labeled corpus for one pipeline stage."""
     output_labels = stage_outputs(db, stage)
     labeled = [(sig, sample_label(sig)) for sig in db]
+    known = {name for _, label in labeled for name in (label.signature, label.family)}
+    if prev is not None and (unknown := sorted(set(prev.weights) - known)):
+        raise GenerationError(f"prevalence names no signature or family of the db: {', '.join(unknown)}")
     slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
     if not slice_:
         raise GenerationError(f"stage {stage!r} has no signatures to sample")

@@ -5,12 +5,15 @@ and how to reach them.  Which programs are present discriminates Windows
 version, edition, and service pack, so a single perceptron over the
 endpoint schema decodes all three at once; the edition and service-pack
 decisions are read from disjoint neuron groups and never interact.
+`WindowsLabelSpace.neurons` declares that output layout once, as the
+(group, version, value) of each neuron, e.g. ("edition", "XP", "Home").
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +31,6 @@ __all__ = [
     "WindowsLabelSpace",
     "WindowsRefiner",
     "WindowsVerdict",
-    "classify_windows",
     "format_endpoint_dump",
     "parse_endpoint_dump",
     "report_windows",
@@ -116,7 +118,7 @@ class WindowsLabelSpace:
 
     Editions and service packs are grouped under their version; the
     three decisions are decoded independently from disjoint neuron
-    ranges.
+    groups.
     """
 
     versions: tuple[str, ...]
@@ -141,44 +143,37 @@ class WindowsLabelSpace:
             },
         )
 
+    @cached_property
+    def neurons(self) -> tuple[tuple[str, str | None, str], ...]:
+        """(group, version, value) of each output neuron, in output order."""
+        table = [("version", None, v) for v in self.versions]
+        for group, values in (("edition", self.editions), ("sp", self.service_packs)):
+            table += [(group, v, x) for v in self.versions for x in values[v]]
+        return tuple(table)
+
+    @cached_property
+    def _groups(self) -> dict[tuple[str, str | None], range]:
+        groups: dict[tuple[str, str | None], list[int]] = {}
+        for i, (group, version, _) in enumerate(self.neurons):
+            groups.setdefault((group, version), []).append(i)
+        return {key: range(idx[0], idx[-1] + 1) for key, idx in groups.items()}
+
+    def indices(self, group: str, version: str | None = None) -> range:
+        """Output indices of the versions, or of one version's "edition" or "sp"."""
+        return self._groups[(group, version)]
+
     @property
     def total(self) -> int:
-        ed = sum(len(v) for v in self.editions.values())
-        sp = sum(len(v) for v in self.service_packs.values())
-        return len(self.versions) + ed + sp
+        return len(self.neurons)
 
     def neuron_labels(self) -> list[str]:
-        out = [f"version {v}" for v in self.versions]
-        for v in self.versions:
-            out += [f"{v} edition {e}" for e in self.editions[v]]
-        for v in self.versions:
-            out += [f"{v} sp{s}" for s in self.service_packs[v]]
-        return out
-
-    def version_index(self, version: str) -> int:
-        return self.versions.index(version)
-
-    def edition_indices(self, version: str) -> range:
-        base = len(self.versions)
-        for v in self.versions:
-            if v == version:
-                return range(base, base + len(self.editions[v]))
-            base += len(self.editions[v])
-        raise KeyError(version)
-
-    def sp_indices(self, version: str) -> range:
-        base = len(self.versions) + sum(len(e) for e in self.editions.values())
-        for v in self.versions:
-            if v == version:
-                return range(base, base + len(self.service_packs[v]))
-            base += len(self.service_packs[v])
-        raise KeyError(version)
+        infix = {"version": "version ", "edition": " edition ", "sp": " sp"}
+        return [f"{v or ''}{infix[g]}{x}" for g, v, x in self.neurons]
 
     def target_vector(self, version: str, edition: str, sp: str) -> np.ndarray:
         y = np.full(self.total, -1.0)
-        y[self.version_index(version)] = 1.0
-        y[self.edition_indices(version)[self.editions[version].index(edition)]] = 1.0
-        y[self.sp_indices(version)[self.service_packs[version].index(sp)]] = 1.0
+        for n in (("version", None, version), ("edition", version, edition), ("sp", version, sp)):
+            y[self.neurons.index(n)] = 1.0
         return y
 
 
@@ -195,51 +190,42 @@ class WindowsVerdict:
         return f"Windows {self.version} {self.edition} sp{self.service_pack}"
 
 
-def classify_windows(
-    net: Mlp, schema: EndpointSchema, labels: WindowsLabelSpace, dump: EndpointMap
-) -> WindowsVerdict:
-    """Decode (version, edition, service pack) from one endpoint dump.
+@dataclass
+class WindowsRefiner:
+    """A trained endpoint classifier bundled with its schema and labels."""
 
-    The three argmaxes run over disjoint neuron groups: mistakes in one
-    dimension cannot move the others.
-    """
-    vec = encode_endpoint_map(schema, dump)
-    low_confidence = not np.any(vec > 0.0)
-    out = forward(net, vec)
-    version = labels.versions[int(np.argmax(out[: len(labels.versions)]))]
-    ed_idx = labels.edition_indices(version)
-    edition = labels.editions[version][int(np.argmax(out[ed_idx.start : ed_idx.stop]))]
-    sp_idx = labels.sp_indices(version)
-    sp = labels.service_packs[version][int(np.argmax(out[sp_idx.start : sp_idx.stop]))]
-    scores = dict(zip(labels.neuron_labels(), (float(v) for v in out)))
-    return WindowsVerdict(version, edition, sp, scores, low_confidence, labels)
+    net: Mlp
+    schema: EndpointSchema
+    labels: WindowsLabelSpace
+
+    def classify(self, dump: EndpointMap) -> WindowsVerdict:
+        """Decode (version, edition, service pack) from one endpoint dump."""
+        vec = encode_endpoint_map(self.schema, dump)
+        out = forward(self.net, vec)
+
+        def pick(group: str, version: str | None = None) -> str:
+            idx = self.labels.indices(group, version)
+            return self.labels.neurons[idx[int(np.argmax(out[idx.start : idx.stop]))]][2]
+
+        version = pick("version")
+        scores = dict(zip(self.labels.neuron_labels(), out.tolist()))
+        return WindowsVerdict(version, pick("edition", version), pick("sp", version),
+                              scores, not np.any(vec > 0.0), self.labels)
 
 
 def report_windows(verdict: WindowsVerdict) -> str:
     """Grouped two-column listing of the endpoint classifier's scores."""
-    labels = verdict.labels
+    labels, v = verdict.labels, verdict.version
     out = list(verdict.scores.values())
     lines = ["DCE-RPC Windows analysis"]
     if verdict.low_confidence:
         lines.append("  (no known UUID present; low confidence)")
-
-    def section(title, names, idx):
-        lines.append(title)
-        for label, i in sorted(zip(names, idx), key=lambda p: -out[p[1]]):
-            lines.append(f"    {out[i]:.8f} {label}")
-
-    section("Windows version analysis", labels.versions, range(len(labels.versions)))
-    v = verdict.version
-    section(
-        f"Windows {v} edition analysis",
-        labels.editions[v],
-        labels.edition_indices(v),
-    )
-    section(
-        f"Windows {v} service pack analysis",
-        [f"sp{s}" for s in labels.service_packs[v]],
-        labels.sp_indices(v),
-    )
+    for group, version, title in (("version", None, "version"), ("edition", v, f"{v} edition"),
+                                  ("sp", v, f"{v} service pack")):
+        lines.append(f"Windows {title} analysis")
+        for i in sorted(labels.indices(group, version), key=lambda i: -out[i]):
+            value = labels.neurons[i][2]
+            lines.append(f"    {out[i]:.8f} {'sp' + value if group == 'sp' else value}")
     return "\n".join(lines)
 
 
@@ -264,19 +250,19 @@ def _template(labels: WindowsLabelSpace, version: str, edition: str, sp: str) ->
             _uuid(1, i), "core service",
             (("ncalrpc", f"LRPC{i:05X}"), ("ncacn_ip_tcp", f"{1024 + i}")),
         ))
-    vi = labels.version_index(version)
+    vi = labels.neurons.index(("version", None, version))
     for i in range(3):
         progs.append(RpcProgram(
             _uuid(16 + vi, i), f"{version} service",
             (("ncacn_np", rf"\PIPE\svc{vi}{i}"), ("ncadg_ip_udp", None)),
         ))
-    ei = list(labels.edition_indices(version))[labels.editions[version].index(edition)]
+    ei = labels.neurons.index(("edition", version, edition))
     for i in range(2):
         progs.append(RpcProgram(
             _uuid(64 + ei, i), f"{edition} service",
             (("ncalrpc", f"ED{ei:04X}{i}"),),
         ))
-    si = list(labels.sp_indices(version))[labels.service_packs[version].index(sp)]
+    si = labels.neurons.index(("sp", version, sp))
     progs.append(RpcProgram(
         _uuid(128 + si, 0), f"sp{sp} hotfix service",
         (("ncacn_ip_tcp", f"{2048 + si}"), ("ncalrpc", f"SP{si:04X}")),
@@ -285,10 +271,7 @@ def _template(labels: WindowsLabelSpace, version: str, edition: str, sp: str) ->
 
 
 def synthetic_windows_corpus(
-    labels: WindowsLabelSpace | None = None,
-    per_triple: int = 8,
-    seed: int = 0,
-    dropout: float = 0.1,
+    per_triple: int = 8, seed: int = 0, dropout: float = 0.1
 ) -> list[tuple[EndpointMap, tuple[str, str, str]]]:
     """Jittered exemplars for every (version, edition, sp) combination.
 
@@ -296,7 +279,7 @@ def synthetic_windows_corpus(
     loses every binding disappears from the dump, the way a disabled
     service would.
     """
-    labels = labels or WindowsLabelSpace.default()
+    labels = WindowsLabelSpace.default()
     rng = np.random.default_rng(seed)
     corpus = []
     for version in labels.versions:
@@ -316,30 +299,13 @@ def synthetic_windows_corpus(
     return corpus
 
 
-@dataclass
-class WindowsRefiner:
-    """A trained endpoint classifier bundled with its schema and labels."""
-
-    net: Mlp
-    schema: EndpointSchema
-    labels: WindowsLabelSpace
-
-    def classify(self, dump: EndpointMap) -> WindowsVerdict:
-        return classify_windows(self.net, self.schema, self.labels, dump)
-
-
-def train_windows_net(
-    corpus: list[tuple[EndpointMap, tuple[str, str, str]]],
-    labels: WindowsLabelSpace | None = None,
-    hidden: int = 24,
-    cfg: TrainConfig | None = None,
-) -> WindowsRefiner:
-    """Fit the endpoint perceptron on a dump corpus."""
-    labels = labels or WindowsLabelSpace.default()
+def train_windows_net(corpus: list[tuple[EndpointMap, tuple[str, str, str]]]) -> WindowsRefiner:
+    """Fit the endpoint perceptron, 24 hidden units wide, on a dump corpus."""
+    labels = WindowsLabelSpace.default()
     schema = build_endpoint_schema([m for m, _ in corpus])
     X = np.array([encode_endpoint_map(schema, m) for m, _ in corpus])
     Y = np.array([labels.target_vector(*triple) for _, triple in corpus])
-    cfg = cfg or TrainConfig(generations=150, target_error=0.02, lam=0.005, momentum=0.8, seed=0)
-    net = init_mlp([schema.size, hidden, labels.total], seed=cfg.seed)
+    cfg = TrainConfig(generations=150, target_error=0.02, lam=0.005, momentum=0.8, seed=0)
+    net = init_mlp([schema.size, 24, labels.total], seed=cfg.seed)
     train(net, X, Y, cfg)
     return WindowsRefiner(net, schema, labels)

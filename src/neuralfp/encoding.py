@@ -257,14 +257,6 @@ class EndpointSchema:
     def size(self) -> int:
         return len(self.uuid_index) + len(self.binding_index)
 
-    def labels(self) -> list[str]:
-        out = [""] * self.size
-        for uuid, i in self.uuid_index.items():
-            out[i] = f"uuid {uuid}"
-        for (uuid, proto, ep), i in self.binding_index.items():
-            out[i] = f"{uuid} {proto} {ep or ''}".rstrip()
-        return out
-
 
 def build_endpoint_schema(maps: list[EndpointMap]) -> EndpointSchema:
     """Assign one neuron per distinct UUID and per distinct binding."""

@@ -24,7 +24,7 @@ from .datagen import (
     stage_outputs,
     stage_targets,
 )
-from .dcerpc import WindowsRefiner, WindowsVerdict
+from .dcerpc import WindowsRefiner, WindowsVerdict, report_windows
 from .encoding import TOTAL_NEURONS, EndpointMap, encode_observation, has_encoded_field
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .preprocess import ReductionPipeline, fit_pipeline
@@ -305,8 +305,6 @@ def report_classification(result: ClassificationResult) -> str:
     for name, score in sorted(result.family_scores.items(), key=lambda p: -p[1]):
         lines.append(f"    {score:.17f} {name}")
     if result.windows is not None:
-        from .dcerpc import report_windows
-
         lines.append(report_windows(result.windows))
     elif result.version_scores is not None:
         family = result.stage_trace[-1].split(":", 1)[1]

@@ -39,7 +39,7 @@ import zlib
 import numpy as np
 
 from .datagen import Dataset
-from .dcerpc import WindowsRefiner
+from .dcerpc import WindowsLabelSpace, WindowsRefiner
 from .encoding import EndpointSchema
 from .hierarchy import HierarchyModel, Stage
 from .neural import Mlp
@@ -88,6 +88,8 @@ _CHECKS = {
                         "one basis row per kept column, each within the normalizer"),
     Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
             "net input width = PCA k and one net output per label"),
+    WindowsLabelSpace: (lambda l: all(l.editions.get(v) and l.service_packs.get(v) for v in l.versions),
+                        "editions and service packs for every version"),
     WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),
                      "net widths = schema size and label space size"),
     Dataset: (lambda d: d.inputs.ndim == d.targets.ndim == 2
@@ -136,7 +138,16 @@ def _encode(value):
         return [[_encode(k), _encode(v)] for k, v in value.items()]
     if isinstance(value, np.generic):
         return value.item()
-    return {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
+    body = {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
+    _check(value, f"cannot save {type(value).__name__}", PersistenceError)
+    return body
+
+
+def _check(obj, where: str, error=ValueError):
+    valid, wants = _CHECKS.get(type(obj), (None, None))
+    if valid is not None and not valid(obj):
+        raise error(f"{where}: expected {wants}")
+    return obj
 
 
 def _expect(value, tp, where: str):
@@ -168,7 +179,6 @@ def _decoder(tp, dtype: str = "<f8"):
     if dataclasses.is_dataclass(tp):
         fields = [(name, _decoder(hint, "|b1" if (tp, name) in _BOOL_ARRAYS else "<f8"))
                   for name, hint in _fields(tp)]
-        valid, wants = _CHECKS.get(tp, (None, None))
 
         def decode_dataclass(v, where):
             _expect(v, dict, where)
@@ -176,9 +186,7 @@ def _decoder(tp, dtype: str = "<f8"):
                 if name not in v:
                     raise ValueError(f"{where}: missing key {name!r}")
             obj = tp(**{name: dec(v[name], f"{where}.{name}") for name, dec in fields})
-            if valid is not None and not valid(obj):
-                raise ValueError(f"{where}: expected {wants}")
-            return obj
+            return _check(obj, where)
 
         return decode_dataclass
     origin, args = typing.get_origin(tp), typing.get_args(tp)

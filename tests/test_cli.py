@@ -118,6 +118,20 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, message", [
+        ("nan Linux\n", "prevalence line 1: need a finite non-negative weight and name"),
+        ("inf Linux\n", "prevalence line 1: need a finite non-negative weight and name"),
+        ("1e308 Linux\n1e308 Windows\n", "signature weights must sum to a finite number, got inf"),
+        ("0.5 Foo\n", "prevalence names no signature or family of the db: Foo"),
+    ])
+    def test_bad_prevalence_is_exit_1_and_one_line(self, work, tmp_path, capsys, table, message):
+        prev, out = tmp_path / "prev.txt", tmp_path / "prev.ds"
+        prev.write_text(table)
+        assert main(["generate", "--db", str(work["db"]), "--prevalence", str(prev),
+                     "--total", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_determinism(self, work, tmp_path):
         a, b = tmp_path / "a.ds", tmp_path / "b.ds"
         for out in (a, b):
@@ -411,6 +425,14 @@ class TestEvaluateBaseline:
         assert len(lines) == 5
         # the sparse impostor pathology shows up right at the top
         assert "1.00000  RetroBox Game Console" in lines[1]
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_baseline_top_below_1_is_exit_1_and_one_line(self, work, capsys, top):
+        assert main(["baseline", "--db", str(work["db"]), "--obs", str(work["sol_obs"]),
+                     "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --top must be >= 1, got {top}"]
+        assert captured.out == ""
 
 
 class TestExports:

@@ -70,6 +70,30 @@ class TestPrevalence:
         with pytest.raises(GenerationError, match="line 1"):
             PrevalenceTable.parse("x y\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_weight_names_its_line(self, weight):
+        with pytest.raises(GenerationError, match="line 2: need a finite non-negative weight"):
+            PrevalenceTable.parse(f"0.5 Windows\n{weight} Linux\n")
+
+    def test_weight_sum_must_stay_finite(self):
+        db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + RICH_SIG)
+        table = PrevalenceTable.parse("1e308 OpenBSD\n1e308 Linux\n")
+        with pytest.raises(GenerationError, match="sum to a finite number, got inf"):
+            resolve_weights(db, table)
+
+    def test_entry_naming_nothing_in_the_db_is_listed(self):
+        db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + RICH_SIG)
+        table = PrevalenceTable.parse("0.5 Foo\n0.2 OpenBSD\n0.1 Bar Box\n")
+        with pytest.raises(GenerationError, match="no signature or family of the db: Bar Box, Foo$"):
+            generate_dataset(db, table, 20)
+
+    def test_entries_are_checked_against_the_whole_db(self):
+        # a Linux entry matches nothing in the OpenBSD slice, but the db has it
+        db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK + "\n" + RICH_SIG)
+        table = PrevalenceTable.parse("0.9 Linux\n0.1 OpenBSD 3.6 (i386)\n")
+        ds = generate_dataset(db, table, 20, stage="version:OpenBSD")
+        assert {l.family for l in ds.labels} == {"OpenBSD"}
+
     def test_family_mass_is_split(self):
         db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK + "\n" + RICH_SIG)
         weights = resolve_weights(db, PrevalenceTable.parse("0.8 OpenBSD\n0.2 Grammar Rich 1.0\n"))

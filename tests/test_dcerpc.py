@@ -1,5 +1,6 @@
 """Endpoint dump parsing, the Windows label space, and the refiner."""
 
+import hashlib
 import string
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from neuralfp.dcerpc import (
     DumpParseError,
     WindowsLabelSpace,
-    classify_windows,
+    WindowsRefiner,
     format_endpoint_dump,
     parse_endpoint_dump,
     report_windows,
@@ -80,14 +81,17 @@ class TestLabelSpace:
         assert sum(len(v) for v in labels.editions.values()) == 10
         assert sum(len(v) for v in labels.service_packs.values()) == 11
         assert labels.total == 25
+        assert len(labels.neurons) == 25
         assert len(labels.neuron_labels()) == 25
+        assert labels.neurons[labels.indices("edition", "XP")[1]] == ("edition", "XP", "Home")
 
     def test_groups_are_disjoint_and_cover(self):
         labels = WindowsLabelSpace.default()
-        seen = set(range(len(labels.versions)))
+        seen = set(labels.indices("version"))
+        assert seen == set(range(len(labels.versions)))
         for v in labels.versions:
-            for rng in (labels.edition_indices(v), labels.sp_indices(v)):
-                chunk = set(rng)
+            for idx in (labels.indices("edition", v), labels.indices("sp", v)):
+                chunk = set(idx)
                 assert not (chunk & seen)
                 seen |= chunk
         assert seen == set(range(labels.total))
@@ -103,11 +107,11 @@ class TestLabelSpace:
         assert lit == {"version 2000", "2000 edition Server", "2000 sp1"}
 
 
-def _stub_net(outputs: np.ndarray, n_in: int) -> Mlp:
-    """Single layer ignoring its input: bias alone fixes the outputs."""
-    w = np.zeros((len(outputs), n_in + 1))
+def _stub_refiner(outputs: np.ndarray, schema, labels) -> WindowsRefiner:
+    """A refiner whose single layer ignores its input: bias alone fixes the outputs."""
+    w = np.zeros((len(outputs), schema.size + 1))
     w[:, 0] = -np.arctanh(outputs)
-    return Mlp([w])
+    return WindowsRefiner(Mlp([w]), schema, labels)
 
 
 def _stub_dump() -> tuple:
@@ -123,14 +127,14 @@ class TestDecodeIndependence:
         labels = WindowsLabelSpace.default()
         emap, schema = _stub_dump()
         base = np.full(25, -0.9)
-        base[labels.version_index("XP")] = 0.9
-        base[labels.sp_indices("XP")[1]] = 0.5  # sp0
+        base[labels.neurons.index(("version", None, "XP"))] = 0.9
+        base[labels.indices("sp", "XP")[1]] = 0.5  # sp0
         a = base.copy()
-        a[labels.edition_indices("XP")[0]] = 0.7  # Professional
+        a[labels.indices("edition", "XP")[0]] = 0.7  # Professional
         b = base.copy()
-        b[labels.edition_indices("XP")[1]] = 0.7  # Home
-        va = classify_windows(_stub_net(a, schema.size), schema, labels, emap)
-        vb = classify_windows(_stub_net(b, schema.size), schema, labels, emap)
+        b[labels.indices("edition", "XP")[1]] = 0.7  # Home
+        va = _stub_refiner(a, schema, labels).classify(emap)
+        vb = _stub_refiner(b, schema, labels).classify(emap)
         assert va.edition != vb.edition
         assert va.version == vb.version == "XP"
         assert va.service_pack == vb.service_pack == "0"
@@ -139,13 +143,13 @@ class TestDecodeIndependence:
         labels = WindowsLabelSpace.default()
         emap, schema = _stub_dump()
         base = np.full(25, -0.9)
-        base[labels.version_index("2003")] = 0.9
-        base[labels.edition_indices("2003")[2]] = 0.5
+        base[labels.neurons.index(("version", None, "2003"))] = 0.9
+        base[labels.indices("edition", "2003")[2]] = 0.5
         a, b = base.copy(), base.copy()
-        a[labels.sp_indices("2003")[0]] = 0.7
-        b[labels.sp_indices("2003")[0]] = -0.2
-        va = classify_windows(_stub_net(a, schema.size), schema, labels, emap)
-        vb = classify_windows(_stub_net(b, schema.size), schema, labels, emap)
+        a[labels.indices("sp", "2003")[0]] = 0.7
+        b[labels.indices("sp", "2003")[0]] = -0.2
+        va = _stub_refiner(a, schema, labels).classify(emap)
+        vb = _stub_refiner(b, schema, labels).classify(emap)
         assert va.edition == vb.edition == "Standard Edition"
 
 
@@ -203,6 +207,30 @@ class TestRefiner:
         a = synthetic_windows_corpus(per_triple=2, seed=9, dropout=0.2)
         b = synthetic_windows_corpus(per_triple=2, seed=9, dropout=0.2)
         assert [(m.programs, t) for m, t in a] == [(m.programs, t) for m, t in b]
+
+
+class TestRefinerGolden:
+    # recorded before the output layout became one neuron table: the
+    # verdicts, scores, reports and targets must keep these bits
+    DIGEST = "ecd90059b70fe2086dc015cd0b8365f9b06f66a4b34edb2a5c23de494e704b14"
+
+    def test_verdicts_scores_reports_and_targets(self):
+        labels = WindowsLabelSpace.default()
+        ref = train_windows_net(synthetic_windows_corpus(seed=0))
+        probes = [m for m, _ in synthetic_windows_corpus(per_triple=3, seed=5, dropout=0.4)]
+        probes.append(parse_endpoint_dump(
+            "uuid FFFFFFFF-0000-0000-0000-00000000FFFF\n  binding ncalrpc q\n"))
+        h = hashlib.sha256()
+        for dump in probes:
+            v = ref.classify(dump)
+            h.update(repr((v.version, v.edition, v.service_pack, v.low_confidence)).encode())
+            h.update(repr(v.scores).encode())
+            h.update(report_windows(v).encode())
+        for version in labels.versions:
+            for edition in labels.editions[version]:
+                for sp in labels.service_packs[version]:
+                    h.update(labels.target_vector(version, edition, sp).tobytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 _TOKEN = st.text(string.ascii_letters + string.digits + "_\\.$", min_size=1, max_size=12)

@@ -124,6 +124,19 @@ class TestOtherKinds:
             assert (a.version, a.edition, a.service_pack) == (b.version, b.edition, b.service_pack)
             assert a.scores == b.scores
 
+    @pytest.mark.parametrize("group", ["editions", "service_packs"])
+    def test_refiner_version_without_its_group_is_corrupt(self, tmp_path, group):
+        path = tmp_path / "r.model"
+        save(train_windows_net(synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)), path)
+
+        def drop_xp(body):
+            body["labels"][group] = [p for p in body["labels"][group] if p[0] != "XP"]
+
+        _rewrite_body(path, drop_xp)
+        with pytest.raises(CorruptContainerError,
+                           match="body.labels: expected editions and service packs for every"):
+            load(path)
+
     def test_schema_round_trip(self, tmp_path):
         emap = parse_endpoint_dump(
             "uuid 00000001-0000-0000-0000-000000000002\n"
@@ -238,6 +251,14 @@ class TestAtomicity:
             save(bad, tmp_path / "w.model")
         assert not (tmp_path / "w.model").exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+    def test_save_refuses_what_load_rejects(self, tmp_path):
+        # 100 input rows and no labels: load would call this malformed
+        ds = Dataset("relevance", np.zeros((100, 4)), np.zeros((100, 1)), [], ("relevant",), 0)
+        with pytest.raises(PersistenceError, match="cannot save Dataset: expected one 2-D input "
+                                                   "row and target row per label"):
+            save(ds, tmp_path / "d.ds")
+        assert os.listdir(tmp_path) == []
 
 
 class TestWrites:
