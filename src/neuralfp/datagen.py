@@ -62,20 +62,24 @@ class PrevalenceTable:
 
     @classmethod
     def parse(cls, text: str) -> "PrevalenceTable":
-        """One entry per line: <weight> <name>. '#' comments allowed."""
-        weights = {}
+        """One entry per line: <weight> <name>, each name once. '#' comments allowed."""
+        weights, first_line = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             head, _, name = line.partition(" ")
+            name = name.strip()
             try:
                 w = float(head)
             except ValueError:
                 raise GenerationError(f"prevalence line {lineno}: bad weight {head!r}") from None
-            if not isfinite(w) or w < 0 or not name.strip():
+            if not isfinite(w) or w < 0 or not name:
                 raise GenerationError(f"prevalence line {lineno}: need a finite non-negative weight and name")
-            weights[name.strip()] = w
+            if name in first_line:
+                raise GenerationError(f"prevalence lines {first_line[name]} and {lineno} "
+                                      f"both weigh {name!r}")
+            weights[name], first_line[name] = w, lineno
         return cls(weights)
 
 

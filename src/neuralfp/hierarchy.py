@@ -99,6 +99,8 @@ class HierarchyConfig:
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     subset_size: int | None = None
+    # every stage stops on a plateau of this many generations (neural.train)
+    patience: int | None = 25
     hidden: dict[str, int] = field(default_factory=dict)
     # train a DCE-RPC refiner on the synthetic dump corpus and attach it
     windows: bool = False
@@ -392,12 +394,16 @@ def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
     labels = heldout.labels
     if len(X) == 0:
         raise HierarchyError("held-out dataset has no rows")
+    if (width := X.shape[1]) != (want := len(model.relevance.pipeline.normalizer.mean)):
+        raise HierarchyError(f"held-out dataset has {width} input columns, the model expects {want}")
+    fam_labels = model.family.labels
+    if unknown := sorted({str(l.family) for l in labels if l.relevant} - set(fam_labels)):
+        raise HierarchyError(f"held-out labels name families the model does not know: {unknown}")
     results = classify_batch(model, X)
     rel_truth = np.array([l.relevant for l in labels], dtype=bool)
     rel_pred = np.array([r.verdict != "not relevant" for r in results], dtype=bool)
     relevance_accuracy = float((rel_pred == rel_truth).mean())
 
-    fam_labels = model.family.labels
     relevant = [i for i, l in enumerate(labels) if in_stage(l, "family")]
     fam_pred = model.family.scores(X[relevant]).argmax(axis=1)
     confusion = np.zeros((len(fam_labels), len(fam_labels)))

@@ -10,6 +10,11 @@ adapts between generations: a generation that does not increase the error
 scales lambda up, a worse one scales it down, both within fixed bounds.
 Each generation visits the pairs in a freshly shuffled, seeded order.
 
+A run ends at the target error, at the generation cap, or on a plateau
+(Prechelt, "Early Stopping -- But When?", 1998): `patience` generations
+after its last useful one, whose mse was at least MIN_GAIN below the
+last useful mse before it.  Each run logs why it stopped.
+
 The per-pair kernel (_Workspace) allocates nothing: each step writes with
 `out=` into buffers built once per generation, and a step that is the
 same for every layer is one call on a flat buffer.  Each element still
@@ -27,9 +32,16 @@ Fitness G summarizes a net against labeled data: for one output,
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+log = logging.getLogger(__name__)
+
+# the relative mse drop below the last useful generation that makes a
+# generation useful
+MIN_GAIN = 0.01
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,6 +62,8 @@ class TrainConfig:
     lam_max: float = 1.0
     adaptive: bool = True
     subset_size: int | None = None
+    # stop a run this many generations after its last useful one; None: never
+    patience: int | None = None
     seed: int = 0
 
 
@@ -245,7 +259,7 @@ def backprop_generation(
 
 
 def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
-    """Train in place until the generation cap or the target error.
+    """Train in place until the target error, a plateau or the generation cap.
 
     The lambda recorded per generation is the one that generation used;
     adaptation compares consecutive generation errors, ties counting as
@@ -257,13 +271,15 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     wraps around to the first) and recorded on that run's final
     generation.  When G improved, the starting lambda of the next subset
     is raised.  A subset size covering all the data is one plain run
-    plus one G.
+    plus one G.  Each subset run counts its own plateau patience.
     """
     in_range = {"generations": cfg.generations >= 1, "lam": cfg.lam > 0, "seed": cfg.seed >= 0,
-                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1}
+                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1,
+                "patience": cfg.patience is None or cfg.patience >= 1}
     if bad := [key for key, ok in in_range.items() if not ok]:
-        raise ValueError("training needs generations >= 1, lam > 0, seed >= 0 and subset_size >= 1 "
-                         "or None, got " + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
+        raise ValueError("training needs generations >= 1, lam > 0, seed >= 0, subset_size >= 1 "
+                         "or None and patience >= 1 or None, got "
+                         + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(inputs)
@@ -282,8 +298,9 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
         rng = np.random.default_rng(cfg.seed + s)
         gen0 = history.generations()
         lam = lam0
-        prev_mse = None
+        prev_mse = useful_mse = None
         update = None
+        reason = "cap"
         for gen in range(gen0 + 1, gen0 + cfg.generations + 1):
             order = rng.permutation(len(X))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -292,6 +309,12 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
             if not np.isfinite(mse) or not all(np.isfinite(W).all() for W in mlp.weights):
                 raise TrainingDivergedError(gen)
             if cfg.target_error is not None and mse <= cfg.target_error:
+                reason = "target"
+                break
+            if useful_mse is None or mse <= useful_mse * (1.0 - MIN_GAIN):
+                useful_mse, useful_gen = mse, gen
+            elif cfg.patience is not None and gen - useful_gen >= cfg.patience:
+                reason = "plateau"
                 break
             if cfg.adaptive and prev_mse is not None:
                 if mse <= prev_mse:
@@ -299,6 +322,7 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
                 else:
                     lam = max(lam * cfg.lam_down, cfg.lam_min)
             prev_mse = mse
+        log.info("training stopped (%s) at generation %d, mse %.6g", reason, gen, mse)
         if not cfg.subset_size:
             continue
         probe = chunks[(s + 1) % len(chunks)]

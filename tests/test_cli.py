@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from neuralfp import hierarchy
 from neuralfp.cli import _config_digest, main
 from neuralfp.corpus import demo_database, pathology_observation
-from neuralfp.datagen import Dataset, sample_observation, signature_family
+from neuralfp.datagen import Dataset, SampleLabel, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
 from neuralfp.neural import TrainConfig
@@ -123,6 +123,7 @@ class TestGenerate:
         ("inf Linux\n", "prevalence line 1: need a finite non-negative weight and name"),
         ("1e308 Linux\n1e308 Windows\n", "signature weights must sum to a finite number, got inf"),
         ("0.5 Foo\n", "prevalence names no signature or family of the db: Foo"),
+        ("0.9 Windows\n# later\n0.0 Windows\n", "prevalence lines 1 and 3 both weigh 'Windows'"),
     ])
     def test_bad_prevalence_is_exit_1_and_one_line(self, work, tmp_path, capsys, table, message):
         prev, out = tmp_path / "prev.txt", tmp_path / "prev.ds"
@@ -256,6 +257,8 @@ class TestTrain:
         ({"hidden": 0}, None),
         (b'{"generations" 2}', None),
         (b'{"generations": "\xff"}', None),
+        ({"patience": "x"}, "patience"),
+        ({"patience": 0}, None),
     ])
     def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
@@ -414,6 +417,24 @@ class TestEvaluateBaseline:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: held-out dataset has no rows"]
         assert "nan" not in captured.out
+
+    def test_evaluate_rejects_another_width(self, work, tmp_path, capsys):
+        narrow = tmp_path / "narrow.ds"
+        labels = [SampleLabel("Beta Box", True, "Windows", "NT4")] * 3
+        save(Dataset("relevance", np.zeros((3, 10)), np.ones((3, 1)), labels, ("relevant",), 0),
+             narrow)
+        assert main(["evaluate", "--model", str(work["model"]), "--dataset", str(narrow)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: held-out dataset has 10 input columns, the model expects {TOTAL_NEURONS}"]
+
+    def test_evaluate_rejects_an_unknown_family(self, work, tmp_path, capsys):
+        ds = load(work["rel_ds"])
+        ds.labels[4] = SampleLabel("Plan 9 4th edition", True, "Plan9", "4")
+        odd = tmp_path / "plan9.ds"
+        save(ds, odd)
+        assert main(["evaluate", "--model", str(work["model"]), "--dataset", str(odd)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: held-out labels name families the model does not know: ['Plan9']"]
 
     def test_baseline_top_flag(self, work, tmp_path, capsys):
         obs = tmp_path / "pathology.obs"

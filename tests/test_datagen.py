@@ -70,6 +70,10 @@ class TestPrevalence:
         with pytest.raises(GenerationError, match="line 1"):
             PrevalenceTable.parse("x y\n")
 
+    def test_second_entry_for_a_name_names_both_lines(self):
+        with pytest.raises(GenerationError, match="^prevalence lines 1 and 3 both weigh 'Windows'$"):
+            PrevalenceTable.parse("0.9 Windows\n0.1 Linux\n0.0  Windows\n")
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e309"])
     def test_non_finite_weight_names_its_line(self, weight):
         with pytest.raises(GenerationError, match="line 2: need a finite non-negative weight"):

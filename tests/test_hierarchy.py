@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfp import hierarchy
-from neuralfp.corpus import demo_database
+from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
     Dataset,
@@ -112,12 +112,18 @@ class TestTraining:
 class TestGolden:
     # recorded before the buffered backprop kernel: training must keep these bits
     SCAN_RECIPE_DIGEST = "5df6d9e34d855a33863b9e417ea17eb0b08284a06894068abe584ccdcd48023e"
+    # recorded before plateau stopping, which must leave 30-generation runs alone
+    CORPUS_RECIPE_DIGEST = "dc6626116186063e4080cbf790a6b8f037cf1e7d4bde90c20196c3d3bea9e986"
+    # recorded before plateau stopping: the 300-generation run with it turned off
+    TRAIN_RECIPE_FULL_DIGEST = "ac7ee926fe462b7657cabf205af42480e51752a0cc371a0a1dac6f89418a5e76"
 
-    def test_scan_recipe_weights_and_histories(self, db):
-        # the bench scan recipe: corpus seed 42, 1000 rows, 30 generations
-        ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)
-        cfg = HierarchyConfig(seed=7, generations=30, windows=True)
-        model = train_hierarchy(db, cfg=cfg, corpus=(ds.inputs, ds.labels))
+    @staticmethod
+    def digest(db, rows, **cfg):
+        """Every net's weights and history on a bench recipe: corpus seed 42,
+        HierarchyConfig seed 7 with the refiner."""
+        ds = generate_dataset(db, None, rows, stage="relevance", seed=42)
+        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7, windows=True, **cfg),
+                                corpus=(ds.inputs, ds.labels))
         nets = {"relevance": model.relevance.net, "family": model.family.net,
                 **{name: stage.net for name, stage in model.versions.items()},
                 "windows": model.windows.net}
@@ -127,7 +133,38 @@ class TestGolden:
             for W in net.weights:
                 h.update(W.tobytes())
             h.update(repr(net.history.rows).encode())
-        assert h.hexdigest() == self.SCAN_RECIPE_DIGEST
+        return h.hexdigest()
+
+    def test_scan_recipe_weights_and_histories(self, db):
+        # the bench scan recipe: 1000 rows, 30 generations
+        assert self.digest(db, 1000, generations=30) == self.SCAN_RECIPE_DIGEST
+
+    def test_corpus_recipe_weights_and_histories(self):
+        # the bench corpus recipe: the demo db plus 220 machine-written
+        # signatures, 1500 rows, 30 generations
+        db = parse_fingerprint_db(demo_database() + "\n" + large_database(220))
+        assert self.digest(db, 1500, generations=30) == self.CORPUS_RECIPE_DIGEST
+
+    def test_train_recipe_without_patience_runs_in_full(self, db):
+        # the bench train recipe: 1000 rows, 300 generations
+        assert self.digest(db, 1000, patience=None) == self.TRAIN_RECIPE_FULL_DIGEST
+
+    def test_patience_reaches_every_stage(self, db):
+        ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)
+        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7, patience=25),
+                                corpus=(ds.inputs, ds.labels))
+        plateaued = []
+        for name, stage in model.versions.items():
+            rows = stage.net.history.rows
+            if rows[-1][1] <= 0.02:  # the target error
+                continue
+            useful = rows[0]
+            for row in rows[1:]:
+                if row[1] <= useful[1] * 0.99:
+                    useful = row
+            assert len(rows) == useful[0] + 25 < 300
+            plateaued.append(name)
+        assert plateaued == ["Solaris", "OpenBSD"]
 
 
 class TestClassification:

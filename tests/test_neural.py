@@ -1,5 +1,6 @@
 """Perceptron math, backprop against finite differences, training loop."""
 
+import logging
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from neuralfp.neural import (
     loss_gradient,
     train,
 )
+from neuralfp.persistence import decode_config
 
 
 def one_pair_at_a_time(mlp, inputs, targets, lam, momentum, prev_update=None):
@@ -300,7 +302,8 @@ class TestTraining:
 
     @pytest.mark.parametrize("bad", [{"generations": 0}, {"generations": -3}, {"lam": 0.0},
                                      {"lam": float("nan")}, {"subset_size": 0},
-                                     {"subset_size": -5}, {"seed": -1}])
+                                     {"subset_size": -5}, {"seed": -1}, {"patience": 0},
+                                     {"patience": -2}])
     def test_out_of_range_config_is_a_value_error(self, bad):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])
@@ -398,3 +401,92 @@ class TestSubsets:
                 cur = min(cur * cfg.lam_up, cfg.lam_max)
             expect.append(cur)
         assert lam0s == pytest.approx(expect)
+
+
+def useful_generations(rows):
+    """By hand: each generation whose mse is at least 1% below the mse of
+    the last useful one, the first counting as useful."""
+    useful = [rows[0]]
+    for row in rows[1:]:
+        if row[1] <= useful[-1][1] * 0.99:
+            useful.append(row)
+    return [row[0] for row in useful]
+
+
+def stop_records(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "neuralfp.neural"]
+
+
+class TestPlateau:
+    """Plateau stopping on TestSubsets' data, a net whose mse creeps down
+    for over a hundred generations with gaps between useful ones."""
+
+    data = TestSubsets.data
+
+    def run(self, **kw):
+        X, Y = self.data()
+        net = init_mlp([3, 4, 1], seed=4)
+        return net, train(net, X, Y, TrainConfig(**{"generations": 120, "lam": 0.02, "seed": 4, **kw}))
+
+    @pytest.mark.parametrize("patience", [2, 3, 5, 8])
+    def test_stops_patience_generations_after_the_last_useful_one(self, patience):
+        _, full = self.run()
+        _, hist = self.run(patience=patience)
+        useful = useful_generations(hist.rows)
+        assert hist.generations() == useful[-1] + patience < 120
+        # no earlier gap between useful generations left room for a stop
+        assert all(b - a <= patience for a, b in zip(useful, useful[1:]))
+        # the stopped run is the full run cut short
+        assert repr(hist.rows) == repr(full.rows[:hist.generations()])
+
+    def test_off_by_default_and_for_none(self):
+        a, ha = self.run()
+        b, hb = self.run(patience=None)
+        assert TrainConfig().patience is None
+        assert ha.generations() == 120
+        assert repr(ha.rows) == repr(hb.rows)
+        assert same_bits(a.weights, b.weights)
+
+    def test_target_error_wins_a_tie(self, caplog):
+        _, plateau = self.run(patience=5)
+        stop, mse = plateau.rows[-1][:2]
+        # the generation that plateaus is also the first to reach this target
+        assert min(r[1] for r in plateau.rows[:-1]) > mse
+        with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
+            _, hist = self.run(patience=5, target_error=mse)
+        assert hist.generations() == stop
+        assert stop_records(caplog) == [f"training stopped (target) at generation {stop}, mse {mse:.6g}"]
+
+    def test_each_subset_run_restarts_the_count(self, caplog):
+        patience = 5
+        with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
+            _, hist = self.run(patience=patience, subset_size=20)
+        # a run's last generation carries its G
+        ends = [i for i, row in enumerate(hist.rows, start=1) if row[3] is not None]
+        assert len(ends) == 2
+        runs = [hist.rows[:ends[0]], hist.rows[ends[0]:]]
+        for run in runs:
+            useful = useful_generations(run)
+            assert run[-1][0] == useful[-1] + patience < run[0][0] + 119
+            assert all(b - a <= patience for a, b in zip(useful, useful[1:]))
+        assert stop_records(caplog) == [
+            f"training stopped (plateau) at generation {run[-1][0]}, mse {run[-1][1]:.6g}"
+            for run in runs]
+
+    @pytest.mark.parametrize("kw, reason", [({}, "cap"), ({"patience": 5}, "plateau")])
+    def test_one_record_names_why_the_run_stopped(self, caplog, kw, reason):
+        with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
+            _, hist = self.run(**kw)
+        gen, mse = hist.rows[-1][:2]
+        assert stop_records(caplog) == [f"training stopped ({reason}) at generation {gen}, mse {mse:.6g}"]
+
+    def test_config_decodes_patience(self):
+        assert decode_config(TrainConfig, {"patience": None}, "cfg") == {"patience": None}
+        assert decode_config(TrainConfig, {"patience": 7}, "cfg") == {"patience": 7}
+        with pytest.raises(ValueError, match=r"^cfg\.patience: "):
+            decode_config(TrainConfig, {"patience": "x"}, "cfg")
+        # the range is checked where the value is used
+        cfg = TrainConfig(**decode_config(TrainConfig, {"patience": 0}, "cfg"))
+        X, Y = self.data()
+        with pytest.raises(ValueError, match=r"^training needs .*, got patience=0$"):
+            train(init_mlp([3, 4, 1], seed=4), X, Y, cfg)
