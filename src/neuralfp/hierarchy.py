@@ -51,6 +51,8 @@ __all__ = [
 # absent falls back to DEFAULT_HIDDEN
 STAGE_HIDDEN = {"relevance": 20, "family": 20, "Linux": 18, "Solaris": 7, "OpenBSD": 4}
 DEFAULT_HIDDEN = 8
+# every stage net stops on a plateau of this many generations (neural.train)
+STAGE_PATIENCE = 25
 
 OUTCOMES = ("perfect match", "partial match", "error", "no answer")
 
@@ -99,8 +101,6 @@ class HierarchyConfig:
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     subset_size: int | None = None
-    # every stage stops on a plateau of this many generations (neural.train)
-    patience: int | None = 25
     hidden: dict[str, int] = field(default_factory=dict)
     # train a DCE-RPC refiner on the synthetic dump corpus and attach it
     windows: bool = False
@@ -208,7 +208,7 @@ def train_hierarchy(
                 continue
             X = np.asarray(inputs, dtype=float)[rows]
             Y = stage_targets([labels[i] for i in rows], stage, outputs)
-        tcfg = TrainConfig(**{**shared, "seed": seed})
+        tcfg = TrainConfig(**{**shared, "seed": seed, "patience": STAGE_PATIENCE})
         trained[name] = train_stage(stage, X, Y, outputs, tcfg, cfg.variance, cfg.hidden.get(name))
 
     refiner = None

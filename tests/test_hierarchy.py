@@ -145,14 +145,15 @@ class TestGolden:
         db = parse_fingerprint_db(demo_database() + "\n" + large_database(220))
         assert self.digest(db, 1500, generations=30) == self.CORPUS_RECIPE_DIGEST
 
-    def test_train_recipe_without_patience_runs_in_full(self, db):
+    def test_train_recipe_without_patience_runs_in_full(self, db, monkeypatch):
         # the bench train recipe: 1000 rows, 300 generations
-        assert self.digest(db, 1000, patience=None) == self.TRAIN_RECIPE_FULL_DIGEST
+        monkeypatch.setattr(hierarchy, "STAGE_PATIENCE", None)
+        assert self.digest(db, 1000) == self.TRAIN_RECIPE_FULL_DIGEST
 
     def test_patience_reaches_every_stage(self, db):
         ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)
-        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7, patience=25),
-                                corpus=(ds.inputs, ds.labels))
+        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7), corpus=(ds.inputs, ds.labels))
+        patience = hierarchy.STAGE_PATIENCE
         plateaued = []
         for name, stage in model.versions.items():
             rows = stage.net.history.rows
@@ -162,7 +163,7 @@ class TestGolden:
             for row in rows[1:]:
                 if row[1] <= useful[1] * 0.99:
                     useful = row
-            assert len(rows) == useful[0] + 25 < 300
+            assert len(rows) == useful[0] + patience < 300
             plateaued.append(name)
         assert plateaued == ["Solaris", "OpenBSD"]
 
