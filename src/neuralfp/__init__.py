@@ -83,6 +83,7 @@ from .signatures import (
     Signature,
     best_fit,
     match_score,
+    match_scores,
     parse_fingerprint_db,
     parse_observation,
     parse_observations,

@@ -93,8 +93,9 @@ _CHECKS = {
     WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),
                      "net widths = schema size and label space size"),
     Dataset: (lambda d: d.inputs.ndim == d.targets.ndim == 2
-              and len(d.inputs) == len(d.targets) == len(d.labels),
-              "one 2-D input row and target row per label"),
+              and len(d.inputs) == len(d.targets) == len(d.labels)
+              and np.isfinite(d.inputs).all() and (np.abs(d.targets) == 1).all(),
+              "one 2-D input row and target row per label, finite inputs and targets of -1 or +1"),
 }
 
 

@@ -16,13 +16,21 @@ ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
+A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``).
+
+Best-fit scores come from an index of the db's rules (``_Index``), built on
+the first call for that db; only the last db's index is kept.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import re
+import weakref
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .encoding import FIELDS
 
@@ -126,6 +134,7 @@ _OBS_RE = re.compile(r"^Observation\s+(.*\S)\s*$")
 _CLASS_RE = re.compile(r"^Class\s+(.*)$")
 _TEST_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*\(")
 _CMP_RE = re.compile(r"^([<>])\s*([0-9A-Fa-f]+)$")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
 def _parse_atom(text: str, lineno: int) -> Atom:
@@ -189,9 +198,10 @@ def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool,
 def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
     if not known:
         return FieldConstraint(name, AnyValue(expr))
-    if name in NUMERIC_FIELDS:
-        expr = expr.upper()
-    alts = tuple(_parse_atom(a, lineno) for a in expr.split("|"))
+    numeric = name in NUMERIC_FIELDS
+    alts = tuple(_parse_atom(a.upper() if numeric else a, lineno) for a in expr.split("|"))
+    if numeric and any(isinstance(a, Const) and not _HEX_RE.fullmatch(a.value) for a in alts):
+        raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
     return FieldConstraint(name, alts[0] if len(alts) == 1 else OneOf(alts))
 
 
@@ -268,66 +278,91 @@ def serialize_fingerprint_db(sigs: list[Signature]) -> str:
     return "\n\n".join(format_signature(s) for s in sigs) + "\n"
 
 
-def _to_int(value: str) -> int | None:
-    try:
-        return int(value, 16)
-    except ValueError:
-        return None
+class _Index:
+    """A db's rules as parallel arrays of signature, (test, field) slot and
+    distinct-constraint numbers.  Per slot, a literal's constraints are
+    keyed by its text, or by its int in a numeric field, an unknown field's
+    by None, as they match every value; comparisons are open intervals."""
+
+    def __init__(self, db: list[Signature]):
+        self.size = len(db)
+        self.slots: dict[tuple[str, str], int] = {}
+        self.equals: dict[tuple[int, str | int | None], list[int]] = {}
+        self.intervals: dict[int, list[tuple[float | int, float | int, int]]] = {}
+        numbers: dict[tuple[int, Constraint], int] = {}
+        rules = []
+        for s, sig in enumerate(db):
+            for tid, fields in sig.tests.items():
+                for rule in fields:
+                    slot = self.slots.setdefault((tid, rule.field), len(self.slots))
+                    count = len(numbers)
+                    number = numbers.setdefault((slot, rule.constraint), count)
+                    if number == count:
+                        self._add(slot, rule.field in NUMERIC_FIELDS, rule.constraint, number)
+                    rules += (s, slot, number)
+        self.rule_sig, self.rule_slot, self.rule_constraint = np.array(rules, np.intp).reshape(-1, 3).T
+        self.constraints = len(numbers)
+
+    def _add(self, slot: int, numeric: bool, constraint: Constraint, number: int) -> None:
+        for atom in constraint.choices if isinstance(constraint, OneOf) else (constraint,):
+            if isinstance(atom, AnyValue):
+                self.equals.setdefault((slot, None), []).append(number)
+            elif isinstance(atom, Const):
+                key = int(atom.value, 16) if numeric and _HEX_RE.fullmatch(atom.value) else atom.value
+                self.equals.setdefault((slot, key), []).append(number)
+            else:
+                terms = atom.terms if isinstance(atom, And) else (atom,)
+                lo = max((t.bound for t in terms if t.op != "<"), default=-math.inf)
+                hi = min((t.bound for t in terms if t.op == "<"), default=math.inf)
+                self.intervals.setdefault(slot, []).append((lo, hi, number))
+
+    def scores(self, obs: Observation) -> np.ndarray:
+        observed, satisfied = np.zeros(len(self.slots)), np.zeros(self.constraints)
+        for tid, fields in obs.tests.items():
+            for name, value in fields.items():
+                slot = self.slots.get((tid, name))
+                if slot is None:
+                    continue
+                observed[slot] = 1
+                hits = self.equals.get((slot, None), []) + self.equals.get((slot, value), [])
+                if _HEX_RE.fullmatch(value):  # only bare hex is a number
+                    v = int(value, 16)
+                    hits += self.equals.get((slot, v), [])
+                    hits += [number for lo, hi, number in self.intervals.get(slot, ()) if lo < v < hi]
+                satisfied[hits] = 1
+        considered = np.bincount(self.rule_sig, observed[self.rule_slot], self.size)
+        matched = np.bincount(self.rule_sig, satisfied[self.rule_constraint], self.size)
+        return np.divide(matched, considered, out=np.zeros(self.size), where=considered > 0)
 
 
-def _atom_matches(atom: Atom, field: str, value: str) -> bool:
-    if isinstance(atom, Const):
-        if field in NUMERIC_FIELDS:
-            a, b = _to_int(atom.value), _to_int(value)
-            if a is not None and b is not None:
-                return a == b
-        return atom.value == value
-    if isinstance(atom, Cmp):
-        v = _to_int(value)
-        if v is None:
-            return False
-        return v < atom.bound if atom.op == "<" else v > atom.bound
-    return all(_atom_matches(t, field, value) for t in atom.terms)
+# the last db's index, with weak references to its signatures in order
+_last: tuple[list[weakref.ref], _Index] | None = None
 
 
-def constraint_matches(constraint: Constraint, field: str, value: str) -> bool:
-    if isinstance(constraint, AnyValue):
-        return True
-    if isinstance(constraint, OneOf):
-        return any(_atom_matches(a, field, value) for a in constraint.choices)
-    return _atom_matches(constraint, field, value)
-
-
-def match_score(sig: Signature, obs: Observation) -> float:
-    """Fraction of considered rules the observation satisfies.
+def match_scores(db: list[Signature], obs: Observation) -> np.ndarray:
+    """Each signature's fraction of considered rules the observation satisfies.
 
     A rule is considered only when the observation carries its test and
     field; with nothing considered the score is 0.0.  This is the classic
-    best-fit score and inherits its bias toward sparse signatures.
+    best-fit score and inherits its bias toward sparse signatures.  The
+    index is reused while the same signature objects come in the same order.
     """
-    considered = 0
-    matched = 0
-    for tid, rules in sig.tests.items():
-        obs_fields = obs.tests.get(tid)
-        if obs_fields is None:
-            continue
-        for rule in rules:
-            value = obs_fields.get(rule.field)
-            if value is None:
-                continue
-            considered += 1
-            if constraint_matches(rule.constraint, rule.field, value):
-                matched += 1
-    if considered == 0:
-        return 0.0
-    return matched / considered
+    global _last
+    refs, index = _last or ((), None)  # one read, so another thread's db cannot slip in
+    if index is None or len(refs) != len(db) or any(r() is not s for r, s in zip(refs, db)):
+        _last = refs, index = [weakref.ref(s) for s in db], _Index(db)
+    return index.scores(obs)
+
+
+def match_score(sig: Signature, obs: Observation) -> float:
+    """match_scores for one signature, on an index of its own."""
+    return float(_Index([sig]).scores(obs)[0])
 
 
 def best_fit(db: list[Signature], obs: Observation, top: int = 10) -> list[tuple[str, float]]:
-    """Rank signatures by match_score, descending; ties keep database order."""
-    scored = [(sig.name, match_score(sig, obs)) for sig in db]
-    scored.sort(key=lambda pair: -pair[1])
-    return scored[: max(top, 0)]
+    """Rank signatures by match score, descending; ties keep database order."""
+    scores = match_scores(db, obs)
+    return [(db[i].name, float(scores[i])) for i in np.argsort(-scores, kind="stable")[: max(top, 0)]]
 
 
 def parse_observations(text: str) -> list[Observation]:
@@ -362,7 +397,9 @@ def parse_observations(text: str) -> list[Observation]:
         for key, known, expr in fields:
             if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
                 raise ParseError(f"constraint syntax in observation field {key}", lineno)
-            values[key] = expr.upper() if known and key in NUMERIC_FIELDS else expr
+            if known and key in NUMERIC_FIELDS and not _HEX_RE.fullmatch(expr := expr.upper()):
+                raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
+            values[key] = expr
         if tid in tests:
             raise ParseError(f"duplicate test {tid}", lineno)
         tests[tid] = values

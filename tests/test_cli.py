@@ -16,7 +16,15 @@ from neuralfp.datagen import Dataset, SampleLabel, sample_observation, signature
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
 from neuralfp.neural import TrainConfig
-from neuralfp.persistence import load, load_container, save
+from neuralfp.persistence import (
+    FORMAT_VERSION,
+    _canonical,
+    _digest,
+    _encode,
+    load,
+    load_container,
+    save,
+)
 from neuralfp.signatures import format_observation, parse_fingerprint_db
 
 TWO_SIG_DB = """\
@@ -553,6 +561,39 @@ _CONFIG_KEYS = [*TrainConfig.__dataclass_fields__, "variance", "hidden"]
 _STAGE_CONFIG = b'{"generations": 2, "hidden": 3, "variance": 0.9}'
 
 
+def _forged(ds: Dataset, path) -> None:
+    """Write ds as a digest-valid dataset container, past save's checks."""
+    body = _canonical({name: _encode(getattr(ds, name)) for name in Dataset.__dataclass_fields__})
+    header = {"format_version": FORMAT_VERSION, "kind": "dataset", "metadata": {},
+              "digest": _digest(body)}
+    path.write_bytes(_canonical(header) + b"\n" + body)
+
+
+@st.composite
+def _inconsistent(draw, ds: Dataset) -> Dataset:
+    """ds with non-finite inputs, targets other than -1 and +1, or a row
+    missing from its inputs, targets or labels; at least one of them."""
+    inputs, targets, labels = ds.inputs.copy(), ds.targets.copy(), list(ds.labels)
+    kinds = draw(st.sets(st.sampled_from(["inputs", "targets", "rows"]), min_size=1))
+    cells = lambda a: st.tuples(st.integers(0, len(a) - 1), st.integers(0, a.shape[1] - 1))  # noqa: E731
+    if "inputs" in kinds:
+        for cell in draw(st.lists(cells(inputs), min_size=1, max_size=3)):
+            inputs[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if "targets" in kinds:
+        for cell in draw(st.lists(cells(targets), min_size=1, max_size=3)):
+            targets[cell] = draw(st.floats().filter(lambda v: abs(v) != 1))
+    if "rows" in kinds:
+        which = draw(st.sampled_from(["inputs", "targets", "labels"]))
+        row = draw(st.integers(0, len(labels) - 1))
+        if which == "labels":
+            del labels[row]
+        elif which == "inputs":
+            inputs = np.delete(inputs, row, axis=0)
+        else:
+            targets = np.delete(targets, row, axis=0)
+    return Dataset(ds.stage, inputs, targets, labels, ds.output_labels, ds.seed)
+
+
 class TestMainProperty:
     """Mutated inputs and drawn config values end in an exit code of the
     documented set; a failure leaves exactly one "error:" line."""
@@ -604,3 +645,19 @@ class TestMainProperty:
     @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=3))
     def test_drawn_config_values(self, work, family40, drawn):
         self._train(work, family40, json.dumps({"generations": 2, **drawn}).encode())
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_inconsistent_dataset(self, work, family40, data):
+        # every command that loads a dataset refuses it with one error line
+        path = work["db"].parent / "fuzz.ds"
+        _forged(data.draw(_inconsistent(load(family40))), path)
+        out = work["db"].parent / "fuzz.stage"
+        out.unlink(missing_ok=True)
+        for argv in (["reduce", "--dataset", str(path)],
+                     ["train", "--dataset", str(path), "--out", str(out)],
+                     ["evaluate", "--model", str(work["model"]), "--dataset", str(path)]):
+            code, errors = _run(argv)
+            assert code == 1 and len(errors) == 1, (argv[0], code, errors)
+            assert "malformed dataset" in errors[0]
+        assert not out.exists()

@@ -158,8 +158,9 @@ class TestTcpBlocks:
         assert list(vec[1:4]) == [-1.0] * 3
 
     def test_w_must_be_hex(self):
+        # the parser rejects this first; the encoder still checks a built observation
         with pytest.raises(EncodeError, match="T1.W"):
-            enc("T1(W=12G4)\n")
+            encode_observation(Observation(None, {"T1": {"W": "12G4"}}))
 
     def test_df_must_be_yn(self):
         with pytest.raises(EncodeError, match="T1.DF"):

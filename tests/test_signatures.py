@@ -121,6 +121,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="conjunction"):
             parse_fingerprint_db("Fingerprint X\nTSeq(SI=<5&RI)\n")
 
+    @pytest.mark.parametrize("expr", ["0x4000", "+4000", "40_00", "-5", "4000|0x0", "", " "])
+    def test_numeric_literals_are_bare_hex(self, expr):
+        with pytest.raises(ParseError, match="^line 2: field W wants bare hex"):
+            parse_fingerprint_db(f"Fingerprint X\nT1(DF=Y%W={expr})\n")
+
+    def test_other_fields_keep_any_literal(self):
+        sig = parse_fingerprint_db("Fingerprint X\nT1(ACK=0x4000%Ops=+4_0)\n")[0]
+        assert [r.constraint for r in sig.tests["T1"]] == [Const("0x4000"), Const("+4_0")]
+
 
 class TestRoundTrip:
     def test_structural_roundtrip(self):
@@ -258,6 +267,13 @@ class TestObservations:
             "line 2: unknown test id T9",
             "line 2: unknown field T9.W kept verbatim",
         ]
+
+    @pytest.mark.parametrize("value", ["0x4000", "+4000", "40_00", "-5", "", "4 0"])
+    def test_numeric_values_are_bare_hex(self, value):
+        with pytest.raises(ParseError, match="^line 1: field W wants a bare hex value"):
+            parse_observation(f"T1(DF=Y%W={value})\n")
+        # an unknown test's fields stay verbatim
+        assert parse_observation(f"T9(W={value})\n").tests == {"T9": {"W": value.strip()}}
 
     def test_exactly_one_required(self):
         with pytest.raises(ParseError, match="exactly one"):
@@ -582,11 +598,15 @@ class TestTokenizerOracle:
     @settings(max_examples=200)
     @given(drawn=mutated_observation_text())
     def test_db_test_lines_agree(self, drawn):
-        text, _ = drawn
+        text, syntax = drawn
         text = "Fingerprint X\n" + text.replace("Observation ", "# ")
         got = outcome(parse_fingerprint_db, text)
         want = outcome(oracle_parse_fingerprint_db, text)
-        if "&" not in text:
+        if got[1] is not None and "wants bare hex" in got[1]:
+            # |, < or > inside a numeric value made a literal that is not
+            # bare hex, such as '' or '4<0': accepted before, an error now
+            assert syntax
+        elif "&" not in text:
             assert got == want
         else:
             # a bad conjunction may now be reported after the line's other faults
