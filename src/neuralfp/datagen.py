@@ -2,9 +2,10 @@
 
 Signatures are population descriptions, not points: a rule like gcd=<6
 covers six concrete values.  Training corpora are drawn by sampling each
-constraint uniformly (literal values as-is, alternatives uniformly,
-comparisons uniformly over the satisfying integer interval), so every
-sample matches its source signature perfectly by construction.
+rule uniformly (one of its choices; a literal as is, a numeric one in
+upper-case hex, a Range uniformly over its integers up to the field's
+bound), so every sample matches its source signature perfectly by
+construction.
 
 Sample counts follow a prevalence table, apportioned by largest remainder
 after reserving one sample per signature with positive weight.  Each
@@ -21,17 +22,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .encoding import TOTAL_NEURONS, encode_observation
-from .signatures import (
-    NUMERIC_FIELDS,
-    And,
-    AnyValue,
-    Atom,
-    Cmp,
-    Const,
-    Observation,
-    OneOf,
-    Signature,
-)
+from .signatures import NUMERIC_FIELDS, Observation, Range, Signature
 
 # OS families the pipeline is trained to tell apart, in output order.
 RELEVANT_FAMILIES = ("Windows", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD")
@@ -128,39 +119,24 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
     return counts
 
 
-def _interval(field: str, atoms: tuple[Cmp, ...]) -> tuple[int, int]:
-    lo, hi = 0, NUMERIC_FIELDS.get(field, _DEFAULT_CAP)
-    for cmp_ in atoms:
-        if cmp_.op == "<":
-            hi = min(hi, cmp_.bound - 1)
-        else:
-            lo = max(lo, cmp_.bound + 1)
-    return lo, hi
-
-
-def _sample_atom(atom: Atom, field: str, rng, context: str) -> str:
-    if isinstance(atom, Const):
-        return atom.value
-    atoms = atom.terms if isinstance(atom, And) else (atom,)
-    lo, hi = _interval(field, atoms)
-    if lo > hi:
-        raise GenerationError(f"{context}.{field}: unsatisfiable interval")
-    value = int(rng.integers(lo, hi + 1))
-    return f"{value:X}"
-
-
 def sample_observation(sig: Signature, rng) -> Observation:
     """Draw one concrete observation satisfying every rule of sig."""
     tests: dict[str, dict[str, str]] = {}
     for tid, rules in sig.tests.items():
         fields: dict[str, str] = {}
         for rule in rules:
-            c = rule.constraint
-            if isinstance(c, AnyValue):
+            choices = rule.choices
+            if not choices:  # an unknown field: nothing to encode
                 continue
-            if isinstance(c, OneOf):
-                c = c.choices[int(rng.integers(len(c.choices)))]
-            fields[rule.field] = _sample_atom(c, rule.field, rng, f"{sig.name}: {tid}")
+            c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
+            if isinstance(c, Range):
+                lo = 0 if c.lo is None else c.lo + 1
+                hi = NUMERIC_FIELDS.get(rule.field, _DEFAULT_CAP)
+                hi = hi if c.hi is None else min(hi, c.hi - 1)
+                if lo > hi:
+                    raise GenerationError(f"{sig.name}: {tid}.{rule.field}: unsatisfiable interval")
+                c = int(rng.integers(lo, hi + 1))
+            fields[rule.field] = c if isinstance(c, str) else f"{c:X}"
         # a silent probe carries nothing but the fact that it stayed silent
         if fields.get("Resp") == "N":
             fields = {"Resp": "N"}

@@ -15,6 +15,7 @@ present and -1 when not.
 from __future__ import annotations
 
 import logging
+import re
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 TCP_TESTS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
+# the one spelling of a number in a probe field: no 0x, sign or underscore
+BARE_HEX = re.compile(r"[0-9A-Fa-f]+")
 OPTION_GROUPS = 10
 
 # The probe vocabulary and its layout: each block is an ordered list of
@@ -129,10 +132,9 @@ _PACK = struct.Struct(f"{TOTAL_NEURONS}d")
 
 
 def _encode_num(f: Field, value: str) -> list[float]:
-    try:
-        return [float(int(value, 16))]
-    except ValueError:
-        raise EncodeError(f"{f.test}.{f.name} not hexadecimal: {value!r}") from None
+    if not BARE_HEX.fullmatch(value):
+        raise EncodeError(f"{f.test}.{f.name} not bare hexadecimal: {value!r}")
+    return [float(int(value, 16))]
 
 
 def _encode_yn(f: Field, value: str) -> list[float]:

@@ -38,7 +38,7 @@ import zlib
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, stage_targets
 from .dcerpc import WindowsLabelSpace, WindowsRefiner
 from .encoding import EndpointSchema
 from .hierarchy import HierarchyModel, Stage
@@ -92,10 +92,11 @@ _CHECKS = {
                         "editions and service packs for every version"),
     WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),
                      "net widths = schema size and label space size"),
-    Dataset: (lambda d: d.inputs.ndim == d.targets.ndim == 2
-              and len(d.inputs) == len(d.targets) == len(d.labels)
-              and np.isfinite(d.inputs).all() and (np.abs(d.targets) == 1).all(),
-              "one 2-D input row and target row per label, finite inputs and targets of -1 or +1"),
+    Dataset: (lambda d: d.inputs.ndim == 2 and len(d.inputs) == len(d.labels)
+              and np.isfinite(d.inputs).all()
+              and np.array_equal(d.targets, stage_targets(d.labels, d.stage, d.output_labels)),
+              "one 2-D input row and target row per label, finite inputs, and targets of -1 or +1 "
+              "as its labels give"),
 }
 
 

@@ -14,6 +14,12 @@ a comparison (``<1C``, ``>5``, hex bounds) or a ``&``-conjunction of
 comparisons.  ``#`` starts a comment line.  Whitespace around tokens is
 ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
 
+Each rule is parsed once into a ``FieldConstraint``: its field and a tuple
+of choices, one per alternative.  A choice is a ``str`` literal, an ``int``
+for a literal of a numeric field, or a ``Range(lo, hi)``, the open interval
+of a comparison chain, with ``None`` on an unbounded side.  An unknown
+field's rule keeps its raw text and has no choices, so it accepts any value.
+
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
 A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``).
@@ -28,11 +34,13 @@ import logging
 import math
 import re
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .encoding import FIELDS
+from .encoding import BARE_HEX, FIELDS
 
 log = logging.getLogger(__name__)
 
@@ -58,51 +66,22 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Const:
-    """Literal value; hex case is normalized for numeric fields."""
+class Range:
+    """Open interval of hex integers: lo < value < hi, None on an unbounded side."""
 
-    value: str
-
-
-@dataclass(frozen=True)
-class Cmp:
-    """One-sided strict bound on a hex integer. op is '<' or '>'."""
-
-    op: str
-    bound: int
-
-
-@dataclass(frozen=True)
-class And:
-    """Conjunction of comparisons, e.g. SI=<2D870A&>66C6."""
-
-    terms: tuple[Cmp, ...]
-
-
-@dataclass(frozen=True)
-class AnyValue:
-    """Unknown field preserved verbatim; matches any observed value."""
-
-    raw: str
-
-
-Atom = Const | Cmp | And
-
-
-@dataclass(frozen=True)
-class OneOf:
-    """|-separated alternatives."""
-
-    choices: tuple[Atom, ...]
-
-
-Constraint = Const | Cmp | And | OneOf | AnyValue
+    lo: int | None
+    hi: int | None
 
 
 @dataclass(frozen=True)
 class FieldConstraint:
+    """One rule: the alternatives its field accepts, each a literal (an int
+    in a numeric field) or a Range.  An unknown field's rule keeps its raw
+    text and has no choices: it accepts any value."""
+
     field: str
-    constraint: Constraint
+    choices: tuple[str | int | Range, ...]
+    raw: str | None = None
 
 
 @dataclass(frozen=True)
@@ -110,12 +89,15 @@ class Signature:
     """One fingerprint record.
 
     classes holds (vendor, family, line, purpose) tuples; tests maps test id
-    to its rules in database order.
+    to its rules in database order, read-only, as a db's index outlives edits.
     """
 
     name: str
     classes: tuple[tuple[str, str, str, str], ...]
-    tests: dict[str, tuple[FieldConstraint, ...]]
+    tests: Mapping[str, tuple[FieldConstraint, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tests", MappingProxyType(dict(self.tests)))
 
     def rule_count(self) -> int:
         return sum(len(rules) for rules in self.tests.values())
@@ -134,23 +116,25 @@ _OBS_RE = re.compile(r"^Observation\s+(.*\S)\s*$")
 _CLASS_RE = re.compile(r"^Class\s+(.*)$")
 _TEST_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*\(")
 _CMP_RE = re.compile(r"^([<>])\s*([0-9A-Fa-f]+)$")
-_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
-def _parse_atom(text: str, lineno: int) -> Atom:
+def _parse_choice(text: str, lineno: int) -> str | Range:
+    """One alternative: a literal, or a comparison or &-chain of them as the
+    Range of its largest '>' and smallest '<' bound."""
     text = text.strip()
-    if "&" in text:
-        terms = []
-        for part in text.split("&"):
-            m = _CMP_RE.match(part.strip())
-            if not m:
+    lo = hi = None
+    for part in text.split("&"):
+        m = _CMP_RE.match(part.strip())
+        if not m:
+            if "&" in text:
                 raise ParseError(f"bad conjunction term {part!r}", lineno)
-            terms.append(Cmp(m.group(1), int(m.group(2), 16)))
-        return And(tuple(terms))
-    m = _CMP_RE.match(text)
-    if m:
-        return Cmp(m.group(1), int(m.group(2), 16))
-    return Const(text)
+            return text
+        bound = int(m.group(2), 16)
+        if m.group(1) == ">":
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return Range(lo, hi)
 
 
 def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool, str]]]:
@@ -197,12 +181,13 @@ def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool,
 
 def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
     if not known:
-        return FieldConstraint(name, AnyValue(expr))
-    numeric = name in NUMERIC_FIELDS
-    alts = tuple(_parse_atom(a.upper() if numeric else a, lineno) for a in expr.split("|"))
-    if numeric and any(isinstance(a, Const) and not _HEX_RE.fullmatch(a.value) for a in alts):
+        return FieldConstraint(name, (), expr)
+    if name not in NUMERIC_FIELDS:
+        return FieldConstraint(name, tuple(_parse_choice(a, lineno) for a in expr.split("|")))
+    choices = [_parse_choice(a, lineno) for a in expr.upper().split("|")]
+    if any(isinstance(c, str) and not BARE_HEX.fullmatch(c) for c in choices):
         raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
-    return FieldConstraint(name, alts[0] if len(alts) == 1 else OneOf(alts))
+    return FieldConstraint(name, tuple(c if isinstance(c, Range) else int(c, 16) for c in choices))
 
 
 def parse_fingerprint_db(text: str) -> list[Signature]:
@@ -247,20 +232,16 @@ def parse_fingerprint_db(text: str) -> list[Signature]:
     return sigs
 
 
-def _format_atom(atom: Atom) -> str:
-    if isinstance(atom, Const):
-        return atom.value
-    if isinstance(atom, Cmp):
-        return f"{atom.op}{atom.bound:X}"
-    return "&".join(_format_atom(t) for t in atom.terms)
-
-
-def _format_constraint(c: Constraint) -> str:
-    if isinstance(c, AnyValue):
-        return c.raw
-    if isinstance(c, OneOf):
-        return "|".join(_format_atom(a) for a in c.choices)
-    return _format_atom(c)
+def _format_rule(rule: FieldConstraint) -> str:
+    """A rule's expression: its raw text, or its choices, a Range as >lo&<hi."""
+    if not rule.choices:
+        return rule.raw
+    alts = []
+    for c in rule.choices:
+        if isinstance(c, Range):
+            c = "&".join(f"{op}{b:X}" for op, b in ((">", c.lo), ("<", c.hi)) if b is not None)
+        alts.append(c if isinstance(c, str) else f"{c:X}")
+    return "|".join(alts)
 
 
 def format_signature(sig: Signature) -> str:
@@ -268,7 +249,7 @@ def format_signature(sig: Signature) -> str:
     for cls in sig.classes:
         lines.append("Class " + " | ".join(cls))
     for tid, rules in sig.tests.items():
-        body = "%".join(f"{r.field}={_format_constraint(r.constraint)}" for r in rules)
+        body = "%".join(f"{r.field}={_format_rule(r)}" for r in rules)
         lines.append(f"{tid}({body})")
     return "\n".join(lines)
 
@@ -281,40 +262,33 @@ def serialize_fingerprint_db(sigs: list[Signature]) -> str:
 class _Index:
     """A db's rules as parallel arrays of signature, (test, field) slot and
     distinct-constraint numbers.  Per slot, a literal's constraints are
-    keyed by its text, or by its int in a numeric field, an unknown field's
-    by None, as they match every value; comparisons are open intervals."""
+    keyed by the literal, an unknown field's by None, as they match every
+    value; a Range's are open intervals."""
 
     def __init__(self, db: list[Signature]):
         self.size = len(db)
         self.slots: dict[tuple[str, str], int] = {}
         self.equals: dict[tuple[int, str | int | None], list[int]] = {}
         self.intervals: dict[int, list[tuple[float | int, float | int, int]]] = {}
-        numbers: dict[tuple[int, Constraint], int] = {}
+        numbers: dict[tuple[int, tuple], int] = {}
         rules = []
         for s, sig in enumerate(db):
             for tid, fields in sig.tests.items():
                 for rule in fields:
                     slot = self.slots.setdefault((tid, rule.field), len(self.slots))
                     count = len(numbers)
-                    number = numbers.setdefault((slot, rule.constraint), count)
-                    if number == count:
-                        self._add(slot, rule.field in NUMERIC_FIELDS, rule.constraint, number)
+                    number = numbers.setdefault((slot, rule.choices), count)
+                    if number == count:  # a new constraint: key each of its choices
+                        for c in rule.choices or (None,):
+                            if isinstance(c, Range):
+                                lo = -math.inf if c.lo is None else c.lo
+                                hi = math.inf if c.hi is None else c.hi
+                                self.intervals.setdefault(slot, []).append((lo, hi, number))
+                            else:
+                                self.equals.setdefault((slot, c), []).append(number)
                     rules += (s, slot, number)
         self.rule_sig, self.rule_slot, self.rule_constraint = np.array(rules, np.intp).reshape(-1, 3).T
         self.constraints = len(numbers)
-
-    def _add(self, slot: int, numeric: bool, constraint: Constraint, number: int) -> None:
-        for atom in constraint.choices if isinstance(constraint, OneOf) else (constraint,):
-            if isinstance(atom, AnyValue):
-                self.equals.setdefault((slot, None), []).append(number)
-            elif isinstance(atom, Const):
-                key = int(atom.value, 16) if numeric and _HEX_RE.fullmatch(atom.value) else atom.value
-                self.equals.setdefault((slot, key), []).append(number)
-            else:
-                terms = atom.terms if isinstance(atom, And) else (atom,)
-                lo = max((t.bound for t in terms if t.op != "<"), default=-math.inf)
-                hi = min((t.bound for t in terms if t.op == "<"), default=math.inf)
-                self.intervals.setdefault(slot, []).append((lo, hi, number))
 
     def scores(self, obs: Observation) -> np.ndarray:
         observed, satisfied = np.zeros(len(self.slots)), np.zeros(self.constraints)
@@ -325,7 +299,7 @@ class _Index:
                     continue
                 observed[slot] = 1
                 hits = self.equals.get((slot, None), []) + self.equals.get((slot, value), [])
-                if _HEX_RE.fullmatch(value):  # only bare hex is a number
+                if BARE_HEX.fullmatch(value):  # only bare hex is a number
                     v = int(value, 16)
                     hits += self.equals.get((slot, v), [])
                     hits += [number for lo, hi, number in self.intervals.get(slot, ()) if lo < v < hi]
@@ -397,7 +371,7 @@ def parse_observations(text: str) -> list[Observation]:
         for key, known, expr in fields:
             if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
                 raise ParseError(f"constraint syntax in observation field {key}", lineno)
-            if known and key in NUMERIC_FIELDS and not _HEX_RE.fullmatch(expr := expr.upper()):
+            if known and key in NUMERIC_FIELDS and not BARE_HEX.fullmatch(expr := expr.upper()):
                 raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
             values[key] = expr
         if tid in tests:

@@ -1,4 +1,8 @@
-"""The indexed best-fit matcher against the per-rule tree walk it replaced."""
+"""The indexed best-fit matcher against the per-rule tree walk it replaced.
+
+Both sides read the same db text: the tree grammar's parser and the walk
+on one side, parse_fingerprint_db and best_fit on the other.
+"""
 
 import gc
 import hashlib
@@ -17,18 +21,24 @@ from neuralfp.datagen import sample_observation
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
-    And,
-    AnyValue,
-    Cmp,
-    Const,
-    FieldConstraint,
     Observation,
-    OneOf,
     Signature,
     best_fit,
     match_score,
     match_scores,
     parse_fingerprint_db,
+    serialize_fingerprint_db,
+)
+
+from tree_grammar import (
+    And,
+    AnyValue,
+    Cmp,
+    Const,
+    OneOf,
+    TreeRule,
+    format_tree_db,
+    oracle_parse_fingerprint_db,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -82,15 +92,20 @@ def oracle_score(sig, obs):
     return matched / considered if considered else 0.0
 
 
-def oracle_ranking(db, obs):
-    scored = [(sig.name, oracle_score(sig, obs)) for sig in db]
+def oracle_ranking(tree, obs):
+    scored = [(sig.name, oracle_score(sig, obs)) for sig in tree]
     scored.sort(key=lambda pair: -pair[1])
     return scored
 
 
+def tree_ranking(db, obs):
+    """The walk's ranking of a parsed db, read back from its text as trees."""
+    return oracle_ranking(oracle_parse_fingerprint_db(serialize_fingerprint_db(db)), obs)
+
+
 # ---------------------------------------------------------------------------
-# Drawn databases: small value pools, so that signatures share constraints,
-# observations hit them and scores tie.
+# Drawn databases, in the tree shape: small value pools, so that signatures
+# share constraints, observations hit them and scores tie.
 
 _TESTS = ["T1", "T4", "TSeq", "PU"]
 _UNKNOWN = st.sampled_from(["Bogus", "X9"])
@@ -123,8 +138,8 @@ def _signature(draw):
         names = draw(st.lists(st.sampled_from(KNOWN_FIELDS[tid][:6]) | _UNKNOWN, unique=True,
                               max_size=4))
         tests[tid] = tuple(
-            FieldConstraint(f, AnyValue(draw(_WORDS)) if f not in KNOWN_FIELDS[tid]
-                            else draw(_CONSTRAINT[f in NUMERIC_FIELDS]))
+            TreeRule(f, AnyValue(draw(_WORDS)) if f not in KNOWN_FIELDS[tid]
+                     else draw(_CONSTRAINT[f in NUMERIC_FIELDS]))
             for f in names)
     return Signature(draw(st.sampled_from(["A", "B", "C", "D"])), (), tests)
 
@@ -162,45 +177,51 @@ def _observation(draw, db):
 
 
 @st.composite
-def _db_and_observations(draw):
-    db = draw(st.lists(_signature(), min_size=1, max_size=6))
-    return db, draw(st.lists(_observation(db), min_size=1, max_size=4))
+def _db_text_and_observations(draw):
+    tree = draw(st.lists(_signature(), min_size=1, max_size=6))
+    return format_tree_db(tree), draw(st.lists(_observation(tree), min_size=1, max_size=4))
+
+
+def _both(text):
+    """text parsed by parse_fingerprint_db and by the tree grammar."""
+    return parse_fingerprint_db(text), oracle_parse_fingerprint_db(text)
 
 
 class TestOracle:
     @settings(max_examples=150)
-    @given(drawn=_db_and_observations())
+    @given(drawn=_db_text_and_observations())
     def test_full_ranking_equals_the_tree_walk(self, drawn):
-        db, observations = drawn
+        text, observations = drawn
+        db, tree = _both(text)
         for obs in observations:
-            assert best_fit(db, obs, top=len(db)) == oracle_ranking(db, obs)
+            assert best_fit(db, obs, top=len(db)) == oracle_ranking(tree, obs)
 
     @settings(max_examples=50)
-    @given(drawn=_db_and_observations())
+    @given(drawn=_db_text_and_observations())
     def test_match_score_equals_the_tree_walk(self, drawn):
-        db, observations = drawn
+        text, observations = drawn
+        db, tree = _both(text)
         for obs in observations:
-            assert [match_score(sig, obs) for sig in db] == [oracle_score(s, obs) for s in db]
+            assert [match_score(sig, obs) for sig in db] == [oracle_score(s, obs) for s in tree]
 
     def test_machine_written_db(self):
-        db = parse_fingerprint_db(demo_database() + "\n" + large_database(40, 3))
+        db, tree = _both(demo_database() + "\n" + large_database(40, 3))
         rng = np.random.default_rng(0)
         for _ in range(40):
             obs = sample_observation(db[int(rng.integers(len(db)))], rng)
-            assert best_fit(db, obs, top=len(db)) == oracle_ranking(db, obs)
+            assert best_fit(db, obs, top=len(db)) == oracle_ranking(tree, obs)
 
     def test_only_bare_hex_is_a_number(self):
-        sig = parse_fingerprint_db("Fingerprint X\nT1(W=10|>FF0)\n")[0]
+        (sig,), (tree,) = _both("Fingerprint X\nT1(W=10|>FF0)\n")
         for value, want in [("10", 1.0), ("010", 1.0), ("0x10", 0.0), ("+10", 0.0),
                             ("1_0", 0.0), ("FFFF", 1.0), ("-FFFF", 0.0)]:
             obs = Observation(None, {"T1": {"W": value}})
-            assert match_score(sig, obs) == oracle_score(sig, obs) == want
+            assert match_score(sig, obs) == oracle_score(tree, obs) == want
 
     def test_leading_zeros_equal_only_in_numeric_fields(self):
-        sig = Signature("X", (), {"T1": (FieldConstraint("W", Const("0A")),
-                                         FieldConstraint("ACK", Const("0A")))})
+        (sig,), (tree,) = _both("Fingerprint X\nT1(W=0A%ACK=0A)\n")
         obs = Observation(None, {"T1": {"W": "A", "ACK": "A"}})
-        assert match_score(sig, obs) == oracle_score(sig, obs) == 0.5
+        assert match_score(sig, obs) == oracle_score(tree, obs) == 0.5
 
     def test_empty_db_and_empty_signature(self):
         obs = Observation(None, {"T1": {"W": "0"}})
@@ -274,7 +295,7 @@ class TestCache:
     def test_same_list_builds_once(self, builds):
         db = parse_fingerprint_db(demo_database())
         for obs in _hosts(db, 5, 1):
-            assert best_fit(db, obs, top=len(db)) == oracle_ranking(db, obs)
+            assert best_fit(db, obs, top=len(db)) == tree_ranking(db, obs)
         assert builds == [len(db)]
 
     def test_equal_signatures_in_a_new_list_reuse_the_index(self, builds):
@@ -296,7 +317,7 @@ class TestCache:
             db[7] = extra
         else:
             db[3], db[9] = db[9], db[3]
-        assert best_fit(db, obs, top=len(db)) == oracle_ranking(db, obs)
+        assert best_fit(db, obs, top=len(db)) == tree_ranking(db, obs)
         assert builds == [len(db) - (edit == "append"), len(db)]
 
     def test_dropped_db_is_freed_and_never_answers_for_another(self):
@@ -309,17 +330,31 @@ class TestCache:
         gc.collect()
         assert all(r() is None for r in refs)
         b = parse_fingerprint_db(text)  # equal, perhaps at reused addresses
-        assert best_fit(b, obs, top=len(b)) == oracle_ranking(b, obs)
+        assert best_fit(b, obs, top=len(b)) == tree_ranking(b, obs)
         del b
         gc.collect()
         # same length, other content
         c = parse_fingerprint_db(large_database(len(refs), 9))
-        assert best_fit(c, obs, top=len(c)) == oracle_ranking(c, obs)
+        assert best_fit(c, obs, top=len(c)) == tree_ranking(c, obs)
 
     def test_interleaved_match_score_and_best_fit(self, builds):
-        db = parse_fingerprint_db(demo_database())
+        db, trees = _both(demo_database())
         for obs in _hosts(db, 3, 5):
-            for sig in db[::7]:
-                assert match_score(sig, obs) == oracle_score(sig, obs)
-                assert best_fit(db, obs, top=len(db)) == oracle_ranking(db, obs)
+            for sig, tree in zip(db[::7], trees[::7]):
+                assert match_score(sig, obs) == oracle_score(tree, obs)
+                assert best_fit(db, obs, top=len(db)) == tree_ranking(db, obs)
+        assert builds.count(len(db)) == 1
+
+    def test_rules_are_read_only(self, builds):
+        # an in-place edit cannot leave the cached index behind the rules
+        db = parse_fingerprint_db(demo_database())
+        obs = _hosts(db, 1, 6)[0]
+        ranked = best_fit(db, obs, top=len(db))
+        with pytest.raises(TypeError):
+            db[0].tests["T1"] = ()
+        with pytest.raises(TypeError):
+            del db[0].tests["T1"]
+        assert db == parse_fingerprint_db(demo_database())
+        assert best_fit(db, obs, top=len(db)) == ranked == tree_ranking(db, obs)
+        assert dict(ranked)[db[0].name] == match_score(db[0], obs)
         assert builds.count(len(db)) == 1

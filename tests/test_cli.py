@@ -571,10 +571,11 @@ def _forged(ds: Dataset, path) -> None:
 
 @st.composite
 def _inconsistent(draw, ds: Dataset) -> Dataset:
-    """ds with non-finite inputs, targets other than -1 and +1, or a row
-    missing from its inputs, targets or labels; at least one of them."""
+    """ds with non-finite inputs, targets other than -1 and +1, a target row
+    flipped or traded with a row of other targets, or a row missing from
+    its inputs, targets or labels; at least one of them."""
     inputs, targets, labels = ds.inputs.copy(), ds.targets.copy(), list(ds.labels)
-    kinds = draw(st.sets(st.sampled_from(["inputs", "targets", "rows"]), min_size=1))
+    kinds = draw(st.sets(st.sampled_from(["inputs", "targets", "labels", "rows"]), min_size=1))
     cells = lambda a: st.tuples(st.integers(0, len(a) - 1), st.integers(0, a.shape[1] - 1))  # noqa: E731
     if "inputs" in kinds:
         for cell in draw(st.lists(cells(inputs), min_size=1, max_size=3)):
@@ -582,6 +583,14 @@ def _inconsistent(draw, ds: Dataset) -> Dataset:
     if "targets" in kinds:
         for cell in draw(st.lists(cells(targets), min_size=1, max_size=3)):
             targets[cell] = draw(st.floats().filter(lambda v: abs(v) != 1))
+    if "labels" in kinds:
+        row = draw(st.integers(0, len(targets) - 1))
+        others = [i for i, t in enumerate(targets) if not np.array_equal(t, targets[row])]
+        if others and draw(st.booleans()):
+            other = draw(st.sampled_from(others))
+            targets[[row, other]] = targets[[other, row]]
+        else:
+            targets[row] *= -1
     if "rows" in kinds:
         which = draw(st.sampled_from(["inputs", "targets", "labels"]))
         row = draw(st.integers(0, len(labels) - 1))

@@ -27,7 +27,6 @@ from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import sample_observation
 from neuralfp.signatures import (
     KNOWN_FIELDS,
-    AnyValue,
     FieldConstraint,
     Observation,
     parse_fingerprint_db,
@@ -157,10 +156,12 @@ class TestTcpBlocks:
         assert vec[0] == 1.0
         assert list(vec[1:4]) == [-1.0] * 3
 
-    def test_w_must_be_hex(self):
-        # the parser rejects this first; the encoder still checks a built observation
+    @pytest.mark.parametrize("value", ["12G4", "0x4000", "+4000", "40_00", "-5", ""])
+    def test_w_must_be_hex(self, value):
+        # the parser rejects these first; the encoder, like the matcher,
+        # still reads only bare hex as a number in a built observation
         with pytest.raises(EncodeError, match="T1.W"):
-            encode_observation(Observation(None, {"T1": {"W": "12G4"}}))
+            encode_observation(Observation(None, {"T1": {"W": value}}))
 
     def test_df_must_be_yn(self):
         with pytest.raises(EncodeError, match="T1.DF"):
@@ -426,7 +427,7 @@ class TestVocabulary:
     def test_padding_is_not_a_field(self, caplog):
         with caplog.at_level(logging.WARNING, logger="neuralfp.signatures"):
             sig, = parse_fingerprint_db("Fingerprint Padded\nTSeq(PAD=1)\n")
-        assert sig.tests["TSeq"] == (FieldConstraint("PAD", AnyValue("1")),)
+        assert sig.tests["TSeq"] == (FieldConstraint("PAD", (), "1"),)
         assert "unknown field TSeq.PAD kept verbatim" in caplog.text
 
     @pytest.mark.parametrize("test, name", [(f.test, f.name) for f in FIELDS if f.kind == "num"])

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from neuralfp.cli import main
 from neuralfp.corpus import demo_database
-from neuralfp.datagen import Dataset, SampleLabel, generate_dataset, sample_observation
+from neuralfp.datagen import Dataset, SampleLabel, generate_dataset, sample_observation, stage_targets
 from neuralfp.encoding import build_endpoint_schema
 from neuralfp.dcerpc import parse_endpoint_dump, synthetic_windows_corpus, train_windows_net
 from neuralfp.hierarchy import HierarchyConfig, classify_vector, train_hierarchy
@@ -128,6 +128,18 @@ class TestOtherKinds:
         _rewrite_body(path, lambda body: body.update({cell: _encode(getattr(good, cell))}))
         with pytest.raises(CorruptContainerError, match=f"malformed dataset: body: expected .*{wants}"):
             load(path)
+
+    @pytest.mark.parametrize("edit", ["flip", "swap"])
+    def test_dataset_targets_follow_labels(self, tmp_path, edit):
+        db = parse_fingerprint_db(demo_database())
+        ds = generate_dataset(db, None, 70, stage="family", seed=8)
+        if edit == "flip":
+            ds.targets[7] *= -1
+        else:  # two rows of other families trade targets
+            j = next(i for i, l in enumerate(ds.labels) if l.family != ds.labels[7].family)
+            ds.targets[[7, j]] = ds.targets[[j, 7]]
+        with pytest.raises(PersistenceError, match="targets of -1 or \\+1 as its labels give"):
+            save(ds, tmp_path / "bad.ds")
 
     def test_dataset_seed_recorded_in_metadata(self, tmp_path):
         db = parse_fingerprint_db(demo_database())
@@ -393,15 +405,14 @@ FLOATS = st.one_of(
 
 @st.composite
 def datasets(draw):
-    # a dataset holds finite inputs and targets of -1 or +1 (the other
-    # float classes are covered by the network round trip)
+    # a dataset holds finite inputs and the targets its labels give (the
+    # other float classes are covered by the network round trip)
     n = draw(st.integers(0, 6))
     finite = FLOATS.filter(math.isfinite)
     inputs = draw(arrays(np.float64, st.tuples(st.just(n), st.integers(0, 5)), elements=finite))
-    targets = draw(arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3)),
-                          elements=st.sampled_from([-1.0, 1.0])))
     labels = [SampleLabel(f"sig {i}", i % 2 == 0, "Linux" if i % 3 else None, None)
               for i in range(n)]
+    targets = stage_targets(labels, "relevance", ("relevant",))
     return Dataset("relevance", inputs, targets, labels, ("relevant",), draw(st.integers(0, 2**32)))
 
 

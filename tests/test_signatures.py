@@ -1,5 +1,6 @@
 """Database grammar, match scoring, and round-trip serialization."""
 
+import hashlib
 import logging
 import re
 import string
@@ -15,14 +16,10 @@ from neuralfp.datagen import sample_observation
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
-    And,
-    AnyValue,
-    Cmp,
-    Const,
     FieldConstraint,
     Observation,
-    OneOf,
     ParseError,
+    Range,
     Signature,
     best_fit,
     format_observation,
@@ -34,6 +31,21 @@ from neuralfp.signatures import (
 )
 
 from conftest import LINUX_260_BLOCK, LINUX_260_T3, OPENBSD_22_BLOCK, OPENBSD_36_BLOCK
+from tree_grammar import (
+    ORACLE_LOG,
+    And,
+    AnyValue,
+    Cmp,
+    Const,
+    OneOf,
+    TreeRule,
+    flatten,
+    format_tree_db,
+    oracle_parse_fingerprint_db,
+    parse_test_line,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParsing:
@@ -47,23 +59,23 @@ class TestParsing:
         # one rule per truncated line, nine in total
         assert sig.rule_count() == 9
         assert sig.tests["TSeq"][0].field == "Class"
-        assert sig.tests["TSeq"][0].constraint == Const("RI")
-        assert sig.tests["PU"][0].constraint == Const("N")
+        assert sig.tests["TSeq"][0].choices == ("RI",)
+        assert sig.tests["PU"][0].choices == ("N",)
 
     def test_openbsd_block(self):
         sigs = parse_fingerprint_db(OPENBSD_36_BLOCK)
         assert len(sigs) == 1
         sig = sigs[0]
         assert sig.name == "OpenBSD 3.6 (i386)"
-        t1 = {r.field: r.constraint for r in sig.tests["T1"]}
-        assert t1["W"] == Const("4000")
-        assert t1["Ops"] == Const("MNWNNT")
+        t1 = {r.field: r.choices for r in sig.tests["T1"]}
+        assert t1["W"] == (0x4000,)
+        assert t1["Ops"] == ("MNWNNT",)
         assert sig.tests["T2"][0] == sig.tests["T2"][0]
-        assert {r.field: r.constraint for r in sig.tests["T2"]} == {"Resp": Const("N")}
+        assert {r.field: r.choices for r in sig.tests["T2"]} == {"Resp": ("N",)}
         # '%Flags=R' with no space still splits cleanly
-        t4 = {r.field: r.constraint for r in sig.tests["T4"]}
-        assert t4["Flags"] == Const("R")
-        assert t4["Ops"] == Const("")
+        t4 = {r.field: r.choices for r in sig.tests["T4"]}
+        assert t4["Flags"] == ("R",)
+        assert t4["Ops"] == ("",)
 
     def test_comments_and_blanks_ignored(self):
         text = "# Fingerprint bogus\n\n" + OPENBSD_36_BLOCK + "\n# trailing note\n"
@@ -101,21 +113,25 @@ class TestParsing:
             sigs = parse_fingerprint_db("Fingerprint X\nT1(Bogus=Q|Z%DF=Y)\n")
         rule = sigs[0].tests["T1"][0]
         assert rule.field == "Bogus"
-        assert rule.constraint == AnyValue("Q|Z")
+        assert rule == FieldConstraint("Bogus", (), "Q|Z")
         assert any("unknown field" in rec.message for rec in caplog.records)
 
     def test_constraint_grammar(self):
         text = "Fingerprint X\nTSeq(Class=RI%gcd=<6%SI=<2D870A&>66C6%IPID=Z|I%TS=100HZ)\n"
         sig = parse_fingerprint_db(text)[0]
-        rules = {r.field: r.constraint for r in sig.tests["TSeq"]}
-        assert rules["gcd"] == Cmp("<", 6)
-        assert rules["SI"] == And((Cmp("<", 0x2D870A), Cmp(">", 0x66C6)))
-        assert rules["IPID"] == OneOf((Const("Z"), Const("I")))
-        assert rules["TS"] == Const("100HZ")
+        rules = {r.field: r.choices for r in sig.tests["TSeq"]}
+        assert rules["gcd"] == (Range(None, 6),)
+        assert rules["SI"] == (Range(0x66C6, 0x2D870A),)
+        assert rules["IPID"] == ("Z", "I")
+        assert rules["TS"] == ("100HZ",)
+
+    def test_chain_keeps_its_tightest_bounds(self):
+        sig = parse_fingerprint_db("Fingerprint X\nTSeq(SI=<10&>2&<8&>5|>3|1F)\n")[0]
+        assert sig.tests["TSeq"][0].choices == (Range(5, 8), Range(3, None), 0x1F)
 
     def test_hex_case_normalized(self):
         sig = parse_fingerprint_db("Fingerprint X\nT1(W=402e)\n")[0]
-        assert sig.tests["T1"][0].constraint == Const("402E")
+        assert sig.tests["T1"][0].choices == (0x402E,)
 
     def test_bad_conjunction(self):
         with pytest.raises(ParseError, match="conjunction"):
@@ -128,7 +144,7 @@ class TestParsing:
 
     def test_other_fields_keep_any_literal(self):
         sig = parse_fingerprint_db("Fingerprint X\nT1(ACK=0x4000%Ops=+4_0)\n")[0]
-        assert [r.constraint for r in sig.tests["T1"]] == [Const("0x4000"), Const("+4_0")]
+        assert [r.choices for r in sig.tests["T1"]] == [("0x4000",), ("+4_0",)]
 
 
 class TestRoundTrip:
@@ -144,6 +160,18 @@ class TestRoundTrip:
         once = parse_fingerprint_db(text)
         again = parse_fingerprint_db(serialize_fingerprint_db(once))
         assert once == again
+
+    # sha256 of serialize_fingerprint_db, recorded before rules were flattened
+    @pytest.mark.parametrize("text, digest", [
+        (demo_database(), "014ba4e4cb9e598c8d4a629c3119a4e44ca96b925c9b7081cd5fe0e2f734e4d6"),
+        (demo_database() + "\n" + large_database(220),
+         "17acb4cb77790b1834b4ba0e391828141129bb95215217405a9ead0f379c4363"),
+        ((DATA / "fingerprints_v1.txt").read_text(),
+         "20626ceb694a53661f0925531e9ef6aa9788926aa87b97364e4048455d41f968"),
+    ], ids=["demo", "corpus", "v1"])
+    def test_serialized_db_is_golden(self, text, digest):
+        out = serialize_fingerprint_db(parse_fingerprint_db(text))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_observation_roundtrip(self):
         obs = parse_observation("Observation probe-1\n" + LINUX_260_T3 + "\n")
@@ -317,12 +345,13 @@ def _constraint(name):
 
 
 @st.composite
-def signatures(draw):
+def tree_signatures(draw):
+    """A signature in the tree shape, as the tree grammar's formatter takes it."""
     tids = draw(st.lists(st.sampled_from(list(KNOWN_FIELDS)), unique=True))
     tests = {}
     for tid in tids:
         fields = draw(_probe_fields(tid, _constraint))
-        tests[tid] = tuple(FieldConstraint(f, c) for f, c in fields.items())
+        tests[tid] = tuple(TreeRule(f, c) for f, c in fields.items())
     classes = draw(st.lists(st.tuples(_WORD, _WORD, _WORD, _WORD), max_size=2).map(tuple))
     return Signature(draw(_NAME), classes, tests)
 
@@ -337,8 +366,11 @@ class TestProperties:
         assert parse_observation(format_observation(obs)) == obs
 
     @settings(max_examples=30)
-    @given(db=st.lists(signatures(), max_size=3))
-    def test_db_serialize_parse_is_identity(self, db):
+    @given(tree=st.lists(tree_signatures(), max_size=3))
+    def test_db_serialize_parse_is_identity(self, tree):
+        text = format_tree_db(tree)
+        db = parse_fingerprint_db(text)
+        assert db == flatten(oracle_parse_fingerprint_db(text))
         assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
 
     @settings(max_examples=20)
@@ -364,111 +396,12 @@ class TestProperties:
 # ---------------------------------------------------------------------------
 # The parser as it was before observations were tokenized without atoms: the
 # oracle for the shared test-line tokenizer.  Its observation path built a
-# constraint atom for every field and unwrapped it again; its db path is the
-# one parse_fingerprint_db must still agree with.
+# constraint atom for every field and unwrapped it again; its db path (in
+# tree_grammar) is the one parse_fingerprint_db must still agree with, once
+# its trees are flattened.
 
-_ORACLE_LOG = logging.getLogger("neuralfp.signatures")
-_FIELD_CASE = {tid: {f.lower(): f for f in fields} for tid, fields in KNOWN_FIELDS.items()}
-_TEST_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*\(")
-_CMP_RE = re.compile(r"^([<>])\s*([0-9A-Fa-f]+)$")
-_FP_RE = re.compile(r"^Fingerprint\s+(.*\S)\s*$")
 _OBS_RE = re.compile(r"^Observation\s+(.*\S)\s*$")
-_CLASS_RE = re.compile(r"^Class\s+(.*)$")
 _VALUE_OK_RE = re.compile(r"^[^|<>&]*$")
-
-
-def _oracle_atom(text, lineno):
-    text = text.strip()
-    if "&" in text:
-        terms = []
-        for part in text.split("&"):
-            m = _CMP_RE.match(part.strip())
-            if not m:
-                raise ParseError(f"bad conjunction term {part!r}", lineno)
-            terms.append(Cmp(m.group(1), int(m.group(2), 16)))
-        return And(tuple(terms))
-    m = _CMP_RE.match(text)
-    if m:
-        return Cmp(m.group(1), int(m.group(2), 16))
-    return Const(text)
-
-
-def _oracle_field(tid, token, lineno):
-    if "=" not in token:
-        raise ParseError(f"missing '=' in {token!r}", lineno)
-    name, _, expr = token.partition("=")
-    name = name.strip()
-    expr = expr.strip()
-    canonical = _FIELD_CASE.get(tid, {}).get(name.lower())
-    if canonical is None:
-        _ORACLE_LOG.warning("line %d: unknown field %s.%s kept verbatim", lineno, tid, name)
-        return FieldConstraint(name, AnyValue(expr))
-    if canonical in NUMERIC_FIELDS:
-        expr = expr.upper()
-    alts = tuple(_oracle_atom(a, lineno) for a in expr.split("|"))
-    if len(alts) == 1:
-        return FieldConstraint(canonical, alts[0])
-    return FieldConstraint(canonical, OneOf(alts))
-
-
-def _parse_test_line(line, lineno):
-    m = _TEST_RE.match(line)
-    if not m:
-        raise ParseError(f"unrecognized line {line!r}", lineno)
-    tid = m.group(1)
-    body = line[m.end():]
-    if ")" in body:
-        body, _, rest = body.partition(")")
-        if rest.strip():
-            raise ParseError(f"text after ')' in {line!r}", lineno)
-    else:
-        _ORACLE_LOG.warning("line %d: unterminated test line %r", lineno, line)
-    if tid not in KNOWN_FIELDS:
-        _ORACLE_LOG.warning("line %d: unknown test id %s", lineno, tid)
-    rules = []
-    seen = set()
-    for token in body.split("%"):
-        token = token.strip()
-        if not token:
-            continue
-        rule = _oracle_field(tid, token, lineno)
-        if rule.field in seen:
-            raise ParseError(f"duplicate field {rule.field} in {tid}", lineno)
-        seen.add(rule.field)
-        rules.append(rule)
-    return tid, tuple(rules)
-
-
-def oracle_parse_fingerprint_db(text):
-    sigs, name, classes, tests = [], None, [], {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _FP_RE.match(line)
-        if m:
-            if name is not None:
-                sigs.append(Signature(name, tuple(classes), tests))
-            name, classes, tests = m.group(1), [], {}
-            continue
-        m = _CLASS_RE.match(line)
-        if m:
-            if name is None:
-                raise ParseError("Class line before any Fingerprint line", lineno)
-            parts = [p.strip() for p in m.group(1).split("|")]
-            if len(parts) != 4:
-                raise ParseError(f"Class line needs 4 '|' fields, got {len(parts)}", lineno)
-            classes.append(tuple(parts))
-            continue
-        if name is None:
-            raise ParseError("test line before any Fingerprint line", lineno)
-        tid, rules = _parse_test_line(line, lineno)
-        if tid in tests:
-            raise ParseError(f"duplicate test {tid}", lineno)
-        tests[tid] = rules
-    if name is not None:
-        sigs.append(Signature(name, tuple(classes), tests))
-    return sigs
 
 
 def oracle_parse_observations(text):
@@ -483,7 +416,7 @@ def oracle_parse_observations(text):
                 obs.append(Observation(name, tests))
             name, tests, started = m.group(1), {}, True
             continue
-        tid, rules = _parse_test_line(line, lineno)
+        tid, rules = parse_test_line(line, lineno)
         fields = {}
         for rule in rules:
             if isinstance(rule.constraint, Const):
@@ -513,13 +446,19 @@ class _Records(logging.Handler):
 def outcome(parse, text):
     """(result, ParseError message, warnings) of one parse."""
     handler = _Records()
-    _ORACLE_LOG.addHandler(handler)
+    ORACLE_LOG.addHandler(handler)
     try:
         return parse(text), None, handler.messages
     except ParseError as exc:
         return None, str(exc), handler.messages
     finally:
-        _ORACLE_LOG.removeHandler(handler)
+        ORACLE_LOG.removeHandler(handler)
+
+
+def flattened(tree_outcome):
+    """A tree parse's outcome with its signatures flattened."""
+    result, error, warnings = tree_outcome
+    return (None if result is None else flatten(result)), error, warnings
 
 
 _MUTATIONS = ("test id", "case", "syntax", "duplicate", "unknown", "no =", "empty", "spaces",
@@ -606,7 +545,9 @@ class TestTokenizerOracle:
             # |, < or > inside a numeric value made a literal that is not
             # bare hex, such as '' or '4<0': accepted before, an error now
             assert syntax
-        elif "&" not in text:
+            return
+        want = flattened(want)
+        if "&" not in text:
             assert got == want
         else:
             # a bad conjunction may now be reported after the line's other faults
@@ -615,11 +556,11 @@ class TestTokenizerOracle:
     @pytest.mark.parametrize("text", [
         demo_database(),
         large_database(220),
-        *(path.read_text() for path in sorted((Path(__file__).parent / "data").iterdir())),
+        *(path.read_text() for path in sorted(DATA.iterdir())),
     ])
     def test_databases_are_bit_identical(self, text):
         got = outcome(parse_fingerprint_db, text)
-        assert got == outcome(oracle_parse_fingerprint_db, text)
+        assert got == flattened(outcome(oracle_parse_fingerprint_db, text))
         assert got[0] and got[1] is None
 
     @pytest.mark.parametrize("line, field", [
