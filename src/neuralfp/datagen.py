@@ -27,9 +27,6 @@ from .signatures import NUMERIC_FIELDS, Observation, Range, Signature
 # OS families the pipeline is trained to tell apart, in output order.
 RELEVANT_FAMILIES = ("Windows", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD")
 
-# the bound of an open comparison on a field the encoding table gives none
-_DEFAULT_CAP = 0xFFFF
-
 
 class GenerationError(ValueError):
     pass
@@ -131,7 +128,7 @@ def sample_observation(sig: Signature, rng) -> Observation:
             c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
             if isinstance(c, Range):
                 lo = 0 if c.lo is None else c.lo + 1
-                hi = NUMERIC_FIELDS.get(rule.field, _DEFAULT_CAP)
+                hi = NUMERIC_FIELDS[rule.field]  # the parser takes comparisons nowhere else
                 hi = hi if c.hi is None else min(hi, c.hi - 1)
                 if lo > hi:
                     raise GenerationError(f"{sig.name}: {tid}.{rule.field}: unsatisfiable interval")

@@ -131,6 +131,12 @@ PU_BASE = next(f.start for f in FIELDS if f.test == "PU")
 _PACK = struct.Struct(f"{TOTAL_NEURONS}d")
 
 
+# flags and ops values that encoded with no warning, per slot table, up to MEMO_BOUND of them
+# (threads that race on a miss may each add one more)
+MEMO_BOUND = 1024
+_MEMOS: dict[tuple, dict[str, list[float]]] = {}
+
+
 def _encode_num(f: Field, value: str) -> list[float]:
     if not BARE_HEX.fullmatch(value):
         raise EncodeError(f"{f.test}.{f.name} not bare hexadecimal: {value!r}")
@@ -165,6 +171,8 @@ def _encode_flags(f: Field, value: str) -> list[float]:
             out[f.slot[c]] = 1.0
     if unknown := "".join(c for c in value if c not in f.slot):
         log.warning("unknown letters %r in %s.Flags=%s dropped", unknown, f.test, value)
+    elif len(memo := _known(f)) < MEMO_BOUND:
+        memo[value] = out
     return out
 
 
@@ -178,30 +186,41 @@ def _encode_ops(f: Field, value: str) -> list[float]:
         log.warning("unknown letters %r in %s.Ops=%s: their groups stay empty", unknown, f.test, value)
     if len(value) > OPTION_GROUPS:
         log.warning("%s.Ops=%s: groups past %d dropped", f.test, value, OPTION_GROUPS)
+    elif not unknown and len(memo := _known(f)) < MEMO_BOUND:
+        memo[value] = out
     return out
 
 
 _ENCODE = {"num": _encode_num, "yn": _encode_yn, "resp": _encode_yn, "marked": _encode_choice,
            "outcome": _encode_choice, "flags": _encode_flags, "ops": _encode_ops}
-# what encode_observation walks: each test and the fields that write
-_BLOCKS = tuple((test, tuple(f for f in FIELDS if f.test == test and f.kind in _ENCODE))
+
+
+def _known(f: Field) -> dict[str, list[float]]:
+    """f's values that need no check and their encodings: a table built once, or the memo."""
+    if f.kind in ("flags", "ops"):
+        return _MEMOS.setdefault((f.kind, tuple(f.slot.items())), {})
+    return {v: _ENCODE[f.kind](f, v) for v in (("Y", "N") if f.kind in ("yn", "resp") else f.slot)}
+
+
+# what encode_observation walks: each test and its fields that write, with their known values
+_BLOCKS = tuple((test, tuple((f, _known(f)) for f in FIELDS if f.test == test and f.kind in _ENCODE))
                 for test in dict.fromkeys(f.test for f in FIELDS))
 
 
 def encode_observation(obs) -> np.ndarray:
     """Encode an Observation into the 568-neuron vector."""
     vec = [0.0] * TOTAL_NEURONS
-    for test, fields in _BLOCKS:
+    for test, steps in _BLOCKS:
         if values := obs.tests.get(test):
-            for f in fields:
+            for f, known in steps:
                 value = values.get(f.name, f.absent)
                 if value is not None:
-                    vec[f.start:f.stop] = _ENCODE[f.kind](f, value)
+                    vec[f.start:f.stop] = known.get(value) or _ENCODE[f.kind](f, value)
     return np.frombuffer(_PACK.pack(*vec)).copy()
 
 
 # test -> the names of its fields that own slots
-_SLOTTED = {test: frozenset(f.name for f in fields) for test, fields in _BLOCKS}
+_SLOTTED = {test: frozenset(f.name for f, _ in steps) for test, steps in _BLOCKS}
 
 
 def has_encoded_field(obs) -> bool:

@@ -84,8 +84,8 @@ _CHECKS = {
     Normalizer: (lambda n: n.mean.ndim == 1 and n.mean.shape == n.std.shape == n.constant.shape,
                  "1-D mean, std and constant of one width"),
     ReductionPipeline: (lambda p: p.basis.ndim == 2 and p.basis.shape[0] == len(p.kept)
-                        and all(0 <= i < len(p.normalizer.mean) for i in p.kept),
-                        "one basis row per kept column, each within the normalizer"),
+                        and not p.normalizer.constant[list(p.kept)].any(),
+                        "one basis row per kept column, each a non-constant column of the normalizer"),
     Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
             "net input width = PCA k and one net output per label"),
     WindowsLabelSpace: (lambda l: all(l.editions.get(v) and l.service_packs.get(v) for v in l.versions),

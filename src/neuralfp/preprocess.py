@@ -16,7 +16,7 @@ reduction pipeline is fitted per training corpus:
    eigenvector prefix holding at least the target share (98%) of total
    variance.
 
-Applying the pipeline is affine: center, scale, select, project.
+Applying the pipeline is affine: select, center, scale, project.
 """
 
 from __future__ import annotations
@@ -122,6 +122,13 @@ class ReductionPipeline:
     eigenvalues: np.ndarray  # full spectrum over kept columns, descending
     variance_kept: float
 
+    def __post_init__(self):
+        n, kept = self.normalizer, list(self.kept)
+        # gathering before scaling matches transform() only where it pins no constant to 0
+        if not all(0 <= i < len(n.mean) for i in kept) or n.constant[kept].any():
+            raise ReductionError("every kept column must be a non-constant column of the normalizer")
+        object.__setattr__(self, "_scaling", (np.array(kept, dtype=np.intp), n.mean[kept], n.std[kept]))
+
     @property
     def output_dim(self) -> int:
         return self.basis.shape[1]
@@ -132,8 +139,12 @@ class ReductionPipeline:
         Each row is its own vector-matrix product, so a row gets the same
         bits alone as inside any batch.
         """
+        take, center, scale = self._scaling
         # vecmat's bits follow the row layout: take() copies into contiguous rows
-        out = np.vecmat(self.normalizer.transform(x).take(self.kept, axis=1), self.basis)
+        out = np.atleast_2d(np.asarray(x, dtype=float)).take(take, axis=1)
+        out -= center
+        out /= scale
+        out = np.vecmat(out, self.basis)
         return out[0] if np.ndim(x) == 1 else out
 
 

@@ -17,8 +17,10 @@ ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
 Each rule is parsed once into a ``FieldConstraint``: its field and a tuple
 of choices, one per alternative.  A choice is a ``str`` literal, an ``int``
 for a literal of a numeric field, or a ``Range(lo, hi)``, the open interval
-of a comparison chain, with ``None`` on an unbounded side.  An unknown
-field's rule keeps its raw text and has no choices, so it accepts any value.
+of a comparison chain, with ``None`` on an unbounded side; a ``Range`` is a
+numeric field's only, and holds an integer the sampler draws (0 up to the
+field's bound).  An unknown field's rule keeps its raw text and has no
+choices, so it accepts any value.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
@@ -182,12 +184,18 @@ def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool,
 def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
     if not known:
         return FieldConstraint(name, (), expr)
-    if name not in NUMERIC_FIELDS:
-        return FieldConstraint(name, tuple(_parse_choice(a, lineno) for a in expr.split("|")))
-    choices = [_parse_choice(a, lineno) for a in expr.upper().split("|")]
-    if any(isinstance(c, str) and not BARE_HEX.fullmatch(c) for c in choices):
-        raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
-    return FieldConstraint(name, tuple(c if isinstance(c, Range) else int(c, 16) for c in choices))
+    bound = NUMERIC_FIELDS.get(name)
+    choices = [_parse_choice(a, lineno) for a in (expr if bound is None else expr.upper()).split("|")]
+    for c in choices:
+        if isinstance(c, Range):
+            if bound is None:
+                raise ParseError(f"comparison in non-numeric field {name}: {expr!r}", lineno)
+            if (0 if c.lo is None else c.lo + 1) > (bound if c.hi is None else min(bound, c.hi - 1)):
+                raise ParseError(f"field {name}: no value in 0..{bound:X} satisfies {expr!r}", lineno)
+        elif bound is not None and not BARE_HEX.fullmatch(c):
+            raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
+    return FieldConstraint(name, tuple(c if bound is None or isinstance(c, Range) else int(c, 16)
+                                       for c in choices))
 
 
 def parse_fingerprint_db(text: str) -> list[Signature]:

@@ -39,6 +39,7 @@ from tree_grammar import (
     TreeRule,
     format_tree_db,
     oracle_parse_fingerprint_db,
+    satisfiable,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -119,16 +120,19 @@ def _hex(draw):
     return "0" * draw(st.integers(0, 2)) + f"{draw(_INT):X}"
 
 
-def _atom(numeric):
+def _atom(bound):
+    const = st.builds(Const, _WORDS if bound is None else _hex())
+    if bound is None:
+        return const
+    # comparisons only in numeric fields, each met by an integer in 0..bound
     cmp = st.builds(Cmp, st.sampled_from("<>"), _INT)
-    const = st.builds(Const, _hex() if numeric else _WORDS)
-    # the grammar allows comparisons in any field, and non-hex text in none
-    return st.one_of(const, cmp, st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple)))
+    ranges = cmp | st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple))
+    return const | ranges.filter(lambda atom: satisfiable(atom, bound))
 
 
-_CONSTRAINT = {numeric: _atom(numeric) | st.builds(OneOf, st.lists(_atom(numeric), min_size=2,
-                                                                    max_size=3).map(tuple))
-               for numeric in (False, True)}
+def _constraint(field):
+    atom = _atom(NUMERIC_FIELDS.get(field))
+    return atom | st.builds(OneOf, st.lists(atom, min_size=2, max_size=3).map(tuple))
 
 
 @st.composite
@@ -139,7 +143,7 @@ def _signature(draw):
                               max_size=4))
         tests[tid] = tuple(
             TreeRule(f, AnyValue(draw(_WORDS)) if f not in KNOWN_FIELDS[tid]
-                     else draw(_CONSTRAINT[f in NUMERIC_FIELDS]))
+                     else draw(_constraint(f)))
             for f in names)
     return Signature(draw(st.sampled_from(["A", "B", "C", "D"])), (), tests)
 

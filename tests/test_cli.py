@@ -463,6 +463,26 @@ class TestEvaluateBaseline:
         assert captured.err.splitlines() == [f"error: --top must be >= 1, got {top}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("rule, message", [
+        ("T1(DF=<5%W=4000)", "comparison in non-numeric field DF"),
+        ("TSeq(SI=>7&<5)", "field SI: no value in 0..FFFFFF"),
+        ("T1(W=>FFFF)", "field W: no value in 0..FFFF"),
+    ])
+    def test_rule_no_sample_can_meet_is_exit_1_and_one_line(self, work, tmp_path, capsys,
+                                                            rule, message):
+        # baseline used to rank such a db, and generate failed while sampling
+        db = tmp_path / "unmeetable.db"
+        db.write_text(f"Fingerprint X\nClass X | Linux | 2.4.X | general purpose\n{rule}\n")
+        out = tmp_path / "never.ds"
+        for argv in (["baseline", "--db", str(db), "--obs", str(work["sol_obs"])],
+                     ["generate", "--db", str(db), "--total", "10", "--out", str(out)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: line 3: {message}")
+            assert captured.out == ""
+        assert not out.exists()
+
 
 class TestExports:
     def test_export_curves_stage(self, work, tmp_path, capsys):

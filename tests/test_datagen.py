@@ -22,7 +22,7 @@ from neuralfp.datagen import (
     stage_outputs,
     stage_targets,
 )
-from neuralfp.signatures import match_score, parse_fingerprint_db
+from neuralfp.signatures import FieldConstraint, Range, Signature, match_score, parse_fingerprint_db
 
 from conftest import OPENBSD_22_BLOCK, OPENBSD_36_BLOCK
 
@@ -128,7 +128,8 @@ class TestSampling:
             assert int(obs.tests["TSeq"]["VAL"], 16) in (8, 9)
 
     def test_unsatisfiable_interval(self):
-        sig = parse_fingerprint_db("Fingerprint X\nTSeq(SI=<5&>10)\n")[0]
+        # the parser refuses such a rule, so only a hand-built signature has one
+        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (Range(10, 5),)),)})
         with pytest.raises(GenerationError, match="X: TSeq.SI"):
             sample_observation(sig, np.random.default_rng(0))
 

@@ -1,6 +1,7 @@
 """Vector layout and encoding semantics."""
 
 import hashlib
+import itertools
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from neuralfp import encoding
 from neuralfp.encoding import (
     FIELDS,
     PU_BASE,
@@ -33,7 +35,7 @@ from neuralfp.signatures import (
     parse_observation,
 )
 
-from conftest import LINUX_260_T3
+from conftest import LINUX_260_T3, scan_hosts
 
 
 def enc(text):
@@ -307,6 +309,8 @@ class TestProperties:
 # was declared as one field table; any moved slot or changed bit fails.
 LAYOUT_SHA256 = "4dc92de25d56525fe09d708dfbd61bdb3db21502c8d5c5088f4985c72686ce0a"
 SAMPLES_SHA256 = "2907ca3f7afc4e16ba2f3f7520963caa0ce9ce9cab1dc07603be8353c76fc594"
+# recorded before known values were written from tables built at import
+SCAN_HOSTS_SHA256 = "03667819831da41a7f16b469980d51ae9ea1e059f9a224c8ac0eb967149dfd9f"
 
 
 class TestGolden:
@@ -324,6 +328,13 @@ class TestGolden:
                     vec = encode_observation(sample_observation(sig, rng))
                     digest.update(vec.astype("<f8").tobytes())
         assert digest.hexdigest() == SAMPLES_SHA256
+
+    def test_scan_hosts_digest(self):
+        # the parsed observations of the first 1000 bench scan hosts of seed 1
+        digest = hashlib.sha256()
+        for obs, _ in scan_hosts(_DBS[0], 1000):
+            digest.update(encode_observation(obs).astype("<f8").tobytes())
+        assert digest.hexdigest() == SCAN_HOSTS_SHA256
 
 
 def _encoder_records(caplog):
@@ -377,6 +388,51 @@ class TestLoggedDrops:
         assert np.array_equal(silent, enc("T1(DF=Y)\n"))
         assert np.array_equal(answered, enc("PU(DF=N)\n"))
         assert _encoder_records(caplog) == []
+
+
+class TestRepeatedValues:
+    """Known values are written from tables and a memo; a value neither
+    holds is checked again on every call."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("T3(Flags=AXS)", "'X' in T3.Flags=AXS"),
+        ("T2(Ops=QM)", "'Q' in T2.Ops=QM"),
+        ("T5(Ops=MMMMMMMMMMN)", "T5.Ops=MMMMMMMMMMN: groups past 10"),
+        ("T1(ACK=Z)", "T1.ACK=Z"),
+        ("TSeq(Class=WEIRD)", "TSeq.Class=WEIRD"),
+    ])
+    def test_unknown_letters_and_values_log_on_every_call(self, caplog, text, message):
+        obs = parse_observation(text + "\n")
+        with caplog.at_level(logging.WARNING, logger="neuralfp.encoding"):
+            vecs = [encode_observation(obs) for _ in range(3)]
+        records = _encoder_records(caplog)
+        assert len(records) == 3 and all(message in r.getMessage() for r in records)
+        assert all(np.array_equal(v, vecs[0]) for v in vecs)
+
+    @pytest.mark.parametrize("text, field", [("T1(DF=X)", "T1.DF"), ("PU(UCK=Q)", "PU.UCK")])
+    def test_bad_values_raise_on_every_call(self, text, field):
+        obs = parse_observation(text + "\n")
+        for _ in range(3):
+            with pytest.raises(EncodeError, match=field):
+                encode_observation(obs)
+
+    def test_memo_holds_only_warning_free_values(self):
+        enc("T1(Flags=AXS%Ops=QM)\nT2(Flags=AS%Ops=MNWNNT)\nT3(Ops=MMMMMMMMMMN)\n")
+        flags, ops = (next(f for f in FIELDS if f.kind == kind) for kind in ("flags", "ops"))
+        assert "AS" in encoding._known(flags) and "AXS" not in encoding._known(flags)
+        assert "MNWNNT" in encoding._known(ops)
+        assert {"QM", "MMMMMMMMMMN"}.isdisjoint(encoding._known(ops))
+
+    def test_memo_stays_at_its_bound(self):
+        ops = next(f for f in FIELDS if f.kind == "ops")
+        letters = sorted(ops.slot)
+        values = list(itertools.islice(map("".join, itertools.product(letters, repeat=5)),
+                                       encoding.MEMO_BOUND + 100))
+        for value in values + values[-100:]:
+            vec = encode_observation(Observation(None, {"T1": {"Ops": value}}))
+            hits = np.flatnonzero(vec[ops.start:ops.stop] == 1.0)
+            assert list(hits) == [g * len(letters) + ops.slot[c] for g, c in enumerate(value)]
+        assert len(encoding._known(ops)) == encoding.MEMO_BOUND
 
 
 _ENTRY = {(f.test, f.name): f for f in FIELDS}

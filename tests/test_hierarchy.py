@@ -37,6 +37,8 @@ from neuralfp.hierarchy import (
 from neuralfp.neural import TrainConfig
 from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
+from conftest import scan_hosts
+
 
 @pytest.fixture(scope="module")
 def db():
@@ -117,13 +119,21 @@ class TestGolden:
     # recorded before plateau stopping: the 300-generation run with it turned off
     TRAIN_RECIPE_FULL_DIGEST = "ac7ee926fe462b7657cabf205af42480e51752a0cc371a0a1dac6f89418a5e76"
 
+    # recorded before the per-host path gathered kept columns before scaling
+    # them and encoded known values from tables: every score keeps its bits
+    SCAN_VERDICTS_DIGEST = "55294b773d51dd1017aa74a50090e9e68fa9ca9e529b3259c3de294d8651a358"
+
     @staticmethod
-    def digest(db, rows, **cfg):
-        """Every net's weights and history on a bench recipe: corpus seed 42,
-        HierarchyConfig seed 7 with the refiner."""
+    def recipe(db, rows, **cfg):
+        """A model trained on a bench recipe: corpus seed 42, HierarchyConfig
+        seed 7 with the refiner."""
         ds = generate_dataset(db, None, rows, stage="relevance", seed=42)
-        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7, windows=True, **cfg),
-                                corpus=(ds.inputs, ds.labels))
+        return train_hierarchy(db, cfg=HierarchyConfig(seed=7, windows=True, **cfg),
+                               corpus=(ds.inputs, ds.labels))
+
+    @staticmethod
+    def digest(model):
+        """Every net's weights and history."""
         nets = {"relevance": model.relevance.net, "family": model.family.net,
                 **{name: stage.net for name, stage in model.versions.items()},
                 "windows": model.windows.net}
@@ -135,20 +145,36 @@ class TestGolden:
             h.update(repr(net.history.rows).encode())
         return h.hexdigest()
 
-    def test_scan_recipe_weights_and_histories(self, db):
+    @pytest.fixture(scope="class")
+    def scan_model(self, db):
         # the bench scan recipe: 1000 rows, 30 generations
-        assert self.digest(db, 1000, generations=30) == self.SCAN_RECIPE_DIGEST
+        return self.recipe(db, 1000, generations=30)
+
+    def test_scan_recipe_weights_and_histories(self, scan_model):
+        assert self.digest(scan_model) == self.SCAN_RECIPE_DIGEST
+
+    def test_scan_recipe_verdicts(self, db, scan_model):
+        # every score, verdict, stage trace and Windows verdict of the first
+        # 1000 bench scan hosts of seed 1
+        h = hashlib.sha256()
+        for obs, dump in scan_hosts(db, 1000):
+            r = classify(scan_model, obs, dump)
+            w = r.windows
+            windows = w and (w.version, w.edition, w.service_pack, w.scores, w.low_confidence)
+            h.update(repr((r.relevance, r.family_scores, r.version_scores, r.verdict,
+                           r.stage_trace, windows)).encode())
+        assert h.hexdigest() == self.SCAN_VERDICTS_DIGEST
 
     def test_corpus_recipe_weights_and_histories(self):
         # the bench corpus recipe: the demo db plus 220 machine-written
         # signatures, 1500 rows, 30 generations
         db = parse_fingerprint_db(demo_database() + "\n" + large_database(220))
-        assert self.digest(db, 1500, generations=30) == self.CORPUS_RECIPE_DIGEST
+        assert self.digest(self.recipe(db, 1500, generations=30)) == self.CORPUS_RECIPE_DIGEST
 
     def test_train_recipe_without_patience_runs_in_full(self, db, monkeypatch):
         # the bench train recipe: 1000 rows, 300 generations
         monkeypatch.setattr(hierarchy, "STAGE_PATIENCE", None)
-        assert self.digest(db, 1000) == self.TRAIN_RECIPE_FULL_DIGEST
+        assert self.digest(self.recipe(db, 1000)) == self.TRAIN_RECIPE_FULL_DIGEST
 
     def test_patience_reaches_every_stage(self, db):
         ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)

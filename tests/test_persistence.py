@@ -293,6 +293,14 @@ class TestAtomicity:
             save(ds, tmp_path / "d.ds")
         assert os.listdir(tmp_path) == []
 
+    def test_save_refuses_a_kept_column_made_constant_in_place(self, tmp_path):
+        pipe = fit_pipeline(np.random.default_rng(0).normal(size=(40, 6)))
+        pipe.normalizer.constant[pipe.kept[0]] = True  # the arrays are mutable
+        with pytest.raises(PersistenceError, match="cannot save ReductionPipeline: expected one "
+                                                   "basis row per kept column, each a non-constant"):
+            save(pipe, tmp_path / "p.pipe")
+        assert os.listdir(tmp_path) == []
+
 
 class TestWrites:
     @pytest.mark.parametrize("umask", [0o022, 0o077])
@@ -351,6 +359,16 @@ def _float_mask(body, model):
     body["relevance"]["pipeline"]["normalizer"]["constant"] = _encode(mask.astype(float))
 
 
+def _constant_kept(body, model):
+    # fit_pipeline keeps no constant column: its R column is all zero
+    constant = np.flatnonzero(model.relevance.pipeline.normalizer.constant)
+    body["relevance"]["pipeline"]["kept"][0] = int(constant[0])
+
+
+def _kept_past_width(body, model):
+    body["relevance"]["pipeline"]["kept"][-1] = len(model.relevance.pipeline.normalizer.mean)
+
+
 def _string_labels(body, model):
     body["family"]["labels"] = "Linux"
 
@@ -364,6 +382,8 @@ MALFORMED = {
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
     "net width is not PCA k": (_narrow_basis, "net input width = PCA k"),
     "mask stored as float": (_float_mask, "dtype '<f8', expected '\\|b1'"),
+    "kept column is constant": (_constant_kept, "non-constant column of the normalizer"),
+    "kept column past the normalizer": (_kept_past_width, "non-constant column of the normalizer"),
     "labels not a list": (_string_labels, "expected list, got str"),
     "array data not base64": (_bad_base64, "malformed hierarchy"),
 }
@@ -383,7 +403,7 @@ class TestMalformedBody:
             load(path)
 
     @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape",
-                                      "net width is not PCA k"])
+                                      "net width is not PCA k", "kept column is constant"])
     def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
         model, root = small_hierarchy
         path = tmp_path / "bad.model"

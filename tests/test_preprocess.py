@@ -1,5 +1,6 @@
 """Normalization, correlation, column elimination, PCA."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -274,6 +275,21 @@ class TestPipeline:
         out = pipe.apply(X[:7])
         assert out.shape == (7, pipe.output_dim)
         assert pipe.apply(X[0]).shape == (pipe.output_dim,)
+
+    def test_apply_is_normalize_select_project_bit_for_bit(self):
+        X = self.data()
+        pipe = fit_pipeline(X)
+        rows = np.vstack([X[:50], np.random.default_rng(3).normal(size=(50, X.shape[1]))])
+        want = np.vecmat(pipe.normalizer.transform(rows).take(pipe.kept, axis=1), pipe.basis)
+        assert np.array_equal(pipe.apply(rows), want)
+        assert all(np.array_equal(pipe.apply(row), w) for row, w in zip(rows, want))
+
+    @pytest.mark.parametrize("column", [2, 7, -1])
+    def test_kept_column_must_be_a_non_constant_one(self, column):
+        # column 2 is constant; 7 and -1 are not columns of the normalizer
+        pipe = fit_pipeline(self.data())
+        with pytest.raises(ReductionError, match="non-constant column of the normalizer"):
+            dataclasses.replace(pipe, kept=(column,) + pipe.kept[1:])
 
     def test_deterministic_refit(self):
         X = self.data()

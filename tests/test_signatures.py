@@ -43,6 +43,7 @@ from tree_grammar import (
     format_tree_db,
     oracle_parse_fingerprint_db,
     parse_test_line,
+    satisfiable,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -141,6 +142,23 @@ class TestParsing:
     def test_numeric_literals_are_bare_hex(self, expr):
         with pytest.raises(ParseError, match="^line 2: field W wants bare hex"):
             parse_fingerprint_db(f"Fingerprint X\nT1(DF=Y%W={expr})\n")
+
+    @pytest.mark.parametrize("rule, message", [
+        ("T1(DF=<5%W=4000)", "comparison in non-numeric field DF: '<5'"),
+        ("T1(ACK=S++|>1)", "comparison in non-numeric field ACK"),
+        ("TSeq(SI=>7&<5)", "field SI: no value in 0..FFFFFF satisfies '>7&<5'"),
+        ("TSeq(SI=<0)", "field SI: no value in 0..FFFFFF"),
+        # the sampler draws W from 0..FFFF
+        ("T1(W=1|>FFFF)", "field W: no value in 0..FFFF satisfies '1|>FFFF'"),
+    ])
+    def test_rule_no_sample_can_meet_is_refused(self, rule, message):
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}"):
+            parse_fingerprint_db(f"Fingerprint X\nT2(Resp=N)\n{rule}\n")
+
+    def test_range_at_the_bound_is_kept(self):
+        sig = parse_fingerprint_db("Fingerprint X\nT1(W=>FFFE%ACK=S)\nTSeq(SI=>5&<7)\n")[0]
+        assert [r.choices for rules in sig.tests.values() for r in rules] == [
+            (Range(0xFFFE, None),), ("S",), (Range(5, 7),)]
 
     def test_other_fields_keep_any_literal(self):
         sig = parse_fingerprint_db("Fingerprint X\nT1(ACK=0x4000%Ops=+4_0)\n")[0]
@@ -337,7 +355,8 @@ def _atom(name):
     const = st.builds(Const, _HEX if name in NUMERIC_FIELDS else _WORD)
     if name not in NUMERIC_FIELDS:
         return const
-    return const | cmp | st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple))
+    ranges = cmp | st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple))
+    return const | ranges.filter(lambda atom: satisfiable(atom, NUMERIC_FIELDS[name]))
 
 
 def _constraint(name):
@@ -541,9 +560,12 @@ class TestTokenizerOracle:
         text = "Fingerprint X\n" + text.replace("Observation ", "# ")
         got = outcome(parse_fingerprint_db, text)
         want = outcome(oracle_parse_fingerprint_db, text)
-        if got[1] is not None and "wants bare hex" in got[1]:
-            # |, < or > inside a numeric value made a literal that is not
-            # bare hex, such as '' or '4<0': accepted before, an error now
+        if got[1] is not None and re.search("wants bare hex|comparison in non-numeric|no value in",
+                                            got[1]):
+            # |, < or > inside a value made a numeric literal that is not
+            # bare hex, such as '' or '4<0', a comparison in a field that
+            # holds no number, or one that no sample can meet, such as W=<0:
+            # accepted before, an error now
             assert syntax
             return
         want = flattened(want)

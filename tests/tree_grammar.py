@@ -66,6 +66,14 @@ class TreeRule:
     constraint: object
 
 
+def satisfiable(atom, bound: int) -> bool:
+    """Whether an integer in 0..bound meets a Cmp or an And of them, as the
+    parser asks of every comparison in a numeric field."""
+    terms = atom.terms if isinstance(atom, And) else (atom,)
+    lo = max([t.bound + 1 for t in terms if t.op == ">"], default=0)
+    return lo <= min([t.bound - 1 for t in terms if t.op == "<"], default=bound) and lo <= bound
+
+
 # ---------------------------------------------------------------------------
 # The parser's database path, unchanged but for the class names.
 
