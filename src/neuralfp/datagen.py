@@ -128,7 +128,9 @@ def sample_observation(sig: Signature, rng) -> Observation:
             c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
             if isinstance(c, Range):
                 lo = 0 if c.lo is None else c.lo + 1
-                hi = NUMERIC_FIELDS[rule.field]  # the parser takes comparisons nowhere else
+                if (hi := NUMERIC_FIELDS.get(rule.field)) is None:
+                    raise GenerationError(f"{sig.name}: {tid}.{rule.field}: comparison in a non-numeric "
+                                          "field")
                 hi = hi if c.hi is None else min(hi, c.hi - 1)
                 if lo > hi:
                     raise GenerationError(f"{sig.name}: {tid}.{rule.field}: unsatisfiable interval")

@@ -131,12 +131,6 @@ PU_BASE = next(f.start for f in FIELDS if f.test == "PU")
 _PACK = struct.Struct(f"{TOTAL_NEURONS}d")
 
 
-# flags and ops values that encoded with no warning, per slot table, up to MEMO_BOUND of them
-# (threads that race on a miss may each add one more)
-MEMO_BOUND = 1024
-_MEMOS: dict[tuple, dict[str, list[float]]] = {}
-
-
 def _encode_num(f: Field, value: str) -> list[float]:
     if not BARE_HEX.fullmatch(value):
         raise EncodeError(f"{f.test}.{f.name} not bare hexadecimal: {value!r}")
@@ -171,8 +165,6 @@ def _encode_flags(f: Field, value: str) -> list[float]:
             out[f.slot[c]] = 1.0
     if unknown := "".join(c for c in value if c not in f.slot):
         log.warning("unknown letters %r in %s.Flags=%s dropped", unknown, f.test, value)
-    elif len(memo := _known(f)) < MEMO_BOUND:
-        memo[value] = out
     return out
 
 
@@ -186,8 +178,6 @@ def _encode_ops(f: Field, value: str) -> list[float]:
         log.warning("unknown letters %r in %s.Ops=%s: their groups stay empty", unknown, f.test, value)
     if len(value) > OPTION_GROUPS:
         log.warning("%s.Ops=%s: groups past %d dropped", f.test, value, OPTION_GROUPS)
-    elif not unknown and len(memo := _known(f)) < MEMO_BOUND:
-        memo[value] = out
     return out
 
 
@@ -196,9 +186,7 @@ _ENCODE = {"num": _encode_num, "yn": _encode_yn, "resp": _encode_yn, "marked": _
 
 
 def _known(f: Field) -> dict[str, list[float]]:
-    """f's values that need no check and their encodings: a table built once, or the memo."""
-    if f.kind in ("flags", "ops"):
-        return _MEMOS.setdefault((f.kind, tuple(f.slot.items())), {})
+    """f's values that encode with no check or warning (choices, Y and N, single letters), encoded."""
     return {v: _ENCODE[f.kind](f, v) for v in (("Y", "N") if f.kind in ("yn", "resp") else f.slot)}
 
 

@@ -83,9 +83,8 @@ _CHECKS = {
           "2-D layers whose widths chain"),
     Normalizer: (lambda n: n.mean.ndim == 1 and n.mean.shape == n.std.shape == n.constant.shape,
                  "1-D mean, std and constant of one width"),
-    ReductionPipeline: (lambda p: p.basis.ndim == 2 and p.basis.shape[0] == len(p.kept)
-                        and not p.normalizer.constant[list(p.kept)].any(),
-                        "one basis row per kept column, each a non-constant column of the normalizer"),
+    ReductionPipeline: (lambda p: p.basis.ndim == 2 and p.basis.shape[0] == len(p.kept),
+                        "one basis row per kept column"),
     Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
             "net input width = PCA k and one net output per label"),
     WindowsLabelSpace: (lambda l: all(l.editions.get(v) and l.service_packs.get(v) for v in l.versions),

@@ -40,6 +40,10 @@ class Normalizer:
     std: np.ndarray
     constant: np.ndarray  # bool mask of flagged columns
 
+    def __post_init__(self):  # read-only: pipelines keep copies of the kept means and scales
+        for a in (self.mean, self.std, self.constant):
+            a.flags.writeable = False
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         safe = np.where(self.constant, 1.0, self.std)
@@ -127,7 +131,8 @@ class ReductionPipeline:
         # gathering before scaling matches transform() only where it pins no constant to 0
         if not all(0 <= i < len(n.mean) for i in kept) or n.constant[kept].any():
             raise ReductionError("every kept column must be a non-constant column of the normalizer")
-        object.__setattr__(self, "_scaling", (np.array(kept, dtype=np.intp), n.mean[kept], n.std[kept]))
+        take = np.array(kept, dtype=np.intp)
+        object.__setattr__(self, "_scaling", (take, n.mean[kept], n.std[kept], len(n.mean)))
 
     @property
     def output_dim(self) -> int:
@@ -139,7 +144,9 @@ class ReductionPipeline:
         Each row is its own vector-matrix product, so a row gets the same
         bits alone as inside any batch.
         """
-        take, center, scale = self._scaling
+        take, center, scale, width = self._scaling
+        if np.shape(x)[-1] != width:
+            raise ReductionError(f"rows have {np.shape(x)[-1]} columns, the pipeline expects {width}")
         # vecmat's bits follow the row layout: take() copies into contiguous rows
         out = np.atleast_2d(np.asarray(x, dtype=float)).take(take, axis=1)
         out -= center

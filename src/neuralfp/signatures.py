@@ -17,10 +17,9 @@ ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
 Each rule is parsed once into a ``FieldConstraint``: its field and a tuple
 of choices, one per alternative.  A choice is a ``str`` literal, an ``int``
 for a literal of a numeric field, or a ``Range(lo, hi)``, the open interval
-of a comparison chain, with ``None`` on an unbounded side; a ``Range`` is a
-numeric field's only, and holds an integer the sampler draws (0 up to the
-field's bound).  An unknown field's rule keeps its raw text and has no
-choices, so it accepts any value.
+of a comparison chain, with ``None`` on an unbounded side, in a numeric field
+only and holding an integer from 0 to the field's bound.  An unknown field's
+rule keeps its raw text and has no choices, so it accepts any value.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.

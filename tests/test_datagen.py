@@ -133,6 +133,12 @@ class TestSampling:
         with pytest.raises(GenerationError, match="X: TSeq.SI"):
             sample_observation(sig, np.random.default_rng(0))
 
+    def test_comparison_in_a_non_numeric_field(self):
+        # nor one with a range in a field that is not numeric
+        sig = Signature("X", (), {"T1": (FieldConstraint("DF", (Range(None, 5),)),)})
+        with pytest.raises(GenerationError, match="X: T1.DF: comparison in a non-numeric field"):
+            sample_observation(sig, np.random.default_rng(0))
+
     def test_silent_response_collapses_fields(self):
         sig = parse_fingerprint_db("Fingerprint X\nT2(Resp=Y|N%DF=N%W=0)\n")[0]
         rng = np.random.default_rng(11)

@@ -1,7 +1,6 @@
 """Vector layout and encoding semantics."""
 
 import hashlib
-import itertools
 import logging
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neuralfp import encoding
 from neuralfp.encoding import (
     FIELDS,
     PU_BASE,
@@ -391,8 +389,8 @@ class TestLoggedDrops:
 
 
 class TestRepeatedValues:
-    """Known values are written from tables and a memo; a value neither
-    holds is checked again on every call."""
+    """Known choice and Y/N values are written from tables; any other value
+    is checked again on every call."""
 
     @pytest.mark.parametrize("text, message", [
         ("T3(Flags=AXS)", "'X' in T3.Flags=AXS"),
@@ -415,24 +413,6 @@ class TestRepeatedValues:
         for _ in range(3):
             with pytest.raises(EncodeError, match=field):
                 encode_observation(obs)
-
-    def test_memo_holds_only_warning_free_values(self):
-        enc("T1(Flags=AXS%Ops=QM)\nT2(Flags=AS%Ops=MNWNNT)\nT3(Ops=MMMMMMMMMMN)\n")
-        flags, ops = (next(f for f in FIELDS if f.kind == kind) for kind in ("flags", "ops"))
-        assert "AS" in encoding._known(flags) and "AXS" not in encoding._known(flags)
-        assert "MNWNNT" in encoding._known(ops)
-        assert {"QM", "MMMMMMMMMMN"}.isdisjoint(encoding._known(ops))
-
-    def test_memo_stays_at_its_bound(self):
-        ops = next(f for f in FIELDS if f.kind == "ops")
-        letters = sorted(ops.slot)
-        values = list(itertools.islice(map("".join, itertools.product(letters, repeat=5)),
-                                       encoding.MEMO_BOUND + 100))
-        for value in values + values[-100:]:
-            vec = encode_observation(Observation(None, {"T1": {"Ops": value}}))
-            hits = np.flatnonzero(vec[ops.start:ops.stop] == 1.0)
-            assert list(hits) == [g * len(letters) + ops.slot[c] for g, c in enumerate(value)]
-        assert len(encoding._known(ops)) == encoding.MEMO_BOUND
 
 
 _ENTRY = {(f.test, f.name): f for f in FIELDS}

@@ -35,6 +35,7 @@ from neuralfp.hierarchy import (
     train_stage,
 )
 from neuralfp.neural import TrainConfig
+from neuralfp.preprocess import ReductionError
 from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
 from conftest import scan_hosts
@@ -272,6 +273,11 @@ class TestClassification:
         obs = sample_observation(_pick(db, "OpenBSD"), np.random.default_rng(29))
         with pytest.raises(HierarchyError, match="model expects 567 features, observation encodes to 568"):
             classify(dataclasses.replace(model, relevance=relevance), obs)
+
+    @pytest.mark.parametrize("width", [567, 569])
+    def test_vector_of_another_width_is_refused(self, model, width):
+        with pytest.raises(ReductionError, match=f"rows have {width} columns, the pipeline expects 568"):
+            classify_vector(model, np.zeros(width))
 
 
 @pytest.fixture(scope="module")
