@@ -22,7 +22,7 @@ from collections import Counter
 
 from .datagen import PrevalenceTable, generate_dataset
 from .encoding import TOTAL_NEURONS, feature_label, layout_table
-from .dcerpc import DumpParseError, parse_endpoint_dump
+from .dcerpc import parse_endpoint_dump
 from .hierarchy import (
     HierarchyConfig,
     HierarchyError,
@@ -37,7 +37,7 @@ from .hierarchy import (
 )
 from .neural import Mlp, TrainConfig, TrainingDivergedError
 from .persistence import PersistenceError, decode_config, load, save
-from .preprocess import fit_pipeline, reduction_report
+from .preprocess import VARIANCE_TARGET, fit_pipeline, reduction_report
 from .signatures import best_fit, parse_fingerprint_db, parse_observation
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ EXIT_NOT_RELEVANT = 3
 EXIT_UNKNOWN = 4
 
 # ValueError covers the parse, generation and reduction errors
-_USER_ERRORS = (HierarchyError, PersistenceError, DumpParseError, TrainingDivergedError, ValueError)
+_USER_ERRORS = (HierarchyError, PersistenceError, TrainingDivergedError, ValueError)
 
 
 def _read(path: str) -> str:
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     if stage_name != ds.stage:
         raise ValueError(f"dataset holds stage {ds.stage!r}, not {stage_name!r}")
 
-    variance = kwargs.pop("variance", 0.98)
+    variance = kwargs.pop("variance", VARIANCE_TARGET)
     hidden = kwargs.pop("hidden", None)
     cfg = TrainConfig(**kwargs)
     resume = load(args.resume, expected_kind="stage") if args.resume else None
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="fit the correlation/PCA reduction on a dataset")
     p.add_argument("--dataset", required=True, help="dataset container path")
-    p.add_argument("--variance", type=float, default=0.98, help="variance share to keep")
+    p.add_argument("--variance", type=float, default=VARIANCE_TARGET, help="variance share to keep")
     p.add_argument("--out", help="write the fitted pipeline container here")
     p.set_defaults(func=cmd_reduce)
 

@@ -34,186 +34,161 @@ def _sig(name: str, cls: str, *tests: str) -> str:
     return "\n".join([f"Fingerprint {name}", f"Class {cls}", *tests])
 
 
-def _windows() -> list[str]:
-    rows = [
-        ("NT4 Workstation SP6a", "NT4", "TD", "<28", "U", "2017", "M", False),
-        ("NT4 Server SP3", "NT4", "TD", "<32", "U", "2180|2017", "M", False),
-        ("NT4 Server Enterprise SP6", "NT4", "TD", "<3C", "U", "2017", "M", False),
-        ("2000 Professional SP2", "2000", "RI", "<1F4", "0", "402E", "MNWNNT", True),
-        ("2000 Server SP0", "2000", "RI", "<190", "0", "402E|416A", "MNWNNT", True),
-        ("2000 Advanced Server SP4", "2000", "RI", "<258", "0", "416A", "MNWNNT", True),
-        ("XP Professional SP1", "XP", "RI", "<2BC", "0", "FAF0|402E", "MNWNNT", True),
-        ("XP Home SP2", "XP", "RI", "<2BC", "0", "FAF0", "MNWNNT", True),
-        ("XP Professional SP2", "XP", "RI", "<320", "0", "FAF0|FFFF", "MNWNNT", True),
-        ("2003 Standard Edition", "2003", "RI", "<384", "0", "402E", "MNWNNT", True),
-        ("2003 Enterprise Edition", "2003", "RI", "<3E8", "0", "402E|FFFF", "MNWNNT", True),
-        ("2003 Web Edition", "2003", "RI", "<384", "0", "402E", "MNWNNT", True),
-    ]
-    out = []
-    for name, line, cls, si, ts, w, ops, t2 in rows:
-        t2_line = "T2(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)" if t2 else "T2(Resp=N)"
-        out.append(_sig(
-            f"Microsoft Windows {name}",
-            f"Microsoft | Windows | {line} | general purpose",
-            f"TSeq(Class={cls}%gcd=1%SI={si}%IPID=BI%TS={ts})",
-            f"T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})",
-            t2_line,
-            f"T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})",
-            "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T7(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ))
-    return out
+# the two T2 answers a Windows row can give
+_T2_SILENT = "T2(Resp=N)"
+_T2_RESET = "T2(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)"
+
+# one entry per relevant family: vendor, family, name prefix, the row's
+# column names (every row starts with its version and version line), a
+# template of nine test lines whose {fields} name those columns, and the rows
+_FAMILIES = (
+    (
+        "Microsoft", "Windows", "Microsoft Windows ", ("ver", "line", "cls", "si", "ts", "w", "ops", "t2"),
+        "TSeq(Class={cls}%gcd=1%SI={si}%IPID=BI%TS={ts})\n"
+        "T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})\n"
+        "{t2}\n"
+        "T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})\n"
+        "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T7(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
+        [
+            ("NT4 Workstation SP6a", "NT4", "TD", "<28", "U", "2017", "M", _T2_SILENT),
+            ("NT4 Server SP3", "NT4", "TD", "<32", "U", "2180|2017", "M", _T2_SILENT),
+            ("NT4 Server Enterprise SP6", "NT4", "TD", "<3C", "U", "2017", "M", _T2_SILENT),
+            ("2000 Professional SP2", "2000", "RI", "<1F4", "0", "402E", "MNWNNT", _T2_RESET),
+            ("2000 Server SP0", "2000", "RI", "<190", "0", "402E|416A", "MNWNNT", _T2_RESET),
+            ("2000 Advanced Server SP4", "2000", "RI", "<258", "0", "416A", "MNWNNT", _T2_RESET),
+            ("XP Professional SP1", "XP", "RI", "<2BC", "0", "FAF0|402E", "MNWNNT", _T2_RESET),
+            ("XP Home SP2", "XP", "RI", "<2BC", "0", "FAF0", "MNWNNT", _T2_RESET),
+            ("XP Professional SP2", "XP", "RI", "<320", "0", "FAF0|FFFF", "MNWNNT", _T2_RESET),
+            ("2003 Standard Edition", "2003", "RI", "<384", "0", "402E", "MNWNNT", _T2_RESET),
+            ("2003 Enterprise Edition", "2003", "RI", "<3E8", "0", "402E|FFFF", "MNWNNT", _T2_RESET),
+            ("2003 Web Edition", "2003", "RI", "<384", "0", "402E", "MNWNNT", _T2_RESET),
+        ],
+    ),
+    (
+        "Linux", "Linux", "Linux Kernel ", ("ver", "line", "si", "ipid", "ts", "w", "ops"),
+        "TSeq(Class=RI%gcd=1%SI={si}%IPID={ipid}%TS={ts})\n"
+        "T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})\n"
+        "T2(Resp=N)\n"
+        "T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})\n"
+        "T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T7(Resp=N)\n"
+        "PU(Resp=Y%DF=N%TOS=C0%IPLEN=164%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
+        [
+            ("2.0.34", "2.0.X", ">C8&<2710", "I", "U", "3F25", "M"),
+            ("2.0.36", "2.0.X", ">C8&<2710", "I", "U", "3F25|3FD0", "M"),
+            ("2.0.39", "2.0.X", ">FA&<2EE0", "I", "U", "3FD0", "M"),
+            ("2.2.14", "2.2.X", ">3E8&<C350", "I", "100HZ", "7F53", "MENNTNW"),
+            ("2.2.19", "2.2.X", ">3E8&<C350", "I", "100HZ", "7F53|7FB8", "MENNTNW"),
+            ("2.2.25", "2.2.X", ">7D0&<EA60", "I", "100HZ", "7FB8", "MENNTNW"),
+            ("2.4.7", "2.4.X", ">30D40&<F4240", "Z", "100HZ", "5B4|7FFF", "MNNTNW"),
+            ("2.4.20", "2.4.X", ">30D40&<F4240", "Z", "100HZ", "7FFF", "MNNTNW"),
+            ("2.4.28", "2.4.X", ">493E0&<F4240", "Z", "100HZ", "5B4", "MNNTNW"),
+            ("2.6.0", "2.6.X", ">30D40&<F4240", "Z", "1000HZ", "16A0|7FFF", "MNNTNW"),
+            ("2.6.8", "2.6.X", ">30D40&<F4240", "Z", "1000HZ", "16A0", "MNNTNW"),
+            ("2.6.11", "2.6.X", ">493E0&<F4240", "Z", "1000HZ", "16A0|7FFF", "MNNTNW"),
+        ],
+    ),
+    (
+        "Sun", "Solaris", "Sun Solaris ", ("ver", "line", "w", "ops", "riptl"),
+        "TSeq(Class=RI%gcd=1%SI=>FA&<7D0%IPID=I%TS=100HZ)\n"
+        "T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})\n"
+        "T2(Resp=N)\n"
+        "T3(Resp=N)\n"
+        "T4(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "T5(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "T7(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "PU(Resp=Y%DF=Y%TOS=0%IPLEN=70%RIPTL={riptl}%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
+        [
+            ("2.6", "2.6", "60DA", "M", "70"),
+            ("2.6 sparc", "2.6", "60DA|6028", "M", "70"),
+            ("7", "7", "832C|60DA", "NNTM", "70"),
+            ("7 x86", "7", "832C", "NNTM", "70"),
+            ("8", "8", "832C", "NNTM", "88"),
+            ("8 sparc", "8", "832C|C0B7", "NNTM", "88"),
+            ("9", "9", "C0B7", "NNTM", "88"),
+            ("9 sparc", "9", "C0B7|CB68", "NNTM", "88"),
+            ("10", "10", "C0B7|FFFF", "MNWNNT", "A0"),
+            ("10 x86", "10", "FFFF", "MNWNNT", "A0"),
+        ],
+    ),
+    (
+        "OpenBSD", "OpenBSD", "OpenBSD ", ("ver", "line", "w", "uck"),
+        "TSeq(Class=TR%gcd=1%SI=>30D40%IPID=RD%TS=2HZ)\n"
+        "T1(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T2(Resp=N)\n"
+        "T3(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T7(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=F%UCK={uck}%ULEN=134%DAT=E)",
+        [
+            ("2.6", "2.X", "4000", "F"),
+            ("2.9", "2.X", "4000|403D", "F"),
+            ("2.9 sparc", "2.X", "403D", "F"),
+            ("3.0", "3.0-3.3", "402E", "E"),
+            ("3.2", "3.0-3.3", "402E|4000", "E"),
+            ("3.3", "3.0-3.3", "402E", "E"),
+            ("3.4", "3.4-3.6", "FFFF|402E", "E"),
+            ("3.5", "3.4-3.6", "FFFF", "E"),
+            ("3.6", "3.4-3.6", "FFFF|8000", "E"),
+        ],
+    ),
+    (
+        "FreeBSD", "FreeBSD", "FreeBSD ", ("ver", "line", "w", "t7flags"),
+        "TSeq(Class=RI%gcd=1%SI=>FA&<7530%IPID=I%TS=100HZ)\n"
+        "T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T2(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)\n"
+        "T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)\n"
+        "T7(Resp=Y%DF=Y%W=0%ACK=S%Flags={t7flags}%Ops=)\n"
+        "PU(Resp=Y%DF=Y%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=148%DAT=E)",
+        [
+            ("4.5", "4.X", "E000", "AR"),
+            ("4.8", "4.X", "E000|E420", "AR"),
+            ("5.1", "5.X", "FFFF", "R"),
+            ("5.2", "5.X", "FFFF|E000", "R"),
+        ],
+    ),
+    (
+        "NetBSD", "NetBSD", "NetBSD ", ("ver", "line", "w", "ts"),
+        "TSeq(Class=RI%gcd=1|2%SI=>64&<1388%IPID=I%TS={ts})\n"
+        "T1(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T2(Resp=N)\n"
+        "T3(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)\n"
+        "T4(Resp=Y%DF=N%W=0%ACK=S%Flags=R%Ops=)\n"
+        "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)\n"
+        "T6(Resp=Y%DF=N%W=0%ACK=S%Flags=R%Ops=)\n"
+        "T7(Resp=N)\n"
+        "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=38%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=F)",
+        [
+            ("1.5.2", "1.5.X", "4000", "2HZ"),
+            ("1.5.3", "1.5.X", "4000|4470", "2HZ"),
+            ("1.6.1", "1.6.X", "8000", "100HZ"),
+            ("1.6.2", "1.6.X", "8000|7FFF", "100HZ"),
+        ],
+    ),
+)
 
 
-def _linux() -> list[str]:
-    rows = [
-        ("2.0.34", "2.0.X", ">C8&<2710", "I", "U", "3F25", "M"),
-        ("2.0.36", "2.0.X", ">C8&<2710", "I", "U", "3F25|3FD0", "M"),
-        ("2.0.39", "2.0.X", ">FA&<2EE0", "I", "U", "3FD0", "M"),
-        ("2.2.14", "2.2.X", ">3E8&<C350", "I", "100HZ", "7F53", "MENNTNW"),
-        ("2.2.19", "2.2.X", ">3E8&<C350", "I", "100HZ", "7F53|7FB8", "MENNTNW"),
-        ("2.2.25", "2.2.X", ">7D0&<EA60", "I", "100HZ", "7FB8", "MENNTNW"),
-        ("2.4.7", "2.4.X", ">30D40&<F4240", "Z", "100HZ", "5B4|7FFF", "MNNTNW"),
-        ("2.4.20", "2.4.X", ">30D40&<F4240", "Z", "100HZ", "7FFF", "MNNTNW"),
-        ("2.4.28", "2.4.X", ">493E0&<F4240", "Z", "100HZ", "5B4", "MNNTNW"),
-        ("2.6.0", "2.6.X", ">30D40&<F4240", "Z", "1000HZ", "16A0|7FFF", "MNNTNW"),
-        ("2.6.8", "2.6.X", ">30D40&<F4240", "Z", "1000HZ", "16A0", "MNNTNW"),
-        ("2.6.11", "2.6.X", ">493E0&<F4240", "Z", "1000HZ", "16A0|7FFF", "MNNTNW"),
-    ]
-    out = []
-    for ver, line, si, ipid, ts, w, ops in rows:
-        out.append(_sig(
-            f"Linux Kernel {ver}",
-            f"Linux | Linux | {line} | general purpose",
-            f"TSeq(Class=RI%gcd=1%SI={si}%IPID={ipid}%TS={ts})",
-            f"T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})",
-            "T2(Resp=N)",
-            f"T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})",
-            "T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)",
-            "T7(Resp=N)",
-            "PU(Resp=Y%DF=N%TOS=C0%IPLEN=164%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ))
-    return out
-
-
-def _solaris() -> list[str]:
-    rows = [
-        ("2.6", "2.6", "60DA", "M", "70"),
-        ("2.6 sparc", "2.6", "60DA|6028", "M", "70"),
-        ("7", "7", "832C|60DA", "NNTM", "70"),
-        ("7 x86", "7", "832C", "NNTM", "70"),
-        ("8", "8", "832C", "NNTM", "88"),
-        ("8 sparc", "8", "832C|C0B7", "NNTM", "88"),
-        ("9", "9", "C0B7", "NNTM", "88"),
-        ("9 sparc", "9", "C0B7|CB68", "NNTM", "88"),
-        ("10", "10", "C0B7|FFFF", "MNWNNT", "A0"),
-        ("10 x86", "10", "FFFF", "MNWNNT", "A0"),
-    ]
-    out = []
-    for ver, line, w, ops, riptl in rows:
-        out.append(_sig(
-            f"Sun Solaris {ver}",
-            f"Sun | Solaris | {line} | general purpose",
-            "TSeq(Class=RI%gcd=1%SI=>FA&<7D0%IPID=I%TS=100HZ)",
-            f"T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops={ops})",
-            "T2(Resp=N)",
-            "T3(Resp=N)",
-            "T4(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)",
-            "T5(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)",
-            "T7(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)",
-            f"PU(Resp=Y%DF=Y%TOS=0%IPLEN=70%RIPTL={riptl}%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ))
-    return out
-
-
-def _openbsd() -> list[str]:
-    rows = [
-        ("2.6", "2.X", "4000", "F"),
-        ("2.9", "2.X", "4000|403D", "F"),
-        ("2.9 sparc", "2.X", "403D", "F"),
-        ("3.0", "3.0-3.3", "402E", "E"),
-        ("3.2", "3.0-3.3", "402E|4000", "E"),
-        ("3.3", "3.0-3.3", "402E", "E"),
-        ("3.4", "3.4-3.6", "FFFF|402E", "E"),
-        ("3.5", "3.4-3.6", "FFFF", "E"),
-        ("3.6", "3.4-3.6", "FFFF|8000", "E"),
-    ]
-    out = []
-    for ver, line, w, uck in rows:
-        out.append(_sig(
-            f"OpenBSD {ver}",
-            f"OpenBSD | OpenBSD | {line} | general purpose",
-            "TSeq(Class=TR%gcd=1%SI=>30D40%IPID=RD%TS=2HZ)",
-            f"T1(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T2(Resp=N)",
-            f"T3(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T7(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)",
-            f"PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=F%UCK={uck}%ULEN=134%DAT=E)",
-        ))
-    return out
-
-
-def _freebsd() -> list[str]:
-    rows = [
-        ("4.5", "4.X", "E000", "AR"),
-        ("4.8", "4.X", "E000|E420", "AR"),
-        ("5.1", "5.X", "FFFF", "R"),
-        ("5.2", "5.X", "FFFF|E000", "R"),
-    ]
-    out = []
-    for ver, line, w, t7flags in rows:
-        out.append(_sig(
-            f"FreeBSD {ver}",
-            f"FreeBSD | FreeBSD | {line} | general purpose",
-            "TSeq(Class=RI%gcd=1%SI=>FA&<7530%IPID=I%TS=100HZ)",
-            f"T1(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T2(Resp=Y%DF=Y%W=0%ACK=S%Flags=AR%Ops=)",
-            f"T3(Resp=Y%DF=Y%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)",
-            f"T7(Resp=Y%DF=Y%W=0%ACK=S%Flags={t7flags}%Ops=)",
-            "PU(Resp=Y%DF=Y%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=148%DAT=E)",
-        ))
-    return out
-
-
-def _netbsd() -> list[str]:
-    rows = [
-        ("1.5.2", "1.5.X", "4000", "2HZ"),
-        ("1.5.3", "1.5.X", "4000|4470", "2HZ"),
-        ("1.6.1", "1.6.X", "8000", "100HZ"),
-        ("1.6.2", "1.6.X", "8000|7FFF", "100HZ"),
-    ]
-    out = []
-    for ver, line, w, ts in rows:
-        out.append(_sig(
-            f"NetBSD {ver}",
-            f"NetBSD | NetBSD | {line} | general purpose",
-            f"TSeq(Class=RI%gcd=1|2%SI=>64&<1388%IPID=I%TS={ts})",
-            f"T1(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T2(Resp=N)",
-            f"T3(Resp=Y%DF=N%W={w}%ACK=S++%Flags=AS%Ops=MNWNNT)",
-            "T4(Resp=Y%DF=N%W=0%ACK=S%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "T6(Resp=Y%DF=N%W=0%ACK=S%Flags=R%Ops=)",
-            "T7(Resp=N)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=38%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=F)",
-        ))
-    return out
+def _family(vendor, family, prefix, columns, template, rows) -> list[str]:
+    """One signature per row: the test-line template filled from the row's named columns."""
+    fields = [dict(zip(columns, row, strict=True)) for row in rows]
+    return [_sig(f"{prefix}{f['ver']}", f"{vendor} | {family} | {f['line']} | general purpose",
+                 template.format(**f)) for f in fields]
 
 
 def _irrelevant() -> list[str]:
-    out = [
+    return [
         _sig(
             "Cisco IOS 11.2",
             "Cisco | IOS | 11.X | router",
@@ -318,7 +293,6 @@ def _irrelevant() -> list[str]:
             "T1(Resp=Y)",
         ),
     ]
-    return out
 
 
 def demo_database() -> str:
@@ -328,8 +302,8 @@ def demo_database() -> str:
         "# Six relevant families with version lines, plus assorted devices\n"
         "# that the relevance stage must learn to reject."
     )
-    groups = (_windows(), _linux(), _solaris(), _openbsd(), _freebsd(), _netbsd(), _irrelevant())
-    return "\n\n".join([header] + [s for g in groups for s in g]) + "\n"
+    sigs = [s for fam in _FAMILIES for s in _family(*fam)] + _irrelevant()
+    return "\n\n".join([header, *sigs]) + "\n"
 
 
 def pathology_observation(seed: int = 0) -> Observation:
@@ -377,11 +351,7 @@ def openbsd_study_database() -> str:
     t6_late = {"3.2", "3.4", "3.5", "3.6"}
     sigs = []
     for ver, cls, ipid, df, si, w, ops in rows:
-        t2 = (
-            "T2(Resp=Y%DF=N%W=0|10%ACK=S%Flags=AR%Ops=)"
-            if ver in t2_responders
-            else "T2(Resp=N)"
-        )
+        t2 = "T2(Resp=Y%DF=N%W=0|10%ACK=S%Flags=AR%Ops=)" if ver in t2_responders else _T2_SILENT
         t6_ack = "S" if ver in t6_late else "O"
         sigs.append(_sig(
             f"OpenBSD {ver}",
@@ -485,16 +455,13 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
         hi = int(rng.integers(lo + 2, cap + 1))
         return f">{lo:X}&<{hi:X}"
 
-    lines = [
-        "# Machine-written stress corpus: every constraint form, hex bounds,",
-        "# alternatives, conjunctions, silent probes, and missing tests.",
-    ]
+    header = (
+        "# Machine-written stress corpus: every constraint form, hex bounds,\n"
+        "# alternatives, conjunctions, silent probes, and missing tests."
+    )
+    sigs = []
     for i in range(n_signatures):
         vendor = vendors[int(rng.integers(len(vendors)))]
-        name = f"{vendor} OS {i // 10}.{i % 10}"
-        lines.append("")
-        lines.append(f"Fingerprint {name}")
-        lines.append(f"Class {vendor} | {vendor}OS | {i // 10}.X | general purpose")
         tseq = [f"Class={classes[int(rng.integers(len(classes)))]}"]
         if rng.random() < 0.8:
             tseq.append(f"gcd={w_field(0xFF)}")
@@ -502,13 +469,13 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
             tseq.append(f"SI={w_field(0xFFFFF)}")
         tseq.append(f"IPID={ipids[int(rng.integers(len(ipids)))]}")
         tseq.append(f"TS={rates[int(rng.integers(len(rates)))]}")
-        lines.append(f"TSeq({'%'.join(tseq)})")
+        tests = [f"TSeq({'%'.join(tseq)})"]
         for tid in TCP_TESTS:
             r = rng.random()
             if r < 0.15:
                 continue  # probe never sent
             if r < 0.3:
-                lines.append(f"{tid}(Resp=N)")
+                tests.append(f"{tid}(Resp=N)")
                 continue
             fields = [
                 "Resp=Y",
@@ -518,7 +485,7 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
                 f"Flags={flagses[int(rng.integers(len(flagses)))]}",
                 f"Ops={opses[int(rng.integers(len(opses)))]}",
             ]
-            lines.append(f"{tid}({'%'.join(fields)})")
+            tests.append(f"{tid}({'%'.join(fields)})")
         if rng.random() < 0.9:
             pu = [
                 "Resp=Y",
@@ -532,5 +499,7 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
                 f"ULEN={w_field(0xFFF)}",
                 f"DAT={'E' if rng.random() < 0.5 else 'F'}",
             ]
-            lines.append(f"PU({'%'.join(pu)})")
-    return "\n".join(lines) + "\n"
+            tests.append(f"PU({'%'.join(pu)})")
+        sigs.append(_sig(f"{vendor} OS {i // 10}.{i % 10}",
+                         f"{vendor} | {vendor}OS | {i // 10}.X | general purpose", *tests))
+    return "\n\n".join([header, *sigs]) + "\n"

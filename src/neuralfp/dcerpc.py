@@ -25,6 +25,7 @@ from .encoding import (
     encode_endpoint_map,
 )
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
+from .signatures import ParseError
 
 __all__ = [
     "DumpParseError",
@@ -43,10 +44,8 @@ _UUID_RE = re.compile(
 )
 
 
-class DumpParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class DumpParseError(ParseError):
+    """Raised on malformed endpoint dump text."""
 
 
 def parse_endpoint_dump(text: str, name: str | None = None) -> EndpointMap:

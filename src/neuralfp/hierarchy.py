@@ -27,7 +27,7 @@ from .datagen import (
 from .dcerpc import WindowsRefiner, WindowsVerdict, report_windows
 from .encoding import TOTAL_NEURONS, EndpointMap, encode_observation, has_encoded_field
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
-from .preprocess import ReductionPipeline, fit_pipeline
+from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
 __all__ = [
@@ -97,7 +97,7 @@ class HierarchyConfig:
     lam: float = 0.01
     momentum: float = 0.8
     adaptive: bool = True
-    variance: float = 0.98
+    variance: float = VARIANCE_TARGET
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     subset_size: int | None = None
@@ -235,8 +235,14 @@ def classify_batch(
     Each stage scores only the rows that reach it (X itself, uncopied,
     when all do), and every product is taken row by row, so row i gets
     the same bits as a batch of one: classify_vector(model, X[i], dumps[i]).
+    A dump needs a model trained with a Windows refiner, since no other
+    stage reads one.
     """
     X = np.asarray(X, dtype=float)
+    if dumps is not None and len(dumps) != len(X):
+        raise HierarchyError(f"{len(dumps)} endpoint dumps for {len(X)} rows")
+    if model.windows is None and any(d is not None for d in dumps or ()):
+        raise HierarchyError('an endpoint dump needs a model trained with "windows": true')
     if len(X) == 0:
         return []
     dumps = dumps or [None] * len(X)
@@ -256,7 +262,7 @@ def classify_batch(
         verdict, windows = (family, None), None
         if out[best] < model.decision_threshold:
             verdict = "unknown"
-        elif family == "Windows" and dumps[i] is not None and model.windows is not None:
+        elif family == "Windows" and dumps[i] is not None:
             windows = model.windows.classify(dumps[i])
             verdict = ("Windows", f"{windows.version} {windows.edition} sp{windows.service_pack}")
         elif family in model.versions:

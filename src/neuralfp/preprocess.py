@@ -68,7 +68,7 @@ def correlation_matrix(Xn: np.ndarray) -> np.ndarray:
     return (R + R.T) / 2.0
 
 
-def reduce_dependent_columns(R: np.ndarray, tol: float = DEPENDENCE_TOL) -> list[int]:
+def reduce_dependent_columns(R: np.ndarray) -> list[int]:
     """Indices of columns linearly independent of the ones kept before them.
 
     Greedy in ascending index order, so of a group of perfectly correlated
@@ -85,7 +85,7 @@ def reduce_dependent_columns(R: np.ndarray, tol: float = DEPENDENCE_TOL) -> list
         for _ in range(2):
             r -= basis @ (r @ basis)
         norm = np.linalg.norm(r)
-        if norm > tol:
+        if norm > DEPENDENCE_TOL:
             Q[:, len(kept)] = r / norm
             kept.append(j)
     return kept
@@ -155,15 +155,11 @@ class ReductionPipeline:
         return out[0] if np.ndim(x) == 1 else out
 
 
-def fit_pipeline(
-    X: np.ndarray,
-    variance: float = VARIANCE_TARGET,
-    tol: float = DEPENDENCE_TOL,
-) -> ReductionPipeline:
+def fit_pipeline(X: np.ndarray, variance: float = VARIANCE_TARGET) -> ReductionPipeline:
     normalizer = fit_normalizer(X)
     Xn = normalizer.transform(X)
     R = correlation_matrix(Xn)
-    kept = reduce_dependent_columns(R, tol)
+    kept = reduce_dependent_columns(R)
     if not kept:
         raise ReductionError("every column is constant or dependent")
     R_kept = R[np.ix_(kept, kept)]

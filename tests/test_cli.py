@@ -363,6 +363,20 @@ class TestClassify:
         version, edition, sp = work["triple"]
         assert f"Setting OS to Windows {version} {edition} sp{sp}" in text
 
+    def test_dump_without_a_refiner_is_exit_1_and_one_line(self, work, tmp_path, capsys):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text(json.dumps({"samples": 300, "generations": 2}))
+        bare = tmp_path / "bare.model"
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--seed", "2", "--out", str(bare)]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--model", str(bare),
+                     "--obs", str(work["win_obs"]), "--dump", str(work["dump"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            'error: an endpoint dump needs a model trained with "windows": true']
+
     def test_unknown_exit_4(self, work, tmp_path, capsys):
         model = load(work["model"])
         model.decision_threshold = 2.0

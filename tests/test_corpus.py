@@ -1,6 +1,9 @@
 """Built-in synthetic corpora: parseability, coverage, determinism."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from neuralfp.corpus import (
     PATHOLOGY_TARGET,
@@ -87,3 +90,17 @@ class TestStudyCorpora:
         db = parse_fingerprint_db(text)
         assert len(db) == 40
         assert text == large_database(n_signatures=40, seed=11)
+
+
+class TestGolden:
+    """Every generated byte is pinned: the datasets, models and golden digests
+    of the other test files are all built from these texts."""
+
+    @pytest.mark.parametrize("generate, digest", [
+        (demo_database, "955b7cdac6192b6bbb1448c57fffb8bbc26667b44e10e5abf07dae572b1c4a56"),
+        (openbsd_study_database, "3c9d3efdb504907dcc66a1aa19d7f6ebb25509d6fcc2c625e041cda667256f72"),
+        (family_task_database, "2b7b208cda1237fc809625c7c9b7885d40d5d070bb19b0e24c0dd7816a47eecc"),
+        (large_database, "c8f9f62d0fb51b1ee3273f96ad34f5472abafce03eff74874d3167acf5ddb532"),
+    ])
+    def test_text_digest(self, generate, digest):
+        assert hashlib.sha256(generate().encode()).hexdigest() == digest

@@ -312,6 +312,34 @@ class TestBatch:
     def test_empty_batch(self, model):
         assert classify_batch(model, np.empty((0, TOTAL_NEURONS))) == []
 
+    def test_dump_without_a_refiner_is_refused(self, db, model, batch):
+        import dataclasses
+
+        X, dumps, _ = batch
+        bare = dataclasses.replace(model, windows=None)
+        message = 'an endpoint dump needs a model trained with "windows": true'
+        with pytest.raises(HierarchyError, match=message):
+            classify_batch(bare, X, dumps)
+        obs = sample_observation(_pick(db, "Windows"), np.random.default_rng(8))
+        with pytest.raises(HierarchyError, match=message):
+            classify(bare, obs, dumps[0])
+        # a list with no dump in it gives what no list gives
+        assert classify_batch(bare, X, [None] * len(X)) == classify_batch(bare, X)
+
+    def test_shorter_dumps_list_is_refused(self, model, batch):
+        X, dumps, _ = batch
+        with pytest.raises(HierarchyError, match="^1 endpoint dumps for 120 rows$"):
+            classify_batch(model, X, dumps[:1])
+        with pytest.raises(HierarchyError, match="^0 endpoint dumps for 120 rows$"):
+            classify_batch(model, X, [])
+
+    def test_longer_dumps_list_is_refused(self, model, batch):
+        X, dumps, _ = batch
+        with pytest.raises(HierarchyError, match="^120 endpoint dumps for 30 rows$"):
+            classify_batch(model, X[:30], dumps)
+        with pytest.raises(HierarchyError, match="^1 endpoint dumps for 0 rows$"):
+            classify_batch(model, X[:0], [None])
+
 
 class TestReport:
     def test_full_listing(self, db, model):
