@@ -130,8 +130,6 @@ def cmd_reduce(args) -> int:
 
 
 def _train_hierarchy_cmd(args, cfg: HierarchyConfig, digest: str) -> int:
-    if args.db is None:
-        raise ValueError("--stage hierarchy requires --db")
     db = _load_db(args.db)
     prev = _load_prevalence(args.prevalence)
     model = train_hierarchy(db, prev, cfg)
@@ -143,12 +141,20 @@ def _train_hierarchy_cmd(args, cfg: HierarchyConfig, digest: str) -> int:
 
 
 def cmd_train(args) -> int:
+    # each mode needs its own input and reads no path meant for the other
+    hierarchy = args.stage == "hierarchy"
+    mode, need, unread = (("--stage hierarchy", "db", ("dataset", "resume")) if hierarchy
+                          else ("training a single stage", "dataset", ("db", "prevalence")))
+    if getattr(args, need) is None:
+        raise ValueError(f"{mode} requires --{need}")
+    if given := [f"--{name}" for name in unread if getattr(args, name) is not None]:
+        raise ValueError(f"{mode} does not read {' or '.join(given)}")
     where = args.config or "--config"
     try:
         cfg_json = json.loads(_read(args.config)) if args.config else {}
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{where}: {exc}") from None
-    if args.stage == "hierarchy":
+    if hierarchy:
         kwargs = decode_config(HierarchyConfig, cfg_json, where)
     else:
         kwargs = decode_config(TrainConfig, cfg_json, where, variance=float, hidden=int | None)
@@ -157,11 +163,9 @@ def cmd_train(args) -> int:
     if args.fixed_lr:
         cfg_json["adaptive"] = kwargs["adaptive"] = False
     digest = _config_digest(cfg_json)
-    if args.stage == "hierarchy":
+    if hierarchy:
         return _train_hierarchy_cmd(args, HierarchyConfig(**kwargs), digest)
 
-    if args.dataset is None:
-        raise ValueError("training a single stage requires --dataset")
     ds = load(args.dataset, expected_kind="dataset")
     stage_name = args.stage or ds.stage
     if stage_name != ds.stage:

@@ -186,6 +186,10 @@ def train_hierarchy(
     if cfg.seed < 0 or any(h < 1 for h in cfg.hidden.values()):
         raise HierarchyError(f"hierarchy training needs seed >= 0 and every hidden size >= 1, "
                              f"got seed {cfg.seed} and hidden {cfg.hidden}")
+    # every score < NaN is False, so a NaN threshold would never answer "unknown"
+    if not np.isfinite([cfg.relevance_threshold, cfg.decision_threshold]).all():
+        raise HierarchyError(f"hierarchy training needs finite thresholds, got relevance_threshold "
+                             f"{cfg.relevance_threshold} and decision_threshold {cfg.decision_threshold}")
     # the relevance stage samples every signature of positive weight at least once
     if corpus is None and cfg.samples < (need := sum(w > 0 for w in resolve_weights(db, prev))):
         raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "

@@ -113,19 +113,14 @@ def init_mlp(sizes: tuple[int, ...] | list[int], seed: int = 0) -> Mlp:
     return Mlp(weights)
 
 
-def _activations(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output for one input vector (n,) or a stack of rows
+def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
+    """Network output for one input vector (n,) or each row of a stack
     (..., n).  Each row is its own matrix-vector product on contiguous
     memory, so a row gets the same bits alone as inside any batch."""
-    acts = [np.ascontiguousarray(x, dtype=float)]
+    a = np.ascontiguousarray(x, dtype=float)
     for W in mlp.weights:
-        acts.append(np.tanh(np.matvec(W[:, 1:], acts[-1]) - W[:, 0]))
-    return acts
-
-
-def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Network output for one input vector or each row of a stack."""
-    return _activations(mlp, x)[-1]
+        a = np.tanh(np.matvec(W[:, 1:], a) - W[:, 0])
+    return a
 
 
 def _flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -184,7 +179,7 @@ class _Workspace:
         # up, and passes each output buffer as the positional `out` argument,
         # which skips the keyword parsing
         def pair(xe: np.ndarray, y: np.ndarray, err: np.ndarray) -> None:
-            """Forward [-1, x] as _activations does, set err = y - v, and leave
+            """Forward [-1, x] as forward does, set err = y - v, and leave
             every layer's delta [-1, a] (minus E's gradient) in grad.
 
             Output delta: f'(v)(y - v); hidden: f'(v) * backpropagated sum.

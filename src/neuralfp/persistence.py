@@ -87,6 +87,9 @@ _CHECKS = {
                         "one basis row per kept column"),
     Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
             "net input width = PCA k and one net output per label"),
+    HierarchyModel: (lambda m: m.relevance.labels == ("relevant",)
+                     and math.isfinite(m.relevance_threshold) and math.isfinite(m.decision_threshold),
+                     "a relevance stage labelled ('relevant',) and finite thresholds"),
     WindowsLabelSpace: (lambda l: all(l.editions.get(v) and l.service_packs.get(v) for v in l.versions),
                         "editions and service packs for every version"),
     WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),

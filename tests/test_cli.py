@@ -312,6 +312,39 @@ class TestTrain:
             "count, got samples 5"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("decision_threshold", "NaN"),
+                                            ("decision_threshold", "Infinity"),
+                                            ("relevance_threshold", "-Infinity")])
+    def test_hierarchy_thresholds_must_be_finite(self, work, tmp_path, capsys, monkeypatch,
+                                                 key, value):
+        # Python's json reads these tokens as floats, so only the range check can refuse them
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: hierarchy training needs finite thresholds")
+        assert key in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hierarchy_mode, flags, message", [
+        (True, ["--dataset"], "--stage hierarchy does not read --dataset"),
+        (True, ["--resume"], "--stage hierarchy does not read --resume"),
+        (True, ["--dataset", "--resume"], "--stage hierarchy does not read --dataset or --resume"),
+        (False, ["--db"], "training a single stage does not read --db"),
+        (False, ["--prevalence"], "training a single stage does not read --prevalence"),
+    ])
+    def test_a_path_the_mode_does_not_read_is_refused(self, work, tmp_path, capsys,
+                                                       hierarchy_mode, flags, message):
+        mode = (["--stage", "hierarchy", "--db", str(work["db"])] if hierarchy_mode
+                else ["--dataset", str(work["fam_ds"])])
+        # paths that do not exist: the flag is refused before any file is read
+        unread = [a for flag in flags for a in (flag, str(tmp_path / "missing"))]
+        assert main(["train", *mode, *unread, "--out", str(tmp_path / "x.model")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("config, message", [
         ([], ": expected dict, got list"),
         ({"hidden": 5}, ".hidden: expected dict, got int"),

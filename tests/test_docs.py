@@ -1,0 +1,25 @@
+"""README code: every import it documents names a real module path."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# the ```python blocks, and the Python a shell block feeds to `python3 -` in a heredoc
+SOURCES = (re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+           + re.findall(r"^python3 - <<'EOF'[^\n]*\n(.*?)^EOF$", README, re.S | re.M))
+
+
+def test_readme_has_python_code():
+    assert len(SOURCES) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(SOURCES)))
+def test_imports_resolve(index):
+    # the imports only: the Library example trains a whole hierarchy
+    tree = ast.parse(SOURCES[index])
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(imports, type_ignores=[]), f"README.md source {index}", "exec"), {})

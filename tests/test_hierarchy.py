@@ -104,6 +104,17 @@ class TestTraining:
         for name in ("relevance", "family", "Linux", "Solaris", "OpenBSD"):
             assert repr(name) in message
 
+    @pytest.mark.parametrize("key", ["relevance_threshold", "decision_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_is_rejected_before_training(self, db, monkeypatch, key, value):
+        # every score < nan is False: such a model would never answer "unknown"
+        calls = []
+        monkeypatch.setattr(hierarchy, "train_stage", lambda *a, **k: calls.append(a[0]))
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        with pytest.raises(HierarchyError, match=f"needs finite thresholds, got .*{key} {value}"):
+            train_hierarchy(db, cfg=HierarchyConfig(**{key: value}))
+        assert calls == []
+
     def test_monte_carlo_branch_trains_without_corpus(self, db):
         cfg = HierarchyConfig(seed=5, samples=240, generations=40)
         model = train_hierarchy(db, cfg=cfg)

@@ -1,5 +1,6 @@
 """Container round-trips, integrity checks, and error taxonomy."""
 
+import dataclasses
 import json
 import math
 import os
@@ -413,6 +414,53 @@ class TestMalformedBody:
         assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# a cascade reads output 0 of its relevance stage and compares scores with
+# its thresholds: a six-output stage there, or a threshold no score can
+# fall below, would classify with no error (field: its value from the model)
+UNSOUND = {
+    "family stage as relevance": ("relevance", lambda model: model.family),
+    "nan decision threshold": ("decision_threshold", lambda model: math.nan),
+    "infinite relevance threshold": ("relevance_threshold", lambda model: -math.inf),
+}
+
+
+class TestUnsoundHierarchy:
+    """Models whose every field is well formed but whose cascade is not."""
+
+    @pytest.mark.parametrize("case", sorted(UNSOUND))
+    def test_save_refuses(self, small_hierarchy, tmp_path, case):
+        model, _ = small_hierarchy
+        name, value = UNSOUND[case]
+        with pytest.raises(PersistenceError, match="cannot save HierarchyModel: expected a relevance "
+                                                   "stage labelled"):
+            save(dataclasses.replace(model, **{name: value(model)}), tmp_path / "bad.model")
+        assert list(tmp_path.iterdir()) == []
+
+    def _forged(self, small_hierarchy, tmp_path, case):
+        model, root = small_hierarchy
+        name, value = UNSOUND[case]
+        path = tmp_path / "bad.model"
+        path.write_bytes((root / "h.model").read_bytes())
+        _rewrite_body(path, lambda body: body.update({name: _encode(value(model))}))
+        return path
+
+    @pytest.mark.parametrize("case", sorted(UNSOUND))
+    def test_load_raises_corrupt(self, small_hierarchy, tmp_path, case):
+        path = self._forged(small_hierarchy, tmp_path, case)
+        with pytest.raises(CorruptContainerError, match="expected a relevance stage labelled "
+                                                        r"\('relevant',\) and finite thresholds"):
+            load(path)
+
+    @pytest.mark.parametrize("case", sorted(UNSOUND))
+    def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
+        path = self._forged(small_hierarchy, tmp_path, case)
+        host = small_hierarchy[1] / "host.obs"
+        assert main(["classify", "--model", str(path), "--obs", str(host)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and captured.out == ""
 
 
 # every float64 class the raw bytes must carry: signed zeros, nans,
