@@ -143,11 +143,10 @@ def train_stage(
     if hidden is not None and hidden < 1:
         raise HierarchyError(f"stage {stage!r}: hidden must be >= 1, got {hidden}")
     if resume is not None:
-        width = len(resume.pipeline.normalizer.mean)
-        if resume.labels != tuple(outputs) or width != X.shape[1]:
+        if resume.labels != tuple(outputs) or resume.pipeline.width != X.shape[1]:
             raise HierarchyError(
                 f"resume model schema mismatch: outputs {list(resume.labels)}, input width "
-                f"{width} vs dataset {list(outputs)}, input width {X.shape[1]}"
+                f"{resume.pipeline.width} vs dataset {list(outputs)}, input width {X.shape[1]}"
             )
         pipe, net = resume.pipeline, resume.net
     else:
@@ -300,7 +299,7 @@ def classify(
     """Encode one observation and run the cascade on it (see ObservationError)."""
     if not has_encoded_field(obs):
         raise ObservationError("no probe field the layout encodes")
-    if (width := len(model.relevance.pipeline.normalizer.mean)) != TOTAL_NEURONS:
+    if (width := model.relevance.pipeline.width) != TOTAL_NEURONS:
         raise HierarchyError(f"model/observation layout mismatch: model expects {width} "
                              f"features, observation encodes to {TOTAL_NEURONS}")
     return classify_vector(model, encode_observation(obs), dump)
@@ -404,7 +403,7 @@ def evaluate(model: HierarchyModel, heldout: Dataset) -> EvaluationReport:
     labels = heldout.labels
     if len(X) == 0:
         raise HierarchyError("held-out dataset has no rows")
-    if (width := X.shape[1]) != (want := len(model.relevance.pipeline.normalizer.mean)):
+    if (width := X.shape[1]) != (want := model.relevance.pipeline.width):
         raise HierarchyError(f"held-out dataset has {width} input columns, the model expects {want}")
     fam_labels = model.family.labels
     if unknown := sorted({str(l.family) for l in labels if l.relevant} - set(fam_labels)):

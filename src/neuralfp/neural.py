@@ -268,12 +268,17 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     is raised.  A subset size covering all the data is one plain run
     plus one G.  Each subset run counts its own plateau patience.
     """
-    in_range = {"generations": cfg.generations >= 1, "lam": cfg.lam > 0, "seed": cfg.seed >= 0,
+    in_range = {"generations": cfg.generations >= 1, "seed": cfg.seed >= 0,  # nan fails every comparison
                 "subset_size": cfg.subset_size is None or cfg.subset_size >= 1,
-                "patience": cfg.patience is None or cfg.patience >= 1}
+                "patience": cfg.patience is None or cfg.patience >= 1,
+                "target_error": cfg.target_error is None or 0 <= cfg.target_error < np.inf,
+                "lam": 0 < cfg.lam < np.inf, "momentum": 0 <= cfg.momentum < np.inf,
+                "lam_down": 0 < cfg.lam_down <= 1, "lam_up": 1 <= cfg.lam_up < np.inf,
+                "lam_min": 0 < cfg.lam_min < np.inf, "lam_max": cfg.lam_min <= cfg.lam_max < np.inf}
     if bad := [key for key, ok in in_range.items() if not ok]:
-        raise ValueError("training needs generations >= 1, lam > 0, seed >= 0, subset_size >= 1 "
-                         "or None and patience >= 1 or None, got "
+        raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
+                         "None, finite floats, target_error >= 0 or None, lam > 0, momentum >= 0, "
+                         "0 < lam_down <= 1 <= lam_up and 0 < lam_min <= lam_max, got "
                          + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)

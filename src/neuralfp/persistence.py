@@ -2,7 +2,7 @@
 
 A container is a one-line JSON header, a newline, then the body:
 
-    {"digest":"<sha256 hex>","format_version":2,"kind":"...","metadata":{...}}
+    {"digest":"<sha256 hex>","format_version":3,"kind":"...","metadata":{...}}
     <canonical JSON body>
 
 The body is serialized once, as canonical JSON (sorted keys, no spaces),
@@ -10,11 +10,11 @@ and the digest covers exactly those bytes; it is checked before the body
 is parsed. One codec walks the artifact's dataclass fields and type
 hints. A dict becomes a list of [key, value] pairs, which keeps its
 order. An ndarray becomes an array record,
-{"dtype": "<f8" | "|b1", "shape": [...], "zlib": base64(zlib(bytes))},
+{"dtype": "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
 whose raw bytes round-trip exactly. Decoding checks every field's type,
 each array's byte count, and the shapes that tie a stage together; any
-mismatch is a CorruptContainerError. A format-1 container (one JSON
-document) reads as a header with format_version 1 and is rejected.
+mismatch is a CorruptContainerError. A container of an older format
+(format 1 was one JSON document) is rejected by its format_version.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
 so a crash never leaves a half-written model.
@@ -43,7 +43,7 @@ from .dcerpc import WindowsLabelSpace, WindowsRefiner
 from .encoding import EndpointSchema
 from .hierarchy import HierarchyModel, Stage
 from .neural import Mlp
-from .preprocess import Normalizer, ReductionPipeline
+from .preprocess import ReductionPipeline
 
 __all__ = [
     "CorruptContainerError",
@@ -57,14 +57,11 @@ __all__ = [
     "save",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # zlib level 1: on a 1500-row corpus, higher levels shrink the file by a
 # few percent and make the save several times slower
 _ZLIB_LEVEL = 1
-
-# every array is float64 except these boolean masks
-_BOOL_ARRAYS = {(Normalizer, "constant")}
 
 _KINDS = {
     "network": Mlp,
@@ -81,10 +78,6 @@ _CHECKS = {
     Mlp: (lambda m: bool(m.weights) and all(w.ndim == 2 and w.shape[1] > 0 for w in m.weights)
           and all(a.shape[0] + 1 == b.shape[1] for a, b in zip(m.weights, m.weights[1:])),
           "2-D layers whose widths chain"),
-    Normalizer: (lambda n: n.mean.ndim == 1 and n.mean.shape == n.std.shape == n.constant.shape,
-                 "1-D mean, std and constant of one width"),
-    ReductionPipeline: (lambda p: p.basis.ndim == 2 and p.basis.shape[0] == len(p.kept),
-                        "one basis row per kept column"),
     Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
             "net input width = PCA k and one net output per label"),
     HierarchyModel: (lambda m: m.relevance.labels == ("relevant",)
@@ -133,7 +126,7 @@ def _encode(value):
     if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, np.ndarray):
-        a = np.ascontiguousarray(value, dtype=bool if value.dtype == bool else "<f8")
+        a = np.ascontiguousarray(value, dtype="<f8")
         data = base64.b64encode(zlib.compress(a.tobytes(), _ZLIB_LEVEL)).decode("ascii")
         return {"dtype": a.dtype.str, "shape": list(a.shape), "zlib": data}
     if isinstance(value, (list, tuple)):
@@ -160,35 +153,35 @@ def _expect(value, tp, where: str):
     return value
 
 
-def _decode_array(rec, where: str, dtype: str) -> np.ndarray:
+def _decode_array(rec, where: str) -> np.ndarray:
     rec = _expect(rec, dict, where)
     shape = _expect(rec.get("shape"), list, f"{where}.shape")
-    if rec.get("dtype") != dtype:
-        raise ValueError(f"{where}: dtype {rec.get('dtype')!r}, expected {dtype!r}")
+    if rec.get("dtype") != "<f8":
+        raise ValueError(f"{where}: dtype {rec.get('dtype')!r}, expected '<f8'")
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{where}: bad shape {shape!r}")
     raw = zlib.decompress(base64.b64decode(_expect(rec.get("zlib"), str, where), validate=True))
-    dt = np.dtype(dtype)
-    if len(raw) != dt.itemsize * math.prod(shape):
+    if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{where}: {len(raw)} bytes do not fill shape {tuple(shape)}")
-    return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 @functools.cache
-def _decoder(tp, dtype: str = "<f8"):
+def _decoder(tp):
     """A checking decoder (value, where) -> object for type hint tp, built
     once per hint so that long lists of records cost one call per field."""
     if tp is np.ndarray:
-        return lambda v, where: _decode_array(v, where, dtype)
+        return _decode_array
     if dataclasses.is_dataclass(tp):
-        fields = [(name, _decoder(hint, "|b1" if (tp, name) in _BOOL_ARRAYS else "<f8"))
-                  for name, hint in _fields(tp)]
+        fields = [(name, _decoder(hint)) for name, hint in _fields(tp)]
 
         def decode_dataclass(v, where):
             _expect(v, dict, where)
             for name, _ in fields:
                 if name not in v:
                     raise ValueError(f"{where}: missing key {name!r}")
+            if len(v) != len(fields):
+                raise ValueError(f"{where}: unknown keys {sorted(set(v) - {n for n, _ in fields})}")
             obj = tp(**{name: dec(v[name], f"{where}.{name}") for name, dec in fields})
             return _check(obj, where)
 
@@ -196,7 +189,7 @@ def _decoder(tp, dtype: str = "<f8"):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # only `X | None` occurs
         (inner,) = [a for a in args if a is not type(None)]
-        dec = _decoder(inner, dtype)
+        dec = _decoder(inner)
         return lambda v, where: None if v is None else dec(v, where)
     if origin is dict:
         key, val = _decoder(args[0]), _decoder(args[1])
@@ -209,7 +202,7 @@ def _decoder(tp, dtype: str = "<f8"):
 
         return decode_dict
     if origin is tuple and args[-1] is not Ellipsis:
-        decs = [_decoder(a, dtype) for a in args]
+        decs = [_decoder(a) for a in args]
 
         def decode_record(v, where):
             if len(_expect(v, list, where)) != len(decs):
@@ -218,7 +211,7 @@ def _decoder(tp, dtype: str = "<f8"):
 
         return decode_record
     if origin in (list, tuple):
-        item = _decoder(args[0], dtype)
+        item = _decoder(args[0])
         return lambda v, where: origin([item(x, where) for x in _expect(v, list, where)])
     if tp is float:
         return lambda v, where: float(v) if type(v) is int else _expect(v, float, where)

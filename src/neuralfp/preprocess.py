@@ -34,31 +34,17 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    mean: np.ndarray
-    std: np.ndarray
-    constant: np.ndarray  # bool mask of flagged columns
-
-    def __post_init__(self):  # read-only: pipelines keep copies of the kept means and scales
-        for a in (self.mean, self.std, self.constant):
-            a.flags.writeable = False
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        safe = np.where(self.constant, 1.0, self.std)
-        out = (X - self.mean) / safe
-        out[:, self.constant] = 0.0
-        return out
-
-
-def fit_normalizer(X: np.ndarray) -> Normalizer:
+def normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means, population stds, and X normalized with its constant columns pinned to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ReductionError("normalization needs at least 2 rows")
     mean = X.mean(axis=0)
     std = X.std(axis=0)  # population variance, ddof=0
-    return Normalizer(mean, std, std < EPSILON_CONST)
+    constant = std < EPSILON_CONST
+    Xn = (X - mean) / np.where(constant, 1.0, std)
+    Xn[:, constant] = 0.0
+    return mean, std, Xn
 
 
 def correlation_matrix(Xn: np.ndarray) -> np.ndarray:
@@ -118,21 +104,24 @@ def fit_pca(R_kept: np.ndarray, variance: float = VARIANCE_TARGET):
 
 @dataclass(frozen=True)
 class ReductionPipeline:
-    """Fitted normalize/select/project transform for one corpus."""
+    """Fitted select/normalize/project transform for one corpus."""
 
-    normalizer: Normalizer
+    width: int               # columns of an input row
     kept: tuple[int, ...]
+    center: np.ndarray       # the kept columns' means
+    scale: np.ndarray        # the kept columns' population stds
     basis: np.ndarray        # (len(kept), k)
     eigenvalues: np.ndarray  # full spectrum over kept columns, descending
     variance_kept: float
 
     def __post_init__(self):
-        n, kept = self.normalizer, list(self.kept)
-        # gathering before scaling matches transform() only where it pins no constant to 0
-        if not all(0 <= i < len(n.mean) for i in kept) or n.constant[kept].any():
-            raise ReductionError("every kept column must be a non-constant column of the normalizer")
-        take = np.array(kept, dtype=np.intp)
-        object.__setattr__(self, "_scaling", (take, n.mean[kept], n.std[kept], len(n.mean)))
+        if not (all(0 <= i < self.width for i in self.kept) and self.basis.ndim == 2
+                and self.center.shape == self.scale.shape == (len(self.kept),) == self.basis.shape[:1]
+                and np.isfinite(self.center).all() and np.all(np.isfinite(self.scale) & (self.scale > 0))):
+            raise ReductionError(f"every kept column must be one of the {self.width} input columns, "
+                                 "with a finite center, a finite scale > 0 and one basis row")
+        for a in (self.center, self.scale):  # read-only: what a pipeline saves is what it applies
+            a.flags.writeable = False
 
     @property
     def output_dim(self) -> int:
@@ -144,20 +133,18 @@ class ReductionPipeline:
         Each row is its own vector-matrix product, so a row gets the same
         bits alone as inside any batch.
         """
-        take, center, scale, width = self._scaling
-        if np.shape(x)[-1] != width:
-            raise ReductionError(f"rows have {np.shape(x)[-1]} columns, the pipeline expects {width}")
+        if np.shape(x)[-1] != self.width:
+            raise ReductionError(f"rows have {np.shape(x)[-1]} columns, the pipeline expects {self.width}")
         # vecmat's bits follow the row layout: take() copies into contiguous rows
-        out = np.atleast_2d(np.asarray(x, dtype=float)).take(take, axis=1)
-        out -= center
-        out /= scale
+        out = np.atleast_2d(np.asarray(x, dtype=float)).take(self.kept, axis=1)
+        out -= self.center
+        out /= self.scale
         out = np.vecmat(out, self.basis)
         return out[0] if np.ndim(x) == 1 else out
 
 
 def fit_pipeline(X: np.ndarray, variance: float = VARIANCE_TARGET) -> ReductionPipeline:
-    normalizer = fit_normalizer(X)
-    Xn = normalizer.transform(X)
+    mean, std, Xn = normalize(X)
     R = correlation_matrix(Xn)
     kept = reduce_dependent_columns(R)
     if not kept:
@@ -166,14 +153,14 @@ def fit_pipeline(X: np.ndarray, variance: float = VARIANCE_TARGET) -> ReductionP
     basis, eigenvalues, variance_kept = fit_pca(R_kept, variance)
     # canonical layout: projections stay bit-identical across a save/load
     basis = np.ascontiguousarray(basis)
-    return ReductionPipeline(normalizer, tuple(kept), basis, eigenvalues, variance_kept)
+    return ReductionPipeline(len(mean), tuple(kept), mean[kept], std[kept], basis, eigenvalues,
+                             variance_kept)
 
 
 def reduction_report(pipe: ReductionPipeline, labels: list[str] | None = None) -> str:
     """Human-readable survivor table in the style of the topology studies."""
-    total = len(pipe.normalizer.mean)
     lines = [
-        f"columns kept {len(pipe.kept)} of {total}",
+        f"columns kept {len(pipe.kept)} of {pipe.width}",
         f"projection dimension {pipe.output_dim} "
         f"({pipe.variance_kept * 100.0:.2f}% of variance)",
     ]

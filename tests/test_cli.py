@@ -267,6 +267,10 @@ class TestTrain:
         (b'{"generations": "\xff"}', None),
         ({"patience": "x"}, "patience"),
         ({"patience": 0}, None),
+        ({"target_error": float("nan")}, None),
+        ({"lam_max": float("nan")}, None),
+        ({"momentum": -2}, None),
+        ({"lam_down": 5}, None),
     ])
     def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
@@ -296,6 +300,16 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: hierarchy training needs ")
         assert all(name in err[0] for name in config)
+        assert not out.exists()
+
+    def test_hierarchy_train_config_out_of_range_is_exit_1_and_one_line(self, work, tmp_path, capsys):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text('{"target_error": NaN}')
+        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training needs ")
+        assert err[0].endswith("got target_error=nan")
         assert not out.exists()
 
     def test_hierarchy_samples_are_checked_before_training(self, work, tmp_path, capsys,

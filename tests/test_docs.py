@@ -1,4 +1,5 @@
-"""README code: every import it documents names a real module path."""
+"""README: every import it documents names a real module path, and the
+line count it states for src/neuralfp is the tree's."""
 
 import ast
 import re
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 # the ```python blocks, and the Python a shell block feeds to `python3 -` in a heredoc
 SOURCES = (re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
            + re.findall(r"^python3 - <<'EOF'[^\n]*\n(.*?)^EOF$", README, re.S | re.M))
@@ -23,3 +25,9 @@ def test_imports_resolve(index):
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(imports, type_ignores=[]), f"README.md source {index}", "exec"), {})
+
+
+def test_stated_line_count_is_the_trees():
+    (stated,) = re.findall(r"`src/neuralfp` holds ([\d,]+) lines", README)
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "neuralfp").glob("*.py"))
+    assert int(stated.replace(",", "")) == lines

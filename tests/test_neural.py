@@ -303,7 +303,11 @@ class TestTraining:
     @pytest.mark.parametrize("bad", [{"generations": 0}, {"generations": -3}, {"lam": 0.0},
                                      {"lam": float("nan")}, {"subset_size": 0},
                                      {"subset_size": -5}, {"seed": -1}, {"patience": 0},
-                                     {"patience": -2}])
+                                     {"patience": -2}, {"target_error": float("nan")},
+                                     {"lam_max": float("nan")}, {"momentum": -2}, {"lam_down": 5},
+                                     {"target_error": -0.1}, {"lam": float("inf")},
+                                     {"momentum": float("nan")}, {"lam_up": 0.5}, {"lam_down": 0.0},
+                                     {"lam_min": 0.0}, {"lam_max": 1e-7}, {"lam_up": float("inf")}])
     def test_out_of_range_config_is_a_value_error(self, bad):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])

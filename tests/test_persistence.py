@@ -1,10 +1,12 @@
 """Container round-trips, integrity checks, and error taxonomy."""
 
+import base64
 import dataclasses
 import json
 import math
 import os
 import stat
+import zlib
 
 import numpy as np
 import pytest
@@ -53,6 +55,13 @@ def _rewrite_body(path, mutate):
     mutate(raw)
     body = _canonical(raw)
     _join(path, {**header, "digest": _digest(body)}, body)
+
+
+def _relabel_format_2(path):
+    """Give a container the format-2 header: format 2 had this layout, but
+    each pipeline stored a full-width normalizer."""
+    header, body = _split(path)
+    _join(path, {**header, "format_version": 2}, body)
 
 
 def _trained_net(sizes=(2, 2, 1), seed=0):
@@ -223,14 +232,18 @@ class TestContainerChecks:
         with pytest.raises(FormatVersionError, match="format version"):
             load(path)
 
-    def test_format_1_container_rejected(self, tmp_path):
-        # format 1 wrote one JSON document, with the body inline
-        path = tmp_path / "v1.model"
-        path.write_text(json.dumps({
-            "format_version": 1, "kind": "network", "metadata": {},
-            "digest": "0" * 64, "body": {"weights": [[[0.5, 1.0]]]},
-        }, separators=(",", ":")))
-        with pytest.raises(FormatVersionError, match="format version 1 "):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_container_rejected(self, tmp_path, version):
+        path = tmp_path / f"v{version}.model"
+        if version == 1:  # one JSON document, with the body inline
+            path.write_text(json.dumps({
+                "format_version": 1, "kind": "network", "metadata": {},
+                "digest": "0" * 64, "body": {"weights": [[[0.5, 1.0]]]},
+            }, separators=(",", ":")))
+        else:
+            save(_trained_net(), path)
+            _relabel_format_2(path)
+        with pytest.raises(FormatVersionError, match=f"format version {version} "):
             load(path)
 
     def test_kind_mismatch(self, tmp_path):
@@ -294,14 +307,14 @@ class TestAtomicity:
             save(ds, tmp_path / "d.ds")
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("name", ["mean", "std", "constant"])
-    def test_normalizer_arrays_cannot_change_in_place(self, tmp_path, name):
-        # a pipeline keeps its kept means and scales: what it saves is what it applies
+    @pytest.mark.parametrize("name", ["center", "scale"])
+    def test_pipeline_arrays_cannot_change_in_place(self, tmp_path, name):
+        # what a pipeline saves is what it applies
         pipe = fit_pipeline(np.random.default_rng(0).normal(size=(40, 6)))
         save(pipe, tmp_path / "p.pipe")
         for p in (pipe, load(tmp_path / "p.pipe")):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(p.normalizer, name)[p.kept[0]] = 0
+                getattr(p, name)[0] = 0
 
 
 class TestWrites:
@@ -356,19 +369,26 @@ def _narrow_basis(body, model):
     body["family"]["pipeline"]["basis"] = _encode(model.family.pipeline.basis[:, :-1])
 
 
-def _float_mask(body, model):
-    mask = model.relevance.pipeline.normalizer.constant
-    body["relevance"]["pipeline"]["normalizer"]["constant"] = _encode(mask.astype(float))
+def _boolean_array(body, model):
+    # the record format 2 wrote for a boolean mask: every array is now <f8
+    mask = np.ones(len(model.relevance.pipeline.kept), dtype=bool)
+    data = base64.b64encode(zlib.compress(mask.tobytes())).decode()
+    body["relevance"]["pipeline"]["center"] = {"dtype": "|b1", "shape": [len(mask)], "zlib": data}
 
 
 def _constant_kept(body, model):
-    # fit_pipeline keeps no constant column: its R column is all zero
-    constant = np.flatnonzero(model.relevance.pipeline.normalizer.constant)
-    body["relevance"]["pipeline"]["kept"][0] = int(constant[0])
+    # fit_pipeline keeps no constant column (its R column is all zero), so no zero std
+    scale = model.relevance.pipeline.scale.copy()
+    scale[0] = 0.0
+    body["relevance"]["pipeline"]["scale"] = _encode(scale)
 
 
 def _kept_past_width(body, model):
-    body["relevance"]["pipeline"]["kept"][-1] = len(model.relevance.pipeline.normalizer.mean)
+    body["relevance"]["pipeline"]["kept"][-1] = model.relevance.pipeline.width
+
+
+def _unknown_key(body, model):
+    body["relevance"]["bogus"] = 1
 
 
 def _string_labels(body, model):
@@ -383,12 +403,23 @@ MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
     "net width is not PCA k": (_narrow_basis, "net input width = PCA k"),
-    "mask stored as float": (_float_mask, "dtype '<f8', expected '\\|b1'"),
-    "kept column is constant": (_constant_kept, "non-constant column of the normalizer"),
-    "kept column past the normalizer": (_kept_past_width, "non-constant column of the normalizer"),
+    "boolean array": (_boolean_array, "dtype '\\|b1', expected '<f8'"),
+    "kept column is constant": (_constant_kept, "a finite scale > 0"),
+    "kept column past the width": (_kept_past_width, "must be one of the 568 input columns"),
+    "unknown key": (_unknown_key, "body.relevance: unknown keys \\['bogus'\\]"),
     "labels not a list": (_string_labels, "expected list, got str"),
     "array data not base64": (_bad_base64, "malformed hierarchy"),
 }
+
+
+def test_cli_refuses_a_format_2_model_in_one_line(small_hierarchy, tmp_path, capsys):
+    _, root = small_hierarchy
+    path = tmp_path / "v2.model"
+    path.write_bytes((root / "h.model").read_bytes())
+    _relabel_format_2(path)
+    assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: format version 2 (supported: {FORMAT_VERSION})"]
 
 
 class TestMalformedBody:

@@ -2,20 +2,24 @@
 
 import dataclasses
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import generate_dataset
+from neuralfp.persistence import load, save
 from neuralfp.preprocess import (
+    EPSILON_CONST,
     ReductionError,
     correlation_matrix,
-    fit_normalizer,
     fit_pca,
     fit_pipeline,
+    normalize,
     reduce_dependent_columns,
     reduction_report,
 )
@@ -25,48 +29,46 @@ from neuralfp.signatures import parse_fingerprint_db
 class TestNormalizer:
     def test_population_std_by_hand(self):
         X = np.array([[0.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
-        norm = fit_normalizer(X)
-        assert norm.mean.tolist() == [2.0, 2.0]
+        mean, std, Xn = normalize(X)
+        assert mean.tolist() == [2.0, 2.0]
         # population std of column 0 is sqrt(8/3); column 1 is constant
-        assert norm.std[0] == pytest.approx(np.sqrt(8.0 / 3.0))
-        assert norm.constant.tolist() == [False, True]
-        Xn = norm.transform(X)
+        assert std.tolist() == [pytest.approx(np.sqrt(8.0 / 3.0)), 0.0]
         expect = 2.0 / np.sqrt(8.0 / 3.0)  # = sqrt(1.5)
         assert Xn[:, 0] == pytest.approx([-expect, 0.0, expect])
         assert not Xn[:, 1].any()
 
     def test_requires_two_rows(self):
         with pytest.raises(ReductionError, match="2 rows"):
-            fit_normalizer(np.ones((1, 4)))
+            normalize(np.ones((1, 4)))
 
     def test_epsilon_threshold(self):
         X = np.zeros((4, 1))
         X[:, 0] = 5.0
         X[0, 0] = 5.0 + 1e-12
-        assert fit_normalizer(X).constant[0]
+        _, std, Xn = normalize(X)
+        # a std above 0 but below EPSILON_CONST still pins the column to 0
+        assert 0 < std[0] < EPSILON_CONST
+        assert not Xn.any()
 
 
 class TestCorrelation:
     def test_small_exact(self):
         X = np.array([[0.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
-        Xn = fit_normalizer(X).transform(X)
-        R = correlation_matrix(Xn)
+        R = correlation_matrix(normalize(X)[2])
         assert R[0, 0] == pytest.approx(1.0)
         assert R[0, 1] == 0.0 and R[1, 1] == 0.0
 
     def test_independent_columns_nearly_uncorrelated(self):
         rng = np.random.default_rng(123)
         X = rng.uniform(-1.0, 1.0, size=(10000, 4))
-        Xn = fit_normalizer(X).transform(X)
-        R = correlation_matrix(Xn)
+        R = correlation_matrix(normalize(X)[2])
         assert np.allclose(np.diag(R), 1.0)
         off = R[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off)) < 0.05
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        Xn = fit_normalizer(rng.normal(size=(50, 6))).transform(rng.normal(size=(50, 6)))
-        R = correlation_matrix(Xn)
+        R = correlation_matrix(normalize(rng.normal(size=(50, 6)))[2])
         assert np.array_equal(R, R.T)
 
 
@@ -83,8 +85,7 @@ class TestColumnElimination:
             np.full(200, 7.0),  # 4: constant, dropped
             a + b,              # 5: linear combination, dropped
         ])
-        Xn = fit_normalizer(X).transform(X)
-        return correlation_matrix(Xn)
+        return correlation_matrix(normalize(X)[2])
 
     def test_duplicates_and_constants_dropped(self):
         assert reduce_dependent_columns(self.build()) == [0, 2]
@@ -151,13 +152,13 @@ class TestRankTestEquivalence:
     @settings(max_examples=60)
     @given(X=planted_columns())
     def test_same_kept_columns_as_the_one_vector_loop(self, X):
-        R = correlation_matrix(fit_normalizer(X).transform(X))
+        R = correlation_matrix(normalize(X)[2])
         assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
 
     def test_same_kept_columns_on_a_sampled_corpus(self):
         db = parse_fingerprint_db(demo_database())
         X = generate_dataset(db, None, 600, stage="family", seed=3).inputs
-        R = correlation_matrix(fit_normalizer(X).transform(X))
+        R = correlation_matrix(normalize(X)[2])
         assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
 
 
@@ -199,8 +200,7 @@ class TestPca:
             z[:, 2],
             0.5 * z[:, 2] + 0.1 * z[:, 0],
         ])
-        Xn = fit_normalizer(X).transform(X)
-        return correlation_matrix(Xn)
+        return correlation_matrix(normalize(X)[2])
 
     def test_orthonormal_basis_descending_spectrum(self):
         basis, w, kept_share = fit_pca(self.corr(), variance=0.98)
@@ -276,20 +276,51 @@ class TestPipeline:
         assert out.shape == (7, pipe.output_dim)
         assert pipe.apply(X[0]).shape == (pipe.output_dim,)
 
-    def test_apply_is_normalize_select_project_bit_for_bit(self):
-        X = self.data()
+    @settings(max_examples=60, deadline=None)
+    @given(X=planted_columns())
+    def test_apply_is_normalize_select_project_bit_for_bit(self, X):
+        assume((X.std(axis=0) >= EPSILON_CONST).any())
         pipe = fit_pipeline(X)
-        rows = np.vstack([X[:50], np.random.default_rng(3).normal(size=(50, X.shape[1]))])
-        want = np.vecmat(pipe.normalizer.transform(rows).take(pipe.kept, axis=1), pipe.basis)
-        assert np.array_equal(pipe.apply(rows), want)
-        assert all(np.array_equal(pipe.apply(row), w) for row, w in zip(rows, want))
+        rows = np.vstack([X, np.random.default_rng(3).normal(size=X.shape)])
+        # the full-width reference: normalize every column, pin the constant
+        # ones to 0, then take the kept columns and project them
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        constant = std < EPSILON_CONST
+        Xn = (rows - mean) / np.where(constant, 1.0, std)
+        Xn[:, constant] = 0.0
+        want = np.vecmat(Xn.take(pipe.kept, axis=1), pipe.basis)
+        with tempfile.TemporaryDirectory() as root:
+            save(pipe, Path(root) / "p.pipe")
+            back = load(Path(root) / "p.pipe")
+        for p in (pipe, back):
+            assert np.array_equal(p.apply(rows), want)
+            assert all(np.array_equal(p.apply(row), w) for row, w in zip(rows, want))
 
     @pytest.mark.parametrize("column", [2, 7, -1])
     def test_kept_column_must_be_a_non_constant_one(self, column):
-        # column 2 is constant; 7 and -1 are not columns of the normalizer
+        # column 2 is constant, so the scale it would keep is 0; 7 and -1 are
+        # not columns of the 7-wide rows
+        X = self.data()
+        pipe = fit_pipeline(X)
+        scale = X.std(axis=0)[column] if column == 2 else 1.0
+        with pytest.raises(ReductionError, match="must be one of the 7 input columns, with a finite "
+                                                 "center, a finite scale > 0 and one basis row"):
+            dataclasses.replace(pipe, kept=(column,) + pipe.kept[1:], scale=np.r_[scale, pipe.scale[1:]])
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", lambda p: p.center[:-1]),
+        ("scale", lambda p: np.r_[p.scale, 1.0]),
+        ("scale", lambda p: np.r_[-p.scale[0], p.scale[1:]]),
+        ("scale", lambda p: np.r_[np.nan, p.scale[1:]]),
+        ("scale", lambda p: np.r_[np.inf, p.scale[1:]]),
+        ("center", lambda p: np.r_[np.nan, p.center[1:]]),
+        ("basis", lambda p: p.basis[:-1]),
+        ("basis", lambda p: p.basis[:, 0]),
+    ])
+    def test_center_scale_and_basis_must_fit_the_kept_columns(self, field, value):
         pipe = fit_pipeline(self.data())
-        with pytest.raises(ReductionError, match="non-constant column of the normalizer"):
-            dataclasses.replace(pipe, kept=(column,) + pipe.kept[1:])
+        with pytest.raises(ReductionError, match="a finite center, a finite scale > 0 and one basis row"):
+            dataclasses.replace(pipe, **{field: value(pipe)})
 
     def test_deterministic_refit(self):
         X = self.data()
