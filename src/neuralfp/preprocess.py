@@ -12,6 +12,7 @@ reduction pipeline is fitted per training corpus:
    R-column is not (numerically) in the span of the kept ones, which drops
    exact duplicates and affine copies while keeping the first witness
    (classical Gram-Schmidt run twice, two matrix-vector products a pass);
+   a constant's all-zero R-column could never be kept and is not visited;
 4. diagonalize R restricted to the kept columns and keep the smallest
    eigenvector prefix holding at least the target share (98%) of total
    variance.
@@ -38,7 +39,10 @@ def normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means, population stds, and X normalized with its constant columns pinned to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise ReductionError("normalization needs at least 2 rows")
+        raise ReductionError(f"normalization needs a 2-D array of at least 2 rows, got shape {X.shape}")
+    if not (finite := np.isfinite(X)).all():
+        i, j = np.argwhere(~finite)[0]
+        raise ReductionError(f"normalization needs finite values, row {i} column {j} is {X[i, j]}")
     mean = X.mean(axis=0)
     std = X.std(axis=0)  # population variance, ddof=0
     constant = std < EPSILON_CONST
@@ -59,13 +63,13 @@ def reduce_dependent_columns(R: np.ndarray) -> list[int]:
 
     Greedy in ascending index order, so of a group of perfectly correlated
     columns the lowest index survives.  Constant columns have an all-zero
-    R-column and are never kept.
+    R-column, which the walk skips: its residual norm is 0 (NaN at worst).
     """
     p = R.shape[0]
     kept: list[int] = []
     # CGS2: Q's leading columns are the kept unit vectors; twice is enough
     Q = np.empty((p, p), order="F")
-    for j in range(p):
+    for j in np.flatnonzero(R.any(axis=0)).tolist():
         r = R[:, j].copy()
         basis = Q[:, : len(kept)]
         for _ in range(2):
@@ -120,7 +124,9 @@ class ReductionPipeline:
                 and np.isfinite(self.center).all() and np.all(np.isfinite(self.scale) & (self.scale > 0))):
             raise ReductionError(f"every kept column must be one of the {self.width} input columns, "
                                  "with a finite center, a finite scale > 0 and one basis row")
-        for a in (self.center, self.scale):  # read-only: what a pipeline saves is what it applies
+        # take()'s index array, built once; not a field, so never saved
+        object.__setattr__(self, "_columns", np.array(self.kept, dtype=np.intp))
+        for a in (self.center, self.scale, self._columns):  # read-only: a pipeline applies what it saves
             a.flags.writeable = False
 
     @property
@@ -136,7 +142,7 @@ class ReductionPipeline:
         if np.shape(x)[-1] != self.width:
             raise ReductionError(f"rows have {np.shape(x)[-1]} columns, the pipeline expects {self.width}")
         # vecmat's bits follow the row layout: take() copies into contiguous rows
-        out = np.atleast_2d(np.asarray(x, dtype=float)).take(self.kept, axis=1)
+        out = np.atleast_2d(np.asarray(x, dtype=float)).take(self._columns, axis=1)
         out -= self.center
         out /= self.scale
         out = np.vecmat(out, self.basis)

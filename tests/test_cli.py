@@ -640,6 +640,20 @@ _JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
 # the keys a single-stage config may set
 _CONFIG_KEYS = [*TrainConfig.__dataclass_fields__, "variance", "hidden"]
 _STAGE_CONFIG = b'{"generations": 2, "hidden": 3, "variance": 0.9}'
+# the keys a hierarchy config may set, and values of which half are of
+# the kinds the keys take (a hidden size is keyed by stage name), so that
+# some configs train
+_HIERARCHY_KEYS = list(hierarchy.HierarchyConfig.__dataclass_fields__)
+_HIERARCHY_VALUES = st.sampled_from([_JSON_VALUES, st.one_of(
+    st.booleans(), st.integers(1, 50), st.floats(0.01, 1.0),
+    st.dictionaries(st.sampled_from(["relevance", "family", "Linux"]), st.integers(-1, 4), max_size=2),
+)]).flatmap(lambda values: values)
+_HIERARCHY_CONFIG = {"samples": 40, "generations": 2}
+# a weight as a prevalence file spells it, for a signature or family of the
+# two-signature db or for a name it lacks
+_PREVALENCE_LINES = st.lists(st.tuples(
+    st.one_of(st.floats(), st.integers(-2, 5), st.text(max_size=3)),
+    st.sampled_from(["Alpha Server", "Beta Box", "Linux", "Windows", "Gamma"])), max_size=4)
 
 
 def _forged(ds: Dataset, path) -> None:
@@ -717,14 +731,25 @@ class TestMainProperty:
                                    data.draw(_mutated(work["model"].read_bytes())))
         self._check(*_run(["classify", "--model", model, "--obs", str(work["sol_obs"])]))
 
-    def _train(self, work, family40, config: bytes):
-        cfg = self._mutated_file(work, "fuzz.cfg", config)
-        out = work["db"].parent / "fuzz.stage"
+    def _writes(self, work, argv, name, kind):
+        """Run argv --out <name>: it writes an artifact that load accepts
+        exactly when it exits 0."""
+        out = work["db"].parent / name
         out.unlink(missing_ok=True)
-        code, errors = _run(["train", "--dataset", str(family40), "--config", cfg,
-                             "--out", str(out)])
+        code, errors = _run(argv + ["--out", str(out)])
         self._check(code, errors)
         assert out.exists() == (code == 0)
+        if code == 0:
+            load(out, expected_kind=kind)
+
+    def _train(self, work, family40, config: bytes):
+        cfg = self._mutated_file(work, "fuzz.cfg", config)
+        self._writes(work, ["train", "--dataset", str(family40), "--config", cfg], "fuzz.stage", "stage")
+
+    def _train_hierarchy(self, work, config: dict, *prevalence: str):
+        cfg = self._mutated_file(work, "fuzz.hcfg", json.dumps(config).encode())
+        self._writes(work, ["train", "--db", str(work["two"]), "--stage", "hierarchy", "--config", cfg,
+                            *prevalence], "fuzz.model", "hierarchy")
 
     @settings(max_examples=60)
     @given(config=_mutated(_STAGE_CONFIG))
@@ -735,6 +760,20 @@ class TestMainProperty:
     @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=3))
     def test_drawn_config_values(self, work, family40, drawn):
         self._train(work, family40, json.dumps({"generations": 2, **drawn}).encode())
+
+    @settings(max_examples=100)
+    @given(drawn=st.dictionaries(st.sampled_from(_HIERARCHY_KEYS), _HIERARCHY_VALUES, max_size=3))
+    def test_drawn_hierarchy_config_values(self, work, drawn):
+        self._train_hierarchy(work, {**_HIERARCHY_CONFIG, **drawn})
+
+    @settings(max_examples=60)
+    @given(lines=_PREVALENCE_LINES, stage=st.sampled_from(["relevance", "family"]),
+           total=st.integers(1, 60))
+    def test_drawn_prevalence_weights(self, work, lines, stage, total):
+        prev = self._mutated_file(work, "fuzz.prev", "".join(f"{w} {n}\n" for w, n in lines).encode())
+        self._writes(work, ["generate", "--db", str(work["two"]), "--prevalence", prev, "--stage", stage,
+                            "--total", str(total)], "fuzz.ds", "dataset")
+        self._train_hierarchy(work, _HIERARCHY_CONFIG, "--prevalence", prev)
 
     @settings(max_examples=40)
     @given(data=st.data())

@@ -307,7 +307,7 @@ class TestAtomicity:
             save(ds, tmp_path / "d.ds")
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("name", ["center", "scale"])
+    @pytest.mark.parametrize("name", ["center", "scale", "_columns"])
     def test_pipeline_arrays_cannot_change_in_place(self, tmp_path, name):
         # what a pipeline saves is what it applies
         pipe = fit_pipeline(np.random.default_rng(0).normal(size=(40, 6)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import generate_dataset
-from neuralfp.persistence import load, save
+from neuralfp.hierarchy import HierarchyConfig, train_hierarchy
+from neuralfp.persistence import load, load_container, save
 from neuralfp.preprocess import (
     EPSILON_CONST,
     ReductionError,
@@ -40,6 +42,23 @@ class TestNormalizer:
     def test_requires_two_rows(self):
         with pytest.raises(ReductionError, match="2 rows"):
             normalize(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(20,), (4, 3, 2), ()])
+    def test_not_a_matrix_is_named(self, shape):
+        for fit in (normalize, fit_pipeline):
+            with pytest.raises(ReductionError, match=re.escape(f"needs a 2-D array of at least 2 rows, "
+                                                               f"got shape {shape}")):
+                fit(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_named(self, value, recwarn):
+        X = np.random.default_rng(4).normal(size=(30, 6))
+        X[17, 4] = value
+        for fit in (normalize, fit_pipeline):
+            with pytest.raises(ReductionError, match=f"needs finite values, row 17 column 4 is {value}"):
+                fit(X)
+        # refused before any arithmetic: no overflow or invalid-value warning
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_epsilon_threshold(self):
         X = np.zeros((4, 1))
@@ -155,6 +174,31 @@ class TestRankTestEquivalence:
         R = correlation_matrix(normalize(X)[2])
         assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
 
+    @settings(max_examples=60)
+    @given(X=planted_columns(), data=st.data())
+    def test_same_kept_columns_amid_many_constant_columns(self, X, data):
+        # a version stage's slice: a few varying columns among hundreds of
+        # constant ones, which the walk does not visit
+        width = X.shape[1] + data.draw(st.integers(50, 300))
+        at = sorted(data.draw(st.lists(st.integers(0, width - 1), min_size=X.shape[1],
+                                       max_size=X.shape[1], unique=True)))
+        padded = np.tile(data.draw(st.floats(-5.0, 5.0)), (X.shape[0], width))
+        padded[:, at] = X
+        R = correlation_matrix(normalize(padded)[2])
+        kept = reduce_dependent_columns(R)
+        assert kept == one_vector_at_a_time(R)
+        assert kept == [at[i] for i in reduce_dependent_columns(correlation_matrix(normalize(X)[2]))]
+
+    @pytest.mark.parametrize("bad, kept", [(np.nan, [2, 3]), (np.inf, [0])])
+    def test_zero_column_after_a_non_finite_column(self, bad, kept, recwarn):
+        # a NaN R-column is never kept; an inf one is, and writes NaN into Q,
+        # after which no column is; the zero column after either is dropped
+        # unvisited, as the one-vector loop drops it
+        R = np.eye(4)
+        R[:, 0] = [bad, 0.0, 0.0, 0.0]
+        R[:, 1] = 0.0
+        assert reduce_dependent_columns(R) == one_vector_at_a_time(R) == kept
+
     def test_same_kept_columns_on_a_sampled_corpus(self):
         db = parse_fingerprint_db(demo_database())
         X = generate_dataset(db, None, 600, stage="family", seed=3).inputs
@@ -187,6 +231,39 @@ class TestGoldenPipeline:
         digest = [hashlib.sha256(a.tobytes()).hexdigest()
                   for a in (np.asarray(pipe.kept, dtype=np.int64), pipe.basis, pipe.eigenvalues)]
         assert digest == [kept_sha, basis_sha, eigen_sha]
+
+
+def stage_pipelines_digest(text, total):
+    """sha256 over every stage pipeline of a hierarchy trained on the bench
+    recipe's relevance corpus (seed 42, HierarchyConfig seed 7): each stage's
+    name, kept columns (int64), center, scale, basis and eigenvalues.  One
+    generation is enough, since a stage fits its pipeline before its net."""
+    db = parse_fingerprint_db(text)
+    ds = generate_dataset(db, None, total, stage="relevance", seed=42)
+    model = train_hierarchy(db, cfg=HierarchyConfig(seed=7, generations=1), corpus=(ds.inputs, ds.labels))
+    h = hashlib.sha256()
+    for name, stage in [("relevance", model.relevance), ("family", model.family),
+                        *sorted(model.versions.items())]:
+        p = stage.pipeline
+        h.update(name.encode())
+        for a in (np.asarray(p.kept, dtype=np.int64), p.center, p.scale, p.basis, p.eigenvalues):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenStagePipelines:
+    """Every stage of the bench `train` and `corpus` recipes, recorded with the
+    rank test that visited every column.  The version stages vary in 5 to 28
+    of their 568 columns, so these pin the walk over the varying ones alone.
+    Same BLAS caveat as TestGoldenPipeline."""
+
+    @pytest.mark.parametrize("recipe, digest", [
+        ("demo", "7c1591a791dbcb17080864d53d81d352ed230907cdf57a7105ff46330c706e35"),
+        ("demo+large", "413e1431fac0151a34cc2a2bd8add2ac601b52ef6659206802d7b27d8450cccb"),
+    ])
+    def test_stage_pipelines_digest(self, recipe, digest):
+        text, total = _PIPELINE_RECIPES[recipe][:2]
+        assert stage_pipelines_digest(text, total) == digest
 
 
 class TestPca:
@@ -321,6 +398,14 @@ class TestPipeline:
         pipe = fit_pipeline(self.data())
         with pytest.raises(ReductionError, match="a finite center, a finite scale > 0 and one basis row"):
             dataclasses.replace(pipe, **{field: value(pipe)})
+
+    def test_take_index_is_the_kept_columns_and_is_not_saved(self, tmp_path):
+        pipe = fit_pipeline(self.data())
+        assert pipe._columns.dtype == np.intp and pipe._columns.tolist() == list(pipe.kept)
+        assert isinstance(pipe.kept, tuple)
+        save(pipe, tmp_path / "p.pipe")
+        assert set(load_container(tmp_path / "p.pipe")["body"]) == {
+            f.name for f in dataclasses.fields(pipe)}
 
     def test_deterministic_refit(self):
         X = self.data()
