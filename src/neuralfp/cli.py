@@ -152,7 +152,7 @@ def cmd_train(args) -> int:
     where = args.config or "--config"
     try:
         cfg_json = json.loads(_read(args.config)) if args.config else {}
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{where}: {exc}") from None
     if hierarchy:
         kwargs = decode_config(HierarchyConfig, cfg_json, where)

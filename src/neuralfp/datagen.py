@@ -22,7 +22,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .encoding import TOTAL_NEURONS, encode_observation
-from .signatures import NUMERIC_FIELDS, Observation, Range, Signature
+from .signatures import NUMERIC_FIELDS, Observation, Range, Signature, lines
 
 # OS families the pipeline is trained to tell apart, in output order.
 RELEVANT_FAMILIES = ("Windows", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD")
@@ -52,10 +52,7 @@ class PrevalenceTable:
     def parse(cls, text: str) -> "PrevalenceTable":
         """One entry per line: <weight> <name>, each name once. '#' comments allowed."""
         weights, first_line = {}, {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in lines(text):
             head, _, name = line.partition(" ")
             name = name.strip()
             try:
@@ -127,14 +124,12 @@ def sample_observation(sig: Signature, rng) -> Observation:
                 continue
             c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
             if isinstance(c, Range):
-                lo = 0 if c.lo is None else c.lo + 1
-                if (hi := NUMERIC_FIELDS.get(rule.field)) is None:
+                if (bound := NUMERIC_FIELDS.get(rule.field)) is None:
                     raise GenerationError(f"{sig.name}: {tid}.{rule.field}: comparison in a non-numeric "
                                           "field")
-                hi = hi if c.hi is None else min(hi, c.hi - 1)
-                if lo > hi:
+                if not (span := c.span(bound)):
                     raise GenerationError(f"{sig.name}: {tid}.{rule.field}: unsatisfiable interval")
-                c = int(rng.integers(lo, hi + 1))
+                c = int(rng.integers(span.start, span.stop))
             fields[rule.field] = c if isinstance(c, str) else f"{c:X}"
         # a silent probe carries nothing but the fact that it stayed silent
         if fields.get("Resp") == "N":

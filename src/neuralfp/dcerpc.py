@@ -25,7 +25,7 @@ from .encoding import (
     encode_endpoint_map,
 )
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
-from .signatures import ParseError
+from .signatures import ParseError, records
 
 __all__ = [
     "DumpParseError",
@@ -48,6 +48,11 @@ class DumpParseError(ParseError):
     """Raised on malformed endpoint dump text."""
 
 
+def _uuid_line(line: str) -> str | None:
+    """The text after a `uuid` directive, or None on any other line."""
+    return line[4:].strip() if line == "uuid" or line.startswith("uuid ") else None
+
+
 def parse_endpoint_dump(text: str, name: str | None = None) -> EndpointMap:
     """Parse the line-oriented dump format into an EndpointMap.
 
@@ -56,43 +61,29 @@ def parse_endpoint_dump(text: str, name: str | None = None) -> EndpointMap:
     kept as documentation.  A program must collect at least one binding.
     """
     programs: list[RpcProgram] = []
-    uuid: str | None = None
-    annotation: str | None = None
-    bindings: list[tuple[str, str | None]] = []
-    opened_at = 0
-
-    def flush():
-        if uuid is None:
-            return
-        if not bindings:
-            raise DumpParseError(f"program {uuid} has no bindings", opened_at)
-        programs.append(RpcProgram(uuid, annotation, tuple(bindings)))
-
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if word == "uuid":
-            if not _UUID_RE.match(rest):
-                raise DumpParseError(f"malformed UUID {rest!r}", n)
-            flush()
-            uuid, annotation, bindings, opened_at = rest.upper(), None, [], n
-        elif word == "annotation":
-            if uuid is None:
-                raise DumpParseError("annotation before any uuid line", n)
-            annotation = rest or None
-        elif word == "binding":
-            if uuid is None:
-                raise DumpParseError("binding before any uuid line", n)
-            if not rest:
-                raise DumpParseError("binding needs a protocol", n)
-            proto, _, endpoint = rest.partition(" ")
-            bindings.append((proto, endpoint.strip() or None))
-        else:
-            raise DumpParseError(f"unrecognized directive {word!r}", n)
-    flush()
+    for start, uuid, body in records(text, _uuid_line):
+        if uuid is not None and not _UUID_RE.match(uuid):
+            raise DumpParseError(f"malformed UUID {uuid!r}", start)
+        annotation: str | None = None
+        bindings: list[tuple[str, str | None]] = []
+        for n, line in body:
+            word, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if word in ("annotation", "binding") and uuid is None:
+                raise DumpParseError(f"{word} before any uuid line", n)
+            if word == "annotation":
+                annotation = rest or None
+            elif word == "binding":
+                if not rest:
+                    raise DumpParseError("binding needs a protocol", n)
+                proto, _, endpoint = rest.partition(" ")
+                bindings.append((proto, endpoint.strip() or None))
+            else:
+                raise DumpParseError(f"unrecognized directive {word!r}", n)
+        if uuid is not None:
+            if not bindings:
+                raise DumpParseError(f"program {uuid.upper()} has no bindings", start)
+            programs.append(RpcProgram(uuid.upper(), annotation, tuple(bindings)))
     return EndpointMap(name, tuple(programs))
 
 

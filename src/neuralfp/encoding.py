@@ -134,7 +134,10 @@ _PACK = struct.Struct(f"{TOTAL_NEURONS}d")
 def _encode_num(f: Field, value: str) -> list[float]:
     if not BARE_HEX.fullmatch(value):
         raise EncodeError(f"{f.test}.{f.name} not bare hexadecimal: {value!r}")
-    return [float(int(value, 16))]
+    try:
+        return [float(int(value, 16))]
+    except OverflowError:
+        raise EncodeError(f"{f.test}.{f.name} too large for a float: {len(value)} hex digits") from None
 
 
 def _encode_yn(f: Field, value: str) -> list[float]:

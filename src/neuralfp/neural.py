@@ -74,9 +74,6 @@ class TrainHistory:
 
     rows: list[tuple[int, float, float, float | None]] = field(default_factory=list)
 
-    def last_mse(self) -> float:
-        return self.rows[-1][1]
-
     def generations(self) -> int:
         return len(self.rows)
 

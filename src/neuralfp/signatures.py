@@ -11,8 +11,10 @@ lines and one test line per probe::
 Test bodies are ``%``-separated ``field=expr`` assertions.  An expression is
 a ``|``-separated list of alternatives; each alternative is a literal value,
 a comparison (``<1C``, ``>5``, hex bounds) or a ``&``-conjunction of
-comparisons.  ``#`` starts a comment line.  Whitespace around tokens is
-ignored, so the spaced variant ``T1(DF=N % W=4000 % ...)`` is accepted too.
+comparisons.  Whitespace around tokens is ignored, so the spaced variant
+``T1(DF=N % W=4000 % ...)`` is accepted too.  ``lines`` skips blank and ``#``
+comment lines, and ``records`` groups header-led records, for every text
+format neuralfp reads: databases, observations, dumps and prevalence tables.
 
 Each rule is parsed once into a ``FieldConstraint``: its field and a tuple
 of choices, one per alternative.  A choice is a ``str`` literal, an ``int``
@@ -35,9 +37,10 @@ import logging
 import math
 import re
 import weakref
-from collections.abc import Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Any
 
 import numpy as np
 
@@ -66,12 +69,45 @@ class ParseError(ValueError):
         self.line = line
 
 
+def lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a
+    '#' comment: the line grammar of every text format neuralfp reads."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (line := raw.strip()) and line[0] != "#":
+            yield lineno, line
+
+
+def records(text: str, header: Callable[[str], Any]) -> Iterator[tuple[int, Any, list[tuple[int, str]]]]:
+    """Group lines(text) into (line number, head, body) records.
+
+    A line for which header(line) is not None opens a record, numbered by
+    that line, with that value as head; body holds the (line number, line)
+    pairs up to the next one.  Lines before the first header form record 0,
+    whose head is None.
+    """
+    start, head, body = 0, None, []
+    for lineno, line in lines(text):
+        if (opened := header(line)) is None:
+            body.append((lineno, line))
+            continue
+        if head is not None or body:
+            yield start, head, body
+        start, head, body = lineno, opened, []
+    if head is not None or body:
+        yield start, head, body
+
+
 @dataclass(frozen=True)
 class Range:
     """Open interval of hex integers: lo < value < hi, None on an unbounded side."""
 
     lo: int | None
     hi: int | None
+
+    def span(self, bound: int) -> range:
+        """The integers a sample of this Range takes in a field bounded by bound."""
+        return range(0 if self.lo is None else self.lo + 1,
+                     bound + 1 if self.hi is None else min(bound + 1, self.hi))
 
 
 @dataclass(frozen=True)
@@ -189,7 +225,7 @@ def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstrai
         if isinstance(c, Range):
             if bound is None:
                 raise ParseError(f"comparison in non-numeric field {name}: {expr!r}", lineno)
-            if (0 if c.lo is None else c.lo + 1) > (bound if c.hi is None else min(bound, c.hi - 1)):
+            if not c.span(bound):
                 raise ParseError(f"field {name}: no value in 0..{bound:X} satisfies {expr!r}", lineno)
         elif bound is not None and not BARE_HEX.fullmatch(c):
             raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
@@ -200,42 +236,25 @@ def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstrai
 def parse_fingerprint_db(text: str) -> list[Signature]:
     """Parse a fingerprint database. Raises ParseError with the line number."""
     sigs: list[Signature] = []
-    name = None
-    classes: list[tuple[str, str, str, str]] = []
-    tests: dict[str, tuple[FieldConstraint, ...]] = {}
-
-    def flush():
-        nonlocal name, classes, tests
-        if name is not None:
-            sigs.append(Signature(name, tuple(classes), tests))
-        name, classes, tests = None, [], {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _FP_RE.match(line)
-        if m:
-            flush()
-            name = m.group(1)
-            continue
-        m = _CLASS_RE.match(line)
-        if m:
-            if name is None:
-                raise ParseError("Class line before any Fingerprint line", lineno)
-            parts = [p.strip() for p in m.group(1).split("|")]
-            if len(parts) != 4:
-                raise ParseError(f"Class line needs 4 '|' fields, got {len(parts)}", lineno)
-            classes.append(tuple(parts))
-            continue
-        if name is None:
-            raise ParseError("test line before any Fingerprint line", lineno)
-        tid, fields = _split_test_line(line, lineno)
-        rules = tuple(_parse_rule(*f, lineno) for f in fields)
-        if tid in tests:
-            raise ParseError(f"duplicate test {tid}", lineno)
-        tests[tid] = rules
-    flush()
+    for _, head, body in records(text, _FP_RE.match):
+        classes: list[tuple[str, str, str, str]] = []
+        tests: dict[str, tuple[FieldConstraint, ...]] = {}
+        for lineno, line in body:
+            m = _CLASS_RE.match(line)
+            if head is None:
+                raise ParseError(f"{'Class' if m else 'test'} line before any Fingerprint line", lineno)
+            if m:
+                parts = [p.strip() for p in m.group(1).split("|")]
+                if len(parts) != 4:
+                    raise ParseError(f"Class line needs 4 '|' fields, got {len(parts)}", lineno)
+                classes.append(tuple(parts))
+                continue
+            tid, fields = _split_test_line(line, lineno)
+            rules = tuple(_parse_rule(*f, lineno) for f in fields)
+            if tid in tests:
+                raise ParseError(f"duplicate test {tid}", lineno)
+            tests[tid] = rules
+        sigs.append(Signature(head.group(1), tuple(classes), tests))
     return sigs
 
 
@@ -354,38 +373,21 @@ def parse_observations(text: str) -> list[Observation]:
     rejected: observations carry concrete results only.
     """
     obs: list[Observation] = []
-    name: str | None = None
-    tests: dict[str, dict[str, str]] = {}
-    started = False
-
-    def flush():
-        nonlocal name, tests, started
-        if started:
-            obs.append(Observation(name, tests))
-        name, tests, started = None, {}, False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _OBS_RE.match(line)
-        if m:
-            flush()
-            name, started = m.group(1), True
-            continue
-        tid, fields = _split_test_line(line, lineno)
-        values = {}
-        for key, known, expr in fields:
-            if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
-                raise ParseError(f"constraint syntax in observation field {key}", lineno)
-            if known and key in NUMERIC_FIELDS and not BARE_HEX.fullmatch(expr := expr.upper()):
-                raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
-            values[key] = expr
-        if tid in tests:
-            raise ParseError(f"duplicate test {tid}", lineno)
-        tests[tid] = values
-        started = True
-    flush()
+    for _, head, body in records(text, _OBS_RE.match):
+        tests: dict[str, dict[str, str]] = {}
+        for lineno, line in body:
+            tid, fields = _split_test_line(line, lineno)
+            values = {}
+            for key, known, expr in fields:
+                if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
+                    raise ParseError(f"constraint syntax in observation field {key}", lineno)
+                if known and key in NUMERIC_FIELDS and not BARE_HEX.fullmatch(expr := expr.upper()):
+                    raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
+                values[key] = expr
+            if tid in tests:
+                raise ParseError(f"duplicate test {tid}", lineno)
+            tests[tid] = values
+        obs.append(Observation(head and head.group(1), tests))
     return obs
 
 

@@ -289,6 +289,16 @@ class TestTrain:
             assert err[0].startswith(f"error: {cfg}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [("--dataset", "fam_ds"), ("--db", "two", "--stage", "hierarchy")])
+    def test_config_nested_too_deep_is_exit_1_and_one_line(self, work, tmp_path, capsys, mode):
+        cfg, out = tmp_path / "deep.cfg", tmp_path / "deep.model"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", mode[0], str(work[mode[1]]), *mode[2:], "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: maximum recursion depth exceeded")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [{"seed": -1}, {"hidden": {"Linux": 0}}])
     def test_hierarchy_range_is_checked_before_training(self, work, tmp_path, capsys,
                                                          monkeypatch, config):
@@ -449,6 +459,20 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {obs}: no probe field the layout encodes"]
+
+    def test_hex_too_large_for_a_float_is_exit_1_and_one_line(self, work, tmp_path, capsys):
+        # classify encodes the observation, generate each sample of the db
+        wide = "F" * 400
+        obs, db, out = tmp_path / "wide.obs", tmp_path / "wide.db", tmp_path / "wide.ds"
+        obs.write_text(f"T1(Resp=Y%DF=Y%W={wide}%ACK=S++%Flags=AS%Ops=M)\n")
+        db.write_text(f"Fingerprint X\nClass X | Linux | 2.4.X | general purpose\nT1(W={wide})\n")
+        for argv in (["classify", "--model", str(work["model"]), "--obs", str(obs)],
+                     ["generate", "--db", str(db), "--total", "3", "--out", str(out)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: T1.W too large for a float: 400 hex digits"]
+        assert not out.exists()
 
     def test_one_known_field_reaches_a_verdict(self, work, tmp_path, capsys):
         # gcd=0 encodes to an all-zero vector, but it is evidence
@@ -620,12 +644,20 @@ def _run(argv):
 
 
 @st.composite
-def _mutated(draw, data: bytes) -> bytes:
-    """data with one to three byte edits: a byte replaced, deleted or inserted."""
+def _mutated(draw, data: bytes, hex_runs: bool = False) -> bytes:
+    """data with one to three edits: a byte replaced, deleted or inserted,
+    or, with hex_runs, a run of 300 to 400 of one non-zero hex digit, a
+    number too large for a float, inserted at the start of a value (after a
+    '=') or, in text without one, anywhere."""
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
-        op, i = draw(st.sampled_from("rdi")), draw(st.integers(0, len(data)))
-        if op == "i":
+        op, i = draw(st.sampled_from("rdih" if hex_runs else "rdi")), draw(st.integers(0, len(data)))
+        if op == "h":
+            values = [j + 1 for j, byte in enumerate(data) if byte == ord("=")]
+            i = draw(st.sampled_from(values)) if values else i
+            digit = draw(st.sampled_from(b"123456789ABCDEF"))
+            data[i:i] = bytes([digit]) * draw(st.integers(300, 400))
+        elif op == "i":
             data.insert(i, draw(st.integers(0, 255)))
         elif i < len(data) and op == "d":
             del data[i]
@@ -715,12 +747,14 @@ class TestMainProperty:
     @settings(max_examples=100)
     @given(data=st.data())
     def test_mutated_db_observation_and_dump(self, work, data):
-        db = self._mutated_file(work, "fuzz.db", data.draw(_mutated(work["two"].read_bytes())))
+        db = self._mutated_file(work, "fuzz.db", data.draw(_mutated(work["two"].read_bytes(), True)))
         self._check(*_run(["baseline", "--db", db, "--obs", str(work["sol_obs"])]))
+        self._writes(work, ["generate", "--db", db, "--total", "3"], "fuzz.ds", "dataset")
         obs = self._mutated_file(work, "fuzz.obs",
-                                 data.draw(_mutated(work["win_obs"].read_bytes())))
+                                 data.draw(_mutated(work["win_obs"].read_bytes(), True)))
         self._check(*_run(["classify", "--model", str(work["model"]), "--obs", obs]))
-        dump = self._mutated_file(work, "fuzz.dump", data.draw(_mutated(work["dump"].read_bytes())))
+        dump = self._mutated_file(work, "fuzz.dump",
+                                  data.draw(_mutated(work["dump"].read_bytes(), True)))
         self._check(*_run(["classify", "--model", str(work["model"]),
                            "--obs", str(work["win_obs"]), "--dump", dump]))
 

@@ -1,6 +1,7 @@
 """Endpoint dump parsing, the Windows label space, and the refiner."""
 
 import hashlib
+import re
 import string
 
 import numpy as np
@@ -22,6 +23,9 @@ from neuralfp.encoding import EndpointMap, RpcProgram, build_endpoint_schema, en
 from neuralfp.neural import Mlp
 
 from conftest import MESSENGER_DUMP
+
+
+_MESSENGER = "5A7B91F8-FF00-11D0-A9B2-00C04FB6E6FC"
 
 
 class TestDumpParsing:
@@ -67,6 +71,32 @@ class TestDumpParsing:
     def test_unrecognized_directive(self):
         with pytest.raises(DumpParseError, match="unrecognized directive 'frobnicate'"):
             parse_endpoint_dump("frobnicate 12\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("uuid\n", "line 1: malformed UUID ''"),
+        ("# c\n  uuid   \n", "line 2: malformed UUID ''"),
+        ("uuidX 5A7B91F8-FF00-11D0-A9B2-00C04FB6E6FC\n", "line 1: unrecognized directive 'uuidX'"),
+        ("uuid\t5A7B91F8-FF00-11D0-A9B2-00C04FB6E6FC\n",
+         "line 1: unrecognized directive 'uuid\\t5A7B91F8-FF00-11D0-A9B2-00C04FB6E6FC'"),
+        (f"uuid {_MESSENGER}\n# none\n", f"line 1: program {_MESSENGER} has no bindings"),
+        (f"uuid {_MESSENGER}\n  binding\n", "line 2: binding needs a protocol"),
+    ])
+    def test_uuid_line_framing(self, text, message):
+        with pytest.raises(DumpParseError, match=f"^{re.escape(message)}$"):
+            parse_endpoint_dump(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # a program with no bindings, then a malformed UUID
+        (f"uuid {_MESSENGER}\nuuid not-a-uuid\n", f"line 1: program {_MESSENGER} has no bindings"),
+        # a stray directive inside a program, then a malformed UUID
+        (f"uuid {_MESSENGER}\n  binding ncalrpc x\n  frob\nuuid bad\n",
+         "line 3: unrecognized directive 'frob'"),
+        # a binding before any uuid line, then a program with no bindings
+        (f"binding ncalrpc x\nuuid {_MESSENGER}\n", "line 1: binding before any uuid line"),
+    ])
+    def test_two_faults_report_the_earlier(self, text, message):
+        with pytest.raises(DumpParseError, match=f"^{re.escape(message)}$"):
+            parse_endpoint_dump(text)
 
     def test_format_round_trip(self):
         emap = parse_endpoint_dump(MESSENGER_DUMP)

@@ -163,6 +163,10 @@ class TestTcpBlocks:
         with pytest.raises(EncodeError, match="T1.W"):
             encode_observation(Observation(None, {"T1": {"W": value}}))
 
+    def test_w_too_large_for_a_float_is_named(self):
+        with pytest.raises(EncodeError, match="^T1.W too large for a float: 400 hex digits$"):
+            enc("T1(W=" + "F" * 400 + ")\n")
+
     def test_df_must_be_yn(self):
         with pytest.raises(EncodeError, match="T1.DF"):
             enc("T1(DF=MAYBE)\n")

@@ -261,7 +261,7 @@ class TestTraining:
         Y = np.array([[-1.0], [1.0], [1.0], [-1.0]])
         net = init_mlp([2, 4, 1], seed=0)
         hist = train(net, X, Y, TrainConfig(generations=2000, target_error=0.05, lam=0.1, momentum=0.9, seed=0))
-        assert hist.last_mse() <= 0.05
+        assert hist.rows[-1][1] <= 0.05
         out = forward(net, X)
         assert np.array_equal(np.sign(out), Y)
 
@@ -323,7 +323,7 @@ class TestTraining:
         net = init_mlp([1, 2, 1], seed=6)
         hist = train(net, X, Y, TrainConfig(generations=5000, target_error=0.01, lam=0.1, seed=6))
         assert hist.generations() < 5000
-        assert hist.last_mse() <= 0.01
+        assert hist.rows[-1][1] <= 0.01
 
     def test_history_csv_shape(self):
         X = np.array([[0.5], [-0.5]])

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralfp.corpus import demo_database, large_database
+from neuralfp.corpus import demo_database, family_task_database, large_database, openbsd_study_database
 from neuralfp.datagen import sample_observation
+from neuralfp.dcerpc import format_endpoint_dump, parse_endpoint_dump, synthetic_windows_corpus
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
@@ -26,7 +27,9 @@ from neuralfp.signatures import (
     match_score,
     parse_fingerprint_db,
     parse_observation,
+    lines,
     parse_observations,
+    records,
     serialize_fingerprint_db,
 )
 
@@ -595,3 +598,86 @@ class TestTokenizerOracle:
     def test_constraint_characters_name_the_field(self, line, field):
         with pytest.raises(ParseError, match=f"constraint syntax in observation field {field}$"):
             parse_observation(line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Golden parses, recorded before the four line formats shared one reader.
+
+def parse_digest():
+    """sha256 over the repr of every corpus db's parse (the demo db once more
+    with every line indented and followed by a comment and a blank line), of
+    300 sampled hosts parsed one by one and as one multi-block text, and of
+    the synthetic Windows dumps parsed back from their text."""
+    h = hashlib.sha256()
+    demo = demo_database()
+    noisy = "".join(f"  {line}\n# note\n\n" for line in demo.splitlines())
+    for text in (demo, noisy, openbsd_study_database(), family_task_database(), large_database(),
+                 (DATA / "fingerprints_v1.txt").read_text()):
+        h.update(repr(parse_fingerprint_db(text)).encode())
+    db = parse_fingerprint_db(demo + "\n" + large_database(220))
+    rng = np.random.default_rng(2026)
+    hosts = [sample_observation(db[int(rng.integers(len(db)))], rng) for _ in range(300)]
+    h.update(repr([parse_observation(format_observation(obs)) for obs in hosts]).encode())
+    named = [format_observation(Observation(f"host {i}", obs.tests)) for i, obs in enumerate(hosts)]
+    h.update(repr(parse_observations("\n\n".join(named))).encode())
+    for emap, _ in synthetic_windows_corpus():
+        h.update(repr(parse_endpoint_dump(format_endpoint_dump(emap), emap.name)).encode())
+    return h.hexdigest()
+
+
+class TestGoldenParse:
+    DIGEST = "14cc64cf67ee976d29d02700066c0b7f9f27f7bee3edf23690c1a1c47ca0ca06"
+
+    def test_parses_keep_their_bits(self):
+        assert parse_digest() == self.DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The shared reader and the framing each format builds on it.
+
+class TestReader:
+    def test_lines_skip_blanks_and_comments(self):
+        text = "  a b \n\n\t\n # note\n#\nc#d\n"
+        assert list(lines(text)) == [(1, "a b"), (6, "c#d")]
+
+    def test_records_number_their_header_line(self):
+        text = "x\n# c\ny\nH 1\nz\n\nH 2\nH 3\nw\n"
+        head = lambda line: line[2:] if line.startswith("H ") else None  # noqa: E731
+        assert list(records(text, head)) == [
+            (0, None, [(1, "x"), (3, "y")]),
+            (4, "1", [(5, "z")]),
+            (7, "2", []),
+            (8, "3", [(9, "w")]),
+        ]
+
+    def test_no_lines_no_records(self):
+        assert list(records("\n# only a comment\n", lambda line: line)) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\nClass a | b | c | d\nFingerprint X\n", "line 2: Class line before any Fingerprint line"),
+        ("\nT1(DF=Y)\nFingerprint X\n", "line 2: test line before any Fingerprint line"),
+    ])
+    def test_db_line_before_any_fingerprint(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_fingerprint_db(text)
+
+    def test_db_header_with_empty_body(self):
+        assert parse_fingerprint_db("Fingerprint A\n# nothing\nFingerprint B\nT1(DF=Y)\n") == [
+            Signature("A", (), {}),
+            Signature("B", (), {"T1": (FieldConstraint("DF", ("Y",)),)}),
+        ]
+
+    def test_test_lines_before_an_observation_header(self):
+        parsed = parse_observations("T1(DF=Y)\nT2(Resp=N)\nObservation a\nT1(DF=N)\n")
+        assert parsed == [Observation(None, {"T1": {"DF": "Y"}, "T2": {"Resp": "N"}}),
+                          Observation("a", {"T1": {"DF": "N"}})]
+
+    def test_observation_header_with_empty_body(self):
+        assert parse_observations("Observation a\nObservation b\n\n") == [
+            Observation("a", {}), Observation("b", {})]
+
+    def test_several_faults_report_the_earliest_line(self):
+        with pytest.raises(ParseError, match="^line 2: duplicate test T1$"):
+            parse_observations("T1(DF=Y)\nT1(DF=N)\nObservation a\nT1(W=<5)\n")
+        with pytest.raises(ParseError, match="^line 3: missing '='"):
+            parse_fingerprint_db("Fingerprint A\nT1(DF=Y)\nT2(DF)\nFingerprint B\nClass a\n")
