@@ -55,5 +55,5 @@ if last[1] <= TARGET:
 else:
     print(f"fixed lambda still at mse {last[1]:.4f} after {len(fixed.rows)} generations")
 print()
-print("the same curves come out of `neuralfp train --history curves.csv`")
-print("(and `--fixed-lr` for the second run) as generation,mse,lambda,G rows")
+print("the same curves come out of `neuralfp export-curves --model <saved model>`")
+print('(trained with {"adaptive": false} for the second run) as generation,mse,lambda,G rows')

@@ -1,15 +1,15 @@
 """Command line surface for the fingerprinting pipeline.
 
 Subcommands mirror the pipeline stages: generate a Monte Carlo dataset,
-reduce it, train a stage or the whole hierarchy, classify observations,
-evaluate held-out data, rank best-fit baselines, and export training
-curves or the encoding layout.  Every command is deterministic for a
-given --seed.
+reduce it, train the whole hierarchy (--db) or a dataset's stage
+(--dataset), classify observations, evaluate held-out data, rank
+best-fit baselines, and export a saved model's training curves or the
+encoding layout.  Every command is deterministic for a given --seed.
 
 Exit codes: 0 success (classify: verdict reached), 1 operational error,
-2 an input or output path that cannot be used (missing, a directory,
-no permission), 3 classify said not relevant, 4 classify could not
-decide.
+a refused command line included, 2 an input or output path that cannot
+be used (missing, a directory, no permission), 3 classify said not
+relevant, 4 classify could not decide.  Each error is one "error:" line.
 """
 
 from __future__ import annotations
@@ -70,33 +70,6 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_curves(model, out: str, source: str) -> None:
-    """Write the training curve of each net in model: to `out` for a single
-    net, to `<stem>-<name>.csv` for each net of a hierarchy."""
-    if isinstance(model, Mlp):
-        nets = {None: model}
-    elif isinstance(model, Stage):
-        nets = {None: model.net}
-    elif isinstance(model, HierarchyModel):
-        nets = {"relevance": model.relevance.net, "family": model.family.net}
-        nets.update({name: s.net for name, s in model.versions.items()})
-        if model.windows is not None:
-            nets["windows"] = model.windows.net
-    else:
-        raise ValueError(f"{source}: a {type(model).__name__} carries no training curves")
-    if all(net.history is None for net in nets.values()):
-        raise ValueError(f"{source}: no training history recorded")
-    stem = out[:-4] if out.endswith(".csv") else out
-    for name, net in nets.items():
-        if net.history is None:
-            print(f"skipping {name}: no history recorded")
-            continue
-        path = out if name is None else f"{stem}-{name}.csv"
-        with open(path, "w") as fh:
-            fh.write(net.history.to_csv())
-        print(f"wrote {path}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -129,26 +102,16 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _train_hierarchy_cmd(args, cfg: HierarchyConfig, digest: str) -> int:
-    db = _load_db(args.db)
-    prev = _load_prevalence(args.prevalence)
-    model = train_hierarchy(db, prev, cfg)
-    save(model, args.out, metadata={"seed": cfg.seed, "config_digest": digest})
-    print(f"wrote {args.out}")
-    if args.history:
-        _write_curves(model, args.history, args.out)
-    return EXIT_OK
-
-
 def cmd_train(args) -> int:
-    # each mode needs its own input and reads no path meant for the other
-    hierarchy = args.stage == "hierarchy"
-    mode, need, unread = (("--stage hierarchy", "db", ("dataset", "resume")) if hierarchy
-                          else ("training a single stage", "dataset", ("db", "prevalence")))
-    if getattr(args, need) is None:
-        raise ValueError(f"{mode} requires --{need}")
-    if given := [f"--{name}" for name in unread if getattr(args, name) is not None]:
-        raise ValueError(f"{mode} does not read {' or '.join(given)}")
+    # the input names the mode: --db trains the hierarchy, --dataset that dataset's stage
+    hierarchy = args.db is not None
+    if hierarchy == (args.dataset is not None):
+        raise ValueError("train needs --db (the hierarchy) or --dataset (one stage)"
+                         + (", not both" if hierarchy else ""))
+    mode, unread = (("training the hierarchy", "resume") if hierarchy
+                    else ("training a single stage", "prevalence"))
+    if getattr(args, unread) is not None:
+        raise ValueError(f"{mode} does not read --{unread}")
     where = args.config or "--config"
     try:
         cfg_json = json.loads(_read(args.config)) if args.config else {}
@@ -160,36 +123,32 @@ def cmd_train(args) -> int:
         kwargs = decode_config(TrainConfig, cfg_json, where, variance=float, hidden=int | None)
     if args.seed is not None:
         cfg_json["seed"] = kwargs["seed"] = args.seed
-    if args.fixed_lr:
-        cfg_json["adaptive"] = kwargs["adaptive"] = False
     digest = _config_digest(cfg_json)
     if hierarchy:
-        return _train_hierarchy_cmd(args, HierarchyConfig(**kwargs), digest)
+        cfg = HierarchyConfig(**kwargs)
+        model = train_hierarchy(_load_db(args.db), _load_prevalence(args.prevalence), cfg)
+        save(model, args.out, metadata={"seed": cfg.seed, "config_digest": digest})
+        print(f"wrote {args.out}")
+        return EXIT_OK
 
     ds = load(args.dataset, expected_kind="dataset")
-    stage_name = args.stage or ds.stage
-    if stage_name != ds.stage:
-        raise ValueError(f"dataset holds stage {ds.stage!r}, not {stage_name!r}")
-
     variance = kwargs.pop("variance", VARIANCE_TARGET)
     hidden = kwargs.pop("hidden", None)
     cfg = TrainConfig(**kwargs)
     resume = load(args.resume, expected_kind="stage") if args.resume else None
-    stage = train_stage(stage_name, ds.inputs, ds.targets, ds.output_labels, cfg,
+    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg,
                         variance, hidden, resume)
     save(
         stage,
         args.out,
         metadata={
             "seed": cfg.seed,
-            "stage": stage_name,
+            "stage": ds.stage,
             "config_digest": digest,
         },
     )
     gen, mse, lam, _ = stage.net.history.rows[-1]
-    print(f"wrote {args.out} (stage {stage_name}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
-    if args.history:
-        _write_curves(stage, args.history, args.out)
+    print(f"wrote {args.out} (stage {ds.stage}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
     return EXIT_OK
 
 
@@ -231,7 +190,31 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    _write_curves(load(args.model), args.out, args.model)
+    """Write the training curve of each net in the model: to --out for a
+    single net, to `<stem>-<name>.csv` for each net of a hierarchy."""
+    model = load(args.model)
+    if isinstance(model, Mlp):
+        nets = {None: model}
+    elif isinstance(model, Stage):
+        nets = {None: model.net}
+    elif isinstance(model, HierarchyModel):
+        nets = {"relevance": model.relevance.net, "family": model.family.net}
+        nets.update({name: s.net for name, s in model.versions.items()})
+        if model.windows is not None:
+            nets["windows"] = model.windows.net
+    else:
+        raise ValueError(f"{args.model}: a {type(model).__name__} carries no training curves")
+    if all(net.history is None for net in nets.values()):
+        raise ValueError(f"{args.model}: no training history recorded")
+    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+    for name, net in nets.items():
+        if net.history is None:
+            print(f"skipping {name}: no history recorded")
+            continue
+        path = args.out if name is None else f"{stem}-{name}.csv"
+        with open(path, "w") as fh:
+            fh.write(net.history.to_csv())
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -253,8 +236,15 @@ def cmd_export_layout(args) -> int:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line through main's handler, as one error line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neuralfp",
         description="Neural OS fingerprint classification pipeline.",
     )
@@ -276,18 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the fitted pipeline container here")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("train", help="train one stage from a dataset, or the full hierarchy")
-    p.add_argument("--dataset", help="dataset container (single-stage training)")
-    p.add_argument("--db", help="signature database (hierarchy training)")
+    p = sub.add_parser("train", help="train the dataset's stage, or the full hierarchy from a db")
+    p.add_argument("--dataset", help="dataset container: train its stage")
+    p.add_argument("--db", help="signature database: train the hierarchy")
     p.add_argument("--prevalence", help="weights file (hierarchy training)")
-    p.add_argument("--stage", help="stage to train, or 'hierarchy' (default: dataset's stage)")
     p.add_argument("--config", help="JSON training config")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--fixed-lr", action="store_true",
-                   help="disable the adaptive learning rate schedule")
     p.add_argument("--resume", help="continue training a saved stage model")
     p.add_argument("--out", required=True, help="model container path")
-    p.add_argument("--history", help="write per-generation CSV here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="run the decision cascade on one observation")
@@ -320,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         # missing file, a directory, no permission: name the path

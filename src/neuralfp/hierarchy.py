@@ -10,7 +10,7 @@ Windows versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .datagen import (
 )
 from .dcerpc import WindowsRefiner, WindowsVerdict, report_windows
 from .encoding import TOTAL_NEURONS, EndpointMap, encode_observation, has_encoded_field
-from .neural import Mlp, TrainConfig, forward, init_mlp, train
+from .neural import Mlp, TrainConfig, check_train_config, forward, init_mlp, train
 from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
@@ -195,6 +195,8 @@ def train_hierarchy(
                              f"signature count, got samples {cfg.samples}")
     # the TrainConfig fields the hierarchy config also names carry over
     shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
+    base = TrainConfig(**{**shared, "patience": STAGE_PATIENCE})
+    check_train_config(base)
     trained: dict[str, Stage] = {}
     for stage, name in zip(stages, names):
         # stage i seeds from index i; a skipped stage takes no index
@@ -211,7 +213,7 @@ def train_hierarchy(
                 continue
             X = np.asarray(inputs, dtype=float)[rows]
             Y = stage_targets([labels[i] for i in rows], stage, outputs)
-        tcfg = TrainConfig(**{**shared, "seed": seed, "patience": STAGE_PATIENCE})
+        tcfg = replace(base, seed=seed)
         trained[name] = train_stage(stage, X, Y, outputs, tcfg, cfg.variance, cfg.hidden.get(name))
 
     refiner = None

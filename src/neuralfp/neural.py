@@ -43,6 +43,10 @@ log = logging.getLogger(__name__)
 # generation useful
 MIN_GAIN = 0.01
 
+# the adaptive schedule scales lambda by LAM_UP after a generation that did
+# not raise the error and by LAM_DOWN after one that did, within LAM_MIN..LAM_MAX
+LAM_UP, LAM_DOWN, LAM_MIN, LAM_MAX = 1.05, 0.7, 1e-6, 1.0
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, generation: int):
@@ -56,10 +60,6 @@ class TrainConfig:
     target_error: float | None = None
     lam: float = 0.01
     momentum: float = 0.8
-    lam_up: float = 1.05
-    lam_down: float = 0.7
-    lam_min: float = 1e-6
-    lam_max: float = 1.0
     adaptive: bool = True
     subset_size: int | None = None
     # stop a run this many generations after its last useful one; None: never
@@ -250,6 +250,19 @@ def backprop_generation(
     return total / len(inputs), prev_update
 
 
+def check_train_config(cfg: TrainConfig) -> None:
+    """Raise ValueError naming every field of cfg that is out of range."""
+    in_range = {"generations": cfg.generations >= 1, "seed": cfg.seed >= 0,  # nan fails every comparison
+                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1,
+                "patience": cfg.patience is None or cfg.patience >= 1,
+                "target_error": cfg.target_error is None or 0 <= cfg.target_error < np.inf,
+                "lam": 0 < cfg.lam < np.inf, "momentum": 0 <= cfg.momentum < np.inf}
+    if bad := [key for key, ok in in_range.items() if not ok]:
+        raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
+                         "None, finite floats, target_error >= 0 or None, lam > 0 and momentum >= 0, got "
+                         + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
+
+
 def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
     """Train in place until the target error, a plateau or the generation cap.
 
@@ -265,18 +278,7 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     is raised.  A subset size covering all the data is one plain run
     plus one G.  Each subset run counts its own plateau patience.
     """
-    in_range = {"generations": cfg.generations >= 1, "seed": cfg.seed >= 0,  # nan fails every comparison
-                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1,
-                "patience": cfg.patience is None or cfg.patience >= 1,
-                "target_error": cfg.target_error is None or 0 <= cfg.target_error < np.inf,
-                "lam": 0 < cfg.lam < np.inf, "momentum": 0 <= cfg.momentum < np.inf,
-                "lam_down": 0 < cfg.lam_down <= 1, "lam_up": 1 <= cfg.lam_up < np.inf,
-                "lam_min": 0 < cfg.lam_min < np.inf, "lam_max": cfg.lam_min <= cfg.lam_max < np.inf}
-    if bad := [key for key, ok in in_range.items() if not ok]:
-        raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
-                         "None, finite floats, target_error >= 0 or None, lam > 0, momentum >= 0, "
-                         "0 < lam_down <= 1 <= lam_up and 0 < lam_min <= lam_max, got "
-                         + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
+    check_train_config(cfg)
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(inputs)
@@ -315,9 +317,9 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
                 break
             if cfg.adaptive and prev_mse is not None:
                 if mse <= prev_mse:
-                    lam = min(lam * cfg.lam_up, cfg.lam_max)
+                    lam = min(lam * LAM_UP, LAM_MAX)
                 else:
-                    lam = max(lam * cfg.lam_down, cfg.lam_min)
+                    lam = max(lam * LAM_DOWN, LAM_MIN)
             prev_mse = mse
         log.info("training stopped (%s) at generation %d, mse %.6g", reason, gen, mse)
         if not cfg.subset_size:
@@ -326,7 +328,7 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
         g = fitness_g(mlp, inputs[probe], targets[probe])
         history.rows[-1] = history.rows[-1][:3] + (g,)
         if prev_g is not None and g > prev_g:
-            lam0 = min(lam0 * cfg.lam_up, cfg.lam_max)
+            lam0 = min(lam0 * LAM_UP, LAM_MAX)
         prev_g = g
     mlp.history = history
     return history

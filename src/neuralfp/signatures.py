@@ -25,7 +25,8 @@ rule keeps its raw text and has no choices, so it accepts any value.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
-A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``).
+A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``),
+and in a database it must not exceed the field's bound.
 
 Best-fit scores come from an index of the db's rules (``_Index``), built on
 the first call for that db; only the last db's index is kept.
@@ -136,9 +137,6 @@ class Signature:
     def __post_init__(self):
         object.__setattr__(self, "tests", MappingProxyType(dict(self.tests)))
 
-    def rule_count(self) -> int:
-        return sum(len(rules) for rules in self.tests.values())
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -229,6 +227,8 @@ def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstrai
                 raise ParseError(f"field {name}: no value in 0..{bound:X} satisfies {expr!r}", lineno)
         elif bound is not None and not BARE_HEX.fullmatch(c):
             raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
+        elif bound is not None and int(c, 16) > bound:
+            raise ParseError(f"field {name}: literal {c} above its bound {bound:X}", lineno)
     return FieldConstraint(name, tuple(c if bound is None or isinstance(c, Range) else int(c, 16)
                                        for c in choices))
 
@@ -352,11 +352,6 @@ def match_scores(db: list[Signature], obs: Observation) -> np.ndarray:
     if index is None or len(refs) != len(db) or any(r() is not s for r, s in zip(refs, db)):
         _last = refs, index = [weakref.ref(s) for s in db], _Index(db)
     return index.scores(obs)
-
-
-def match_score(sig: Signature, obs: Observation) -> float:
-    """match_scores for one signature, on an index of its own."""
-    return float(_Index([sig]).scores(obs)[0])
 
 
 def best_fit(db: list[Signature], obs: Observation, top: int = 10) -> list[tuple[str, float]]:

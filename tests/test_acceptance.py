@@ -44,7 +44,7 @@ from neuralfp.persistence import load, save
 from neuralfp.preprocess import fit_pipeline
 from neuralfp.signatures import (
     best_fit,
-    match_score,
+    match_scores,
     parse_fingerprint_db,
     parse_observation,
 )
@@ -162,7 +162,7 @@ def test_criterion_3_sampling_soundness():
     for sig in db[:200]:
         for _ in range(50):
             obs = sample_observation(sig, rng)
-            assert match_score(sig, obs) == 1.0
+            assert match_scores([sig], obs)[0] == 1.0
             checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 10000

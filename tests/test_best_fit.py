@@ -24,7 +24,6 @@ from neuralfp.signatures import (
     Observation,
     Signature,
     best_fit,
-    match_score,
     match_scores,
     parse_fingerprint_db,
     serialize_fingerprint_db,
@@ -206,7 +205,7 @@ class TestOracle:
         text, observations = drawn
         db, tree = _both(text)
         for obs in observations:
-            assert [match_score(sig, obs) for sig in db] == [oracle_score(s, obs) for s in tree]
+            assert [match_scores([sig], obs)[0] for sig in db] == [oracle_score(s, obs) for s in tree]
 
     def test_machine_written_db(self):
         db, tree = _both(demo_database() + "\n" + large_database(40, 3))
@@ -220,18 +219,18 @@ class TestOracle:
         for value, want in [("10", 1.0), ("010", 1.0), ("0x10", 0.0), ("+10", 0.0),
                             ("1_0", 0.0), ("FFFF", 1.0), ("-FFFF", 0.0)]:
             obs = Observation(None, {"T1": {"W": value}})
-            assert match_score(sig, obs) == oracle_score(tree, obs) == want
+            assert match_scores([sig], obs)[0] == oracle_score(tree, obs) == want
 
     def test_leading_zeros_equal_only_in_numeric_fields(self):
         (sig,), (tree,) = _both("Fingerprint X\nT1(W=0A%ACK=0A)\n")
         obs = Observation(None, {"T1": {"W": "A", "ACK": "A"}})
-        assert match_score(sig, obs) == oracle_score(tree, obs) == 0.5
+        assert match_scores([sig], obs)[0] == oracle_score(tree, obs) == 0.5
 
     def test_empty_db_and_empty_signature(self):
         obs = Observation(None, {"T1": {"W": "0"}})
         assert best_fit([], obs) == []
         assert match_scores([], obs).shape == (0,)
-        assert match_score(Signature("E", (), {}), obs) == 0.0
+        assert match_scores([Signature("E", (), {})], obs)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +341,14 @@ class TestCache:
         assert best_fit(c, obs, top=len(c)) == tree_ranking(c, obs)
 
     def test_interleaved_match_score_and_best_fit(self, builds):
+        # each switch between a one-signature db and the whole db rebuilds,
+        # and neither index answers for the other
         db, trees = _both(demo_database())
         for obs in _hosts(db, 3, 5):
             for sig, tree in zip(db[::7], trees[::7]):
-                assert match_score(sig, obs) == oracle_score(tree, obs)
+                assert match_scores([sig], obs)[0] == oracle_score(tree, obs)
                 assert best_fit(db, obs, top=len(db)) == tree_ranking(db, obs)
-        assert builds.count(len(db)) == 1
+        assert builds == [1, len(db)] * (3 * len(db[::7]))
 
     def test_rules_are_read_only(self, builds):
         # an in-place edit cannot leave the cached index behind the rules
@@ -360,5 +361,5 @@ class TestCache:
             del db[0].tests["T1"]
         assert db == parse_fingerprint_db(demo_database())
         assert best_fit(db, obs, top=len(db)) == ranked == tree_ranking(db, obs)
-        assert dict(ranked)[db[0].name] == match_score(db[0], obs)
+        assert dict(ranked)[db[0].name] == match_scores(db, obs)[0]
         assert builds.count(len(db)) == 1

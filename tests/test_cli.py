@@ -40,6 +40,9 @@ T1(Resp=Y%DF=N%W=2017%ACK=S++%Flags=AS%Ops=M)
 """
 
 
+BOTH_INPUTS = "train needs --db (the hierarchy) or --dataset (one stage), not both"
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -85,9 +88,9 @@ def work(tmp_path_factory):
     assert main(["generate", "--db", str(paths["db"]), "--total", "400",
                  "--stage", "family", "--seed", "4", "--out", str(paths["fam_ds"])]) == 0
     assert main(["train", "--dataset", str(paths["fam_ds"]), "--seed", "11",
-                 "--out", str(paths["stage"]), "--history", str(paths["stage_csv"])]) == 0
-    assert main(["train", "--db", str(paths["db"]), "--stage", "hierarchy",
-                 "--config", str(paths["cfg"]), "--seed", "6",
+                 "--out", str(paths["stage"])]) == 0
+    assert main(["export-curves", "--model", str(paths["stage"]), "--out", str(paths["stage_csv"])]) == 0
+    assert main(["train", "--db", str(paths["db"]), "--config", str(paths["cfg"]), "--seed", "6",
                  "--out", str(paths["model"])]) == 0
     return paths
 
@@ -205,19 +208,23 @@ class TestTrain:
                      "--out", str(tmp_path / "t.stage")]) == 0
         assert called == ["fit_pipeline", "init_mlp", "train"]
 
-    def test_fixed_lr_flag_freezes_lambda(self, work, tmp_path):
-        out = tmp_path / "fixed.stage"
-        csv = tmp_path / "fixed.csv"
-        assert main(["train", "--dataset", str(work["fam_ds"]), "--seed", "11",
-                     "--fixed-lr", "--out", str(out), "--history", str(csv)]) == 0
-        rows = csv.read_text().splitlines()[1:]
-        lams = {row.split(",")[2] for row in rows}
-        assert len(lams) == 1
+    def test_fixed_lr_flag_freezes_lambda(self, work, tmp_path, capsys):
+        # a fixed rate has one spelling, the config's "adaptive": false
+        out, cfg = tmp_path / "fixed.stage", tmp_path / "fixed.cfg"
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--fixed-lr", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: neuralfp: unrecognized arguments: --fixed-lr"]
+        cfg.write_text(json.dumps({"adaptive": False}))
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--seed", "11", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert len({lam for _, _, lam, _ in load(out).net.history.rows}) == 1
 
     def test_stage_must_match_dataset(self, work, tmp_path, capsys):
+        # the dataset names the stage, and no flag can name another
         assert main(["train", "--dataset", str(work["fam_ds"]), "--stage", "relevance",
                      "--out", str(tmp_path / "x.stage")]) == 1
-        assert "holds stage 'family'" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: neuralfp: unrecognized arguments: --stage relevance"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_continues_training(self, work, tmp_path):
         out = tmp_path / "resumed.stage"
@@ -232,13 +239,14 @@ class TestTrain:
         assert "schema mismatch" in capsys.readouterr().err
 
     def test_hierarchy_requires_db(self, tmp_path, capsys):
-        assert main(["train", "--stage", "hierarchy", "--out", str(tmp_path / "h.model")]) == 1
-        assert "requires --db" in capsys.readouterr().err
+        assert main(["train", "--out", str(tmp_path / "h.model")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train needs --db (the hierarchy) or --dataset (one stage)"]
 
     def test_hierarchy_rejects_unknown_hidden_keys(self, work, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(json.dumps({"samples": 60, "generations": 1, "hidden": {"linux": 3}}))
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--out", str(tmp_path / "h.model")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -252,7 +260,7 @@ class TestTrain:
         ({"hidden": "a"}, "hidden"),
         ({"generations": "x"}, "generations"),
         ({"lam": None}, "lam"),
-        ({"lam_up": "x"}, "lam_up"),
+        ({"momentum": "x"}, "momentum"),
         ({"seed": 1.5}, "seed"),
         ({"hidden": {"Linux": "a"}}, "hidden"),
         ({"adaptive": "no"}, "adaptive"),
@@ -268,9 +276,14 @@ class TestTrain:
         ({"patience": "x"}, "patience"),
         ({"patience": 0}, None),
         ({"target_error": float("nan")}, None),
-        ({"lam_max": float("nan")}, None),
+        ({"momentum": float("inf")}, None),
         ({"momentum": -2}, None),
-        ({"lam_down": 5}, None),
+        ({"lam": -1}, None),
+        # the adaptive schedule's factors and bounds are constants of neural
+        ({"lam_up": 1.0}, ""),
+        ({"lam_down": 1.0}, ""),
+        ({"lam_min": 1e-6}, ""),
+        ({"lam_max": 1.0}, ""),
     ])
     def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
@@ -282,18 +295,19 @@ class TestTrain:
         if key:
             assert err[0].startswith(f"error: {cfg}.{key}: expected ")
         elif key == "":
-            assert err[0] == f"error: {cfg}: unknown config keys ['bogus']"
+            unknown = [name for name in config if name not in _CONFIG_KEYS]
+            assert err[0] == f"error: {cfg}: unknown config keys {unknown}"
         elif isinstance(config, dict):
             assert all(name in err[0] for name in config)
         else:
             assert err[0].startswith(f"error: {cfg}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", [("--dataset", "fam_ds"), ("--db", "two", "--stage", "hierarchy")])
+    @pytest.mark.parametrize("mode", [("--dataset", "fam_ds"), ("--db", "two")])
     def test_config_nested_too_deep_is_exit_1_and_one_line(self, work, tmp_path, capsys, mode):
         cfg, out = tmp_path / "deep.cfg", tmp_path / "deep.model"
         cfg.write_text("[" * 100_000 + "]" * 100_000)
-        assert main(["train", mode[0], str(work[mode[1]]), *mode[2:], "--config", str(cfg),
+        assert main(["train", mode[0], str(work[mode[1]]), "--config", str(cfg),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: maximum recursion depth exceeded")
@@ -305,7 +319,7 @@ class TestTrain:
         monkeypatch.setattr(hierarchy, "generate_dataset", None)
         cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
         cfg.write_text(json.dumps(config))
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: hierarchy training needs ")
@@ -315,7 +329,7 @@ class TestTrain:
     def test_hierarchy_train_config_out_of_range_is_exit_1_and_one_line(self, work, tmp_path, capsys):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
         cfg.write_text('{"target_error": NaN}')
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training needs ")
@@ -329,7 +343,7 @@ class TestTrain:
         monkeypatch.setattr(hierarchy, "train_stage", None)
         cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
         cfg.write_text(json.dumps({"samples": 5}))
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: hierarchy training needs samples >= 61, the positive-weight signature "
@@ -345,7 +359,7 @@ class TestTrain:
         monkeypatch.setattr(hierarchy, "generate_dataset", None)
         cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
         cfg.write_text(f'{{"{key}": {value}}}')
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: hierarchy training needs finite thresholds")
@@ -353,16 +367,15 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("hierarchy_mode, flags, message", [
-        (True, ["--dataset"], "--stage hierarchy does not read --dataset"),
-        (True, ["--resume"], "--stage hierarchy does not read --resume"),
-        (True, ["--dataset", "--resume"], "--stage hierarchy does not read --dataset or --resume"),
-        (False, ["--db"], "training a single stage does not read --db"),
+        (True, ["--dataset"], BOTH_INPUTS),
+        (True, ["--resume"], "training the hierarchy does not read --resume"),
+        (True, ["--dataset", "--resume"], BOTH_INPUTS),
+        (False, ["--db"], BOTH_INPUTS),
         (False, ["--prevalence"], "training a single stage does not read --prevalence"),
     ])
     def test_a_path_the_mode_does_not_read_is_refused(self, work, tmp_path, capsys,
                                                        hierarchy_mode, flags, message):
-        mode = (["--stage", "hierarchy", "--db", str(work["db"])] if hierarchy_mode
-                else ["--dataset", str(work["fam_ds"])])
+        mode = ["--db", str(work["db"])] if hierarchy_mode else ["--dataset", str(work["fam_ds"])]
         # paths that do not exist: the flag is refused before any file is read
         unread = [a for flag in flags for a in (flag, str(tmp_path / "missing"))]
         assert main(["train", *mode, *unread, "--out", str(tmp_path / "x.model")]) == 1
@@ -380,22 +393,33 @@ class TestTrain:
                                                           config, message):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
         cfg.write_text(json.dumps(config))
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {cfg}{message}"]
         assert not out.exists()
 
     def test_hierarchy_history_per_stage(self, work, tmp_path):
-        stem = tmp_path / "curves.csv"
-        cfg = tmp_path / "small.cfg"
+        # a model without a Windows refiner: one curve per stage net, and no other
+        cfg, model, stem = tmp_path / "small.cfg", tmp_path / "h.model", tmp_path / "curves.csv"
         cfg.write_text(json.dumps({"samples": 300, "generations": 30}))
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
-                     "--config", str(cfg), "--seed", "2",
-                     "--out", str(tmp_path / "h.model"), "--history", str(stem)]) == 0
-        written = sorted(p.name for p in tmp_path.glob("curves-*.csv"))
-        assert "curves-relevance.csv" in written
-        assert "curves-family.csv" in written
-        assert "curves-Linux.csv" in written
+        assert main(["train", "--db", str(work["db"]), "--config", str(cfg), "--seed", "2",
+                     "--out", str(model)]) == 0
+        assert main(["export-curves", "--model", str(model), "--out", str(stem)]) == 0
+        written = {p.name for p in tmp_path.glob("curves-*.csv")}
+        assert {"curves-relevance.csv", "curves-family.csv", "curves-Linux.csv"} <= written
+        assert written == {f"curves-{name}.csv" for name in ["relevance", "family", *load(model).versions]}
+
+    @pytest.mark.parametrize("config", [{"lam": -1}, {"generations": 0}, {"momentum": float("nan")}])
+    def test_hierarchy_train_keys_are_checked_before_any_corpus(self, work, tmp_path, capsys,
+                                                               monkeypatch, config):
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "h.model"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--db", str(work["db"]), "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training needs ")
+        assert all(f"{name}=" in err[0] for name in config)
+        assert not out.exists()
 
 
 class TestClassify:
@@ -424,7 +448,7 @@ class TestClassify:
         cfg = tmp_path / "bare.cfg"
         cfg.write_text(json.dumps({"samples": 300, "generations": 2}))
         bare = tmp_path / "bare.model"
-        assert main(["train", "--db", str(work["db"]), "--stage", "hierarchy",
+        assert main(["train", "--db", str(work["db"]),
                      "--config", str(cfg), "--seed", "2", "--out", str(bare)]) == 0
         capsys.readouterr()
         assert main(["classify", "--model", str(bare),
@@ -466,12 +490,15 @@ class TestClassify:
         obs, db, out = tmp_path / "wide.obs", tmp_path / "wide.db", tmp_path / "wide.ds"
         obs.write_text(f"T1(Resp=Y%DF=Y%W={wide}%ACK=S++%Flags=AS%Ops=M)\n")
         db.write_text(f"Fingerprint X\nClass X | Linux | 2.4.X | general purpose\nT1(W={wide})\n")
-        for argv in (["classify", "--model", str(work["model"]), "--obs", str(obs)],
-                     ["generate", "--db", str(db), "--total", "3", "--out", str(out)]):
+        # the db's literal is refused as it is parsed, since it exceeds W's bound
+        for argv, message in ((["classify", "--model", str(work["model"]), "--obs", str(obs)],
+                               "T1.W too large for a float: 400 hex digits"),
+                              (["generate", "--db", str(db), "--total", "3", "--out", str(out)],
+                               f"line 3: field W: literal {wide} above its bound FFFF")):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.splitlines() == ["error: T1.W too large for a float: 400 hex digits"]
+            assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_one_known_field_reaches_a_verdict(self, work, tmp_path, capsys):
@@ -552,6 +579,9 @@ class TestEvaluateBaseline:
         ("T1(DF=<5%W=4000)", "comparison in non-numeric field DF"),
         ("TSeq(SI=>7&<5)", "field SI: no value in 0..FFFFFF"),
         ("T1(W=>FFFF)", "field W: no value in 0..FFFF"),
+        # a literal above the field's bound, which no sample of a Range reaches
+        ("T1(W=FFFFFFFF)", "field W: literal FFFFFFFF above its bound FFFF"),
+        ("PU(DF=N%TOS=0|100)", "field TOS: literal 100 above its bound FF"),
     ])
     def test_rule_no_sample_can_meet_is_exit_1_and_one_line(self, work, tmp_path, capsys,
                                                             rule, message):
@@ -605,29 +635,55 @@ def _files(directory):
 
 
 class TestCurves:
-    """train --history and export-curves of the saved model agree."""
+    """export-curves writes the history each net of the saved model recorded."""
 
-    def _compare(self, train_args, model, tmp_path):
-        trained, exported = tmp_path / "trained", tmp_path / "exported"
-        trained.mkdir()
-        exported.mkdir()
-        assert main(train_args + ["--out", str(model), "--history", str(trained / "c.csv")]) == 0
-        assert main(["export-curves", "--model", str(model), "--out", str(exported / "c.csv")]) == 0
-        written = _files(trained)
-        assert written == _files(exported)
-        return written
+    def _export(self, model, tmp_path):
+        assert main(["export-curves", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 0
+        return _files(tmp_path)
 
     def test_stage(self, work, tmp_path):
-        written = self._compare(["train", "--dataset", str(work["fam_ds"]), "--seed", "11"],
-                                tmp_path / "s.stage", tmp_path)
-        assert list(written) == ["c.csv"]
+        history = load(work["stage"]).net.history
+        assert self._export(work["stage"], tmp_path) == {"c.csv": history.to_csv().encode()}
 
     def test_hierarchy(self, work, tmp_path):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(json.dumps({"samples": 300, "generations": 20, "windows": True}))
-        written = self._compare(["train", "--db", str(work["db"]), "--stage", "hierarchy",
-                                 "--config", str(cfg), "--seed", "2"], tmp_path / "h.model", tmp_path)
-        assert {"c-relevance.csv", "c-family.csv", "c-Linux.csv", "c-windows.csv"} <= set(written)
+        model = load(work["model"])
+        nets = {"relevance": model.relevance.net, "family": model.family.net,
+                **{name: stage.net for name, stage in model.versions.items()}, "windows": model.windows.net}
+        assert {"Linux", "Solaris"} <= set(nets)
+        assert self._export(work["model"], tmp_path) == {
+            f"c-{name}.csv": net.history.to_csv().encode() for name, net in nets.items()}
+
+
+class TestUsage:
+    """A command line argparse refuses, a removed flag among them, is one
+    error line and exit 1, as any other operational error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--dataset", "x.ds", "--fixed-lr", "--out", "x"],
+         "neuralfp: unrecognized arguments: --fixed-lr"),
+        (["train", "--db", "x.db", "--history", "c.csv", "--out", "x"],
+         "neuralfp: unrecognized arguments: --history c.csv"),
+        (["train", "--db", "x.db", "--stage", "hierarchy", "--out", "x"],
+         "neuralfp: unrecognized arguments: --stage hierarchy"),
+        (["classify", "--model", "x.model"],
+         "neuralfp classify: the following arguments are required: --obs"),
+        (["generate", "--db", "x.db", "--total", "ten", "--out", "x"],
+         "neuralfp generate: argument --total: invalid int value: 'ten'"),
+        ([], "neuralfp: the following arguments are required: command"),
+    ])
+    def test_bad_command_line_is_exit_1_and_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "-h"])
+        assert exc.value.code == 0
+        assert "--dataset" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +838,7 @@ class TestMainProperty:
 
     def _train_hierarchy(self, work, config: dict, *prevalence: str):
         cfg = self._mutated_file(work, "fuzz.hcfg", json.dumps(config).encode())
-        self._writes(work, ["train", "--db", str(work["two"]), "--stage", "hierarchy", "--config", cfg,
+        self._writes(work, ["train", "--db", str(work["two"]), "--config", cfg,
                             *prevalence], "fuzz.model", "hierarchy")
 
     @settings(max_examples=60)

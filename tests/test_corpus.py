@@ -15,7 +15,7 @@ from neuralfp.corpus import (
     pathology_observation,
 )
 from neuralfp.datagen import RELEVANT_FAMILIES, sample_observation, signature_family
-from neuralfp.signatures import best_fit, match_score, parse_fingerprint_db
+from neuralfp.signatures import best_fit, match_scores, parse_fingerprint_db
 
 
 class TestDemoDatabase:
@@ -42,7 +42,7 @@ class TestDemoDatabase:
         for i, sig in enumerate(db):
             rng = np.random.default_rng((77, i))
             for _ in range(5):
-                assert match_score(sig, sample_observation(sig, rng)) == 1.0
+                assert match_scores([sig], sample_observation(sig, rng))[0] == 1.0
 
     def test_deterministic_text(self):
         assert demo_database() == demo_database()
@@ -62,7 +62,8 @@ class TestPathology:
         db = parse_fingerprint_db(demo_database())
         sig = next(s for s in db if s.name == PATHOLOGY_TARGET)
         obs = pathology_observation()
-        assert match_score(sig, obs) == (sig.rule_count() - 1) / sig.rule_count()
+        rules = sum(map(len, sig.tests.values()))
+        assert match_scores([sig], obs)[0] == (rules - 1) / rules
 
 
 class TestStudyCorpora:
@@ -83,7 +84,7 @@ class TestStudyCorpora:
         db = parse_fingerprint_db(family_task_database(per_family=4, seed=4))
         for i, sig in enumerate(db):
             rng = np.random.default_rng((3, i))
-            assert match_score(sig, sample_observation(sig, rng)) == 1.0
+            assert match_scores([sig], sample_observation(sig, rng))[0] == 1.0
 
     def test_large_database_round_trips_through_parser(self):
         text = large_database(n_signatures=40, seed=11)

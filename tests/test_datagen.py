@@ -22,7 +22,7 @@ from neuralfp.datagen import (
     stage_outputs,
     stage_targets,
 )
-from neuralfp.signatures import FieldConstraint, Range, Signature, match_score, parse_fingerprint_db
+from neuralfp.signatures import FieldConstraint, Range, Signature, match_scores, parse_fingerprint_db
 
 from conftest import OPENBSD_22_BLOCK, OPENBSD_36_BLOCK
 
@@ -116,7 +116,7 @@ class TestSampling:
         for i, sig in enumerate(db):
             rng = np.random.default_rng((42, i))
             for _ in range(30):
-                assert match_score(sig, sample_observation(sig, rng)) == 1.0
+                assert match_scores([sig], sample_observation(sig, rng))[0] == 1.0
 
     def test_cmp_intervals(self):
         sig = parse_fingerprint_db("Fingerprint X\nTSeq(gcd=<6%SI=>FFFF0%VAL=<A&>7)\n")[0]

@@ -1,17 +1,25 @@
-"""README: every import it documents names a real module path, and the
-line count it states for src/neuralfp is the tree's."""
+"""README: every import it documents names a real module path, every
+`neuralfp` command line it shows parses, and the line count it states for
+src/neuralfp is the tree's."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from neuralfp.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 # the ```python blocks, and the Python a shell block feeds to `python3 -` in a heredoc
 SOURCES = (re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
            + re.findall(r"^python3 - <<'EOF'[^\n]*\n(.*?)^EOF$", README, re.S | re.M))
+
+# the neuralfp command lines of the shell blocks
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", README, re.S | re.M)
+            for line in block.splitlines() if line.startswith("neuralfp ")]
 
 
 def test_readme_has_python_code():
@@ -31,3 +39,10 @@ def test_stated_line_count_is_the_trees():
     (stated,) = re.findall(r"`src/neuralfp` holds ([\d,]+) lines", README)
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "neuralfp").glob("*.py"))
     assert int(stated.replace(",", "")) == lines
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_commands_parse(line):
+    # parsed, not run: a flag the parser no longer has fails here
+    assert len(COMMANDS) >= 7
+    build_parser().parse_args(shlex.split(line)[1:])

@@ -278,20 +278,11 @@ class TestTraining:
             _, prev_mse, prev_lam, _ = rows[g - 1]
             _, before_mse, _, _ = rows[g - 2]
             want = (
-                min(prev_lam * cfg.lam_up, cfg.lam_max)
+                min(prev_lam * neural.LAM_UP, neural.LAM_MAX)
                 if prev_mse <= before_mse
-                else max(prev_lam * cfg.lam_down, cfg.lam_min)
+                else max(prev_lam * neural.LAM_DOWN, neural.LAM_MIN)
             )
             assert rows[g][2] == pytest.approx(want, rel=1e-12)
-
-    def test_fixed_rate_two_spellings_agree(self):
-        X = np.random.default_rng(2).uniform(-1, 1, (20, 2))
-        Y = np.sign(X[:, :1] + X[:, 1:])
-        a = init_mlp([2, 3, 1], seed=2)
-        b = init_mlp([2, 3, 1], seed=2)
-        train(a, X, Y, TrainConfig(generations=30, lam=0.02, adaptive=False, seed=5))
-        train(b, X, Y, TrainConfig(generations=30, lam=0.02, lam_up=1.0, lam_down=1.0, seed=5))
-        assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
     def test_divergence_detected(self):
         X = np.random.default_rng(3).uniform(-1, 1, (20, 2))
@@ -304,10 +295,11 @@ class TestTraining:
                                      {"lam": float("nan")}, {"subset_size": 0},
                                      {"subset_size": -5}, {"seed": -1}, {"patience": 0},
                                      {"patience": -2}, {"target_error": float("nan")},
-                                     {"lam_max": float("nan")}, {"momentum": -2}, {"lam_down": 5},
+                                     {"momentum": float("inf")}, {"momentum": -2}, {"lam": -0.5},
                                      {"target_error": -0.1}, {"lam": float("inf")},
-                                     {"momentum": float("nan")}, {"lam_up": 0.5}, {"lam_down": 0.0},
-                                     {"lam_min": 0.0}, {"lam_max": 1e-7}, {"lam_up": float("inf")}])
+                                     {"momentum": float("nan")}, {"target_error": float("inf")},
+                                     {"lam": float("-inf")}, {"seed": -7}, {"generations": -1},
+                                     {"momentum": float("-inf")}])
     def test_out_of_range_config_is_a_value_error(self, bad):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])
@@ -402,7 +394,7 @@ class TestSubsets:
         cur = cfg.lam
         for i in range(1, 4):
             if i >= 2 and gs[i - 1] > gs[i - 2]:
-                cur = min(cur * cfg.lam_up, cfg.lam_max)
+                cur = min(cur * neural.LAM_UP, neural.LAM_MAX)
             expect.append(cur)
         assert lam0s == pytest.approx(expect)
 

@@ -12,6 +12,7 @@ import logging
 import re
 from dataclasses import dataclass
 
+from neuralfp.encoding import BARE_HEX
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
@@ -75,7 +76,8 @@ def satisfiable(atom, bound: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The parser's database path, unchanged but for the class names.
+# The parser's database path, unchanged but for the class names and the
+# bound on a numeric literal, which the package's parser checks as well.
 
 ORACLE_LOG = logging.getLogger("neuralfp.signatures")
 _FIELD_CASE = {tid: {f.lower(): f for f in fields} for tid, fields in KNOWN_FIELDS.items()}
@@ -147,6 +149,17 @@ def parse_test_line(line, lineno):
     return tid, tuple(rules)
 
 
+def _check_literals(rules, lineno):
+    """A db's numeric literal above its field's bound, refused once its line is read."""
+    for rule in rules:
+        bound = NUMERIC_FIELDS.get(rule.field)
+        atoms = rule.constraint.choices if isinstance(rule.constraint, OneOf) else (rule.constraint,)
+        for atom in atoms:
+            value = atom.value if isinstance(atom, Const) else ""
+            if bound is not None and BARE_HEX.fullmatch(value) and int(value, 16) > bound:
+                raise ParseError(f"field {rule.field}: literal {value} above its bound {bound:X}", lineno)
+
+
 def oracle_parse_fingerprint_db(text):
     sigs, name, classes, tests = [], None, [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -171,6 +184,7 @@ def oracle_parse_fingerprint_db(text):
         if name is None:
             raise ParseError("test line before any Fingerprint line", lineno)
         tid, rules = parse_test_line(line, lineno)
+        _check_literals(rules, lineno)
         if tid in tests:
             raise ParseError(f"duplicate test {tid}", lineno)
         tests[tid] = rules
