@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages: generate a Monte Carlo dataset,
 reduce it, train the whole hierarchy (--db) or a dataset's stage
-(--dataset), classify observations, evaluate held-out data, rank
-best-fit baselines, and export a saved model's training curves or the
-encoding layout.  Every command is deterministic for a given --seed.
+(--dataset) from one HierarchyConfig, classify observations, evaluate
+held-out data, rank best-fit baselines, and export a saved model's
+training curves or the encoding layout.  Every command is deterministic
+for a given --seed.
 
 Exit codes: 0 success (classify: verdict reached), 1 operational error,
 a refused command line included, 2 an input or output path that cannot
@@ -35,7 +36,7 @@ from .hierarchy import (
     train_hierarchy,
     train_stage,
 )
-from .neural import Mlp, TrainConfig, TrainingDivergedError
+from .neural import Mlp, TrainingDivergedError
 from .persistence import PersistenceError, decode_config, load, save
 from .preprocess import VARIANCE_TARGET, fit_pipeline, reduction_report
 from .signatures import best_fit, parse_fingerprint_db, parse_observation
@@ -48,6 +49,9 @@ EXIT_UNKNOWN = 4
 
 # ValueError covers the parse, generation and reduction errors
 _USER_ERRORS = (HierarchyError, PersistenceError, TrainingDivergedError, ValueError)
+
+# the config keys only the hierarchy reads
+_STAGE_UNREAD = ("samples", "relevance_threshold", "decision_threshold", "windows")
 
 
 def _read(path: str) -> str:
@@ -117,36 +121,27 @@ def cmd_train(args) -> int:
         cfg_json = json.loads(_read(args.config)) if args.config else {}
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{where}: {exc}") from None
-    if hierarchy:
-        kwargs = decode_config(HierarchyConfig, cfg_json, where)
-    else:
-        kwargs = decode_config(TrainConfig, cfg_json, where, variance=float, hidden=int | None)
+    kwargs = decode_config(HierarchyConfig, cfg_json, where)
+    # a single stage draws no corpus and makes no cascade; a resumed one keeps its net and pipeline
+    ignored = () if hierarchy else _STAGE_UNREAD + (("hidden", "variance") if args.resume else ())
+    if keys := sorted(set(kwargs) & set(ignored)):
+        raise ValueError(f"{where}: {'resuming a stage' if args.resume else mode} does not read {keys}")
     if args.seed is not None:
         cfg_json["seed"] = kwargs["seed"] = args.seed
-    digest = _config_digest(cfg_json)
+    cfg = HierarchyConfig(**kwargs)
+    metadata = {"seed": cfg.seed, "config_digest": _config_digest(cfg_json)}
     if hierarchy:
-        cfg = HierarchyConfig(**kwargs)
         model = train_hierarchy(_load_db(args.db), _load_prevalence(args.prevalence), cfg)
-        save(model, args.out, metadata={"seed": cfg.seed, "config_digest": digest})
+        save(model, args.out, metadata)
         print(f"wrote {args.out}")
         return EXIT_OK
 
     ds = load(args.dataset, expected_kind="dataset")
-    variance = kwargs.pop("variance", VARIANCE_TARGET)
-    hidden = kwargs.pop("hidden", None)
-    cfg = TrainConfig(**kwargs)
+    if other := sorted(set(cfg.hidden) - {ds.stage.split(":", 1)[-1]}):
+        raise ValueError(f"{where}: training stage {ds.stage!r} does not read hidden sizes for {other}")
     resume = load(args.resume, expected_kind="stage") if args.resume else None
-    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg,
-                        variance, hidden, resume)
-    save(
-        stage,
-        args.out,
-        metadata={
-            "seed": cfg.seed,
-            "stage": ds.stage,
-            "config_digest": digest,
-        },
-    )
+    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg, cfg.seed, resume)
+    save(stage, args.out, {**metadata, "stage": ds.stage})
     gen, mse, lam, _ = stage.net.history.rows[-1]
     print(f"wrote {args.out} (stage {ds.stage}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
     return EXIT_OK

@@ -5,12 +5,13 @@ one picks the family; per-family networks pick the version group.  Each
 stage owns its reduction pipeline, fit on that stage's training slice.
 Windows version analysis is delegated to the DCE-RPC endpoint classifier
 when a dump is available, since the TCP/IP probes barely separate
-Windows versions.
+Windows versions.  Every stage net, alone or in the cascade, trains
+through train_stage on one HierarchyConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .datagen import (
 )
 from .dcerpc import WindowsRefiner, WindowsVerdict, report_windows
 from .encoding import TOTAL_NEURONS, EndpointMap, encode_observation, has_encoded_field
-from .neural import Mlp, TrainConfig, check_train_config, forward, init_mlp, train
+from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
@@ -90,6 +91,8 @@ class HierarchyModel:
 
 @dataclass(frozen=True)
 class HierarchyConfig:
+    """The one training config; building it checks every range that needs no db."""
+
     seed: int = 0
     samples: int = 3000
     generations: int = 300
@@ -104,6 +107,25 @@ class HierarchyConfig:
     hidden: dict[str, int] = field(default_factory=dict)
     # train a DCE-RPC refiner on the synthetic dump corpus and attach it
     windows: bool = False
+
+    def __post_init__(self):
+        # stage seeds and sizes derive from these: reject them before any corpus is drawn
+        if self.seed < 0 or any(h < 1 for h in self.hidden.values()):
+            raise HierarchyError(f"hierarchy training needs seed >= 0 and every hidden size >= 1, "
+                                 f"got seed {self.seed} and hidden {self.hidden}")
+        # every score < NaN is False, so a NaN threshold would never answer "unknown"
+        if not np.isfinite([self.relevance_threshold, self.decision_threshold]).all():
+            raise HierarchyError(f"hierarchy training needs finite thresholds, got relevance_threshold "
+                                 f"{self.relevance_threshold} and decision_threshold {self.decision_threshold}")
+        if not 0 < self.variance <= 1:
+            raise HierarchyError(f"hierarchy training needs 0 < variance <= 1, got variance {self.variance}")
+        self.train_config(self.seed)  # TrainConfig checks the keys it shares
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """What every stage net trains with: the shared keys, STAGE_PATIENCE and seed."""
+        return TrainConfig(generations=self.generations, target_error=self.target_error, lam=self.lam,
+                           momentum=self.momentum, adaptive=self.adaptive, subset_size=self.subset_size,
+                           patience=STAGE_PATIENCE, seed=seed)
 
 
 @dataclass
@@ -127,21 +149,18 @@ def train_stage(
     X: np.ndarray,
     Y: np.ndarray,
     outputs: tuple[str, ...],
-    tcfg: TrainConfig,
-    variance: float,
-    hidden: int | None = None,
+    cfg: HierarchyConfig,
+    seed: int,
     resume: Stage | None = None,
 ) -> Stage:
     """Train one stage net on its rows X with +-1 targets Y over outputs.
 
-    A fresh stage fits its reduction pipeline on X and a net with `hidden`
-    units (default: STAGE_HIDDEN of the stage's short name) seeded by
-    tcfg.seed; `resume` continues a saved stage whose schema matches.
+    A fresh stage fits its pipeline to cfg.variance and a net sized by
+    cfg.hidden, else STAGE_HIDDEN, under the stage's short name, seeded by
+    seed; `resume` continues a saved stage whose schema matches.
     """
     if len(X) == 0:
         raise HierarchyError(f"stage {stage!r} has an empty dataset")
-    if hidden is not None and hidden < 1:
-        raise HierarchyError(f"stage {stage!r}: hidden must be >= 1, got {hidden}")
     if resume is not None:
         if resume.labels != tuple(outputs) or resume.pipeline.width != X.shape[1]:
             raise HierarchyError(
@@ -150,11 +169,11 @@ def train_stage(
             )
         pipe, net = resume.pipeline, resume.net
     else:
-        pipe = fit_pipeline(X, variance=variance)
-        if hidden is None:
-            hidden = STAGE_HIDDEN.get(stage.split(":", 1)[-1], DEFAULT_HIDDEN)
-        net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=tcfg.seed)
-    train(net, pipe.apply(X), Y, tcfg)
+        pipe = fit_pipeline(X, variance=cfg.variance)
+        name = stage.split(":", 1)[-1]
+        hidden = cfg.hidden.get(name, STAGE_HIDDEN.get(name, DEFAULT_HIDDEN))
+        net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=seed)
+    train(net, pipe.apply(X), Y, cfg.train_config(seed))
     return Stage(pipe, net, tuple(outputs))
 
 
@@ -181,22 +200,10 @@ def train_hierarchy(
     names = [stage.split(":", 1)[-1] for stage in stages]
     if unknown := sorted(set(cfg.hidden) - set(names)):
         raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {names}")
-    # stage seeds and sizes derive from these: reject them before any stage trains
-    if cfg.seed < 0 or any(h < 1 for h in cfg.hidden.values()):
-        raise HierarchyError(f"hierarchy training needs seed >= 0 and every hidden size >= 1, "
-                             f"got seed {cfg.seed} and hidden {cfg.hidden}")
-    # every score < NaN is False, so a NaN threshold would never answer "unknown"
-    if not np.isfinite([cfg.relevance_threshold, cfg.decision_threshold]).all():
-        raise HierarchyError(f"hierarchy training needs finite thresholds, got relevance_threshold "
-                             f"{cfg.relevance_threshold} and decision_threshold {cfg.decision_threshold}")
     # the relevance stage samples every signature of positive weight at least once
     if corpus is None and cfg.samples < (need := sum(w > 0 for w in resolve_weights(db, prev))):
         raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
                              f"signature count, got samples {cfg.samples}")
-    # the TrainConfig fields the hierarchy config also names carry over
-    shared = {f: getattr(cfg, f) for f in TrainConfig.__dataclass_fields__ if hasattr(cfg, f)}
-    base = TrainConfig(**{**shared, "patience": STAGE_PATIENCE})
-    check_train_config(base)
     trained: dict[str, Stage] = {}
     for stage, name in zip(stages, names):
         # stage i seeds from index i; a skipped stage takes no index
@@ -213,8 +220,7 @@ def train_hierarchy(
                 continue
             X = np.asarray(inputs, dtype=float)[rows]
             Y = stage_targets([labels[i] for i in rows], stage, outputs)
-        tcfg = replace(base, seed=seed)
-        trained[name] = train_stage(stage, X, Y, outputs, tcfg, cfg.variance, cfg.hidden.get(name))
+        trained[name] = train_stage(stage, X, Y, outputs, cfg, seed)
 
     refiner = None
     if cfg.windows:

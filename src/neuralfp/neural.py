@@ -13,7 +13,8 @@ Each generation visits the pairs in a freshly shuffled, seeded order.
 A run ends at the target error, at the generation cap, or on a plateau
 (Prechelt, "Early Stopping -- But When?", 1998): `patience` generations
 after its last useful one, whose mse was at least MIN_GAIN below the
-last useful mse before it.  Each run logs why it stopped.
+last useful mse before it.  Each run logs why it stopped.  A TrainConfig
+checks its ranges when it is built, so a run never starts on a bad one.
 
 The per-pair kernel (_Workspace) allocates nothing: each step writes with
 `out=` into buffers built once per generation, and a step that is the
@@ -54,7 +55,7 @@ class TrainingDivergedError(RuntimeError):
         self.generation = generation
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     generations: int = 200
     target_error: float | None = None
@@ -65,6 +66,17 @@ class TrainConfig:
     # stop a run this many generations after its last useful one; None: never
     patience: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        in_range = {"generations": self.generations >= 1, "seed": self.seed >= 0,  # nan fails every comparison
+                    "subset_size": self.subset_size is None or self.subset_size >= 1,
+                    "patience": self.patience is None or self.patience >= 1,
+                    "target_error": self.target_error is None or 0 <= self.target_error < np.inf,
+                    "lam": 0 < self.lam < np.inf, "momentum": 0 <= self.momentum < np.inf}
+        if bad := [key for key, ok in in_range.items() if not ok]:
+            raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
+                             "None, finite floats, target_error >= 0 or None, lam > 0 and momentum >= 0, got "
+                             + ", ".join(f"{key}={getattr(self, key)!r}" for key in bad))
 
 
 @dataclass
@@ -250,19 +262,6 @@ def backprop_generation(
     return total / len(inputs), prev_update
 
 
-def check_train_config(cfg: TrainConfig) -> None:
-    """Raise ValueError naming every field of cfg that is out of range."""
-    in_range = {"generations": cfg.generations >= 1, "seed": cfg.seed >= 0,  # nan fails every comparison
-                "subset_size": cfg.subset_size is None or cfg.subset_size >= 1,
-                "patience": cfg.patience is None or cfg.patience >= 1,
-                "target_error": cfg.target_error is None or 0 <= cfg.target_error < np.inf,
-                "lam": 0 < cfg.lam < np.inf, "momentum": 0 <= cfg.momentum < np.inf}
-    if bad := [key for key, ok in in_range.items() if not ok]:
-        raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
-                         "None, finite floats, target_error >= 0 or None, lam > 0 and momentum >= 0, got "
-                         + ", ".join(f"{key}={getattr(cfg, key)!r}" for key in bad))
-
-
 def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
     """Train in place until the target error, a plateau or the generation cap.
 
@@ -276,9 +275,10 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     wraps around to the first) and recorded on that run's final
     generation.  When G improved, the starting lambda of the next subset
     is raised.  A subset size covering all the data is one plain run
-    plus one G.  Each subset run counts its own plateau patience.
+    plus one G.  Each subset run counts its own plateau patience.  A net
+    that already has a history (a resumed one) keeps it, and this run's
+    generations number on from its last row.
     """
-    check_train_config(cfg)
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = len(inputs)
@@ -289,7 +289,7 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
         chunks = [order[i:i + cfg.subset_size] for i in range(0, n, cfg.subset_size)]
     else:
         chunks = [slice(None)]
-    history = TrainHistory()
+    history = TrainHistory(list(mlp.history.rows) if mlp.history else [])
     lam0 = cfg.lam
     prev_g = None
     for s, chunk in enumerate(chunks):

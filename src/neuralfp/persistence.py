@@ -218,11 +218,11 @@ def _decoder(tp):
     return lambda v, where: _expect(v, tp, where)
 
 
-def decode_config(cls, obj, where: str, **extra_hints) -> dict:
-    """Check a JSON config object against the fields of dataclass cls plus
-    extra_hints; return the decoded values of the keys it sets.  A JSON
-    object stands for a dict-typed field.  Any mismatch is a ValueError."""
-    hints = dict(_fields(cls), **extra_hints)
+def decode_config(cls, obj, where: str) -> dict:
+    """Check a JSON config object against the fields of dataclass cls;
+    return the decoded values of the keys it sets.  A JSON object stands
+    for a dict-typed field.  Any mismatch is a ValueError."""
+    hints = dict(_fields(cls))
     try:
         if unknown := sorted(set(_expect(obj, dict, where)) - set(hints)):
             raise ValueError(f"{where}: unknown config keys {unknown}")

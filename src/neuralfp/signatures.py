@@ -25,8 +25,8 @@ rule keeps its raw text and has no choices, so it accepts any value.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
-A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``),
-and in a database it must not exceed the field's bound.
+A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``)
+and must not exceed the field's bound.
 
 Best-fit scores come from an index of the db's rules (``_Index``), built on
 the first call for that db; only the last db's index is kept.
@@ -376,8 +376,11 @@ def parse_observations(text: str) -> list[Observation]:
             for key, known, expr in fields:
                 if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
                     raise ParseError(f"constraint syntax in observation field {key}", lineno)
-                if known and key in NUMERIC_FIELDS and not BARE_HEX.fullmatch(expr := expr.upper()):
-                    raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
+                if known and key in NUMERIC_FIELDS:
+                    if not BARE_HEX.fullmatch(expr := expr.upper()):
+                        raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
+                    if int(expr, 16) > (bound := NUMERIC_FIELDS[key]):
+                        raise ParseError(f"field {key}: value {expr} above its bound {bound:X}", lineno)
                 values[key] = expr
             if tid in tests:
                 raise ParseError(f"duplicate test {tid}", lineno)

@@ -15,7 +15,6 @@ from neuralfp.corpus import demo_database, pathology_observation
 from neuralfp.datagen import Dataset, SampleLabel, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
-from neuralfp.neural import TrainConfig
 from neuralfp.persistence import (
     FORMAT_VERSION,
     _canonical,
@@ -184,13 +183,13 @@ class TestTrain:
         digests = []
         for hidden in (5, 6):
             cfg, out = tmp_path / f"h{hidden}.cfg", tmp_path / f"h{hidden}.stage"
-            cfg.write_text(json.dumps({"generations": 3, "hidden": hidden}))
+            cfg.write_text(json.dumps({"generations": 3, "hidden": {"family": hidden}}))
             assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
                          "--seed", "11", "--out", str(out)]) == 0
             digests.append(load_container(out)["metadata"]["config_digest"])
             assert load(out).net.sizes[1] == hidden
         assert digests[0] != digests[1]
-        assert digests[0] == _config_digest({"generations": 3, "hidden": 5, "seed": 11})
+        assert digests[0] == _config_digest({"generations": 3, "hidden": {"family": 5}, "seed": 11})
 
     def test_trains_through_the_stage_trainer(self, work, tmp_path, monkeypatch):
         # the traced bench times these three names on the hierarchy module
@@ -238,6 +237,65 @@ class TestTrain:
                      "--out", str(tmp_path / "bad.stage")]) == 1
         assert "schema mismatch" in capsys.readouterr().err
 
+    def test_resumed_curve_numbers_its_generations_on(self, work, tmp_path, capsys):
+        cfg, first, resumed, csv = (tmp_path / name for name in ("c.cfg", "a.stage", "b.stage", "b.csv"))
+        cfg.write_text(json.dumps({"generations": 3, "target_error": 0}))
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+                     "--out", str(first)]) == 0
+        cfg.write_text(json.dumps({"generations": 2, "target_error": 0}))
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+                     "--resume", str(first), "--out", str(resumed)]) == 0
+        rows = load(resumed).net.history.rows
+        assert [row[0] for row in rows] == [1, 2, 3, 4, 5]
+        assert rows[:3] == load(first).net.history.rows
+        assert main(["export-curves", "--model", str(resumed), "--out", str(csv)]) == 0
+        assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == ["1", "2", "3", "4", "5"]
+        assert "(stage family, 5 generations," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config, unread", [
+        ({"hidden": {"family": 11}}, ["hidden"]),
+        ({"variance": 0.5}, ["variance"]),
+        ({"variance": 0.5, "samples": 9, "hidden": {"family": 11}}, ["hidden", "samples", "variance"]),
+    ])
+    def test_resume_refuses_the_keys_it_does_not_read(self, work, tmp_path, capsys, config, unread):
+        # a resumed stage keeps its pipeline and its net's size
+        cfg, out = tmp_path / "r.cfg", tmp_path / "r.stage"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+                     "--resume", str(work["stage"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: resuming a stage does not read {unread}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, unread", [
+        ({"samples": 500}, ["samples"]),
+        ({"relevance_threshold": 0.1, "decision_threshold": 0.2}, ["decision_threshold", "relevance_threshold"]),
+        ({"windows": True, "generations": 2}, ["windows"]),
+    ])
+    def test_a_key_a_single_stage_does_not_read_is_refused(self, tmp_path, capsys, config, unread):
+        # a dataset path that does not exist: the key is refused before it is read
+        cfg, out = tmp_path / "s.cfg", tmp_path / "s.stage"
+        cfg.write_text(json.dumps(config))
+        assert main(["train", "--dataset", str(tmp_path / "missing.ds"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: training a single stage does not read {unread}"]
+        assert not out.exists()
+
+    def test_a_hidden_size_for_another_stage_is_refused(self, family40, tmp_path, capsys):
+        cfg, out = tmp_path / "h.cfg", tmp_path / "h.stage"
+        cfg.write_text(json.dumps({"hidden": {"family": 3, "Linux": 4, "relevance": 2}}))
+        assert main(["train", "--dataset", str(family40), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: training stage 'family' does not read hidden sizes for ['Linux', 'relevance']"]
+        assert not out.exists()
+
+    def test_a_single_stage_trains_with_the_hierarchys_recipe(self, family40, tmp_path, monkeypatch):
+        seen, real = [], hierarchy.train
+        monkeypatch.setattr(hierarchy, "train", lambda net, X, Y, tcfg: seen.append(tcfg) or real(net, X, Y, tcfg))
+        assert main(["train", "--dataset", str(family40), "--seed", "5", "--out", str(tmp_path / "d.stage")]) == 0
+        assert seen == [hierarchy.HierarchyConfig(seed=5).train_config(5)]
+        assert (seen[0].generations, seen[0].target_error, seen[0].patience) == (300, 0.02, hierarchy.STAGE_PATIENCE)
+
     def test_hierarchy_requires_db(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "h.model")]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -270,11 +328,12 @@ class TestTrain:
         ({"variance": 2}, None),
         ({"generations": 2, "bogus": 1}, ""),
         ({"seed": -1}, None),
-        ({"hidden": 0}, None),
+        ({"hidden": {"family": 0}}, None),
         (b'{"generations" 2}', None),
         (b'{"generations": "\xff"}', None),
-        ({"patience": "x"}, "patience"),
-        ({"patience": 0}, None),
+        # every stage stops on hierarchy.STAGE_PATIENCE
+        ({"patience": 7}, ""),
+        ({"variance": float("nan")}, None),
         ({"target_error": float("nan")}, None),
         ({"momentum": float("inf")}, None),
         ({"momentum": -2}, None),
@@ -313,7 +372,8 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: maximum recursion depth exceeded")
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", [{"seed": -1}, {"hidden": {"Linux": 0}}])
+    @pytest.mark.parametrize("config", [{"seed": -1}, {"hidden": {"Linux": 0}}, {"variance": 0},
+                                        {"variance": 1.5}])
     def test_hierarchy_range_is_checked_before_training(self, work, tmp_path, capsys,
                                                          monkeypatch, config):
         monkeypatch.setattr(hierarchy, "generate_dataset", None)
@@ -485,14 +545,13 @@ class TestClassify:
         assert captured.err.splitlines() == [f"error: {obs}: no probe field the layout encodes"]
 
     def test_hex_too_large_for_a_float_is_exit_1_and_one_line(self, work, tmp_path, capsys):
-        # classify encodes the observation, generate each sample of the db
+        # both values exceed W's bound, so each is refused as it is parsed
         wide = "F" * 400
         obs, db, out = tmp_path / "wide.obs", tmp_path / "wide.db", tmp_path / "wide.ds"
         obs.write_text(f"T1(Resp=Y%DF=Y%W={wide}%ACK=S++%Flags=AS%Ops=M)\n")
         db.write_text(f"Fingerprint X\nClass X | Linux | 2.4.X | general purpose\nT1(W={wide})\n")
-        # the db's literal is refused as it is parsed, since it exceeds W's bound
         for argv, message in ((["classify", "--model", str(work["model"]), "--obs", str(obs)],
-                               "T1.W too large for a float: 400 hex digits"),
+                               f"line 1: field W: value {wide} above its bound FFFF"),
                               (["generate", "--db", str(db), "--total", "3", "--out", str(out)],
                                f"line 3: field W: literal {wide} above its bound FFFF")):
             assert main(argv) == 1
@@ -500,6 +559,17 @@ class TestClassify:
             assert captured.out == ""
             assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    def test_value_above_its_bound_is_exit_1_and_one_line(self, work, tmp_path, capsys):
+        # classify used to encode such a host raw, and baseline to rank signatures for it
+        obs = tmp_path / "wide.obs"
+        obs.write_text("T1(Resp=Y%DF=Y%W=FFFFFFFF%ACK=S++%Flags=AS%Ops=M)\n")
+        for argv in (["classify", "--model", str(work["model"]), "--obs", str(obs)],
+                     ["baseline", "--db", str(work["db"]), "--obs", str(obs)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: line 1: field W: value FFFFFFFF above its bound FFFF"]
 
     def test_one_known_field_reaches_a_verdict(self, work, tmp_path, capsys):
         # gcd=0 encodes to an all-zero vector, but it is evidence
@@ -725,18 +795,32 @@ def _mutated(draw, data: bytes, hex_runs: bool = False) -> bytes:
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3))
 _JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
                          st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
-# the keys a single-stage config may set
-_CONFIG_KEYS = [*TrainConfig.__dataclass_fields__, "variance", "hidden"]
-_STAGE_CONFIG = b'{"generations": 2, "hidden": 3, "variance": 0.9}'
+# the keys a config may set, in either mode
+_CONFIG_KEYS = list(hierarchy.HierarchyConfig.__dataclass_fields__)
+_STAGE_CONFIG = b'{"generations": 2, "hidden": {"family": 3}, "variance": 0.9}'
 # the keys a hierarchy config may set, and values of which half are of
 # the kinds the keys take (a hidden size is keyed by stage name), so that
 # some configs train
-_HIERARCHY_KEYS = list(hierarchy.HierarchyConfig.__dataclass_fields__)
 _HIERARCHY_VALUES = st.sampled_from([_JSON_VALUES, st.one_of(
     st.booleans(), st.integers(1, 50), st.floats(0.01, 1.0),
     st.dictionaries(st.sampled_from(["relevance", "family", "Linux"]), st.integers(-1, 4), max_size=2),
 )]).flatmap(lambda values: values)
 _HIERARCHY_CONFIG = {"samples": 40, "generations": 2}
+# configs whose every key is in range, with a schedule that stays finite;
+# any other key is left out at times, so its default is drawn too, but
+# generations and samples are always set, so that no draw trains for long
+_VALID_SHARED = {
+    "seed": st.integers(0, 2**32), "target_error": st.floats(0, 1), "lam": st.floats(1e-4, 0.1),
+    "momentum": st.floats(0, 0.9), "adaptive": st.booleans(), "variance": st.floats(0.01, 1),
+    "subset_size": st.none() | st.integers(10, 60),
+}
+_VALID_STAGE_CONFIG = st.fixed_dictionaries({"generations": st.integers(1, 3)}, optional={
+    **_VALID_SHARED, "hidden": st.dictionaries(st.just("family"), st.integers(1, 6))})
+_VALID_HIERARCHY_CONFIG = st.fixed_dictionaries(
+    {"generations": st.integers(1, 3), "samples": st.integers(10, 60)},
+    optional={**_VALID_SHARED, "windows": st.booleans(), "relevance_threshold": st.floats(-2, 2),
+              "decision_threshold": st.floats(-2, 2),
+              "hidden": st.dictionaries(st.sampled_from(["relevance", "family"]), st.integers(1, 6))})
 # a weight as a prevalence file spells it, for a signature or family of the
 # two-signature db or for a name it lacks
 _PREVALENCE_LINES = st.lists(st.tuples(
@@ -852,9 +936,27 @@ class TestMainProperty:
         self._train(work, family40, json.dumps({"generations": 2, **drawn}).encode())
 
     @settings(max_examples=100)
-    @given(drawn=st.dictionaries(st.sampled_from(_HIERARCHY_KEYS), _HIERARCHY_VALUES, max_size=3))
+    @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _HIERARCHY_VALUES, max_size=3))
     def test_drawn_hierarchy_config_values(self, work, drawn):
         self._train_hierarchy(work, {**_HIERARCHY_CONFIG, **drawn})
+
+    def _trains(self, work, argv, config: dict, name, kind):
+        """Run argv with config: it exits 0 with no error line and writes an artifact load accepts."""
+        cfg = self._mutated_file(work, "valid.cfg", json.dumps(config).encode())
+        out = work["db"].parent / name
+        out.unlink(missing_ok=True)
+        assert _run(argv + ["--config", cfg, "--out", str(out)]) == (0, [])
+        load(out, expected_kind=kind)
+
+    @settings(max_examples=100)
+    @given(config=_VALID_STAGE_CONFIG)
+    def test_valid_stage_config_trains(self, work, family40, config):
+        self._trains(work, ["train", "--dataset", str(family40)], config, "valid.stage", "stage")
+
+    @settings(max_examples=50)
+    @given(config=_VALID_HIERARCHY_CONFIG)
+    def test_valid_hierarchy_config_trains(self, work, config):
+        self._trains(work, ["train", "--db", str(work["two"])], config, "valid.model", "hierarchy")
 
     @settings(max_examples=60)
     @given(lines=_PREVALENCE_LINES, stage=st.sampled_from(["relevance", "family"]),

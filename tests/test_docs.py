@@ -1,6 +1,6 @@
 """README: every import it documents names a real module path, every
-`neuralfp` command line it shows parses, and the line count it states for
-src/neuralfp is the tree's."""
+`neuralfp` command line it shows parses, the line count it states for
+src/neuralfp is the tree's, and its config table names the config's fields."""
 
 import ast
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from neuralfp.cli import build_parser
+from neuralfp.hierarchy import HierarchyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -46,3 +47,11 @@ def test_commands_parse(line):
     # parsed, not run: a flag the parser no longer has fails here
     assert len(COMMANDS) >= 7
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_config_table_keys_are_the_config_fields():
+    # the table has one default column, and its first cell names one key or several
+    (rows,) = re.findall(r"^\| key \| type and range \| default \|\n\|---\|---\|---\|\n((?:\|.*\n)+)",
+                         README, re.M)
+    keys = [key for row in rows.splitlines() for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(HierarchyConfig.__dataclass_fields__)

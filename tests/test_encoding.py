@@ -164,8 +164,9 @@ class TestTcpBlocks:
             encode_observation(Observation(None, {"T1": {"W": value}}))
 
     def test_w_too_large_for_a_float_is_named(self):
+        # the parser refuses a value above W's bound first; a built observation meets the encoder
         with pytest.raises(EncodeError, match="^T1.W too large for a float: 400 hex digits$"):
-            enc("T1(W=" + "F" * 400 + ")\n")
+            encode_observation(Observation(None, {"T1": {"W": "F" * 400}}))
 
     def test_df_must_be_yn(self):
         with pytest.raises(EncodeError, match="T1.DF"):

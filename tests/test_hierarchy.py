@@ -1,6 +1,7 @@
 """Decision cascade: training, classification, reporting, evaluation."""
 
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from neuralfp.encoding import TOTAL_NEURONS, encode_observation
 from neuralfp.hierarchy import (
     OUTCOMES,
     STAGE_HIDDEN,
+    STAGE_PATIENCE,
     HierarchyConfig,
     HierarchyError,
     ObservationError,
@@ -88,9 +90,47 @@ class TestTraining:
 
     def test_stage_hidden_size_defaults_by_short_name(self, db):
         ds = generate_dataset(db, None, 60, stage="version:OpenBSD", seed=2)
-        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels, TrainConfig(generations=2), 0.98)
-        assert train_stage(*args).net.sizes[1] == STAGE_HIDDEN["OpenBSD"]
-        assert train_stage(*args, hidden=5).net.sizes[1] == 5
+        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels)
+        assert train_stage(*args, HierarchyConfig(generations=2), 0).net.sizes[1] == STAGE_HIDDEN["OpenBSD"]
+        cfg = HierarchyConfig(generations=2, hidden={"OpenBSD": 5})
+        assert train_stage(*args, cfg, 0).net.sizes[1] == 5
+
+    def test_stage_trains_with_the_configs_stage_recipe(self, db, monkeypatch):
+        ds = generate_dataset(db, None, 60, stage="version:OpenBSD", seed=2)
+        seen = []
+        monkeypatch.setattr(hierarchy, "train", lambda net, X, Y, tcfg: seen.append(tcfg))
+        train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels,
+                    HierarchyConfig(seed=3, generations=9, lam=0.5, subset_size=7), 1234)
+        assert seen == [TrainConfig(generations=9, target_error=0.02, lam=0.5, momentum=0.8,
+                                    adaptive=True, subset_size=7, patience=STAGE_PATIENCE, seed=1234)]
+
+    def test_resumed_stage_numbers_its_generations_on(self, db):
+        ds = generate_dataset(db, None, 60, stage="version:OpenBSD", seed=2)
+        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels)
+        first = train_stage(*args, HierarchyConfig(generations=3, target_error=0.0), 0)
+        rows = list(first.net.history.rows)
+        resumed = train_stage(*args, HierarchyConfig(generations=2, target_error=0.0), 1, resume=first)
+        assert [row[0] for row in resumed.net.history.rows] == [1, 2, 3, 4, 5]
+        assert resumed.net.history.rows[:3] == rows
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"variance": 0}, "needs 0 < variance <= 1, got variance 0"),
+        ({"variance": 1.5}, "needs 0 < variance <= 1, got variance 1.5"),
+        ({"variance": float("nan")}, "needs 0 < variance <= 1, got variance nan"),
+        ({"seed": -2}, "needs seed >= 0 and every hidden size >= 1, got seed -2 and hidden {}"),
+        ({"hidden": {"Linux": 0}},
+         "needs seed >= 0 and every hidden size >= 1, got seed 0 and hidden {'Linux': 0}"),
+    ])
+    def test_config_out_of_range_is_refused_as_it_is_built(self, kw, message):
+        with pytest.raises(HierarchyError, match=f"^hierarchy training {re.escape(message)}$"):
+            HierarchyConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [{"generations": 0}, {"lam": -1.0}, {"subset_size": 0},
+                                    {"target_error": float("nan")}, {"momentum": float("inf")}])
+    def test_shared_training_keys_are_refused_as_the_config_is_built(self, kw):
+        (key, value), = kw.items()
+        with pytest.raises(ValueError, match=f"^training needs .*, got {key}={value!r}$"):
+            HierarchyConfig(**kw)
 
     def test_unknown_hidden_key_is_rejected_before_training(self, db, monkeypatch):
         calls = []

@@ -301,13 +301,20 @@ class TestTraining:
                                      {"lam": float("-inf")}, {"seed": -7}, {"generations": -1},
                                      {"momentum": float("-inf")}])
     def test_out_of_range_config_is_a_value_error(self, bad):
+        # refused as it is built, so no run starts on it
+        (key, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^training needs .*, got {key}={value!r}$"):
+            TrainConfig(**bad)
+
+    def test_a_trained_net_continues_its_curve(self):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])
         net = init_mlp([1, 2, 1], seed=6)
-        (key, value), = bad.items()
-        with pytest.raises(ValueError, match=f"^training needs .*, got {key}={value!r}$"):
-            train(net, X, Y, TrainConfig(**bad))
-        assert net.history is None
+        first = list(train(net, X, Y, TrainConfig(generations=3, lam=0.1, seed=6)).rows)
+        hist = train(net, X, Y, TrainConfig(generations=2, lam=0.1, seed=6))
+        assert net.history is hist
+        assert [row[0] for row in hist.rows] == [1, 2, 3, 4, 5]
+        assert hist.rows[:3] == first
 
     def test_target_error_stops_early(self):
         X = np.array([[0.5], [-0.5]])
@@ -481,8 +488,7 @@ class TestPlateau:
         assert decode_config(TrainConfig, {"patience": 7}, "cfg") == {"patience": 7}
         with pytest.raises(ValueError, match=r"^cfg\.patience: "):
             decode_config(TrainConfig, {"patience": "x"}, "cfg")
-        # the range is checked where the value is used
-        cfg = TrainConfig(**decode_config(TrainConfig, {"patience": 0}, "cfg"))
-        X, Y = self.data()
+        # the range is checked as the config is built
+        kwargs = decode_config(TrainConfig, {"patience": 0}, "cfg")
         with pytest.raises(ValueError, match=r"^training needs .*, got patience=0$"):
-            train(init_mlp([3, 4, 1], seed=4), X, Y, cfg)
+            TrainConfig(**kwargs)

@@ -566,11 +566,6 @@ class TestDecodeConfig:
         assert type(kwargs["lam"]) is float
         assert set(kwargs) == {"hidden", "lam"}
 
-    def test_extra_hints_join_the_fields(self):
-        got = decode_config(TrainConfig, {"hidden": None, "variance": 1}, "c",
-                            variance=float, hidden=int | None)
-        assert got == {"hidden": None, "variance": 1.0}
-
     @pytest.mark.parametrize("obj, message", [
         ([], "c: expected dict, got list"),
         ({"bogus": 1, "lam": 0.1}, "c: unknown config keys ['bogus']"),

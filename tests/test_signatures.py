@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from neuralfp.corpus import demo_database, family_task_database, large_database, openbsd_study_database
 from neuralfp.datagen import sample_observation
 from neuralfp.dcerpc import format_endpoint_dump, parse_endpoint_dump, synthetic_windows_corpus
+from neuralfp.encoding import BARE_HEX
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
@@ -324,6 +325,20 @@ class TestObservations:
         # an unknown test's fields stay verbatim
         assert parse_observation(f"T9(W={value})\n").tests == {"T9": {"W": value.strip()}}
 
+    @pytest.mark.parametrize("line, message", [
+        ("T1(DF=Y%W=FFFFFFFF)", "field W: value FFFFFFFF above its bound FFFF"),
+        ("T1(W=1%DF=Y%Ops=M%W=10000)", "duplicate field W in T1"),
+        ("PU(TOS=100)", "field TOS: value 100 above its bound FF"),
+        ("TSeq(SI=1000000)", "field SI: value 1000000 above its bound FFFFFF"),
+        ("T1(W=" + "f" * 400 + ")", "field W: value " + "F" * 400 + " above its bound FFFF"),
+    ], ids=["W", "duplicate field first", "TOS", "SI", "W of 400 digits"])
+    def test_numeric_value_above_its_bound_is_refused(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            parse_observations(f"Observation x\n{line}\n")
+        # a value at the bound, with leading zeros or not, parses
+        assert parse_observation("T1(W=0FFFF)\nPU(TOS=ff)\n").tests == {"T1": {"W": "0FFFF"},
+                                                                        "PU": {"TOS": "FF"}}
+
     def test_exactly_one_required(self):
         with pytest.raises(ParseError, match="exactly one"):
             parse_observation("Observation a\nT1(DF=Y)\nObservation b\nT1(DF=N)\n")
@@ -352,17 +367,22 @@ def _hex(name):
 
 def _observed(name):
     """An observed value: a word, or a numeric field's hex value, within
-    its bound but rarely drawn from 0..FFFFF."""
+    its bound but rarely drawn from 0..FFFFF, which may exceed it."""
     if name not in NUMERIC_FIELDS:
         return _WORD
     # hypothesis favours the ends of a range, so a middle value picks the rare case
     return st.integers(0, 4).flatmap(lambda i: _HEX if i == 2 else _hex(name))
 
 
+def _valid(name):
+    """A value the observation parser accepts: a word, or a hex value within its field's bound."""
+    return _hex(name) if name in NUMERIC_FIELDS else _WORD
+
+
 @st.composite
-def observations(draw):
+def observations(draw, value=_observed):
     tids = draw(st.lists(st.sampled_from(list(KNOWN_FIELDS)), min_size=1, unique=True))
-    tests = {tid: draw(_probe_fields(tid, _observed)) for tid in tids}
+    tests = {tid: draw(_probe_fields(tid, value)) for tid in tids}
     return Observation(draw(st.none() | _NAME), tests)
 
 
@@ -396,7 +416,7 @@ _DEMO = parse_fingerprint_db(demo_database())
 
 class TestProperties:
     @settings(max_examples=100)
-    @given(obs=observations())
+    @given(obs=observations(_valid))
     def test_observation_format_parse_is_identity(self, obs):
         assert parse_observation(format_observation(obs)) == obs
 
@@ -455,7 +475,11 @@ def oracle_parse_observations(text):
         fields = {}
         for rule in rules:
             if isinstance(rule.constraint, Const):
-                fields[rule.field] = rule.constraint.value
+                value = fields[rule.field] = rule.constraint.value
+                # the bound on a numeric value, which the package's parser checks as well
+                bound = NUMERIC_FIELDS.get(rule.field)
+                if bound is not None and BARE_HEX.fullmatch(value) and int(value, 16) > bound:
+                    raise ParseError(f"field {rule.field}: value {value} above its bound {bound:X}", lineno)
             elif isinstance(rule.constraint, AnyValue) and _VALUE_OK_RE.match(rule.constraint.raw):
                 fields[rule.field] = rule.constraint.raw
             else:
