@@ -52,8 +52,8 @@ __all__ = [
 # absent falls back to DEFAULT_HIDDEN
 STAGE_HIDDEN = {"relevance": 20, "family": 20, "Linux": 18, "Solaris": 7, "OpenBSD": 4}
 DEFAULT_HIDDEN = 8
-# every stage net stops on a plateau of this many generations (neural.train)
-STAGE_PATIENCE = 25
+# every stage net stops this many generations after its last rise in G (neural.train)
+STAGE_PATIENCE = 5
 
 OUTCOMES = ("perfect match", "partial match", "error", "no answer")
 

@@ -11,9 +11,10 @@ scales lambda up, a worse one scales it down, both within fixed bounds.
 Each generation visits the pairs in a freshly shuffled, seeded order.
 
 A run ends at the target error, at the generation cap, or on a plateau
-(Prechelt, "Early Stopping -- But When?", 1998): `patience` generations
-after its last useful one, whose mse was at least MIN_GAIN below the
-last useful mse before it.  Each run logs why it stopped.  A TrainConfig
+of its decisions (Prechelt, "Early Stopping -- But When?", 1998): with
+`patience` set, each generation measures fitness G on the run's rows,
+and the run stops `patience` generations after the last one whose G beat
+every earlier G of the run.  Each run logs why it stopped.  A TrainConfig
 checks its ranges when it is built, so a run never starts on a bad one.
 
 The per-pair kernel (_Workspace) allocates nothing: each step writes with
@@ -40,10 +41,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# the relative mse drop below the last useful generation that makes a
-# generation useful
-MIN_GAIN = 0.01
-
 # the adaptive schedule scales lambda by LAM_UP after a generation that did
 # not raise the error and by LAM_DOWN after one that did, within LAM_MIN..LAM_MAX
 LAM_UP, LAM_DOWN, LAM_MIN, LAM_MAX = 1.05, 0.7, 1e-6, 1.0
@@ -63,7 +60,7 @@ class TrainConfig:
     momentum: float = 0.8
     adaptive: bool = True
     subset_size: int | None = None
-    # stop a run this many generations after its last useful one; None: never
+    # stop a run this many generations after its last rise in G; None: never
     patience: int | None = None
     seed: int = 0
 
@@ -262,8 +259,13 @@ def backprop_generation(
     return total / len(inputs), prev_update
 
 
+def _next_lam(lam: float, mse: float, prev_mse: float) -> float:
+    """The adaptive schedule's lambda after errors prev_mse, then mse."""
+    return min(lam * LAM_UP, LAM_MAX) if mse <= prev_mse else max(lam * LAM_DOWN, LAM_MIN)
+
+
 def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
-    """Train in place until the target error, a plateau or the generation cap.
+    """Train in place until the target error, a plateau of G or the generation cap.
 
     The lambda recorded per generation is the one that generation used;
     adaptation compares consecutive generation errors, ties counting as
@@ -275,9 +277,13 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     wraps around to the first) and recorded on that run's final
     generation.  When G improved, the starting lambda of the next subset
     is raised.  A subset size covering all the data is one plain run
-    plus one G.  Each subset run counts its own plateau patience.  A net
-    that already has a history (a resumed one) keeps it, and this run's
-    generations number on from its last row.
+    plus one G.  Each subset run counts its own plateau patience.
+
+    A net that already has a history (a resumed one) keeps it, and this
+    run's generations number on from its last row.  An adaptive run starts
+    at the lambda the schedule gives after that row (the row's own if it
+    is the only one).  The momentum state is not stored, so it restarts
+    at zero, and so does the patience count.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -290,15 +296,16 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     else:
         chunks = [slice(None)]
     history = TrainHistory(list(mlp.history.rows) if mlp.history else [])
-    lam0 = cfg.lam
+    lam0, rows = cfg.lam, history.rows
+    if cfg.adaptive and rows:
+        lam0 = _next_lam(rows[-1][2], rows[-1][1], rows[-2][1]) if len(rows) > 1 else rows[-1][2]
     prev_g = None
     for s, chunk in enumerate(chunks):
         X, Y = inputs[chunk], targets[chunk]
         rng = np.random.default_rng(cfg.seed + s)
         gen0 = history.generations()
         lam = lam0
-        prev_mse = useful_mse = None
-        update = None
+        prev_mse = best_g = update = None
         reason = "cap"
         for gen in range(gen0 + 1, gen0 + cfg.generations + 1):
             order = rng.permutation(len(X))
@@ -310,18 +317,18 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
             if cfg.target_error is not None and mse <= cfg.target_error:
                 reason = "target"
                 break
-            if useful_mse is None or mse <= useful_mse * (1.0 - MIN_GAIN):
-                useful_mse, useful_gen = mse, gen
-            elif cfg.patience is not None and gen - useful_gen >= cfg.patience:
-                reason = "plateau"
-                break
+            if cfg.patience is not None:
+                g = fitness_g(mlp, X, Y)
+                if best_g is None or g > best_g:
+                    best_g, best_gen = g, gen
+                elif gen - best_gen >= cfg.patience:
+                    reason = "plateau"
+                    break
             if cfg.adaptive and prev_mse is not None:
-                if mse <= prev_mse:
-                    lam = min(lam * LAM_UP, LAM_MAX)
-                else:
-                    lam = max(lam * LAM_DOWN, LAM_MIN)
+                lam = _next_lam(lam, mse, prev_mse)
             prev_mse = mse
-        log.info("training stopped (%s) at generation %d, mse %.6g", reason, gen, mse)
+        best = f", G {best_g:.6g} (best at generation {best_gen})" if reason == "plateau" else ""
+        log.info("training stopped (%s) at generation %d, mse %.6g%s", reason, gen, mse, best)
         if not cfg.subset_size:
             continue
         probe = chunks[(s + 1) % len(chunks)]

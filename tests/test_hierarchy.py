@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralfp import hierarchy
+from neuralfp import hierarchy, neural
 from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
@@ -113,6 +113,18 @@ class TestTraining:
         assert [row[0] for row in resumed.net.history.rows] == [1, 2, 3, 4, 5]
         assert resumed.net.history.rows[:3] == rows
 
+    def test_resumed_stage_starts_at_the_schedules_next_lambda(self, db):
+        ds = generate_dataset(db, None, 300, stage="family", seed=2)
+        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels)
+        first = train_stage(*args, HierarchyConfig(generations=6, target_error=0.0), 0)
+        (_, prev_mse, _, _), (_, mse, lam, _) = first.net.history.rows[-2:]
+        resumed = train_stage(*args, HierarchyConfig(generations=3, target_error=0.0), 1, resume=first)
+        rows = resumed.net.history.rows
+        assert len(rows) == 9
+        up = mse <= prev_mse
+        nxt = min(lam * neural.LAM_UP, neural.LAM_MAX) if up else max(lam * neural.LAM_DOWN, neural.LAM_MIN)
+        assert rows[6][2] == nxt != 0.01  # not the config's lam
+
     @pytest.mark.parametrize("kw, message", [
         ({"variance": 0}, "needs 0 < variance <= 1, got variance 0"),
         ({"variance": 1.5}, "needs 0 < variance <= 1, got variance 1.5"),
@@ -164,16 +176,19 @@ class TestTraining:
 
 
 class TestGolden:
-    # recorded before the buffered backprop kernel: training must keep these bits
-    SCAN_RECIPE_DIGEST = "5df6d9e34d855a33863b9e417ea17eb0b08284a06894068abe584ccdcd48023e"
-    # recorded before plateau stopping, which must leave 30-generation runs alone
-    CORPUS_RECIPE_DIGEST = "dc6626116186063e4080cbf790a6b8f037cf1e7d4bde90c20196c3d3bea9e986"
+    # re-recorded when stage nets began to stop on G: the Solaris and OpenBSD
+    # stages stop at generations 7 and 6 of 30, each history a prefix of the
+    # old one (test_patience_moves_only_the_stop)
+    SCAN_RECIPE_DIGEST = "3d897934365cb2233df18e9781d1555c4e996a970eb8c2b2e81a7697a259583a"
+    # re-recorded when stage nets began to stop on G: the Solaris stage stops
+    # at generation 9 of 30, every other stage where it did
+    CORPUS_RECIPE_DIGEST = "1a76f49b71a06f42494beac3a28cdee042b5febf22acfa22b62f1ecd152beb29"
     # recorded before plateau stopping: the 300-generation run with it turned off
     TRAIN_RECIPE_FULL_DIGEST = "ac7ee926fe462b7657cabf205af42480e51752a0cc371a0a1dac6f89418a5e76"
 
-    # recorded before the per-host path gathered kept columns before scaling
-    # them and encoded known values from tables: every score keeps its bits
-    SCAN_VERDICTS_DIGEST = "55294b773d51dd1017aa74a50090e9e68fa9ca9e529b3259c3de294d8651a358"
+    # re-recorded with SCAN_RECIPE_DIGEST: the Solaris and OpenBSD scores move
+    # with their nets' earlier stop
+    SCAN_VERDICTS_DIGEST = "1181dd1ff1ab3ffad004d2d99ea3815f5109209c0ab08750ccd98d0e7eee8618"
 
     @staticmethod
     def recipe(db, rows, **cfg):
@@ -184,13 +199,16 @@ class TestGolden:
                                corpus=(ds.inputs, ds.labels))
 
     @staticmethod
-    def digest(model):
-        """Every net's weights and history."""
-        nets = {"relevance": model.relevance.net, "family": model.family.net,
+    def nets(model):
+        return {"relevance": model.relevance.net, "family": model.family.net,
                 **{name: stage.net for name, stage in model.versions.items()},
                 "windows": model.windows.net}
+
+    @classmethod
+    def digest(cls, model):
+        """Every net's weights and history."""
         h = hashlib.sha256()
-        for name, net in nets.items():
+        for name, net in cls.nets(model).items():
             h.update(name.encode())
             for W in net.weights:
                 h.update(W.tobytes())
@@ -223,27 +241,59 @@ class TestGolden:
         db = parse_fingerprint_db(demo_database() + "\n" + large_database(220))
         assert self.digest(self.recipe(db, 1500, generations=30)) == self.CORPUS_RECIPE_DIGEST
 
-    def test_train_recipe_without_patience_runs_in_full(self, db, monkeypatch):
-        # the bench train recipe: 1000 rows, 300 generations
-        monkeypatch.setattr(hierarchy, "STAGE_PATIENCE", None)
-        assert self.digest(self.recipe(db, 1000)) == self.TRAIN_RECIPE_FULL_DIGEST
+    @pytest.fixture(scope="class")
+    def train_runs(self, db):
+        """The bench train recipe (1000 rows, 300 generations) with every
+        (net, G) that its training computed, and the recipe with patience off."""
+        seen, fitness_g = [], neural.fitness_g
 
-    def test_patience_reaches_every_stage(self, db):
-        ds = generate_dataset(db, None, 1000, stage="relevance", seed=42)
-        model = train_hierarchy(db, cfg=HierarchyConfig(seed=7), corpus=(ds.inputs, ds.labels))
+        def spy(mlp, inputs, targets):
+            seen.append((mlp, fitness_g(mlp, inputs, targets)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "fitness_g", spy)
+            model = self.recipe(db, 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hierarchy, "STAGE_PATIENCE", None)
+            full = self.recipe(db, 1000)
+        return model, seen, full
+
+    def test_train_recipe_without_patience_runs_in_full(self, train_runs):
+        assert self.digest(train_runs[2]) == self.TRAIN_RECIPE_FULL_DIGEST
+
+    def test_patience_reaches_every_stage(self, train_runs):
+        model, seen, _ = train_runs
         patience = hierarchy.STAGE_PATIENCE
         plateaued = []
-        for name, stage in model.versions.items():
+        for name, stage in [("relevance", model.relevance), ("family", model.family), *model.versions.items()]:
             rows = stage.net.history.rows
-            if rows[-1][1] <= 0.02:  # the target error
+            gs = [g for net, g in seen if net is stage.net]
+            if rows[-1][1] <= 0.02:  # the target error, checked before G
+                assert len(gs) == len(rows) - 1
                 continue
-            useful = rows[0]
-            for row in rows[1:]:
-                if row[1] <= useful[1] * 0.99:
-                    useful = row
-            assert len(rows) == useful[0] + patience < 300
+            assert len(gs) == len(rows)
+            rises = [gen for gen, g in enumerate(gs, start=1) if g > max(gs[:gen - 1], default=-np.inf)]
+            assert len(rows) == rises[-1] + patience < 300
             plateaued.append(name)
         assert plateaued == ["Solaris", "OpenBSD"]
+        # the refiner trains with no patience and computes no G
+        assert not any(net is model.windows.net for net, _ in seen)
+
+    @pytest.mark.parametrize("recipe", ["train", "corpus"])
+    def test_patience_moves_only_the_stop(self, db, train_runs, recipe):
+        if recipe == "train":
+            model, _, full = train_runs
+        else:
+            db = parse_fingerprint_db(demo_database() + "\n" + large_database(220))
+            model = self.recipe(db, 1500, generations=30)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hierarchy, "STAGE_PATIENCE", None)
+                full = self.recipe(db, 1500, generations=30)
+        # each stage's history under STAGE_PATIENCE is a prefix of its history without
+        for net, whole in zip(self.nets(model).values(), self.nets(full).values()):
+            rows = net.history.rows
+            assert repr(rows) == repr(whole.history.rows[:len(rows)])
 
 
 class TestClassification:

@@ -406,14 +406,43 @@ class TestSubsets:
         assert lam0s == pytest.approx(expect)
 
 
-def useful_generations(rows):
-    """By hand: each generation whose mse is at least 1% below the mse of
-    the last useful one, the first counting as useful."""
-    useful = [rows[0]]
-    for row in rows[1:]:
-        if row[1] <= useful[-1][1] * 0.99:
-            useful.append(row)
-    return [row[0] for row in useful]
+class TestResume:
+    """A net with a history goes on from it."""
+
+    def test_lambda_goes_on_from_the_history(self):
+        X, Y = TestSubsets.data(None)
+        net = init_mlp([3, 4, 1], seed=4)
+        train(net, X, Y, TrainConfig(generations=1, lam=0.02, seed=4))
+        # a history of one row keeps that row's lambda
+        train(net, X, Y, TrainConfig(generations=1, lam=0.05, seed=4))
+        assert [row[2] for row in net.history.rows] == [0.02, 0.02]
+        # a fixed rate is the config's
+        train(net, X, Y, TrainConfig(generations=2, lam=0.05, adaptive=False, seed=4))
+        assert [row[2] for row in net.history.rows] == [0.02, 0.02, 0.05, 0.05]
+
+
+def g_rises(gs, first=1):
+    """By hand: the generations, numbered from first, whose G is strictly
+    above every earlier G of the run."""
+    rises, best = [], None
+    for gen, g in enumerate(gs, start=first):
+        if best is None or g > best:
+            rises.append(gen)
+            best = g
+    return rises
+
+
+@pytest.fixture
+def seen_g(monkeypatch):
+    """Every G that neural.train computes, in order."""
+    seen = []
+
+    def spy(mlp, inputs, targets):
+        seen.append(fitness_g(mlp, inputs, targets))
+        return seen[-1]
+
+    monkeypatch.setattr(neural, "fitness_g", spy)
+    return seen
 
 
 def stop_records(caplog):
@@ -421,8 +450,8 @@ def stop_records(caplog):
 
 
 class TestPlateau:
-    """Plateau stopping on TestSubsets' data, a net whose mse creeps down
-    for over a hundred generations with gaps between useful ones."""
+    """Stopping on G on TestSubsets' data, a net whose G on its rows rises
+    at generations 1, 2 and 6 while its mse creeps down for 120."""
 
     data = TestSubsets.data
 
@@ -432,15 +461,24 @@ class TestPlateau:
         return net, train(net, X, Y, TrainConfig(**{"generations": 120, "lam": 0.02, "seed": 4, **kw}))
 
     @pytest.mark.parametrize("patience", [2, 3, 5, 8])
-    def test_stops_patience_generations_after_the_last_useful_one(self, patience):
+    def test_stops_patience_generations_after_the_last_useful_one(self, patience, seen_g):
+        """A useful generation is one whose G beats every earlier G of the run."""
         _, full = self.run()
+        assert seen_g == []  # no patience, no G
         _, hist = self.run(patience=patience)
-        useful = useful_generations(hist.rows)
-        assert hist.generations() == useful[-1] + patience < 120
-        # no earlier gap between useful generations left room for a stop
-        assert all(b - a <= patience for a, b in zip(useful, useful[1:]))
+        # one G per generation, on the run's own rows
+        assert len(seen_g) == hist.generations()
+        rises = g_rises(seen_g)
+        assert hist.generations() == rises[-1] + patience < 120
+        # no earlier gap between rises left room for a stop
+        assert all(b - a <= patience for a, b in zip(rises, rises[1:]))
         # the stopped run is the full run cut short
         assert repr(hist.rows) == repr(full.rows[:hist.generations()])
+        # each G the rule saw is the G of the net capped at that generation
+        X, Y = self.data()
+        for gen in (1, rises[-1], hist.generations()):
+            net, _ = self.run(generations=gen)
+            assert fitness_g(net, X, Y) == seen_g[gen - 1]
 
     def test_off_by_default_and_for_none(self):
         a, ha = self.run()
@@ -451,16 +489,16 @@ class TestPlateau:
         assert same_bits(a.weights, b.weights)
 
     def test_target_error_wins_a_tie(self, caplog):
-        _, plateau = self.run(patience=5)
+        _, plateau = self.run(patience=2)
         stop, mse = plateau.rows[-1][:2]
         # the generation that plateaus is also the first to reach this target
         assert min(r[1] for r in plateau.rows[:-1]) > mse
         with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
-            _, hist = self.run(patience=5, target_error=mse)
+            _, hist = self.run(patience=2, target_error=mse)
         assert hist.generations() == stop
         assert stop_records(caplog) == [f"training stopped (target) at generation {stop}, mse {mse:.6g}"]
 
-    def test_each_subset_run_restarts_the_count(self, caplog):
+    def test_each_subset_run_restarts_the_count(self, caplog, seen_g):
         patience = 5
         with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
             _, hist = self.run(patience=patience, subset_size=20)
@@ -468,20 +506,34 @@ class TestPlateau:
         ends = [i for i, row in enumerate(hist.rows, start=1) if row[3] is not None]
         assert len(ends) == 2
         runs = [hist.rows[:ends[0]], hist.rows[ends[0]:]]
-        for run in runs:
-            useful = useful_generations(run)
-            assert run[-1][0] == useful[-1] + patience < run[0][0] + 119
-            assert all(b - a <= patience for a, b in zip(useful, useful[1:]))
-        assert stop_records(caplog) == [
-            f"training stopped (plateau) at generation {run[-1][0]}, mse {run[-1][1]:.6g}"
-            for run in runs]
+        # each run computes one G per generation, then the probe G of its last row
+        cut = len(runs[0])
+        gs = [seen_g[:cut], seen_g[cut + 1:-1]]
+        assert [seen_g[cut], seen_g[-1]] == [run[-1][3] for run in runs]
+        records = []
+        for run, run_gs in zip(runs, gs):
+            assert len(run_gs) == len(run)
+            rises = g_rises(run_gs, first=run[0][0])
+            assert run[-1][0] == rises[-1] + patience < run[0][0] + 119
+            assert all(b - a <= patience for a, b in zip(rises, rises[1:]))
+            records.append(f"training stopped (plateau) at generation {run[-1][0]}, mse {run[-1][1]:.6g}, "
+                           f"G {max(run_gs):.6g} (best at generation {rises[-1]})")
+        # the second run's first G is below the first run's best, yet it counts as a rise
+        assert gs[1][0] < max(gs[0]) and g_rises(gs[1])[0] == 1
+        assert stop_records(caplog) == records
 
-    @pytest.mark.parametrize("kw, reason", [({}, "cap"), ({"patience": 5}, "plateau")])
-    def test_one_record_names_why_the_run_stopped(self, caplog, kw, reason):
+    @pytest.mark.parametrize("kw, reason", [({}, "cap"), ({"patience": 5}, "plateau"),
+                                            ({"patience": 5, "target_error": 0.2}, "target")])
+    def test_one_record_names_why_the_run_stopped(self, caplog, seen_g, kw, reason):
         with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
             _, hist = self.run(**kw)
         gen, mse = hist.rows[-1][:2]
-        assert stop_records(caplog) == [f"training stopped ({reason}) at generation {gen}, mse {mse:.6g}"]
+        record = f"training stopped ({reason}) at generation {gen}, mse {mse:.6g}"
+        if reason == "plateau":
+            # the best G and the generation that reached it
+            assert (max(seen_g), g_rises(seen_g)[-1]) == (1.0, 6)
+            record += ", G 1 (best at generation 6)"
+        assert stop_records(caplog) == [record]
 
     def test_config_decodes_patience(self):
         assert decode_config(TrainConfig, {"patience": None}, "cfg") == {"patience": None}
