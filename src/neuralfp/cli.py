@@ -16,17 +16,15 @@ relevant, 4 classify could not decide.  Each error is one "error:" line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections import Counter
 
-from .datagen import PrevalenceTable, generate_dataset
+from .datagen import generate_dataset, parse_prevalence
 from .encoding import TOTAL_NEURONS, feature_label, layout_table
 from .dcerpc import parse_endpoint_dump
 from .hierarchy import (
     HierarchyConfig,
-    HierarchyError,
     HierarchyModel,
     ObservationError,
     Stage,
@@ -37,7 +35,7 @@ from .hierarchy import (
     train_stage,
 )
 from .neural import Mlp, TrainingDivergedError
-from .persistence import PersistenceError, decode_config, load, save
+from .persistence import PersistenceError, _canonical, _digest, decode_config, load, save
 from .preprocess import VARIANCE_TARGET, fit_pipeline, reduction_report
 from .signatures import best_fit, parse_fingerprint_db, parse_observation
 
@@ -47,8 +45,8 @@ EXIT_MISSING_FILE = 2
 EXIT_NOT_RELEVANT = 3
 EXIT_UNKNOWN = 4
 
-# ValueError covers the parse, generation and reduction errors
-_USER_ERRORS = (HierarchyError, PersistenceError, TrainingDivergedError, ValueError)
+# ValueError covers the parse, generation, reduction and hierarchy errors
+_USER_ERRORS = (PersistenceError, TrainingDivergedError, ValueError)
 
 # the config keys only the hierarchy reads
 _STAGE_UNREAD = ("samples", "relevance_threshold", "decision_threshold", "windows")
@@ -63,15 +61,10 @@ def _load_db(path: str):
     return parse_fingerprint_db(_read(path))
 
 
-def _load_prevalence(path: str | None) -> PrevalenceTable | None:
+def _load_prevalence(path: str | None) -> dict[str, float] | None:
     if path is None:
         return None
-    return PrevalenceTable.parse(_read(path))
-
-
-def _config_digest(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return parse_prevalence(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +122,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg_json["seed"] = kwargs["seed"] = args.seed
     cfg = HierarchyConfig(**kwargs)
-    metadata = {"seed": cfg.seed, "config_digest": _config_digest(cfg_json)}
+    metadata = {"seed": cfg.seed, "config_digest": _digest(_canonical(cfg_json))}
     if hierarchy:
         model = train_hierarchy(_load_db(args.db), _load_prevalence(args.prevalence), cfg)
         save(model, args.out, metadata)

@@ -42,33 +42,27 @@ def signature_line(sig: Signature) -> str | None:
     return sample_label(sig).line
 
 
-@dataclass(frozen=True)
-class PrevalenceTable:
-    """Sampling weights keyed by signature name or family name."""
-
-    weights: dict[str, float]
-
-    @classmethod
-    def parse(cls, text: str) -> "PrevalenceTable":
-        """One entry per line: <weight> <name>, each name once. '#' comments allowed."""
-        weights, first_line = {}, {}
-        for lineno, line in lines(text):
-            head, _, name = line.partition(" ")
-            name = name.strip()
-            try:
-                w = float(head)
-            except ValueError:
-                raise GenerationError(f"prevalence line {lineno}: bad weight {head!r}") from None
-            if not isfinite(w) or w < 0 or not name:
-                raise GenerationError(f"prevalence line {lineno}: need a finite non-negative weight and name")
-            if name in first_line:
-                raise GenerationError(f"prevalence lines {first_line[name]} and {lineno} "
-                                      f"both weigh {name!r}")
-            weights[name], first_line[name] = w, lineno
-        return cls(weights)
+def parse_prevalence(text: str) -> dict[str, float]:
+    """Sampling weights keyed by signature or family name, one
+    '<weight> <name>' per line, each name once. '#' comments allowed."""
+    weights, first_line = {}, {}
+    for lineno, line in lines(text):
+        head, _, name = line.partition(" ")
+        name = name.strip()
+        try:
+            w = float(head)
+        except ValueError:
+            raise GenerationError(f"prevalence line {lineno}: bad weight {head!r}") from None
+        if not isfinite(w) or w < 0 or not name:
+            raise GenerationError(f"prevalence line {lineno}: need a finite non-negative weight and name")
+        if name in first_line:
+            raise GenerationError(f"prevalence lines {first_line[name]} and {lineno} "
+                                  f"both weigh {name!r}")
+        weights[name], first_line[name] = w, lineno
+    return weights
 
 
-def resolve_weights(db: list[Signature], prev: PrevalenceTable | None) -> list[float]:
+def resolve_weights(db: list[Signature], prev: dict[str, float] | None) -> list[float]:
     """Per-signature weights, normalized to sum 1.
 
     Signature-name keys override; a family key spreads its mass equally over
@@ -82,10 +76,10 @@ def resolve_weights(db: list[Signature], prev: PrevalenceTable | None) -> list[f
         families = [signature_family(sig) for sig in db]
         family_sizes = Counter(families)
         for i, (sig, fam) in enumerate(zip(db, families)):
-            if sig.name in prev.weights:
-                weights[i] = prev.weights[sig.name]
-            elif fam in prev.weights:
-                weights[i] = prev.weights[fam] / family_sizes[fam]
+            if sig.name in prev:
+                weights[i] = prev[sig.name]
+            elif fam in prev:
+                weights[i] = prev[fam] / family_sizes[fam]
     mass = sum(weights)
     if not isfinite(mass):
         raise GenerationError(f"signature weights must sum to a finite number, got {mass}")
@@ -103,7 +97,10 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
     mass = sum(weights[i] for i in positive)
     rest = total - len(positive)
     counts = [0] * len(weights)
-    quotas = {i: weights[i] / mass * rest for i in positive}
+    try:
+        quotas = {i: weights[i] / mass * rest for i in positive}
+    except OverflowError:  # an int beyond every float
+        raise GenerationError(f"total of {len(str(total))} digits is too large to apportion") from None
     for i in positive:
         counts[i] = 1 + floor(quotas[i])
     assigned = sum(counts)
@@ -171,6 +168,12 @@ class Dataset:
     output_labels: tuple[str, ...]
     seed: int
 
+    def __post_init__(self):
+        if not (self.inputs.ndim == 2 and len(self.inputs) == len(self.labels) and np.isfinite(self.inputs).all()
+                and np.array_equal(self.targets, stage_targets(self.labels, self.stage, self.output_labels))):
+            raise GenerationError("expected one 2-D input row and target row per label, finite inputs, and "
+                                  "targets of -1 or +1 as its labels give")
+
 
 def stage_outputs(db: list[Signature], stage: str) -> tuple[str, ...]:
     """Output labels of a stage, in target-column order."""
@@ -211,7 +214,7 @@ def stage_targets(
 
 def generate_dataset(
     db: list[Signature],
-    prev: PrevalenceTable | None,
+    prev: dict[str, float] | None,
     total: int,
     stage: str = "relevance",
     seed: int = 0,
@@ -220,7 +223,7 @@ def generate_dataset(
     output_labels = stage_outputs(db, stage)
     labeled = [(sig, sample_label(sig)) for sig in db]
     known = {name for _, label in labeled for name in (label.signature, label.family)}
-    if prev is not None and (unknown := sorted(set(prev.weights) - known)):
+    if prev is not None and (unknown := sorted(set(prev) - known)):
         raise GenerationError(f"prevalence names no signature or family of the db: {', '.join(unknown)}")
     slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
     if not slice_:

@@ -115,6 +115,10 @@ class WindowsLabelSpace:
     editions: dict[str, tuple[str, ...]]
     service_packs: dict[str, tuple[str, ...]]
 
+    def __post_init__(self):
+        if not all(self.editions.get(v) and self.service_packs.get(v) for v in self.versions):
+            raise ValueError("expected editions and service packs for every version")
+
     @classmethod
     def default(cls) -> "WindowsLabelSpace":
         return cls(
@@ -187,6 +191,10 @@ class WindowsRefiner:
     net: Mlp
     schema: EndpointSchema
     labels: WindowsLabelSpace
+
+    def __post_init__(self):
+        if (self.net.sizes[0], self.net.sizes[-1]) != (self.schema.size, self.labels.total):
+            raise ValueError("expected net widths = schema size and label space size")
 
     def classify(self, dump: EndpointMap) -> WindowsVerdict:
         """Decode (version, edition, service pack) from one endpoint dump."""

@@ -58,7 +58,7 @@ STAGE_PATIENCE = 5
 OUTCOMES = ("perfect match", "partial match", "error", "no answer")
 
 
-class HierarchyError(Exception):
+class HierarchyError(ValueError):
     pass
 
 
@@ -74,6 +74,10 @@ class Stage:
     net: Mlp
     labels: tuple[str, ...]
 
+    def __post_init__(self):
+        if (self.net.sizes[0], self.net.sizes[-1]) != (self.pipeline.output_dim, len(self.labels)):
+            raise HierarchyError("expected net input width = PCA k and one net output per label")
+
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Net outputs for one encoded vector or for each row of a stack."""
         return forward(self.net, self.pipeline.apply(X))
@@ -87,6 +91,11 @@ class HierarchyModel:
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
     windows: WindowsRefiner | None = None
+
+    def __post_init__(self):
+        if self.relevance.labels != ("relevant",) or not np.isfinite(
+                [self.relevance_threshold, self.decision_threshold]).all():
+            raise HierarchyError("expected a relevance stage labelled ('relevant',) and finite thresholds")
 
 
 @dataclass(frozen=True)
@@ -179,19 +188,21 @@ def train_stage(
 
 def train_hierarchy(
     db: list[Signature],
-    prev=None,
+    prev: dict[str, float] | None = None,
     cfg: HierarchyConfig | None = None,
     corpus: tuple[np.ndarray, list[SampleLabel]] | None = None,
 ) -> HierarchyModel:
     """Train every stage of the cascade from a signature database.
 
-    By default each stage draws its own balanced Monte Carlo corpus; pass
-    `corpus` (encoded inputs plus their sample labels, e.g. the training
-    side of a holdout split) to slice every stage from shared data
-    instead.  Families absent from the db, single-line families, and
+    By default each stage draws its own Monte Carlo corpus, weighted by
+    `prev`; pass `corpus` (encoded inputs plus their sample labels, e.g.
+    the training side of a holdout split) to slice every stage from shared
+    data instead.  Families absent from the db, single-line families, and
     Windows (refined via DCE-RPC, not TCP/IP probes) get no version net.
     """
     cfg = cfg or HierarchyConfig()
+    if corpus is not None and prev is not None:
+        raise HierarchyError("prevalence weights shape a drawn corpus; a given corpus takes none")
     stages = ["relevance", "family"] + [
         f"version:{fam}"
         for fam in RELEVANT_FAMILIES
@@ -208,18 +219,16 @@ def train_hierarchy(
     for stage, name in zip(stages, names):
         # stage i seeds from index i; a skipped stage takes no index
         seed = cfg.seed * 1000 + len(trained)
-        outputs = stage_outputs(db, stage)
         if corpus is None:
             ds = generate_dataset(db, prev, cfg.samples, stage=stage, seed=seed)
-            X, Y = ds.inputs, ds.targets
-        else:
-            inputs, labels = corpus
-            rows = [i for i, l in enumerate(labels) if in_stage(l, stage)]
-            # a version stage without corpus rows is skipped, not an error
-            if not rows and stage.startswith("version:"):
-                continue
-            X = np.asarray(inputs, dtype=float)[rows]
-            Y = stage_targets([labels[i] for i in rows], stage, outputs)
+        inputs, labels = corpus or (ds.inputs, ds.labels)
+        rows = [i for i, l in enumerate(labels) if in_stage(l, stage)]
+        # a version stage without corpus rows is skipped, not an error
+        if not rows and stage.startswith("version:"):
+            continue
+        outputs = stage_outputs(db, stage)
+        X = np.asarray(inputs, dtype=float)[rows]
+        Y = stage_targets([labels[i] for i in rows], stage, outputs)
         trained[name] = train_stage(stage, X, Y, outputs, cfg, seed)
 
     refiner = None

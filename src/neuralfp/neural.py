@@ -100,6 +100,11 @@ class Mlp:
     weights: list[np.ndarray]
     history: TrainHistory | None = None
 
+    def __post_init__(self):
+        if not (self.weights and all(w.ndim == 2 and w.shape[1] > 0 for w in self.weights)
+                and all(a.shape[0] + 1 == b.shape[1] for a, b in zip(self.weights, self.weights[1:]))):
+            raise ValueError("expected 2-D layers whose widths chain")
+
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple([self.weights[0].shape[1] - 1] + [w.shape[0] for w in self.weights])

@@ -11,9 +11,10 @@ is parsed. One codec walks the artifact's dataclass fields and type
 hints. A dict becomes a list of [key, value] pairs, which keeps its
 order. An ndarray becomes an array record,
 {"dtype": "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
-whose raw bytes round-trip exactly. Decoding checks every field's type,
-each array's byte count, and the shapes that tie a stage together; any
-mismatch is a CorruptContainerError. A container of an older format
+whose raw bytes round-trip exactly. Decoding checks every field's type
+and each array's byte count, then builds each artifact, which checks
+itself; any mismatch is a CorruptContainerError. save rebuilds each
+artifact before encoding it. A container of an older format
 (format 1 was one JSON document) is rejected by its format_version.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
@@ -38,8 +39,8 @@ import zlib
 
 import numpy as np
 
-from .datagen import Dataset, stage_targets
-from .dcerpc import WindowsLabelSpace, WindowsRefiner
+from .datagen import Dataset
+from .dcerpc import WindowsRefiner
 from .encoding import EndpointSchema
 from .hierarchy import HierarchyModel, Stage
 from .neural import Mlp
@@ -72,28 +73,6 @@ _KINDS = {
     "endpoint-schema": EndpointSchema,
     "dataset": Dataset,
 }
-
-# invariants that span fields, which the type walk cannot see
-_CHECKS = {
-    Mlp: (lambda m: bool(m.weights) and all(w.ndim == 2 and w.shape[1] > 0 for w in m.weights)
-          and all(a.shape[0] + 1 == b.shape[1] for a, b in zip(m.weights, m.weights[1:])),
-          "2-D layers whose widths chain"),
-    Stage: (lambda s: s.net.sizes[0] == s.pipeline.output_dim and s.net.sizes[-1] == len(s.labels),
-            "net input width = PCA k and one net output per label"),
-    HierarchyModel: (lambda m: m.relevance.labels == ("relevant",)
-                     and math.isfinite(m.relevance_threshold) and math.isfinite(m.decision_threshold),
-                     "a relevance stage labelled ('relevant',) and finite thresholds"),
-    WindowsLabelSpace: (lambda l: all(l.editions.get(v) and l.service_packs.get(v) for v in l.versions),
-                        "editions and service packs for every version"),
-    WindowsRefiner: (lambda r: (r.net.sizes[0], r.net.sizes[-1]) == (r.schema.size, r.labels.total),
-                     "net widths = schema size and label space size"),
-    Dataset: (lambda d: d.inputs.ndim == 2 and len(d.inputs) == len(d.labels)
-              and np.isfinite(d.inputs).all()
-              and np.array_equal(d.targets, stage_targets(d.labels, d.stage, d.output_labels)),
-              "one 2-D input row and target row per label, finite inputs, and targets of -1 or +1 "
-              "as its labels give"),
-}
-
 
 class PersistenceError(Exception):
     pass
@@ -135,21 +114,17 @@ def _encode(value):
         return [[_encode(k), _encode(v)] for k, v in value.items()]
     if isinstance(value, np.generic):
         return value.item()
-    body = {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
-    _check(value, f"cannot save {type(value).__name__}", PersistenceError)
-    return body
-
-
-def _check(obj, where: str, error=ValueError):
-    valid, wants = _CHECKS.get(type(obj), (None, None))
-    if valid is not None and not valid(obj):
-        raise error(f"{where}: expected {wants}")
-    return obj
+    if hasattr(value, "__post_init__"):  # rebuilt, so that arrays changed in place are checked too
+        try:
+            dataclasses.replace(value)
+        except ValueError as exc:
+            raise PersistenceError(f"cannot save {type(value).__name__}: {exc}") from None
+    return {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
 
 
 def _expect(value, tp, where: str):
     if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
-        raise TypeError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
+        raise ValueError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -182,8 +157,11 @@ def _decoder(tp):
                     raise ValueError(f"{where}: missing key {name!r}")
             if len(v) != len(fields):
                 raise ValueError(f"{where}: unknown keys {sorted(set(v) - {n for n, _ in fields})}")
-            obj = tp(**{name: dec(v[name], f"{where}.{name}") for name, dec in fields})
-            return _check(obj, where)
+            kwargs = {name: dec(v[name], f"{where}.{name}") for name, dec in fields}
+            try:  # the artifact checks what spans its fields
+                return tp(**kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
         return decode_dataclass
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -214,7 +192,13 @@ def _decoder(tp):
         item = _decoder(args[0])
         return lambda v, where: origin([item(x, where) for x in _expect(v, list, where)])
     if tp is float:
-        return lambda v, where: float(v) if type(v) is int else _expect(v, float, where)
+        def decode_float(v, where):
+            try:
+                return float(v) if type(v) is int else _expect(v, float, where)
+            except OverflowError:
+                raise ValueError(f"{where}: integer of {len(str(v))} digits is too large for a float") from None
+
+        return decode_float
     return lambda v, where: _expect(v, tp, where)
 
 
@@ -223,18 +207,15 @@ def decode_config(cls, obj, where: str) -> dict:
     return the decoded values of the keys it sets.  A JSON object stands
     for a dict-typed field.  Any mismatch is a ValueError."""
     hints = dict(_fields(cls))
-    try:
-        if unknown := sorted(set(_expect(obj, dict, where)) - set(hints)):
-            raise ValueError(f"{where}: unknown config keys {unknown}")
-        out = {}
-        for key, value in obj.items():
-            tp, at = hints[key], f"{where}.{key}"
-            if typing.get_origin(tp) is dict:
-                value = [list(p) for p in _expect(value, dict, at).items()]
-            out[key] = _decoder(tp)(value, at)
-        return out
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
+    if unknown := sorted(set(_expect(obj, dict, where)) - set(hints)):
+        raise ValueError(f"{where}: unknown config keys {unknown}")
+    out = {}
+    for key, value in obj.items():
+        tp, at = hints[key], f"{where}.{key}"
+        if typing.get_origin(tp) is dict:
+            value = [list(p) for p in _expect(value, dict, at).items()]
+        out[key] = _decoder(tp)(value, at)
+    return out
 
 
 def _canonical(body) -> bytes:
@@ -245,25 +226,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _kind_of(obj) -> str:
-    for kind, cls in _KINDS.items():
-        if type(obj) is cls:
-            return kind
-    raise PersistenceError(f"no container kind for {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Container I/O
 
 
 def save(obj, path, metadata: dict | None = None) -> None:
     """Serialize a supported artifact; the write is atomic and durable."""
-    kind = _kind_of(obj)
-    meta = dict(metadata or {})
-    if isinstance(obj, Dataset):
-        meta.setdefault("seed", obj.seed)
+    if (kind := next((k for k, cls in _KINDS.items() if type(obj) is cls), None)) is None:
+        raise PersistenceError(f"no container kind for {type(obj).__name__}")
     body = _canonical(_encode(obj))
-    header = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": meta}
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": dict(metadata or {})}
     data = _canonical({**header, "digest": _digest(body)}) + b"\n" + body
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")

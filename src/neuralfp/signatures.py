@@ -214,23 +214,29 @@ def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool,
     return tid, fields
 
 
+def _hex_value(name: str, text: str, lineno: int) -> int:
+    """A numeric field's value: bare hex, at most the field's bound."""
+    if not BARE_HEX.fullmatch(text):
+        raise ParseError(f"field {name} wants a bare hex value, got {text!r}", lineno)
+    if (value := int(text, 16)) > (bound := NUMERIC_FIELDS[name]):
+        raise ParseError(f"field {name}: value {text} above its bound {bound:X}", lineno)
+    return value
+
+
 def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
     if not known:
         return FieldConstraint(name, (), expr)
     bound = NUMERIC_FIELDS.get(name)
     choices = [_parse_choice(a, lineno) for a in (expr if bound is None else expr.upper()).split("|")]
-    for c in choices:
+    for i, c in enumerate(choices):
         if isinstance(c, Range):
             if bound is None:
                 raise ParseError(f"comparison in non-numeric field {name}: {expr!r}", lineno)
             if not c.span(bound):
                 raise ParseError(f"field {name}: no value in 0..{bound:X} satisfies {expr!r}", lineno)
-        elif bound is not None and not BARE_HEX.fullmatch(c):
-            raise ParseError(f"field {name} wants bare hex values, got {expr!r}", lineno)
-        elif bound is not None and int(c, 16) > bound:
-            raise ParseError(f"field {name}: literal {c} above its bound {bound:X}", lineno)
-    return FieldConstraint(name, tuple(c if bound is None or isinstance(c, Range) else int(c, 16)
-                                       for c in choices))
+        elif bound is not None:
+            choices[i] = _hex_value(name, c, lineno)
+    return FieldConstraint(name, tuple(choices))
 
 
 def parse_fingerprint_db(text: str) -> list[Signature]:
@@ -377,10 +383,7 @@ def parse_observations(text: str) -> list[Observation]:
                 if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
                     raise ParseError(f"constraint syntax in observation field {key}", lineno)
                 if known and key in NUMERIC_FIELDS:
-                    if not BARE_HEX.fullmatch(expr := expr.upper()):
-                        raise ParseError(f"field {key} wants a bare hex value, got {expr!r}", lineno)
-                    if int(expr, 16) > (bound := NUMERIC_FIELDS[key]):
-                        raise ParseError(f"field {key}: value {expr} above its bound {bound:X}", lineno)
+                    _hex_value(key, expr := expr.upper(), lineno)
                 values[key] = expr
             if tid in tests:
                 raise ParseError(f"duplicate test {tid}", lineno)

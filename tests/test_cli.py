@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfp import hierarchy
-from neuralfp.cli import _config_digest, main
+from neuralfp.cli import main
 from neuralfp.corpus import demo_database, pathology_observation
 from neuralfp.datagen import Dataset, SampleLabel, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
@@ -189,7 +189,8 @@ class TestTrain:
             digests.append(load_container(out)["metadata"]["config_digest"])
             assert load(out).net.sizes[1] == hidden
         assert digests[0] != digests[1]
-        assert digests[0] == _config_digest({"generations": 3, "hidden": {"family": 5}, "seed": 11})
+        # sha256 of the canonical '{"generations":3,"hidden":{"family":5},"seed":11}'
+        assert digests[0] == "0f8c8add4a8f3426ae7c926ca744de350d074e95131ea9ef1f4be73a1c06e637"
 
     def test_trains_through_the_stage_trainer(self, work, tmp_path, monkeypatch):
         # the traced bench times these three names on the hierarchy module
@@ -360,6 +361,26 @@ class TestTrain:
             assert all(name in err[0] for name in config)
         else:
             assert err[0].startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--dataset", "fam_ds", "--config", '{"lam": HUGE}'],
+         "{cfg}.lam: integer of 401 digits is too large for a float"),
+        (["train", "--db", "two", "--config", '{"decision_threshold": HUGE}'],
+         "{cfg}.decision_threshold: integer of 401 digits is too large for a float"),
+        (["train", "--db", "two", "--config", '{"samples": HUGE}'],
+         "total of 401 digits is too large to apportion"),
+        (["generate", "--db", "two", "--total", "HUGE"], "total of 401 digits is too large to apportion"),
+    ], ids=["lam", "decision_threshold", "samples", "total"])
+    def test_integer_beyond_every_float_is_exit_1_and_one_line(self, work, tmp_path, capsys, argv, message):
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "huge.out"
+        if "--config" in argv:
+            cfg.write_text(argv[-1].replace("HUGE", str(10**400)))
+            argv = argv[:-1] + [str(cfg)]
+        argv = [str(work[a]) if a in ("fam_ds", "two") else a.replace("HUGE", str(10**400)) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: " + message.format(cfg=cfg)]
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", [("--dataset", "fam_ds"), ("--db", "two")])
@@ -553,7 +574,7 @@ class TestClassify:
         for argv, message in ((["classify", "--model", str(work["model"]), "--obs", str(obs)],
                                f"line 1: field W: value {wide} above its bound FFFF"),
                               (["generate", "--db", str(db), "--total", "3", "--out", str(out)],
-                               f"line 3: field W: literal {wide} above its bound FFFF")):
+                               f"line 3: field W: value {wide} above its bound FFFF")):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -650,8 +671,8 @@ class TestEvaluateBaseline:
         ("TSeq(SI=>7&<5)", "field SI: no value in 0..FFFFFF"),
         ("T1(W=>FFFF)", "field W: no value in 0..FFFF"),
         # a literal above the field's bound, which no sample of a Range reaches
-        ("T1(W=FFFFFFFF)", "field W: literal FFFFFFFF above its bound FFFF"),
-        ("PU(DF=N%TOS=0|100)", "field TOS: literal 100 above its bound FF"),
+        ("T1(W=FFFFFFFF)", "field W: value FFFFFFFF above its bound FFFF"),
+        ("PU(DF=N%TOS=0|100)", "field TOS: value 100 above its bound FF"),
     ])
     def test_rule_no_sample_can_meet_is_exit_1_and_one_line(self, work, tmp_path, capsys,
                                                             rule, message):
@@ -792,7 +813,9 @@ def _mutated(draw, data: bytes, hex_runs: bool = False) -> bytes:
     return bytes(data)
 
 
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3))
+# 10**400 is an integer beyond every float
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(10**400), st.floats(),
+                     st.text(max_size=3))
 _JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
                          st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
 # the keys a config may set, in either mode
@@ -802,7 +825,7 @@ _STAGE_CONFIG = b'{"generations": 2, "hidden": {"family": 3}, "variance": 0.9}'
 # the kinds the keys take (a hidden size is keyed by stage name), so that
 # some configs train
 _HIERARCHY_VALUES = st.sampled_from([_JSON_VALUES, st.one_of(
-    st.booleans(), st.integers(1, 50), st.floats(0.01, 1.0),
+    st.booleans(), st.integers(1, 50), st.just(10**400), st.floats(0.01, 1.0),
     st.dictionaries(st.sampled_from(["relevance", "family", "Linux"]), st.integers(-1, 4), max_size=2),
 )]).flatmap(lambda values: values)
 _HIERARCHY_CONFIG = {"samples": 40, "generations": 2}
@@ -828,17 +851,18 @@ _PREVALENCE_LINES = st.lists(st.tuples(
     st.sampled_from(["Alpha Server", "Beta Box", "Linux", "Windows", "Gamma"])), max_size=4)
 
 
-def _forged(ds: Dataset, path) -> None:
-    """Write ds as a digest-valid dataset container, past save's checks."""
-    body = _canonical({name: _encode(getattr(ds, name)) for name in Dataset.__dataclass_fields__})
+def _forged(fields: dict, path) -> None:
+    """Write a dataset's fields as a digest-valid container, past the checks
+    that building a Dataset and saving it make."""
+    body = _canonical({name: _encode(value) for name, value in fields.items()})
     header = {"format_version": FORMAT_VERSION, "kind": "dataset", "metadata": {},
               "digest": _digest(body)}
     path.write_bytes(_canonical(header) + b"\n" + body)
 
 
 @st.composite
-def _inconsistent(draw, ds: Dataset) -> Dataset:
-    """ds with non-finite inputs, targets other than -1 and +1, a target row
+def _inconsistent(draw, ds: Dataset) -> dict:
+    """The fields of ds with non-finite inputs, targets other than -1 and +1, a target row
     flipped or traded with a row of other targets, or a row missing from
     its inputs, targets or labels; at least one of them."""
     inputs, targets, labels = ds.inputs.copy(), ds.targets.copy(), list(ds.labels)
@@ -867,7 +891,7 @@ def _inconsistent(draw, ds: Dataset) -> Dataset:
             inputs = np.delete(inputs, row, axis=0)
         else:
             targets = np.delete(targets, row, axis=0)
-    return Dataset(ds.stage, inputs, targets, labels, ds.output_labels, ds.seed)
+    return {**vars(ds), "inputs": inputs, "targets": targets, "labels": labels}
 
 
 class TestMainProperty:

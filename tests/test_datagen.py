@@ -11,10 +11,10 @@ from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
     GenerationError,
-    PrevalenceTable,
     SampleLabel,
     generate_dataset,
     in_stage,
+    parse_prevalence,
     resolve_weights,
     sample_label,
     sample_observation,
@@ -63,44 +63,44 @@ class TestApportionment:
 
 class TestPrevalence:
     def test_parse(self):
-        table = PrevalenceTable.parse("# c\n0.35 Windows\n0.02 OpenBSD 3.6 (i386)\n")
-        assert table.weights == {"Windows": 0.35, "OpenBSD 3.6 (i386)": 0.02}
+        table = parse_prevalence("# c\n0.35 Windows\n0.02 OpenBSD 3.6 (i386)\n")
+        assert table == {"Windows": 0.35, "OpenBSD 3.6 (i386)": 0.02}
 
     def test_parse_errors(self):
         with pytest.raises(GenerationError, match="line 1"):
-            PrevalenceTable.parse("x y\n")
+            parse_prevalence("x y\n")
 
     def test_second_entry_for_a_name_names_both_lines(self):
         with pytest.raises(GenerationError, match="^prevalence lines 1 and 3 both weigh 'Windows'$"):
-            PrevalenceTable.parse("0.9 Windows\n0.1 Linux\n0.0  Windows\n")
+            parse_prevalence("0.9 Windows\n0.1 Linux\n0.0  Windows\n")
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e309"])
     def test_non_finite_weight_names_its_line(self, weight):
         with pytest.raises(GenerationError, match="line 2: need a finite non-negative weight"):
-            PrevalenceTable.parse(f"0.5 Windows\n{weight} Linux\n")
+            parse_prevalence(f"0.5 Windows\n{weight} Linux\n")
 
     def test_weight_sum_must_stay_finite(self):
         db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + RICH_SIG)
-        table = PrevalenceTable.parse("1e308 OpenBSD\n1e308 Linux\n")
+        table = parse_prevalence("1e308 OpenBSD\n1e308 Linux\n")
         with pytest.raises(GenerationError, match="sum to a finite number, got inf"):
             resolve_weights(db, table)
 
     def test_entry_naming_nothing_in_the_db_is_listed(self):
         db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + RICH_SIG)
-        table = PrevalenceTable.parse("0.5 Foo\n0.2 OpenBSD\n0.1 Bar Box\n")
+        table = parse_prevalence("0.5 Foo\n0.2 OpenBSD\n0.1 Bar Box\n")
         with pytest.raises(GenerationError, match="no signature or family of the db: Bar Box, Foo$"):
             generate_dataset(db, table, 20)
 
     def test_entries_are_checked_against_the_whole_db(self):
         # a Linux entry matches nothing in the OpenBSD slice, but the db has it
         db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK + "\n" + RICH_SIG)
-        table = PrevalenceTable.parse("0.9 Linux\n0.1 OpenBSD 3.6 (i386)\n")
+        table = parse_prevalence("0.9 Linux\n0.1 OpenBSD 3.6 (i386)\n")
         ds = generate_dataset(db, table, 20, stage="version:OpenBSD")
         assert {l.family for l in ds.labels} == {"OpenBSD"}
 
     def test_family_mass_is_split(self):
         db = parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK + "\n" + RICH_SIG)
-        weights = resolve_weights(db, PrevalenceTable.parse("0.8 OpenBSD\n0.2 Grammar Rich 1.0\n"))
+        weights = resolve_weights(db, parse_prevalence("0.8 OpenBSD\n0.2 Grammar Rich 1.0\n"))
         assert weights[0] == pytest.approx(0.4)
         assert weights[1] == pytest.approx(0.4)
         assert weights[2] == pytest.approx(0.2)

@@ -167,6 +167,13 @@ class TestTraining:
             train_hierarchy(db, cfg=HierarchyConfig(**{key: value}))
         assert calls == []
 
+    def test_prevalence_with_a_given_corpus_is_refused(self, db, dataset, monkeypatch):
+        # the weights shape only a drawn corpus, so a given one would silently ignore them
+        monkeypatch.setattr(hierarchy, "train_stage", None)
+        with pytest.raises(HierarchyError, match="^prevalence weights shape a drawn corpus; "
+                                                 "a given corpus takes none$"):
+            train_hierarchy(db, {"Linux": 1.0}, corpus=(dataset.inputs, dataset.labels))
+
     def test_monte_carlo_branch_trains_without_corpus(self, db):
         cfg = HierarchyConfig(seed=5, samples=240, generations=40)
         model = train_hierarchy(db, cfg=cfg)

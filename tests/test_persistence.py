@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import zlib
 
@@ -16,10 +17,28 @@ from hypothesis.extra.numpy import arrays
 
 from neuralfp.cli import main
 from neuralfp.corpus import demo_database
-from neuralfp.datagen import Dataset, SampleLabel, generate_dataset, sample_observation, stage_targets
+from neuralfp.datagen import (
+    Dataset,
+    GenerationError,
+    SampleLabel,
+    generate_dataset,
+    sample_observation,
+    stage_targets,
+)
 from neuralfp.encoding import build_endpoint_schema
-from neuralfp.dcerpc import parse_endpoint_dump, synthetic_windows_corpus, train_windows_net
-from neuralfp.hierarchy import HierarchyConfig, classify_vector, train_hierarchy
+from neuralfp.dcerpc import (
+    WindowsLabelSpace,
+    WindowsRefiner,
+    parse_endpoint_dump,
+    synthetic_windows_corpus,
+    train_windows_net,
+)
+from neuralfp.hierarchy import (
+    HierarchyConfig,
+    HierarchyError,
+    classify_vector,
+    train_hierarchy,
+)
 from neuralfp.neural import Mlp, TrainConfig, forward, init_mlp, train
 from neuralfp.persistence import (
     FORMAT_VERSION,
@@ -152,10 +171,12 @@ class TestOtherKinds:
             save(ds, tmp_path / "bad.ds")
 
     def test_dataset_seed_recorded_in_metadata(self, tmp_path):
-        db = parse_fingerprint_db(demo_database())
-        ds = generate_dataset(db, None, 120, stage="relevance", seed=31)
-        save(ds, tmp_path / "d.model")
-        assert load_container(tmp_path / "d.model")["metadata"]["seed"] == 31
+        # `generate` names the seed in the header; the body holds it as a field
+        (tmp_path / "demo.db").write_text(demo_database())
+        path = tmp_path / "d.model"
+        assert main(["generate", "--db", str(tmp_path / "demo.db"), "--total", "120", "--seed", "31",
+                     "--out", str(path)]) == 0
+        assert load_container(path)["metadata"]["seed"] == load(path).seed == 31
 
     def test_refiner_round_trip_classifies_identically(self, tmp_path):
         corpus = synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)
@@ -300,10 +321,13 @@ class TestAtomicity:
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
     def test_save_refuses_what_load_rejects(self, tmp_path):
-        # 100 input rows and no labels: load would call this malformed
-        ds = Dataset("relevance", np.zeros((100, 4)), np.zeros((100, 1)), [], ("relevant",), 0)
-        with pytest.raises(PersistenceError, match="cannot save Dataset: expected one 2-D input "
-                                                   "row and target row per label"):
+        # 100 input rows and no labels: load would call this malformed, and so does building it
+        wants = "expected one 2-D input row and target row per label"
+        with pytest.raises(GenerationError, match=f"^{wants}"):
+            Dataset("relevance", np.zeros((100, 4)), np.zeros((100, 1)), [], ("relevant",), 0)
+        ds = Dataset("relevance", np.zeros((0, 4)), np.zeros((0, 1)), [], ("relevant",), 0)
+        ds.inputs, ds.targets = np.zeros((100, 4)), np.zeros((100, 1))  # set after it was built
+        with pytest.raises(PersistenceError, match=f"cannot save Dataset: {wants}"):
             save(ds, tmp_path / "d.ds")
         assert os.listdir(tmp_path) == []
 
@@ -399,6 +423,10 @@ def _bad_base64(body, model):
     body["relevance"]["net"]["weights"][0]["zlib"] = "not base64!"
 
 
+def _huge_threshold(body, model):
+    body["decision_threshold"] = 10**400
+
+
 MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
@@ -409,6 +437,8 @@ MALFORMED = {
     "unknown key": (_unknown_key, "body.relevance: unknown keys \\['bogus'\\]"),
     "labels not a list": (_string_labels, "expected list, got str"),
     "array data not base64": (_bad_base64, "malformed hierarchy"),
+    "threshold too large for a float": (_huge_threshold, "malformed hierarchy: body.decision_threshold: "
+                                                         "integer of 401 digits is too large for a float"),
 }
 
 
@@ -435,8 +465,8 @@ class TestMalformedBody:
         with pytest.raises(CorruptContainerError, match=match):
             load(path)
 
-    @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape",
-                                      "net width is not PCA k", "kept column is constant"])
+    @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape", "net width is not PCA k",
+                                      "kept column is constant", "threshold too large for a float"])
     def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
         model, root = small_hierarchy
         path = tmp_path / "bad.model"
@@ -464,9 +494,13 @@ class TestUnsoundHierarchy:
     def test_save_refuses(self, small_hierarchy, tmp_path, case):
         model, _ = small_hierarchy
         name, value = UNSOUND[case]
-        with pytest.raises(PersistenceError, match="cannot save HierarchyModel: expected a relevance "
-                                                   "stage labelled"):
-            save(dataclasses.replace(model, **{name: value(model)}), tmp_path / "bad.model")
+        wants = "expected a relevance stage labelled"
+        with pytest.raises(HierarchyError, match=f"^{wants}"):
+            dataclasses.replace(model, **{name: value(model)})
+        bad = dataclasses.replace(model)
+        setattr(bad, name, value(model))  # set after it was built
+        with pytest.raises(PersistenceError, match=f"cannot save HierarchyModel: {wants}"):
+            save(bad, tmp_path / "bad.model")
         assert list(tmp_path.iterdir()) == []
 
     def _forged(self, small_hierarchy, tmp_path, case):
@@ -492,6 +526,61 @@ class TestUnsoundHierarchy:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and captured.out == ""
+
+
+# a valid artifact of each kind, from the trained model, and the error its
+# constructor raises on the cross-field rule that load alone used to check
+KINDS = {
+    "network": (lambda model: model.family.net, ValueError, "expected 2-D layers whose widths chain"),
+    "stage": (lambda model: model.family, HierarchyError,
+              "expected net input width = PCA k and one net output per label"),
+    "hierarchy": (lambda model: model, HierarchyError,
+                  "expected a relevance stage labelled ('relevant',) and finite thresholds"),
+    "label space": (lambda model: WindowsLabelSpace.default(), ValueError,
+                    "expected editions and service packs for every version"),
+    "refiner": (lambda model: _windows_refiner(), ValueError,
+                "expected net widths = schema size and label space size"),
+    "dataset": (lambda model: generate_dataset(parse_fingerprint_db(demo_database()), None, 120,
+                                               stage="family", seed=3),
+                GenerationError, "expected one 2-D input row and target row per label, finite inputs, "
+                                 "and targets of -1 or +1 as its labels give"),
+}
+
+# (kind, the fields that break a valid artifact of that kind, given it and the model)
+UNBUILDABLE = {
+    "network layers that do not chain": ("network", lambda a, model: {
+        "weights": [np.zeros((2, 3)), np.zeros((1, 2))]}),
+    "network without layers": ("network", lambda a, model: {"weights": []}),
+    "stage with too few labels": ("stage", lambda a, model: {"labels": a.labels[:-1]}),
+    "stage whose net reads another width": ("stage", lambda a, model: {"net": model.relevance.net}),
+    "hierarchy with nan thresholds": ("hierarchy", lambda a, model: {
+        "relevance_threshold": math.nan, "decision_threshold": math.nan}),
+    "hierarchy led by the family stage": ("hierarchy", lambda a, model: {"relevance": model.family}),
+    "version without service packs": ("label space", lambda a, model: {
+        "service_packs": {v: p for v, p in a.service_packs.items() if v != "XP"}}),
+    "refiner net wider than its label space": ("refiner", lambda a, model: {
+        "net": init_mlp([a.schema.size, 2, a.labels.total + 1])}),
+    "dataset with a row too few": ("dataset", lambda a, model: {"inputs": a.inputs[:-1]}),
+    "dataset with a nan input": ("dataset", lambda a, model: {"inputs": np.where(a.inputs == 1, np.nan, 0)}),
+    "dataset with flipped targets": ("dataset", lambda a, model: {"targets": -a.targets}),
+}
+
+
+def _windows_refiner() -> WindowsRefiner:
+    labels = WindowsLabelSpace.default()
+    schema = build_endpoint_schema([m for m, _ in synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)])
+    return WindowsRefiner(init_mlp([schema.size, 2, labels.total]), schema, labels)
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_an_artifact_refuses_what_load_refuses_when_built(small_hierarchy, case):
+    model, _ = small_hierarchy
+    kind, breaks = UNBUILDABLE[case]
+    valid, error, wants = KINDS[kind]
+    artifact = valid(model)
+    dataclasses.replace(artifact)  # a valid one rebuilds
+    with pytest.raises(error, match=f"^{re.escape(wants)}$"):
+        dataclasses.replace(artifact, **breaks(artifact, model))
 
 
 # every float64 class the raw bytes must carry: signed zeros, nans,
@@ -574,6 +663,7 @@ class TestDecodeConfig:
         ({"adaptive": 1}, "c.adaptive: expected bool, got int"),
         ({"seed": True}, "c.seed: expected int, got bool"),
         ({"subset_size": "4"}, "c.subset_size: expected int, got str"),
+        ({"lam": 10**400}, "c.lam: integer of 401 digits is too large for a float"),
     ])
     def test_mismatch_is_a_value_error_naming_the_key(self, obj, message):
         with pytest.raises(ValueError) as err:

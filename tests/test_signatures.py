@@ -144,7 +144,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("expr", ["0x4000", "+4000", "40_00", "-5", "4000|0x0", "", " "])
     def test_numeric_literals_are_bare_hex(self, expr):
-        with pytest.raises(ParseError, match="^line 2: field W wants bare hex"):
+        with pytest.raises(ParseError, match="^line 2: field W wants a bare hex value"):
             parse_fingerprint_db(f"Fingerprint X\nT1(DF=Y%W={expr})\n")
 
     @pytest.mark.parametrize("rule, message", [
@@ -600,7 +600,7 @@ class TestTokenizerOracle:
         text = "Fingerprint X\n" + text.replace("Observation ", "# ")
         got = outcome(parse_fingerprint_db, text)
         want = outcome(oracle_parse_fingerprint_db, text)
-        if got[1] is not None and re.search("wants bare hex|comparison in non-numeric|no value in",
+        if got[1] is not None and re.search("wants a bare hex value|comparison in non-numeric|no value in",
                                             got[1]):
             # |, < or > inside a value made a numeric literal that is not
             # bare hex, such as '' or '4<0', a comparison in a field that

@@ -157,7 +157,7 @@ def _check_literals(rules, lineno):
         for atom in atoms:
             value = atom.value if isinstance(atom, Const) else ""
             if bound is not None and BARE_HEX.fullmatch(value) and int(value, 16) > bound:
-                raise ParseError(f"field {rule.field}: literal {value} above its bound {bound:X}", lineno)
+                raise ParseError(f"field {rule.field}: value {value} above its bound {bound:X}", lineno)
 
 
 def oracle_parse_fingerprint_db(text):
