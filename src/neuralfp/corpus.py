@@ -14,15 +14,6 @@ from .datagen import sample_observation
 from .encoding import TCP_TESTS
 from .signatures import Observation, Signature, parse_fingerprint_db
 
-__all__ = [
-    "demo_database",
-    "family_task_database",
-    "large_database",
-    "openbsd_study_database",
-    "pathology_observation",
-    "SPARSE_IMPOSTOR",
-    "PATHOLOGY_TARGET",
-]
 
 # the one-rule signature used to demonstrate the best-fit pathology
 SPARSE_IMPOSTOR = "RetroBox Game Console"

@@ -27,17 +27,6 @@ from .encoding import (
 from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .signatures import ParseError, records
 
-__all__ = [
-    "DumpParseError",
-    "WindowsLabelSpace",
-    "WindowsRefiner",
-    "WindowsVerdict",
-    "format_endpoint_dump",
-    "parse_endpoint_dump",
-    "report_windows",
-    "synthetic_windows_corpus",
-    "train_windows_net",
-]
 
 _UUID_RE = re.compile(
     r"^[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}$"

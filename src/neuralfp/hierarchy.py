@@ -31,22 +31,6 @@ from .neural import Mlp, TrainConfig, forward, init_mlp, train
 from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
-__all__ = [
-    "ClassificationResult",
-    "EvaluationReport",
-    "HierarchyConfig",
-    "HierarchyError",
-    "HierarchyModel",
-    "ObservationError",
-    "Stage",
-    "classify",
-    "classify_batch",
-    "classify_vector",
-    "evaluate",
-    "report_classification",
-    "train_hierarchy",
-    "train_stage",
-]
 
 # hidden-layer sizes that worked for the reference corpus; anything
 # absent falls back to DEFAULT_HIDDEN

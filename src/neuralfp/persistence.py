@@ -46,17 +46,6 @@ from .hierarchy import HierarchyModel, Stage
 from .neural import Mlp
 from .preprocess import ReductionPipeline
 
-__all__ = [
-    "CorruptContainerError",
-    "FormatVersionError",
-    "KindMismatchError",
-    "PersistenceError",
-    "FORMAT_VERSION",
-    "decode_config",
-    "load",
-    "load_container",
-    "save",
-]
 
 FORMAT_VERSION = 3
 

@@ -29,15 +29,18 @@ A literal of a numeric field, in either, must be bare hex (``[0-9A-F]+``)
 and must not exceed the field's bound.
 
 Best-fit scores come from an index of the db's rules (``_Index``), built on
-the first call for that db; only the last db's index is kept.
+the first call for that db; only the last db's index is kept.  Each (test,
+field) slot has one matcher, which gives the constraints a value satisfies,
+exact for any int; a score is then two sums per signature, over its slots
+and over its rules.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import re
 import weakref
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -291,53 +294,88 @@ def serialize_fingerprint_db(sigs: list[Signature]) -> str:
     return "\n\n".join(format_signature(s) for s in sigs) + "\n"
 
 
+def _matcher(constraints: list[tuple[int, tuple]]) -> list[int] | dict | tuple[dict, list, list]:
+    """A slot's matcher, from its distinct (number, choices) constraints: an
+    unknown field's numbers, which every value satisfies; a str field's dict
+    from literal to numbers; or a numeric field's dict from int literal to
+    numbers, the sorted ends of its Ranges' runs of ints (lo + 1 <= v < hi)
+    and, per stretch between two ends, the numbers of the runs that cover
+    it.  A value's stretch is a bisect on Python ints: exact for any int."""
+    if not constraints[0][1]:
+        return [number for number, _ in constraints]
+    literals, opens, closes = {}, {}, {}  # run start or stop (None: unbounded) -> numbers
+    for number, choices in constraints:
+        for c in choices:
+            if not isinstance(c, Range):
+                literals.setdefault(c, []).append(number)
+            elif c.lo is None or c.hi is None or c.lo + 1 < c.hi:  # the parser refuses a Range with no int
+                opens.setdefault(None if c.lo is None else c.lo + 1, []).append(number)
+                closes.setdefault(c.hi, []).append(number)
+    if isinstance(constraints[0][1][0], str):
+        return literals
+    ends = sorted((opens.keys() | closes.keys()) - {None})
+    stretches = [list(opens.get(None, ()))]  # the one below the first end
+    for end in ends:  # one sweep
+        active = stretches[-1] + opens.get(end, [])
+        for number in closes.get(end, ()):
+            active.remove(number)
+        stretches.append(active)
+    return literals, ends, stretches
+
+
 class _Index:
-    """A db's rules as parallel arrays of signature, (test, field) slot and
-    distinct-constraint numbers.  Per slot, a literal's constraints are
-    keyed by the literal, an unknown field's by None, as they match every
-    value; a Range's are open intervals."""
+    """A db's rules as distinct-constraint numbers, each signature's rules one
+    segment, the rule count per (test, field) slot and signature, and per
+    slot a matcher (``_matcher``) that gives the numbers a value satisfies."""
 
     def __init__(self, db: list[Signature]):
         self.size = len(db)
-        self.slots: dict[tuple[str, str], int] = {}
-        self.equals: dict[tuple[int, str | int | None], list[int]] = {}
-        self.intervals: dict[int, list[tuple[float | int, float | int, int]]] = {}
-        numbers: dict[tuple[int, tuple], int] = {}
-        rules = []
-        for s, sig in enumerate(db):
+        numbers: dict[tuple[str, str, tuple], int] = {}
+        rules, ends = [], []
+        for sig in db:
             for tid, fields in sig.tests.items():
                 for rule in fields:
-                    slot = self.slots.setdefault((tid, rule.field), len(self.slots))
-                    count = len(numbers)
-                    number = numbers.setdefault((slot, rule.choices), count)
-                    if number == count:  # a new constraint: key each of its choices
-                        for c in rule.choices or (None,):
-                            if isinstance(c, Range):
-                                lo = -math.inf if c.lo is None else c.lo
-                                hi = math.inf if c.hi is None else c.hi
-                                self.intervals.setdefault(slot, []).append((lo, hi, number))
-                            else:
-                                self.equals.setdefault((slot, c), []).append(number)
-                    rules += (s, slot, number)
-        self.rule_sig, self.rule_slot, self.rule_constraint = np.array(rules, np.intp).reshape(-1, 3).T
-        self.constraints = len(numbers)
+                    rules.append(numbers.setdefault((tid, rule.field, rule.choices), len(numbers)))
+            ends.append(len(rules))
+        per_slot: dict[tuple[str, str], list[tuple[int, tuple]]] = {}
+        for (tid, field, choices), number in numbers.items():
+            per_slot.setdefault((tid, field), []).append((number, choices))
+        self.slots, slot_of = {}, np.empty(len(numbers), np.intp)  # test -> field -> (slot, matcher)
+        for slot, ((tid, field), constraints) in enumerate(per_slot.items()):
+            self.slots.setdefault(tid, {})[field] = slot, _matcher(constraints)
+            slot_of[[number for number, _ in constraints]] = slot
+        self.constraints, self.rule_constraint = len(numbers), np.array(rules, np.intp)
+        sizes = np.diff([0, *ends])
+        cells = slot_of[self.rule_constraint] * self.size + np.repeat(np.arange(self.size), sizes)
+        shape = len(per_slot), self.size
+        self.slot_counts = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape).astype(float)
+        self.filled = np.flatnonzero(sizes)  # reduceat misreads an empty segment
+        self.starts = (np.cumsum(sizes) - sizes)[self.filled]
 
     def scores(self, obs: Observation) -> np.ndarray:
-        observed, satisfied = np.zeros(len(self.slots)), np.zeros(self.constraints)
+        seen, hits = [], []
         for tid, fields in obs.tests.items():
+            slots = self.slots.get(tid, {})
             for name, value in fields.items():
-                slot = self.slots.get((tid, name))
-                if slot is None:
+                if (entry := slots.get(name)) is None:
                     continue
-                observed[slot] = 1
-                hits = self.equals.get((slot, None), []) + self.equals.get((slot, value), [])
-                if BARE_HEX.fullmatch(value):  # only bare hex is a number
-                    v = int(value, 16)
-                    hits += self.equals.get((slot, v), [])
-                    hits += [number for lo, hi, number in self.intervals.get(slot, ()) if lo < v < hi]
-                satisfied[hits] = 1
-        considered = np.bincount(self.rule_sig, observed[self.rule_slot], self.size)
-        matched = np.bincount(self.rule_sig, satisfied[self.rule_constraint], self.size)
+                slot, match = entry
+                seen.append(slot)
+                if type(match) is list:
+                    hits += match
+                elif type(match) is dict:
+                    hits += match.get(value, ())
+                elif BARE_HEX.fullmatch(value):  # only bare hex is a number
+                    literals, ends, stretches = match
+                    hits += literals.get(v := int(value, 16), ())
+                    hits += stretches[bisect_right(ends, v)]
+        observed, satisfied = np.zeros(len(self.slot_counts)), np.zeros(self.constraints)
+        observed[seen] = 1
+        satisfied[hits] = 1
+        # Every partial sum is an integer below 2**53, so any order of summing
+        # is exact: each score has the bits of the plain per-rule sums.
+        considered, matched = np.vecmat(observed, self.slot_counts), np.zeros(self.size)
+        matched[self.filled] = np.add.reduceat(satisfied[self.rule_constraint], self.starts)
         return np.divide(matched, considered, out=np.zeros(self.size), where=considered > 0)
 
 

@@ -22,6 +22,7 @@ from neuralfp.signatures import (
     KNOWN_FIELDS,
     NUMERIC_FIELDS,
     Observation,
+    Range,
     Signature,
     best_fit,
     match_scores,
@@ -231,6 +232,89 @@ class TestOracle:
         assert best_fit([], obs) == []
         assert match_scores([], obs).shape == (0,)
         assert match_scores([Signature("E", (), {})], obs)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The corpus db (the bench's largest) at the edges of every numeric matcher.
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The demo db plus 220 machine-written signatures, parsed both ways."""
+    return _both(demo_database() + "\n" + large_database(220))
+
+
+def _scores_equal(db, tree, obs):
+    want = [oracle_score(t, obs) for t in tree]
+    assert match_scores(db, obs).tolist() == want
+    assert best_fit(db, obs, top=len(db)) == oracle_ranking(tree, obs)
+
+
+def _breakpoints(db):
+    """(test, field) -> every int literal and Range end of that numeric slot."""
+    points = {}
+    for sig in db:
+        for tid, rules in sig.tests.items():
+            for rule in rules:
+                for c in rule.choices:
+                    ends = (c.lo, c.hi) if isinstance(c, Range) else (c,)
+                    points.setdefault((tid, rule.field), set()).update(e for e in ends if isinstance(e, int))
+    return {slot: sorted(p) for slot, p in points.items() if p}
+
+
+class TestCorpusEdges:
+    def test_every_breakpoint_and_its_neighbours(self, corpus):
+        # one field per observation, so each signature's score is its rule on that field: 1, 0 or
+        # none considered; the walk of the slot's rules gives it
+        db, tree = corpus
+        points = _breakpoints(db)
+        assert len(points) >= 13 and max(map(len, points.values())) > 300
+        for (tid, field), p in points.items():
+            rules = [(i, rule) for i, sig in enumerate(tree)
+                     for rule in sig.tests.get(tid, ()) if rule.field == field]
+            for v in sorted({v + d for v in p for d in (-1, 0, 1)} - {-1}):
+                value = f"{v:X}"
+                want = [0.0] * len(db)
+                for i, rule in rules:
+                    want[i] = float(constraint_matches(rule.constraint, field, value))
+                assert match_scores(db, Observation(None, {tid: {field: value}})).tolist() == want, value
+
+    @pytest.mark.parametrize("value", [
+        "FFFFFFFF",                 # above every numeric field's bound
+        "10000",                    # W's bound + 1
+        "1" + "0" * 29,             # 30 hex digits
+        "20000000000000", "20000000000001", "1FFFFFFFFFFFFF",  # around 2**53
+        "0x10", "G", "-1", "+10", "", "10 ",  # not bare hex
+        "a",                        # bare hex in lower case
+    ])
+    def test_values_no_parser_gives(self, corpus, value):
+        db, tree = corpus
+        for tid in ("T1", "T4", "TSeq", "PU"):
+            tests = {tid: {field: value for field in KNOWN_FIELDS[tid] if field in NUMERIC_FIELDS}}
+            _scores_equal(db, tree, Observation(None, tests))
+
+    def test_range_ends_past_2_53_are_exact(self):
+        db, tree = _both("Fingerprint A\nT1(W=<20000000000001)\n\n"
+                         "Fingerprint B\nT1(W=<20000000000000)\n\n"
+                         "Fingerprint C\nT1(W=20|>FFF0)\n")
+        for value, want in [("1FFFFFFFFFFFFF", [1.0, 1.0, 1.0]), ("20000000000000", [1.0, 0.0, 1.0]),
+                            ("20000000000001", [0.0, 0.0, 1.0]), ("20", [1.0, 1.0, 1.0]),
+                            ("FFF0", [1.0, 1.0, 0.0]), ("F" * 30, [0.0, 0.0, 1.0])]:
+            obs = Observation(None, {"T1": {"W": value}})
+            assert match_scores(db, obs).tolist() == [oracle_score(t, obs) for t in tree] == want
+
+    def test_empty_observation(self, corpus):
+        db, tree = corpus
+        _scores_equal(db, tree, Observation(None, {}))
+        assert not match_scores(db, Observation(None, {})).any()
+
+    @pytest.mark.parametrize("order", ["AEB", "EAB", "ABE", "EAEBE", "E", "EE"])
+    def test_empty_signatures_anywhere(self, order):
+        text = {"A": "Fingerprint A\nT1(W=1|>8%DF=Y)\n", "B": "Fingerprint B\nT1(W=2%DF=N)\nT4(W=0)\n",
+                "E": "Fingerprint E\n"}
+        db, tree = _both("\n".join(text[c] for c in order))
+        assert [len(sig.tests) == 0 for sig in db] == [c == "E" for c in order]
+        for w, df in [("1", "Y"), ("2", "N"), ("9", "N"), ("0", "Y")]:
+            _scores_equal(db, tree, Observation(None, {"T1": {"W": w, "DF": df}, "T4": {"W": w}}))
 
 
 # ---------------------------------------------------------------------------
