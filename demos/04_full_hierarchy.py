@@ -44,7 +44,7 @@ model = train_hierarchy(
     cfg=HierarchyConfig(seed=7),
     corpus=(ds.inputs[fit], [ds.labels[i] for i in fit]),
 )
-print("trained stages:", ["relevance", "family"] + sorted(model.versions))
+print("trained stages:", list(model.stages()))
 print()
 
 print(evaluate(model, heldout).render())

@@ -186,8 +186,7 @@ def cmd_export_curves(args) -> int:
     elif isinstance(model, Stage):
         nets = {None: model.net}
     elif isinstance(model, HierarchyModel):
-        nets = {"relevance": model.relevance.net, "family": model.family.net}
-        nets.update({name: s.net for name, s in model.versions.items()})
+        nets = {name: stage.net for name, stage in model.stages().items()}
         if model.windows is not None:
             nets["windows"] = model.windows.net
     else:

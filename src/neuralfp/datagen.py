@@ -169,7 +169,9 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
-        if not (self.inputs.ndim == 2 and len(self.inputs) == len(self.labels) and np.isfinite(self.inputs).all()
+        stage_outputs([], self.stage)  # an unknown stage or family raises
+        if not (self.inputs.ndim == 2 and len(self.inputs) == len(self.labels)
+                and np.isfinite(self.inputs).all()
                 and np.array_equal(self.targets, stage_targets(self.labels, self.stage, self.output_labels))):
             raise GenerationError("expected one 2-D input row and target row per label, finite inputs, and "
                                   "targets of -1 or +1 as its labels give")

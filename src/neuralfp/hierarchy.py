@@ -22,6 +22,7 @@ from .datagen import (
     generate_dataset,
     in_stage,
     resolve_weights,
+    signature_family,
     stage_outputs,
     stage_targets,
 )
@@ -32,10 +33,9 @@ from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
 
-# hidden-layer sizes that worked for the reference corpus; anything
-# absent falls back to DEFAULT_HIDDEN
-STAGE_HIDDEN = {"relevance": 20, "family": 20, "Linux": 18, "Solaris": 7, "OpenBSD": 4}
-DEFAULT_HIDDEN = 8
+# hidden-layer size by stage short name, for every stage a dataset can carry
+STAGE_HIDDEN = {"relevance": 20, "family": 20, "Windows": 8, "Linux": 18, "Solaris": 7, "OpenBSD": 4,
+                "FreeBSD": 8, "NetBSD": 8}
 # every stage net stops this many generations after its last rise in G (neural.train)
 STAGE_PATIENCE = 5
 
@@ -81,6 +81,10 @@ class HierarchyModel:
                 [self.relevance_threshold, self.decision_threshold]).all():
             raise HierarchyError("expected a relevance stage labelled ('relevant',) and finite thresholds")
 
+    def stages(self) -> dict[str, Stage]:
+        """Every TCP/IP stage by short name, in cascade order: relevance, family, then the versions."""
+        return {"relevance": self.relevance, "family": self.family, **self.versions}
+
 
 @dataclass(frozen=True)
 class HierarchyConfig:
@@ -108,8 +112,9 @@ class HierarchyConfig:
                                  f"got seed {self.seed} and hidden {self.hidden}")
         # every score < NaN is False, so a NaN threshold would never answer "unknown"
         if not np.isfinite([self.relevance_threshold, self.decision_threshold]).all():
-            raise HierarchyError(f"hierarchy training needs finite thresholds, got relevance_threshold "
-                                 f"{self.relevance_threshold} and decision_threshold {self.decision_threshold}")
+            raise HierarchyError(f"hierarchy training needs finite thresholds, got "
+                                 f"relevance_threshold {self.relevance_threshold} "
+                                 f"and decision_threshold {self.decision_threshold}")
         if not 0 < self.variance <= 1:
             raise HierarchyError(f"hierarchy training needs 0 < variance <= 1, got variance {self.variance}")
         self.train_config(self.seed)  # TrainConfig checks the keys it shares
@@ -164,7 +169,7 @@ def train_stage(
     else:
         pipe = fit_pipeline(X, variance=cfg.variance)
         name = stage.split(":", 1)[-1]
-        hidden = cfg.hidden.get(name, STAGE_HIDDEN.get(name, DEFAULT_HIDDEN))
+        hidden = cfg.hidden.get(name, STAGE_HIDDEN[name])
         net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=seed)
     train(net, pipe.apply(X), Y, cfg.train_config(seed))
     return Stage(pipe, net, tuple(outputs))
@@ -181,35 +186,32 @@ def train_hierarchy(
     By default each stage draws its own Monte Carlo corpus, weighted by
     `prev`; pass `corpus` (encoded inputs plus their sample labels, e.g.
     the training side of a holdout split) to slice every stage from shared
-    data instead.  Families absent from the db, single-line families, and
-    Windows (refined via DCE-RPC, not TCP/IP probes) get no version net.
+    data instead.  A family with two lines in the db and data gets a version
+    net; Windows never does, since DCE-RPC, not TCP/IP probes, refines it.
     """
     cfg = cfg or HierarchyConfig()
     if corpus is not None and prev is not None:
         raise HierarchyError("prevalence weights shape a drawn corpus; a given corpus takes none")
-    stages = ["relevance", "family"] + [
-        f"version:{fam}"
-        for fam in RELEVANT_FAMILIES
-        if fam != "Windows" and len(stage_outputs(db, f"version:{fam}")) >= 2
-    ]
-    names = [stage.split(":", 1)[-1] for stage in stages]
-    if unknown := sorted(set(cfg.hidden) - set(names)):
-        raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {names}")
+    weights = resolve_weights(db, prev)
+    # a family has data if it has a row of the given corpus, else a signature of positive weight
+    with_data = ({label.family for label in corpus[1]} if corpus
+                 else {signature_family(sig) for sig, w in zip(db, weights) if w > 0})
+    table = {"relevance": "relevance", "family": "family"} | {
+        fam: f"version:{fam}" for fam in RELEVANT_FAMILIES
+        if fam != "Windows" and fam in with_data and len(stage_outputs(db, f"version:{fam}")) >= 2}
+    if unknown := sorted(set(cfg.hidden) - set(table)):
+        raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {list(table)}")
     # the relevance stage samples every signature of positive weight at least once
-    if corpus is None and cfg.samples < (need := sum(w > 0 for w in resolve_weights(db, prev))):
+    if corpus is None and cfg.samples < (need := sum(w > 0 for w in weights)):
         raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
                              f"signature count, got samples {cfg.samples}")
     trained: dict[str, Stage] = {}
-    for stage, name in zip(stages, names):
-        # stage i seeds from index i; a skipped stage takes no index
-        seed = cfg.seed * 1000 + len(trained)
+    for index, (name, stage) in enumerate(table.items()):
+        seed = cfg.seed * 1000 + index  # a stage the table leaves out takes no index
         if corpus is None:
             ds = generate_dataset(db, prev, cfg.samples, stage=stage, seed=seed)
         inputs, labels = corpus or (ds.inputs, ds.labels)
         rows = [i for i, l in enumerate(labels) if in_stage(l, stage)]
-        # a version stage without corpus rows is skipped, not an error
-        if not rows and stage.startswith("version:"):
-            continue
         outputs = stage_outputs(db, stage)
         X = np.asarray(inputs, dtype=float)[rows]
         Y = stage_targets([labels[i] for i in rows], stage, outputs)

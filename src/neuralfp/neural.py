@@ -65,8 +65,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        in_range = {"generations": self.generations >= 1, "seed": self.seed >= 0,  # nan fails every comparison
-                    "subset_size": self.subset_size is None or self.subset_size >= 1,
+        in_range = {"generations": self.generations >= 1,  # nan fails every comparison
+                    "seed": self.seed >= 0, "subset_size": self.subset_size is None or self.subset_size >= 1,
                     "patience": self.patience is None or self.patience >= 1,
                     "target_error": self.target_error is None or 0 <= self.target_error < np.inf,
                     "lam": 0 < self.lam < np.inf, "momentum": 0 <= self.momentum < np.inf}

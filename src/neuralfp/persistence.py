@@ -185,7 +185,8 @@ def _decoder(tp):
             try:
                 return float(v) if type(v) is int else _expect(v, float, where)
             except OverflowError:
-                raise ValueError(f"{where}: integer of {len(str(v))} digits is too large for a float") from None
+                raise ValueError(f"{where}: integer of {len(str(v))} digits "
+                                 "is too large for a float") from None
 
         return decode_float
     return lambda v, where: _expect(v, tp, where)

@@ -302,6 +302,15 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "error: train needs --db (the hierarchy) or --dataset (one stage)"]
 
+    def test_hierarchy_with_a_family_of_zero_prevalence(self, work, tmp_path):
+        # a valid prevalence file may zero a family: it gets no version stage, and no corpus is drawn for one
+        prev, cfg, out = tmp_path / "z.prev", tmp_path / "small.cfg", tmp_path / "h.model"
+        prev.write_text("0 Solaris\n")
+        cfg.write_text(json.dumps({"samples": 300, "generations": 3}))
+        assert main(["train", "--db", str(work["db"]), "--prevalence", str(prev), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert list(load(out).versions) == ["Linux", "OpenBSD", "FreeBSD", "NetBSD"]
+
     def test_hierarchy_rejects_unknown_hidden_keys(self, work, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(json.dumps({"samples": 60, "generations": 1, "hidden": {"linux": 3}}))
@@ -488,7 +497,7 @@ class TestTrain:
         assert main(["export-curves", "--model", str(model), "--out", str(stem)]) == 0
         written = {p.name for p in tmp_path.glob("curves-*.csv")}
         assert {"curves-relevance.csv", "curves-family.csv", "curves-Linux.csv"} <= written
-        assert written == {f"curves-{name}.csv" for name in ["relevance", "family", *load(model).versions]}
+        assert written == {f"curves-{name}.csv" for name in load(model).stages()}
 
     @pytest.mark.parametrize("config", [{"lam": -1}, {"generations": 0}, {"momentum": float("nan")}])
     def test_hierarchy_train_keys_are_checked_before_any_corpus(self, work, tmp_path, capsys,
@@ -738,8 +747,7 @@ class TestCurves:
 
     def test_hierarchy(self, work, tmp_path):
         model = load(work["model"])
-        nets = {"relevance": model.relevance.net, "family": model.family.net,
-                **{name: stage.net for name, stage in model.versions.items()}, "windows": model.windows.net}
+        nets = {name: stage.net for name, stage in model.stages().items()} | {"windows": model.windows.net}
         assert {"Linux", "Solaris"} <= set(nets)
         assert self._export(work["model"], tmp_path) == {
             f"c-{name}.csv": net.history.to_csv().encode() for name, net in nets.items()}

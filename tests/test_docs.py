@@ -1,6 +1,7 @@
 """README: every import it documents names a real module path, every
 `neuralfp` command line it shows parses, the line count it states for
-src/neuralfp is the tree's, and its config table names the config's fields."""
+src/neuralfp is the tree's, and its config table names the config's fields.
+The tree itself keeps to its line budget and line width."""
 
 import ast
 import re
@@ -13,6 +14,9 @@ from neuralfp.cli import build_parser
 from neuralfp.hierarchy import HierarchyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "neuralfp").glob("*.py"))
+# ROADMAP item 12: src/neuralfp at 3,400 lines or fewer, at most 110 characters a line
+LINE_BUDGET, LINE_WIDTH = 3400, 110
 README = (ROOT / "README.md").read_text()
 # the ```python blocks, and the Python a shell block feeds to `python3 -` in a heredoc
 SOURCES = (re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
@@ -38,8 +42,18 @@ def test_imports_resolve(index):
 
 def test_stated_line_count_is_the_trees():
     (stated,) = re.findall(r"`src/neuralfp` holds ([\d,]+) lines", README)
-    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "neuralfp").glob("*.py"))
+    lines = sum(len(p.read_text().splitlines()) for p in SRC)
     assert int(stated.replace(",", "")) == lines
+
+
+def test_source_keeps_its_line_budget():
+    assert sum(len(p.read_text().splitlines()) for p in SRC) <= LINE_BUDGET
+
+
+def test_source_keeps_its_line_width():
+    wide = [f"{p.name}:{n}" for p in SRC for n, line in enumerate(p.read_text().splitlines(), start=1)
+            if len(line) > LINE_WIDTH]
+    assert wide == []
 
 
 @pytest.mark.parametrize("line", COMMANDS)

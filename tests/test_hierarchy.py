@@ -182,6 +182,63 @@ class TestTraining:
         assert result.verdict[0] == "Linux"
 
 
+def _spy_train_stage(monkeypatch):
+    """Record each (stage, seed) that train_hierarchy trains, and train it."""
+    seen, real = [], hierarchy.train_stage
+
+    def spy(stage, X, Y, outputs, cfg, seed, resume=None):
+        seen.append((stage, seed))
+        return real(stage, X, Y, outputs, cfg, seed, resume)
+
+    monkeypatch.setattr(hierarchy, "train_stage", spy)
+    return seen
+
+
+class TestStageTable:
+    """train_hierarchy decides its stages once, before any corpus is drawn:
+    relevance, family, and a version stage for each non-Windows family with
+    two lines in the db and data; stage i of that table seeds from index i."""
+
+    def test_stages_are_in_cascade_order(self, model):
+        stages = model.stages()
+        assert list(stages) == ["relevance", "family", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD"]
+        assert stages["relevance"] is model.relevance and stages["family"] is model.family
+        assert all(stages[name] is stage for name, stage in model.versions.items())
+
+    def test_every_stage_a_dataset_can_carry_has_a_hidden_size(self, db):
+        assert set(STAGE_HIDDEN) == {"relevance", "family", *RELEVANT_FAMILIES}
+        ds = generate_dataset(db, None, 60, stage="version:Windows", seed=2)
+        stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, HierarchyConfig(generations=2), 0)
+        assert stage.net.sizes[1] == STAGE_HIDDEN["Windows"] == 8
+
+    def test_drawn_family_of_zero_weight_gets_no_version_stage(self, db, monkeypatch):
+        seen = _spy_train_stage(monkeypatch)
+        model = train_hierarchy(db, {"Solaris": 0.0}, HierarchyConfig(seed=4, samples=300, generations=3))
+        assert list(model.versions) == ["Linux", "OpenBSD", "FreeBSD", "NetBSD"]
+        # the table leaves Solaris out, so OpenBSD takes its index
+        assert seen == [("relevance", 4000), ("family", 4001), ("version:Linux", 4002),
+                        ("version:OpenBSD", 4003), ("version:FreeBSD", 4004), ("version:NetBSD", 4005)]
+
+    def test_given_corpus_without_a_family_trains_every_other_stage(self, db, dataset, monkeypatch):
+        seen = _spy_train_stage(monkeypatch)
+        rows = [i for i, l in enumerate(dataset.labels) if l.family != "NetBSD"]
+        model = train_hierarchy(db, cfg=HierarchyConfig(seed=2, generations=3),
+                                corpus=(dataset.inputs[rows], [dataset.labels[i] for i in rows]))
+        assert list(model.stages()) == ["relevance", "family", "Linux", "Solaris", "OpenBSD", "FreeBSD"]
+        assert [seed for _, seed in seen] == list(range(2000, 2006))
+        # the family stage still names every family
+        assert model.family.labels == RELEVANT_FAMILIES
+
+    def test_hidden_size_for_a_stage_the_table_leaves_out_is_refused(self, db, monkeypatch):
+        monkeypatch.setattr(hierarchy, "train_stage", None)
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        cfg = HierarchyConfig(samples=300, generations=1, hidden={"Solaris": 3, "Linux": 4})
+        with pytest.raises(HierarchyError, match=re.escape(
+                "hidden sizes for unknown stages ['Solaris']; the stages are "
+                "['relevance', 'family', 'Linux', 'OpenBSD', 'FreeBSD', 'NetBSD']")):
+            train_hierarchy(db, {"Solaris": 0.0}, cfg)
+
+
 class TestGolden:
     # re-recorded when stage nets began to stop on G: the Solaris and OpenBSD
     # stages stop at generations 7 and 6 of 30, each history a prefix of the
@@ -207,9 +264,7 @@ class TestGolden:
 
     @staticmethod
     def nets(model):
-        return {"relevance": model.relevance.net, "family": model.family.net,
-                **{name: stage.net for name, stage in model.versions.items()},
-                "windows": model.windows.net}
+        return {name: stage.net for name, stage in model.stages().items()} | {"windows": model.windows.net}
 
     @classmethod
     def digest(cls, model):
@@ -273,7 +328,7 @@ class TestGolden:
         model, seen, _ = train_runs
         patience = hierarchy.STAGE_PATIENCE
         plateaued = []
-        for name, stage in [("relevance", model.relevance), ("family", model.family), *model.versions.items()]:
+        for name, stage in model.stages().items():
             rows = stage.net.history.rows
             gs = [g for net, g in seen if net is stage.net]
             if rows[-1][1] <= 0.02:  # the target error, checked before G
@@ -521,6 +576,23 @@ class TestEvaluate:
             for label, x in zip(heldout.labels, heldout.inputs)
         )
         assert rep.categories == {k: counts[k] for k in OUTCOMES}
+
+    def test_version_stage_without_heldout_rows_is_not_scored(self, model, report):
+        _, heldout = report
+        rows = [i for i, l in enumerate(heldout.labels) if l.family != "NetBSD"]
+        rep = evaluate(model, Dataset("relevance", heldout.inputs[rows], heldout.targets[rows],
+                                      [heldout.labels[i] for i in rows], ("relevant",), heldout.seed))
+        assert set(rep.version_accuracy) == {"Linux", "Solaris", "OpenBSD", "FreeBSD"}
+
+    def test_relevant_host_of_another_family_is_an_error(self):
+        label = SampleLabel("Linux Kernel 2.4.20", True, "Linux", "2.4.X")
+        assert hierarchy._outcome(label, ("Solaris", "10")) == "error"
+        assert hierarchy._outcome(label, ("Solaris", None)) == "error"
+        assert hierarchy._outcome(label, "not relevant") == "error"
+        assert hierarchy._outcome(label, ("Linux", "2.6.X")) == "partial match"
+
+    def test_wilson_interval_of_no_trials_is_the_unit_interval(self):
+        assert hierarchy._wilson(0, 0) == (0.0, 1.0)
 
     def test_empty_heldout_is_a_named_error(self, model):
         empty = Dataset("relevance", np.zeros((0, TOTAL_NEURONS)), np.zeros((0, 1)), [],

@@ -256,6 +256,12 @@ class TestGenerationError:
 
 
 class TestTraining:
+    def test_zero_rows_are_refused(self):
+        net = init_mlp([3, 2, 1], seed=0)
+        with pytest.raises(ValueError, match="^no training pairs$"):
+            train(net, np.zeros((0, 3)), np.zeros((0, 1)), TrainConfig(generations=5))
+        assert net.history is None
+
     def test_xor_learns(self):
         X = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
         Y = np.array([[-1.0], [1.0], [1.0], [-1.0]])

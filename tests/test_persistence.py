@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -169,6 +170,19 @@ class TestOtherKinds:
             ds.targets[[7, j]] = ds.targets[[j, 7]]
         with pytest.raises(PersistenceError, match="targets of -1 or \\+1 as its labels give"):
             save(ds, tmp_path / "bad.ds")
+
+    @pytest.mark.parametrize("stage, wants", [("versions", "unknown stage 'versions'"),
+                                              ("version:Plan9", "unknown family 'Plan9'")])
+    def test_dataset_of_an_unknown_stage_is_corrupt(self, tmp_path, capsys, stage, wants):
+        # a stage no hidden size is kept for would reach train_stage and fail there
+        db = parse_fingerprint_db(demo_database())
+        path = tmp_path / "d.ds"
+        save(generate_dataset(db, None, 70, stage="relevance", seed=8), path)
+        _rewrite_body(path, lambda body: body.update(stage=stage))
+        with pytest.raises(CorruptContainerError, match=f"malformed dataset: body: {wants}$"):
+            load(path)
+        assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "s.stage")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: malformed dataset: body: {wants}"]
 
     def test_dataset_seed_recorded_in_metadata(self, tmp_path):
         # `generate` names the seed in the header; the body holds it as a field
@@ -341,6 +355,32 @@ class TestAtomicity:
                 getattr(p, name)[0] = 0
 
 
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, step):
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, step, disk_full)
+        with pytest.raises(OSError, match="No space left on device"):
+            save(_trained_net(), tmp_path / "n.model")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_through_the_cli_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        db, out = tmp_path / "demo.db", tmp_path / "out" / "rel.ds"
+        db.write_text(demo_database())
+        out.parent.mkdir()
+
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        # an OSError takes the CLI's file-error exit status, as a missing input does
+        assert main(["generate", "--db", str(db), "--total", "80", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: no space left on device"] and captured.out == ""
+        assert os.listdir(out.parent) == []
+
+
 class TestWrites:
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_mode_follows_umask(self, tmp_path, umask):
@@ -427,6 +467,18 @@ def _huge_threshold(body, model):
     body["decision_threshold"] = 10**400
 
 
+def _negative_shape(body, model):
+    body["relevance"]["pipeline"]["basis"]["shape"][0] = -1
+
+
+def _versions_not_pairs(body, model):
+    body["versions"][0] = body["versions"][0][:1]
+
+
+def _short_history_row(body, model):
+    body["relevance"]["net"]["history"]["rows"][0].pop()
+
+
 MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
@@ -439,6 +491,10 @@ MALFORMED = {
     "array data not base64": (_bad_base64, "malformed hierarchy"),
     "threshold too large for a float": (_huge_threshold, "malformed hierarchy: body.decision_threshold: "
                                                          "integer of 401 digits is too large for a float"),
+    "array shape not counts": (_negative_shape, "body.relevance.pipeline.basis: bad shape \\[-1, "),
+    "versions not key-value pairs": (_versions_not_pairs, "body.versions: expected \\[key, value\\] pairs"),
+    "history row of three items": (_short_history_row,
+                                   "body.relevance.net.history.rows: expected 4 items, got 3"),
 }
 
 
@@ -450,6 +506,52 @@ def test_cli_refuses_a_format_2_model_in_one_line(small_hierarchy, tmp_path, cap
     assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}: format version 2 (supported: {FORMAT_VERSION})"]
+
+
+def _list_header(path):
+    header, body = _split(path)
+    path.write_bytes(json.dumps(list(header)).encode() + b"\n" + body)
+
+
+def _unknown_kind(path):
+    header, body = _split(path)
+    _join(path, {**header, "kind": "bogus"}, body)
+
+
+def _body_not_json(path):
+    header, _ = _split(path)
+    _join(path, {**header, "digest": _digest(b"not json{")}, b"not json{")
+
+
+# container-level forgeries: the header is checked, or the body's digest holds
+FORGED = {
+    "header not an object": (_list_header, "not a valid container$"),
+    "unknown kind under a valid digest": (_unknown_kind, "unknown payload kind 'bogus'$"),
+    "body not JSON under a valid digest": (_body_not_json, "body is not valid JSON: "),
+}
+
+
+class TestForgedContainer:
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_load_raises_corrupt(self, small_hierarchy, tmp_path, case):
+        forge, match = FORGED[case]
+        path = tmp_path / "bad.model"
+        path.write_bytes((small_hierarchy[1] / "h.model").read_bytes())
+        forge(path)
+        with pytest.raises(CorruptContainerError, match=f"^{re.escape(str(path))}: {match}"):
+            load(path)
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
+        forge, match = FORGED[case]
+        root = small_hierarchy[1]
+        path = tmp_path / "bad.model"
+        path.write_bytes((root / "h.model").read_bytes())
+        forge(path)
+        assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert re.match(f"^error: {re.escape(str(path))}: {match}", err) and captured.out == ""
 
 
 class TestMalformedBody:
@@ -466,7 +568,9 @@ class TestMalformedBody:
             load(path)
 
     @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape", "net width is not PCA k",
-                                      "kept column is constant", "threshold too large for a float"])
+                                      "kept column is constant", "threshold too large for a float",
+                                      "array shape not counts", "versions not key-value pairs",
+                                      "history row of three items"])
     def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
         model, root = small_hierarchy
         path = tmp_path / "bad.model"
