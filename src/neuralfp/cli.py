@@ -57,16 +57,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_db(path: str):
-    return parse_fingerprint_db(_read(path))
-
-
-def _load_prevalence(path: str | None) -> dict[str, float] | None:
-    if path is None:
-        return None
-    return parse_prevalence(_read(path))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -74,8 +64,8 @@ def _load_prevalence(path: str | None) -> dict[str, float] | None:
 def cmd_generate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    db = _load_db(args.db)
-    prev = _load_prevalence(args.prevalence)
+    db = parse_fingerprint_db(_read(args.db))
+    prev = parse_prevalence(_read(args.prevalence)) if args.prevalence is not None else None
     ds = generate_dataset(db, prev, args.total, stage=args.stage, seed=args.seed)
     save(ds, args.out, metadata={"seed": args.seed, "db": args.db})
     print(f"wrote {args.out} ({len(ds.inputs)} samples, stage {ds.stage})")
@@ -124,7 +114,9 @@ def cmd_train(args) -> int:
     cfg = HierarchyConfig(**kwargs)
     metadata = {"seed": cfg.seed, "config_digest": _digest(_canonical(cfg_json))}
     if hierarchy:
-        model = train_hierarchy(_load_db(args.db), _load_prevalence(args.prevalence), cfg)
+        db = parse_fingerprint_db(_read(args.db))
+        prev = parse_prevalence(_read(args.prevalence)) if args.prevalence is not None else None
+        model = train_hierarchy(db, prev, cfg)
         save(model, args.out, metadata)
         print(f"wrote {args.out}")
         return EXIT_OK
@@ -168,7 +160,7 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
-    db = _load_db(args.db)
+    db = parse_fingerprint_db(_read(args.db))
     obs = parse_observation(_read(args.obs))
     ranked = best_fit(db, obs, top=args.top)
     print(f"best-fit scores (top {len(ranked)} of {len(db)} signatures)")

@@ -178,112 +178,100 @@ def _family(vendor, family, prefix, columns, template, rows) -> list[str]:
                  template.format(**f)) for f in fields]
 
 
-def _irrelevant() -> list[str]:
-    return [
-        _sig(
-            "Cisco IOS 11.2",
-            "Cisco | IOS | 11.X | router",
-            "TSeq(Class=64K%IPID=C%TS=U)",
-            "T1(Resp=Y%DF=N%W=1020%ACK=S++%Flags=AS%Ops=M)",
-            "T2(Resp=N)",
-            "T3(Resp=N)",
-            "T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=C0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "Cisco IOS 12.0",
-            "Cisco | IOS | 12.X | router",
-            "TSeq(Class=C%gcd=40%IPID=C%TS=U)",
-            "T1(Resp=Y%DF=N%W=81C|1020%ACK=S++%Flags=AS%Ops=M)",
-            "T2(Resp=N)",
-            "T3(Resp=N)",
-            "T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=C0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "HP LaserJet 4050 printer",
-            "Hewlett-Packard | embedded | JetDirect | printer",
-            "TSeq(Class=i800%gcd=1%IPID=I%TS=U)",
-            "T1(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AS%Ops=M)",
-            "T2(Resp=N)",
-            "T3(Resp=N)",
-            "T5(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=N)",
-        ),
-        _sig(
-            "HP LaserJet 8150 printer",
-            "Hewlett-Packard | embedded | JetDirect | printer",
-            "TSeq(Class=i800%gcd=1%IPID=I%TS=U)",
-            "T1(Resp=Y%DF=N%W=2238|2144%ACK=S++%Flags=AS%Ops=M)",
-            "T2(Resp=N)",
-            "T3(Resp=N)",
-            "T5(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=N)",
-        ),
-        _sig(
-            "IBM AIX 4.3",
-            "IBM | AIX | 4.3.X | general purpose",
-            "TSeq(Class=RI%gcd=1%SI=<3E8%IPID=I%TS=100HZ)",
-            "T1(Resp=Y%DF=Y%W=FFFF%ACK=O%Flags=AS%Ops=MLT)",
-            "T2(Resp=N)",
-            "T3(Resp=Y%DF=Y%W=FFFF%ACK=O%Flags=AS%Ops=MLT)",
-            "T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=Y%TOS=0%IPLEN=38%RIPTL=148%RID=F%RIPCK=F%UCK=F%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "SGI IRIX 6.5",
-            "SGI | IRIX | 6.X | general purpose",
-            "TSeq(Class=i800%gcd=4%IPID=I%TS=2HZ)",
-            "T1(Resp=Y%DF=N%W=EF2A%ACK=S++%Flags=AS%Ops=NNT)",
-            "T2(Resp=N)",
-            "T3(Resp=Y%DF=N%W=EF2A%ACK=S++%Flags=AS%Ops=NNT)",
-            "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=0%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "DEC Tru64 UNIX 5.1",
-            "DEC | Tru64 | 5.X | general purpose",
-            "TSeq(Class=TD%gcd=2%SI=<64%IPID=I%TS=U)",
-            "T1(Resp=Y%DF=N%W=EF2A|C000%ACK=S++%Flags=AS%Ops=NNTM)",
-            "T2(Resp=N)",
-            "T3(Resp=Y%DF=N%W=C000%ACK=S++%Flags=AS%Ops=NNTM)",
-            "T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "Minix 2.0",
-            "Minix | Minix | 2.X | general purpose",
-            "TSeq(Class=64K%IPID=I%TS=U)",
-            "T1(Resp=Y%DF=N%W=240%ACK=S++%Flags=AS%Ops=M)",
-            "T2(Resp=N)",
-            "T3(Resp=Y%DF=N%W=240%ACK=S++%Flags=AS%Ops=M)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)",
-        ),
-        _sig(
-            "BeOS 5.0",
-            "Be | BeOS | 5.X | general purpose",
-            "TSeq(Class=i800%gcd=1%IPID=BI%TS=U)",
-            "T1(Resp=Y%DF=N%W=3E80%ACK=S++%Flags=AS%Ops=MNW)",
-            "T2(Resp=N)",
-            "T3(Resp=Y%DF=N%W=3E80%ACK=S++%Flags=AS%Ops=MNW)",
-            "T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)",
-            "T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)",
-            "PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=F%UCK=F%ULEN=134%DAT=E)",
-        ),
-        # a deliberately sparse entry: one rule, so any host that answers
-        # the first probe at all matches it perfectly
-        _sig(
-            SPARSE_IMPOSTOR,
-            "RetroBox | RetroBox | 1 | game console",
-            "T1(Resp=Y)",
-        ),
-    ]
+# devices the relevance stage must learn to reject, as database text; the
+# last is deliberately sparse: one rule, so any host that answers the first
+# probe at all matches it perfectly
+_IRRELEVANT = f"""\
+Fingerprint Cisco IOS 11.2
+Class Cisco | IOS | 11.X | router
+TSeq(Class=64K%IPID=C%TS=U)
+T1(Resp=Y%DF=N%W=1020%ACK=S++%Flags=AS%Ops=M)
+T2(Resp=N)
+T3(Resp=N)
+T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)
+T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=C0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)
+
+Fingerprint Cisco IOS 12.0
+Class Cisco | IOS | 12.X | router
+TSeq(Class=C%gcd=40%IPID=C%TS=U)
+T1(Resp=Y%DF=N%W=81C|1020%ACK=S++%Flags=AS%Ops=M)
+T2(Resp=N)
+T3(Resp=N)
+T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)
+T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=C0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)
+
+Fingerprint HP LaserJet 4050 printer
+Class Hewlett-Packard | embedded | JetDirect | printer
+TSeq(Class=i800%gcd=1%IPID=I%TS=U)
+T1(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AS%Ops=M)
+T2(Resp=N)
+T3(Resp=N)
+T5(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AR%Ops=)
+PU(Resp=N)
+
+Fingerprint HP LaserJet 8150 printer
+Class Hewlett-Packard | embedded | JetDirect | printer
+TSeq(Class=i800%gcd=1%IPID=I%TS=U)
+T1(Resp=Y%DF=N%W=2238|2144%ACK=S++%Flags=AS%Ops=M)
+T2(Resp=N)
+T3(Resp=N)
+T5(Resp=Y%DF=N%W=2238%ACK=S++%Flags=AR%Ops=)
+PU(Resp=N)
+
+Fingerprint IBM AIX 4.3
+Class IBM | AIX | 4.3.X | general purpose
+TSeq(Class=RI%gcd=1%SI=<3E8%IPID=I%TS=100HZ)
+T1(Resp=Y%DF=Y%W=FFFF%ACK=O%Flags=AS%Ops=MLT)
+T2(Resp=N)
+T3(Resp=Y%DF=Y%W=FFFF%ACK=O%Flags=AS%Ops=MLT)
+T4(Resp=Y%DF=Y%W=0%ACK=O%Flags=R%Ops=)
+T5(Resp=Y%DF=Y%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=Y%TOS=0%IPLEN=38%RIPTL=148%RID=F%RIPCK=F%UCK=F%ULEN=134%DAT=E)
+
+Fingerprint SGI IRIX 6.5
+Class SGI | IRIX | 6.X | general purpose
+TSeq(Class=i800%gcd=4%IPID=I%TS=2HZ)
+T1(Resp=Y%DF=N%W=EF2A%ACK=S++%Flags=AS%Ops=NNT)
+T2(Resp=N)
+T3(Resp=Y%DF=N%W=EF2A%ACK=S++%Flags=AS%Ops=NNT)
+T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)
+T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=0%ULEN=134%DAT=E)
+
+Fingerprint DEC Tru64 UNIX 5.1
+Class DEC | Tru64 | 5.X | general purpose
+TSeq(Class=TD%gcd=2%SI=<64%IPID=I%TS=U)
+T1(Resp=Y%DF=N%W=EF2A|C000%ACK=S++%Flags=AS%Ops=NNTM)
+T2(Resp=N)
+T3(Resp=Y%DF=N%W=C000%ACK=S++%Flags=AS%Ops=NNTM)
+T4(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)
+T5(Resp=Y%DF=N%W=0%ACK=S%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)
+
+Fingerprint Minix 2.0
+Class Minix | Minix | 2.X | general purpose
+TSeq(Class=64K%IPID=I%TS=U)
+T1(Resp=Y%DF=N%W=240%ACK=S++%Flags=AS%Ops=M)
+T2(Resp=N)
+T3(Resp=Y%DF=N%W=240%ACK=S++%Flags=AS%Ops=M)
+T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=E%UCK=E%ULEN=134%DAT=E)
+
+Fingerprint BeOS 5.0
+Class Be | BeOS | 5.X | general purpose
+TSeq(Class=i800%gcd=1%IPID=BI%TS=U)
+T1(Resp=Y%DF=N%W=3E80%ACK=S++%Flags=AS%Ops=MNW)
+T2(Resp=N)
+T3(Resp=Y%DF=N%W=3E80%ACK=S++%Flags=AS%Ops=MNW)
+T4(Resp=Y%DF=N%W=0%ACK=O%Flags=R%Ops=)
+T5(Resp=Y%DF=N%W=0%ACK=S++%Flags=AR%Ops=)
+PU(Resp=Y%DF=N%TOS=0%IPLEN=38%RIPTL=148%RID=E%RIPCK=F%UCK=F%ULEN=134%DAT=E)
+
+Fingerprint {SPARSE_IMPOSTOR}
+Class RetroBox | RetroBox | 1 | game console
+T1(Resp=Y)"""
 
 
 def demo_database() -> str:
@@ -293,8 +281,8 @@ def demo_database() -> str:
         "# Six relevant families with version lines, plus assorted devices\n"
         "# that the relevance stage must learn to reject."
     )
-    sigs = [s for fam in _FAMILIES for s in _family(*fam)] + _irrelevant()
-    return "\n\n".join([header, *sigs]) + "\n"
+    sigs = [s for fam in _FAMILIES for s in _family(*fam)]
+    return "\n\n".join([header, *sigs, _IRRELEVANT]) + "\n"
 
 
 def pathology_observation(seed: int = 0) -> Observation:
@@ -338,12 +326,10 @@ def openbsd_study_database() -> str:
         ("3.5", "TR", "RD", "N", ">493E0&<B71B0", "8000", "MNW"),
         ("3.6", "TR", "RD", "N", ">493E0&<F4240", "8000|FFFF", "MNW"),
     ]
-    t2_responders = {"3.0", "3.1", "3.2", "3.4", "3.5", "3.6"}
-    t6_late = {"3.2", "3.4", "3.5", "3.6"}
     sigs = []
-    for ver, cls, ipid, df, si, w, ops in rows:
-        t2 = "T2(Resp=Y%DF=N%W=0|10%ACK=S%Flags=AR%Ops=)" if ver in t2_responders else _T2_SILENT
-        t6_ack = "S" if ver in t6_late else "O"
+    for ver, cls, ipid, df, si, w, ops in rows:  # T2 answers from 3.0 on, and T6 acks S from 3.2 on
+        t2 = "T2(Resp=Y%DF=N%W=0|10%ACK=S%Flags=AR%Ops=)" if ver >= "3.0" else _T2_SILENT
+        t6_ack = "S" if ver >= "3.2" else "O"
         sigs.append(_sig(
             f"OpenBSD {ver}",
             f"OpenBSD | OpenBSD | {ver} | general purpose",
@@ -431,6 +417,9 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
     outcomes = ["E", "F", "0"]
     vendors = ["Acme", "Globex", "Initech", "Umbrella", "Tyrell", "Wayland"]
 
+    def pick(xs):
+        return xs[int(rng.integers(len(xs)))]
+
     def hexv(cap):
         return f"{int(rng.integers(0, cap)):X}"
 
@@ -452,14 +441,13 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
     )
     sigs = []
     for i in range(n_signatures):
-        vendor = vendors[int(rng.integers(len(vendors)))]
-        tseq = [f"Class={classes[int(rng.integers(len(classes)))]}"]
+        vendor = pick(vendors)
+        tseq = [f"Class={pick(classes)}"]
         if rng.random() < 0.8:
             tseq.append(f"gcd={w_field(0xFF)}")
         if rng.random() < 0.8:
             tseq.append(f"SI={w_field(0xFFFFF)}")
-        tseq.append(f"IPID={ipids[int(rng.integers(len(ipids)))]}")
-        tseq.append(f"TS={rates[int(rng.integers(len(rates)))]}")
+        tseq.append(f"IPID={pick(ipids)}%TS={pick(rates)}")
         tests = [f"TSeq({'%'.join(tseq)})"]
         for tid in TCP_TESTS:
             r = rng.random()
@@ -468,29 +456,13 @@ def large_database(n_signatures: int = 220, seed: int = 11) -> str:
             if r < 0.3:
                 tests.append(f"{tid}(Resp=N)")
                 continue
-            fields = [
-                "Resp=Y",
-                f"DF={'Y' if rng.random() < 0.5 else 'N'}",
-                f"W={w_field()}",
-                f"ACK={acks[int(rng.integers(len(acks)))]}",
-                f"Flags={flagses[int(rng.integers(len(flagses)))]}",
-                f"Ops={opses[int(rng.integers(len(opses)))]}",
-            ]
-            tests.append(f"{tid}({'%'.join(fields)})")
+            tests.append(f"{tid}(Resp=Y%DF={'Y' if rng.random() < 0.5 else 'N'}%W={w_field()}"
+                         f"%ACK={pick(acks)}%Flags={pick(flagses)}%Ops={pick(opses)})")
         if rng.random() < 0.9:
-            pu = [
-                "Resp=Y",
-                f"DF={'Y' if rng.random() < 0.5 else 'N'}",
-                f"TOS={hexv(0xFF)}",
-                f"IPLEN={w_field(0xFFF)}",
-                f"RIPTL={w_field(0xFFF)}",
-                f"RID={outcomes[int(rng.integers(len(outcomes)))]}",
-                f"RIPCK={outcomes[int(rng.integers(len(outcomes)))]}",
-                f"UCK={outcomes[int(rng.integers(len(outcomes)))]}",
-                f"ULEN={w_field(0xFFF)}",
-                f"DAT={'E' if rng.random() < 0.5 else 'F'}",
-            ]
-            tests.append(f"PU({'%'.join(pu)})")
+            tests.append(f"PU(Resp=Y%DF={'Y' if rng.random() < 0.5 else 'N'}%TOS={hexv(0xFF)}"
+                         f"%IPLEN={w_field(0xFFF)}%RIPTL={w_field(0xFFF)}%RID={pick(outcomes)}"
+                         f"%RIPCK={pick(outcomes)}%UCK={pick(outcomes)}%ULEN={w_field(0xFFF)}"
+                         f"%DAT={'E' if rng.random() < 0.5 else 'F'})")
         sigs.append(_sig(f"{vendor} OS {i // 10}.{i % 10}",
                          f"{vendor} | {vendor}OS | {i // 10}.X | general purpose", *tests))
     return "\n\n".join([header, *sigs]) + "\n"

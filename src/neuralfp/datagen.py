@@ -5,7 +5,12 @@ covers six concrete values.  Training corpora are drawn by sampling each
 rule uniformly (one of its choices; a literal as is, a numeric one in
 upper-case hex, a Range uniformly over its integers up to the field's
 bound), so every sample matches its source signature perfectly by
-construction.
+construction.  Each signature is compiled once into a plan: its fixed
+fields and, in rule order, its draws (the rules with several choices or a
+Range), which one loop makes for both samplers.  generate_dataset encodes
+a plan's fixed fields once, as a template row, and each row copies it and
+writes only its drawn fields' slots: the bits that encode_observation
+gives the same draw's sample_observation.
 
 Sample counts follow a prevalence table, apportioned by largest remainder
 after reserving one sample per signature with positive weight.  Each
@@ -21,7 +26,7 @@ from math import floor, isfinite
 
 import numpy as np
 
-from .encoding import TOTAL_NEURONS, encode_observation
+from .encoding import _PACK, FIELDS, TOTAL_NEURONS, encode_observation
 from .signatures import NUMERIC_FIELDS, Observation, Range, Signature, lines
 
 # OS families the pipeline is trained to tell apart, in output order.
@@ -62,11 +67,12 @@ def parse_prevalence(text: str) -> dict[str, float]:
     return weights
 
 
-def resolve_weights(db: list[Signature], prev: dict[str, float] | None) -> list[float]:
+def resolve_weights(db: list[Signature], prev: dict[str, float] | None, where: str = "the db") -> list[float]:
     """Per-signature weights, normalized to sum 1.
 
     Signature-name keys override; a family key spreads its mass equally over
     the family's signatures; everything else keeps the uniform default.
+    An error that every weight is zero names db as where.
     """
     if not db:
         return []
@@ -84,7 +90,7 @@ def resolve_weights(db: list[Signature], prev: dict[str, float] | None) -> list[
     if not isfinite(mass):
         raise GenerationError(f"signature weights must sum to a finite number, got {mass}")
     if mass <= 0:
-        raise GenerationError("all signature weights are zero")
+        raise GenerationError(f"all signature weights of {where} are zero")
     return [w / mass for w in weights]
 
 
@@ -110,29 +116,57 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
     return counts
 
 
+def _plan(sig: Signature) -> tuple[dict[str, dict[str, str | int]], list[tuple]]:
+    """sig compiled once, so its checks run once: each test's fields in
+    first-rule order, each holding a single literal's text or the index of
+    the draw that decides it, and the draws in rule order as (test, field,
+    choices).  A later rule of a field overrides an earlier one."""
+    tests, draws = {}, []
+    for tid, rules in sig.tests.items():
+        fields = tests[tid] = {}
+        for rule in rules:
+            if not (choices := rule.choices):  # an unknown field: nothing to encode
+                continue
+            if len(choices) == 1 and not isinstance(c := choices[0], Range):
+                fields[rule.field] = c if isinstance(c, str) else f"{c:X}"
+                continue
+            field, bound, drawn = rule.field, NUMERIC_FIELDS.get(rule.field), []
+            for c in choices:
+                if isinstance(c, Range):
+                    if bound is None:
+                        raise GenerationError(f"{sig.name}: {tid}.{field}: comparison in a non-numeric field")
+                    if not (c := c.span(bound)):
+                        raise GenerationError(f"{sig.name}: {tid}.{field}: unsatisfiable interval")
+                elif not (isinstance(c, str) or type(c) is int and bound is not None and 0 <= c <= bound):
+                    c = f"{c:X}"
+                drawn.append(c)
+            fields[field] = len(draws)
+            draws.append((tid, field, drawn))
+    return tests, draws
+
+
+def _draw(draws: list[tuple], rng) -> list[str | int]:
+    """One value per draw, in order: a choice, or an int of a Range.  This
+    loop alone makes the rng calls, so both samplers draw the same stream."""
+    values = []
+    for _, _, choices in draws:
+        c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
+        values.append(int(rng.integers(c.start, c.stop)) if type(c) is range else c)
+    return values
+
+
 def sample_observation(sig: Signature, rng) -> Observation:
     """Draw one concrete observation satisfying every rule of sig."""
-    tests: dict[str, dict[str, str]] = {}
-    for tid, rules in sig.tests.items():
-        fields: dict[str, str] = {}
-        for rule in rules:
-            choices = rule.choices
-            if not choices:  # an unknown field: nothing to encode
-                continue
-            c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
-            if isinstance(c, Range):
-                if (bound := NUMERIC_FIELDS.get(rule.field)) is None:
-                    raise GenerationError(f"{sig.name}: {tid}.{rule.field}: comparison in a non-numeric "
-                                          "field")
-                if not (span := c.span(bound)):
-                    raise GenerationError(f"{sig.name}: {tid}.{rule.field}: unsatisfiable interval")
-                c = int(rng.integers(span.start, span.stop))
-            fields[rule.field] = c if isinstance(c, str) else f"{c:X}"
-        # a silent probe carries nothing but the fact that it stayed silent
-        if fields.get("Resp") == "N":
-            fields = {"Resp": "N"}
-        tests[tid] = fields
-    return Observation(None, tests)
+    tests, draws = _plan(sig)
+    for k, ((tid, field, _), value) in enumerate(zip(draws, _draw(draws, rng))):
+        if tests[tid][field] == k:  # no later rule overrode it
+            tests[tid][field] = value if isinstance(value, str) else f"{value:X}"
+    # a silent probe carries nothing but the fact that it stayed silent
+    return Observation(None, {t: {"Resp": "N"} if f.get("Resp") == "N" else f for t, f in tests.items()})
+
+
+# each (test, field)'s slots in the vector
+_SLOTS = {(f.test, f.name): slice(f.start, f.stop) for f in FIELDS}
 
 
 @dataclass(frozen=True)
@@ -230,13 +264,38 @@ def generate_dataset(
     slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
     if not slice_:
         raise GenerationError(f"stage {stage!r} has no signatures to sample")
-    counts = signature_counts(resolve_weights([sig for sig, _ in slice_], prev), total)
+    counts = signature_counts(resolve_weights([sig for sig, _ in slice_], prev, f"stage {stage!r}"), total)
     inputs = np.zeros((total, TOTAL_NEURONS))
     labels: list[SampleLabel] = []
+    memo: dict[tuple[str, str, str], list[float]] = {}  # a drawn literal's slots, encoded and warned of once
     for i, ((sig, label), count) in enumerate(zip(slice_, counts)):
-        rng = np.random.default_rng((seed, i))
-        for _ in range(count):
-            inputs[len(labels)] = encode_observation(sample_observation(sig, rng))
-            labels.append(label)
+        if not count:  # nothing drawn, nothing checked
+            continue
+        tests, draws = _plan(sig)
+        rng, start = np.random.default_rng((seed, i)), len(labels)
+        labels += [label] * count
+        if any(type(fields.get("Resp")) is int for fields in tests.values()):
+            # a drawn Resp decides whether the fixed fields of its test count: encode such rows whole
+            for r in range(start, start + count):
+                inputs[r] = encode_observation(sample_observation(sig, rng))
+            continue
+        # the template row encodes the fixed fields; a test whose every field is drawn still answers
+        template = encode_observation(Observation(None, {
+            tid: {"Resp": "N"} if fields.get("Resp") == "N"
+            else {k: v for k, v in fields.items() if isinstance(v, str)} or {"Resp": "Y"}
+            for tid, fields in tests.items() if fields})).tolist()
+        # each row writes the slots of its drawn fields that no later rule or silent probe overrides
+        steps = [(k, tid, name, _SLOTS[tid, name]) for k, (tid, name, _) in enumerate(draws)
+                 if tests[tid][name] == k and (tid, name) in _SLOTS and tests[tid].get("Resp") != "N"]
+        for r in range(start, start + count):
+            row, values = template.copy(), _draw(draws, rng)
+            for k, tid, name, where in steps:
+                if type(value := values[k]) is int:
+                    row[where.start] = float(value)
+                    continue
+                if (key := (tid, name, value)) not in memo:
+                    memo[key] = encode_observation(Observation(None, {tid: {name: value}}))[where].tolist()
+                row[where] = memo[key]
+            _PACK.pack_into(inputs, _PACK.size * r, *row)
     targets = stage_targets(labels, stage, output_labels)
     return Dataset(stage, inputs, targets, labels, output_labels, seed)

@@ -231,29 +231,18 @@ def _template(labels: WindowsLabelSpace, version: str, edition: str, sp: str) ->
     edition, and service pack registers its own, so the three dimensions
     stay independently decodable.
     """
-    progs = []
-    for i in range(3):  # core services every stack exposes
-        progs.append(RpcProgram(
-            _uuid(1, i), "core service",
-            (("ncalrpc", f"LRPC{i:05X}"), ("ncacn_ip_tcp", f"{1024 + i}")),
-        ))
     vi = labels.neurons.index(("version", None, version))
-    for i in range(3):
-        progs.append(RpcProgram(
-            _uuid(16 + vi, i), f"{version} service",
-            (("ncacn_np", rf"\PIPE\svc{vi}{i}"), ("ncadg_ip_udp", None)),
-        ))
     ei = labels.neurons.index(("edition", version, edition))
-    for i in range(2):
-        progs.append(RpcProgram(
-            _uuid(64 + ei, i), f"{edition} service",
-            (("ncalrpc", f"ED{ei:04X}{i}"),),
-        ))
     si = labels.neurons.index(("sp", version, sp))
-    progs.append(RpcProgram(
-        _uuid(128 + si, 0), f"sp{sp} hotfix service",
-        (("ncacn_ip_tcp", f"{2048 + si}"), ("ncalrpc", f"SP{si:04X}")),
-    ))
+    # three core services every stack exposes, three per version, two per edition, one per service pack
+    progs = [RpcProgram(_uuid(1, i), "core service",
+                        (("ncalrpc", f"LRPC{i:05X}"), ("ncacn_ip_tcp", f"{1024 + i}"))) for i in range(3)]
+    progs += [RpcProgram(_uuid(16 + vi, i), f"{version} service",
+                         (("ncacn_np", rf"\PIPE\svc{vi}{i}"), ("ncadg_ip_udp", None))) for i in range(3)]
+    progs += [RpcProgram(_uuid(64 + ei, i), f"{edition} service", (("ncalrpc", f"ED{ei:04X}{i}"),))
+              for i in range(2)]
+    progs.append(RpcProgram(_uuid(128 + si, 0), f"sp{sp} hotfix service",
+                            (("ncacn_ip_tcp", f"{2048 + si}"), ("ncalrpc", f"SP{si:04X}"))))
     return EndpointMap(f"Windows {version} {edition} sp{sp}", tuple(progs))
 
 

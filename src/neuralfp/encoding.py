@@ -271,21 +271,15 @@ class EndpointSchema:
 
 
 def build_endpoint_schema(maps: list[EndpointMap]) -> EndpointSchema:
-    """Assign one neuron per distinct UUID and per distinct binding."""
-    uuid_index: dict[str, int] = {}
-    binding_index: dict[tuple[str, str, str | None], int] = {}
-    nxt = 0
+    """Assign one neuron per distinct UUID and per distinct binding, numbered in first-seen order."""
+    index: dict[str | tuple[str, str, str | None], int] = {}  # a UUID is a str, a binding a tuple
     for emap in maps:
         for prog in emap.programs:
-            if prog.uuid not in uuid_index:
-                uuid_index[prog.uuid] = nxt
-                nxt += 1
+            index.setdefault(prog.uuid, len(index))
             for proto, endpoint in prog.bindings:
-                key = (prog.uuid, proto, endpoint)
-                if key not in binding_index:
-                    binding_index[key] = nxt
-                    nxt += 1
-    return EndpointSchema(uuid_index, binding_index)
+                index.setdefault((prog.uuid, proto, endpoint), len(index))
+    return EndpointSchema({k: i for k, i in index.items() if isinstance(k, str)},
+                          {k: i for k, i in index.items() if isinstance(k, tuple)})
 
 
 def encode_endpoint_map(schema: EndpointSchema, emap: EndpointMap) -> np.ndarray:

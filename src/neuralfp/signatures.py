@@ -38,6 +38,7 @@ and over its rules.
 from __future__ import annotations
 
 import logging
+import operator
 import re
 import weakref
 from bisect import bisect_right
@@ -393,7 +394,7 @@ def match_scores(db: list[Signature], obs: Observation) -> np.ndarray:
     """
     global _last
     refs, index = _last or ((), None)  # one read, so another thread's db cannot slip in
-    if index is None or len(refs) != len(db) or any(r() is not s for r, s in zip(refs, db)):
+    if index is None or len(refs) != len(db) or not all(map(operator.is_, map(operator.call, refs), db)):
         _last = refs, index = [weakref.ref(s) for s in db], _Index(db)
     return index.scores(obs)
 

@@ -4,6 +4,7 @@ Both sides read the same db text: the tree grammar's parser and the walk
 on one side, parse_fingerprint_db and best_fit on the other.
 """
 
+import dataclasses
 import gc
 import hashlib
 import re
@@ -406,6 +407,26 @@ class TestCache:
             db[3], db[9] = db[9], db[3]
         assert best_fit(db, obs, top=len(db)) == tree_ranking(db, obs)
         assert builds == [len(db) - (edit == "append"), len(db)]
+
+    def test_an_equal_copy_replaced_in_place_rebuilds(self, builds):
+        # the check is identity, not equality: an equal but distinct signature is another db
+        db = parse_fingerprint_db(demo_database())
+        obs = _hosts(db, 1, 7)[0]
+        ranked = best_fit(db, obs, top=len(db))
+        db[5] = dataclasses.replace(db[5])
+        assert best_fit(db, obs, top=len(db)) == ranked
+        assert builds == [len(db), len(db)]
+
+    def test_a_new_db_of_the_same_length_rebuilds(self, builds):
+        # while the first db lives, so its addresses cannot be reused
+        first = parse_fingerprint_db(demo_database())
+        obs = _hosts(first, 1, 8)[0]
+        best_fit(first, obs)
+        second = parse_fingerprint_db(large_database(len(first), 9))
+        assert best_fit(second, obs, top=len(second)) == tree_ranking(second, obs)
+        assert builds == [len(first), len(second)]
+        best_fit(first, obs)
+        assert len(builds) == 3
 
     def test_dropped_db_is_freed_and_never_answers_for_another(self):
         text = demo_database()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from neuralfp import hierarchy
 from neuralfp.cli import main
 from neuralfp.corpus import demo_database, pathology_observation
-from neuralfp.datagen import Dataset, SampleLabel, sample_observation, signature_family
+from neuralfp.datagen import RELEVANT_FAMILIES, Dataset, SampleLabel, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
 from neuralfp.persistence import (
@@ -141,6 +141,23 @@ class TestGenerate:
         assert main(["generate", "--db", str(work["db"]), "--prevalence", str(prev),
                      "--total", "100", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_a_stage_of_zero_weight_is_exit_1_and_one_line_naming_it(self, work, tmp_path, capsys):
+        prev, out = tmp_path / "zero.prev", tmp_path / "zero.ds"
+        prev.write_text("".join(f"0 {family}\n" for family in RELEVANT_FAMILIES))
+        assert main(["generate", "--db", str(work["db"]), "--prevalence", str(prev), "--stage", "family",
+                     "--total", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: all signature weights of stage 'family' are zero"]
+        assert not out.exists()
+
+    def test_a_drawn_outcome_the_encoder_refuses_is_exit_1_and_one_line(self, tmp_path, capsys):
+        db, out = tmp_path / "q.db", tmp_path / "q.ds"
+        db.write_text("Fingerprint X\nClass V | Linux | 1.X | general purpose\nPU(Resp=Y%UCK=Q|E)\n")
+        assert main(["generate", "--db", str(db), "--total", "20", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: PU.UCK outcome must be one of ['0', 'E', 'F'], got 'Q'"]
         assert not out.exists()
 
     def test_determinism(self, work, tmp_path):
@@ -310,6 +327,15 @@ class TestTrain:
         assert main(["train", "--db", str(work["db"]), "--prevalence", str(prev), "--config", str(cfg),
                      "--out", str(out)]) == 0
         assert list(load(out).versions) == ["Linux", "OpenBSD", "FreeBSD", "NetBSD"]
+
+    def test_hierarchy_with_every_family_of_zero_prevalence(self, work, tmp_path, capsys):
+        # the relevance stage still draws every other signature; the family stage has nothing to draw
+        prev, out = tmp_path / "zero.prev", tmp_path / "h.model"
+        prev.write_text("".join(f"0 {family}\n" for family in RELEVANT_FAMILIES))
+        assert main(["train", "--db", str(work["db"]), "--prevalence", str(prev), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: all signature weights of stage 'family' are zero"]
+        assert not out.exists()
 
     def test_hierarchy_rejects_unknown_hidden_keys(self, work, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

@@ -1,6 +1,7 @@
 """Sampling soundness, apportionment, and dataset determinism."""
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -22,9 +23,18 @@ from neuralfp.datagen import (
     stage_outputs,
     stage_targets,
 )
-from neuralfp.signatures import FieldConstraint, Range, Signature, match_scores, parse_fingerprint_db
+from neuralfp.encoding import FIELDS, EncodeError, encode_observation
+from neuralfp.signatures import (
+    KNOWN_FIELDS,
+    FieldConstraint,
+    Range,
+    Signature,
+    match_scores,
+    parse_fingerprint_db,
+)
 
 from conftest import OPENBSD_22_BLOCK, OPENBSD_36_BLOCK
+from tree_grammar import And, AnyValue, Cmp, Const, OneOf, TreeRule, format_tree_db, satisfiable
 
 RICH_SIG = """\
 Fingerprint Grammar Rich 1.0
@@ -151,6 +161,20 @@ class TestSampling:
             else:
                 assert fields == {"Resp": "Y", "DF": "N", "W": "0"}
         assert seen == {"Y", "N"}
+
+    def test_a_later_rule_of_a_field_wins(self):
+        # only a hand-built signature sets a field twice: the last rule gives
+        # the value, the first its place, and an overridden draw still draws
+        sig = Signature("X", (), {"T1": (FieldConstraint("W", (1, 2)), FieldConstraint("DF", ("Y",)),
+                                          FieldConstraint("W", (7,)), FieldConstraint("ACK", ("S", "O")),
+                                          FieldConstraint("DF", ("N", "Y")))})
+        for seed in range(6):
+            twin = np.random.default_rng(seed)
+            twin.integers(2)  # the overridden W
+            ack = ("S", "O")[int(twin.integers(2))]
+            df = ("N", "Y")[int(twin.integers(2))]
+            fields = sample_observation(sig, np.random.default_rng(seed)).tests["T1"]
+            assert list(fields.items()) == [("W", "7"), ("DF", df), ("ACK", ack)]
 
     def test_unknown_field_omitted(self):
         sig = parse_fingerprint_db("Fingerprint X\nT1(Bogus=stuff%DF=Y)\n")[0]
@@ -280,3 +304,166 @@ class TestGoldenDataset:
         ds = generate_dataset(parse_fingerprint_db(text), None, total, stage="relevance", seed=42)
         assert hashlib.sha256(ds.inputs.tobytes()).hexdigest() == inputs_sha
         assert hashlib.sha256(ds.targets.tobytes()).hexdigest() == targets_sha
+
+
+# ---------------------------------------------------------------------------
+# generate_dataset draws each row straight into its encoding, from a plan
+# compiled once per signature; sample_observation then encode_observation
+# is the reference every row must equal, bit for bit.
+
+def reference_rows(db, counts, seed):
+    """Each signature's rows as the sampler and the encoder give them."""
+    rows = []
+    for i, (sig, count) in enumerate(zip(db, counts)):
+        rng = np.random.default_rng((seed, i))
+        rows += [encode_observation(sample_observation(sig, rng)) for _ in range(count)]
+    return np.array(rows).reshape(-1, 568)
+
+
+# literals of each categorical field: every value the encoder knows, and
+# now and then one it warns of (Z in a marked field) or refuses (Z in an
+# outcome or Y/N field)
+_FIELD = {(f.test, f.name): f for f in FIELDS}
+_TESTS = ["T1", "T2", "TSeq", "PU", "U1"]  # U1: an unknown test id, every rule of it unknown
+
+
+def _atom(f):
+    if f.kind == "num":
+        cmp = st.builds(Cmp, st.sampled_from("<>"), st.integers(0, 0x40))
+        ranges = cmp | st.builds(And, st.lists(cmp, min_size=2, max_size=3).map(tuple))
+        return (st.integers(0, 0x40).map(lambda v: Const(f"{v:X}"))
+                | ranges.filter(lambda atom: satisfiable(atom, f.bound)))
+    known = ["Y", "N"] if f.kind in ("yn", "resp") else sorted(f.slot) + ["MNWNNT"] * (f.kind == "ops")
+    return st.sampled_from(known * 4 + ["Z"]).map(Const)
+
+
+@st.composite
+def _rule(draw, tid, name):
+    if (f := _FIELD.get((tid, name))) is None or f.kind == "unslotted":
+        if name not in KNOWN_FIELDS.get(tid, ()):
+            return TreeRule(name, AnyValue(draw(st.sampled_from(["x", "Y|N"]))))
+        f = _FIELD["T1", "Resp"]  # PU's Resp: Y or N like a TCP test's
+    if f.kind == "resp" and draw(st.booleans()):
+        return TreeRule(name, OneOf((Const("Y"), Const("N"))))
+    atoms = draw(st.lists(_atom(f), min_size=1, max_size=3))
+    return TreeRule(name, atoms[0] if len(atoms) == 1 else OneOf(tuple(atoms)))
+
+
+@st.composite
+def _planned_db(draw):
+    """db text in the tree grammar: silent and answering probes, Ranges,
+    unknown fields and test ids, and tests whose rules have no choices."""
+    sigs = []
+    for n in range(draw(st.integers(1, 4))):
+        tests = {}
+        for tid in draw(st.lists(st.sampled_from(_TESTS), unique=True, max_size=4)):
+            names = draw(st.lists(st.sampled_from(list(KNOWN_FIELDS.get(tid, ())) + ["Bogus"]),
+                                  unique=True, max_size=5))
+            tests[tid] = tuple(draw(_rule(tid, name)) for name in names)
+        sigs.append(Signature(f"S{n}", (), tests))
+    return format_tree_db(sigs)
+
+
+class TestPlannedRows:
+    @settings(max_examples=120, deadline=None)
+    @given(text=_planned_db(), total=st.integers(4, 12), seed=st.integers(0, 2**16))
+    def test_rows_are_the_sampled_observations_encoded(self, text, total, seed):
+        logging.disable(logging.WARNING)  # Z in a marked field warns on every row of the reference
+        try:
+            db = parse_fingerprint_db(text)
+            counts = signature_counts(resolve_weights(db, None), total)
+            try:
+                expected = reference_rows(db, counts, seed)
+            except EncodeError:  # the same draw that the reference cannot encode
+                with pytest.raises(EncodeError):
+                    generate_dataset(db, None, total, "relevance", seed=seed)
+                return
+            ds = generate_dataset(db, None, total, "relevance", seed=seed)
+        finally:
+            logging.disable(logging.NOTSET)
+        assert ds.inputs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rules", [
+        # a later rule of a field wins, drawn or not, and its earlier draws still use the rng
+        {"T1": (FieldConstraint("W", (1, 2)), FieldConstraint("W", (7,)), FieldConstraint("DF", ("Y",)))},
+        {"T1": (FieldConstraint("W", (7,)), FieldConstraint("W", (Range(None, 9),)))},
+        {"T1": (FieldConstraint("Resp", ("Y", "N")), FieldConstraint("Resp", ("Y",)),
+                FieldConstraint("DF", ("Y", "N")))},
+        # a drawn Resp=N empties its block, whichever rules come after it
+        {"T2": (FieldConstraint("Resp", ("Y", "N")), FieldConstraint("W", (Range(3, None),)),
+                FieldConstraint("Ops", ("MNW", "M")))},
+        {"T2": (FieldConstraint("DF", ("Y", "N")), FieldConstraint("Resp", ("N", "Y")))},
+        # a Resp where the layout has no Resp slot, and a test the layout lacks
+        {"TSeq": (FieldConstraint("Resp", ("Y", "N")), FieldConstraint("gcd", (Range(None, 5),)))},
+        {"PU": (FieldConstraint("Resp", ("N", "Y")), FieldConstraint("TOS", (0, 0xC0)))},
+        {"U1": (FieldConstraint("W", (Range(None, 5),)),), "T3": (FieldConstraint("W", (1, 2)),)},
+        # numeric literals at and past the field's bound, which no parser gives
+        {"T1": (FieldConstraint("W", (0xFFFF, 0, 0x10000)),), "PU": (FieldConstraint("DF", ("Y",)),)},
+        {"T1": (FieldConstraint("W", (0x10000,)),), "T4": (FieldConstraint("W", (2**60, 1)),)},
+    ])
+    def test_hand_built_rules(self, rules):
+        db = [Signature("X", (), rules), Signature("Y", (), {"T1": (FieldConstraint("DF", ("N",)),)})]
+        ds = generate_dataset(db, None, 40, "relevance", seed=3)
+        assert ds.inputs.tobytes() == reference_rows(db, [20, 20], 3).tobytes()
+
+    @pytest.mark.parametrize("choice", [-1, 10**400])
+    def test_a_literal_the_encoder_refuses_is_an_encode_error(self, choice):
+        db = [Signature("X", (), {"T1": (FieldConstraint("W", (choice, 1)),)})]
+        with pytest.raises(EncodeError):
+            reference_rows(db, [30], 0)
+        with pytest.raises(EncodeError, match="T1.W"):
+            generate_dataset(db, None, 30, "relevance", seed=0)
+
+    def test_a_bad_range_fails_before_it_is_drawn(self):
+        # the plan checks every choice once, so a signature that could draw
+        # an unsatisfiable Range is refused even by a draw that picks another
+        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (5, Range(10, 5))),)})
+        with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
+            sample_observation(sig, np.random.default_rng(0))
+        with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
+            generate_dataset([sig], None, 5, "relevance", seed=0)
+
+    def test_a_zero_weight_signature_is_not_checked(self):
+        bad = Signature("Bad", (), {"TSeq": (FieldConstraint("SI", (Range(10, 5),)),)})
+        good = Signature("Good", (), {"T1": (FieldConstraint("DF", ("Y",)),)})
+        ds = generate_dataset([bad, good], {"Bad": 0.0}, 5, "relevance", seed=0)
+        assert {label.signature for label in ds.labels} == {"Good"}
+
+
+class TestDrawnLiterals:
+    def _warnings(self, caplog, text, total):
+        with caplog.at_level(logging.WARNING, logger="neuralfp.encoding"):
+            generate_dataset(parse_fingerprint_db(text), None, total, "relevance", seed=1)
+        return [r.getMessage() for r in caplog.records if r.name == "neuralfp.encoding"]
+
+    def test_an_unknown_literal_warns_once_per_signature_and_call(self, caplog):
+        # fixed or drawn, each signature's unknown literal is encoded, and warned of, once a call
+        text = ("Fingerprint A\nT1(ACK=Z)\nT2(ACK=Z|S|O)\n\n"
+                "Fingerprint B\nT1(ACK=Z)\n")
+        assert sorted(self._warnings(caplog, text, 40)) == [
+            "unknown value T1.ACK=Z encoded as no known value",
+            "unknown value T1.ACK=Z encoded as no known value",
+            "unknown value T2.ACK=Z encoded as no known value"]
+
+    def test_a_bad_outcome_literal_fails_when_it_is_drawn(self):
+        sig = parse_fingerprint_db("Fingerprint X\nPU(UCK=Q|E)\n")[0]
+        outcomes = set()
+        for seed in range(12):
+            drawn = sample_observation(sig, np.random.default_rng((seed, 0))).tests["PU"]["UCK"]
+            outcomes.add(drawn)
+            if drawn == "E":
+                ds = generate_dataset([sig], None, 1, "relevance", seed=seed)
+                assert ds.inputs.tobytes() == reference_rows([sig], [1], seed).tobytes()
+                continue
+            with pytest.raises(EncodeError, match=r"^PU.UCK outcome must be one of \['0', 'E', 'F'\], got 'Q'$"):
+                generate_dataset([sig], None, 1, "relevance", seed=seed)
+        assert outcomes == {"E", "Q"}
+
+    def test_a_stage_of_zero_weight_is_named(self):
+        db = parse_fingerprint_db(demo_database())
+        prev = dict.fromkeys(RELEVANT_FAMILIES, 0.0)
+        assert len(generate_dataset(db, prev, 20, "relevance", seed=0).labels) == 20
+        with pytest.raises(GenerationError, match="^all signature weights of stage 'family' are zero$"):
+            generate_dataset(db, prev, 20, "family", seed=0)
+        with pytest.raises(GenerationError, match="^all signature weights of the db are zero$"):
+            resolve_weights(db, {sig.name: 0.0 for sig in db})
