@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 from .datagen import generate_dataset, parse_prevalence
 from .encoding import TOTAL_NEURONS, feature_label, layout_table
@@ -52,11 +53,6 @@ _USER_ERRORS = (PersistenceError, TrainingDivergedError, ValueError)
 _STAGE_UNREAD = ("samples", "relevance_threshold", "decision_threshold", "windows")
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -64,8 +60,8 @@ def _read(path: str) -> str:
 def cmd_generate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    db = parse_fingerprint_db(_read(args.db))
-    prev = parse_prevalence(_read(args.prevalence)) if args.prevalence is not None else None
+    db = parse_fingerprint_db(Path(args.db).read_text())
+    prev = parse_prevalence(Path(args.prevalence).read_text()) if args.prevalence is not None else None
     ds = generate_dataset(db, prev, args.total, stage=args.stage, seed=args.seed)
     save(ds, args.out, metadata={"seed": args.seed, "db": args.db})
     print(f"wrote {args.out} ({len(ds.inputs)} samples, stage {ds.stage})")
@@ -101,7 +97,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"{mode} does not read --{unread}")
     where = args.config or "--config"
     try:
-        cfg_json = json.loads(_read(args.config)) if args.config else {}
+        cfg_json = json.loads(Path(args.config).read_text()) if args.config else {}
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{where}: {exc}") from None
     kwargs = decode_config(HierarchyConfig, cfg_json, where)
@@ -114,8 +110,8 @@ def cmd_train(args) -> int:
     cfg = HierarchyConfig(**kwargs)
     metadata = {"seed": cfg.seed, "config_digest": _digest(_canonical(cfg_json))}
     if hierarchy:
-        db = parse_fingerprint_db(_read(args.db))
-        prev = parse_prevalence(_read(args.prevalence)) if args.prevalence is not None else None
+        db = parse_fingerprint_db(Path(args.db).read_text())
+        prev = parse_prevalence(Path(args.prevalence).read_text()) if args.prevalence is not None else None
         model = train_hierarchy(db, prev, cfg)
         save(model, args.out, metadata)
         print(f"wrote {args.out}")
@@ -134,8 +130,8 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load(args.model, expected_kind="hierarchy")
-    obs = parse_observation(_read(args.obs))
-    dump = parse_endpoint_dump(_read(args.dump), name=args.dump) if args.dump else None
+    obs = parse_observation(Path(args.obs).read_text())
+    dump = parse_endpoint_dump(Path(args.dump).read_text(), name=args.dump) if args.dump else None
     try:
         result = classify(model, obs, dump)
     except ObservationError as exc:
@@ -160,8 +156,8 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
-    db = parse_fingerprint_db(_read(args.db))
-    obs = parse_observation(_read(args.obs))
+    db = parse_fingerprint_db(Path(args.db).read_text())
+    obs = parse_observation(Path(args.obs).read_text())
     ranked = best_fit(db, obs, top=args.top)
     print(f"best-fit scores (top {len(ranked)} of {len(db)} signatures)")
     for name, score in ranked:
@@ -173,14 +169,10 @@ def cmd_export_curves(args) -> int:
     """Write the training curve of each net in the model: to --out for a
     single net, to `<stem>-<name>.csv` for each net of a hierarchy."""
     model = load(args.model)
-    if isinstance(model, Mlp):
-        nets = {None: model}
-    elif isinstance(model, Stage):
-        nets = {None: model.net}
-    elif isinstance(model, HierarchyModel):
-        nets = {name: stage.net for name, stage in model.stages().items()}
-        if model.windows is not None:
-            nets["windows"] = model.windows.net
+    if isinstance(model, HierarchyModel):
+        nets = {name: part.net for name, part in {**model.stages(), "windows": model.windows}.items() if part}
+    elif isinstance(model, (Mlp, Stage)):
+        nets = {None: model.net if isinstance(model, Stage) else model}
     else:
         raise ValueError(f"{args.model}: a {type(model).__name__} carries no training curves")
     if all(net.history is None for net in nets.values()):
@@ -191,8 +183,7 @@ def cmd_export_curves(args) -> int:
             print(f"skipping {name}: no history recorded")
             continue
         path = args.out if name is None else f"{stem}-{name}.csv"
-        with open(path, "w") as fh:
-            fh.write(net.history.to_csv())
+        Path(path).write_text(net.history.to_csv())
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -203,8 +194,7 @@ def cmd_export_layout(args) -> int:
     lines += [f"{i:5d}  {test:<{width}}  {label}" for i, test, label in layout_table()]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out} ({TOTAL_NEURONS} rows)")
     else:
         print(text, end="")

@@ -5,12 +5,12 @@ covers six concrete values.  Training corpora are drawn by sampling each
 rule uniformly (one of its choices; a literal as is, a numeric one in
 upper-case hex, a Range uniformly over its integers up to the field's
 bound), so every sample matches its source signature perfectly by
-construction.  Each signature is compiled once into a plan: its fixed
-fields and, in rule order, its draws (the rules with several choices or a
-Range), which one loop makes for both samplers.  generate_dataset encodes
-a plan's fixed fields once, as a template row, and each row copies it and
-writes only its drawn fields' slots: the bits that encode_observation
-gives the same draw's sample_observation.
+construction.  Each signature object is compiled once, on first use, into
+a plan both samplers share while it lives: its fixed fields and, in rule
+order, its draws (the rules with several choices or a Range), which one
+loop makes.  generate_dataset encodes a plan's fixed fields once a call,
+as a template row; each row copies it and writes only its drawn fields'
+slots: the bits encode_observation gives the same draw's sample_observation.
 
 Sample counts follow a prevalence table, apportioned by largest remainder
 after reserving one sample per signature with positive weight.  Each
@@ -20,6 +20,7 @@ reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from math import floor, isfinite
@@ -31,6 +32,7 @@ from .signatures import NUMERIC_FIELDS, Observation, Range, Signature, lines
 
 # OS families the pipeline is trained to tell apart, in output order.
 RELEVANT_FAMILIES = ("Windows", "Linux", "Solaris", "OpenBSD", "FreeBSD", "NetBSD")
+_plans: dict[int, tuple] = {}  # id(signature) -> its _plan while it lives; callers never write one
 
 
 class GenerationError(ValueError):
@@ -117,10 +119,12 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
 
 
 def _plan(sig: Signature) -> tuple[dict[str, dict[str, str | int]], list[tuple]]:
-    """sig compiled once, so its checks run once: each test's fields in
-    first-rule order, each holding a single literal's text or the index of
+    """sig compiled on first use, so its checks run once: each test's fields
+    in first-rule order, each holding a single literal's text or the index of
     the draw that decides it, and the draws in rule order as (test, field,
     choices).  A later rule of a field overrides an earlier one."""
+    if (plan := _plans.get(id(sig))) is not None:
+        return plan
     tests, draws = {}, []
     for tid, rules in sig.tests.items():
         fields = tests[tid] = {}
@@ -142,6 +146,8 @@ def _plan(sig: Signature) -> tuple[dict[str, dict[str, str | int]], list[tuple]]
                 drawn.append(c)
             fields[field] = len(draws)
             draws.append((tid, field, drawn))
+    weakref.finalize(sig, _plans.pop, id(sig), None)
+    _plans[id(sig)] = tests, draws
     return tests, draws
 
 
@@ -158,11 +164,12 @@ def _draw(draws: list[tuple], rng) -> list[str | int]:
 def sample_observation(sig: Signature, rng) -> Observation:
     """Draw one concrete observation satisfying every rule of sig."""
     tests, draws = _plan(sig)
+    observed = {tid: fields.copy() for tid, fields in tests.items()}  # the plan is never written
     for k, ((tid, field, _), value) in enumerate(zip(draws, _draw(draws, rng))):
         if tests[tid][field] == k:  # no later rule overrode it
-            tests[tid][field] = value if isinstance(value, str) else f"{value:X}"
+            observed[tid][field] = value if isinstance(value, str) else f"{value:X}"
     # a silent probe carries nothing but the fact that it stayed silent
-    return Observation(None, {t: {"Resp": "N"} if f.get("Resp") == "N" else f for t, f in tests.items()})
+    return Observation(None, {t: {"Resp": "N"} if f.get("Resp") == "N" else f for t, f in observed.items()})
 
 
 # each (test, field)'s slots in the vector

@@ -22,7 +22,7 @@ from .datagen import (
     generate_dataset,
     in_stage,
     resolve_weights,
-    signature_family,
+    sample_label,
     stage_outputs,
     stage_targets,
 )
@@ -195,7 +195,7 @@ def train_hierarchy(
     weights = resolve_weights(db, prev)
     # a family has data if it has a row of the given corpus, else a signature of positive weight
     with_data = ({label.family for label in corpus[1]} if corpus
-                 else {signature_family(sig) for sig, w in zip(db, weights) if w > 0})
+                 else {sample_label(sig).family for sig, w in zip(db, weights) if w > 0})
     table = {"relevance": "relevance", "family": "family"} | {
         fam: f"version:{fam}" for fam in RELEVANT_FAMILIES
         if fam != "Windows" and fam in with_data and len(stage_outputs(db, f"version:{fam}")) >= 2}
@@ -205,6 +205,8 @@ def train_hierarchy(
     if corpus is None and cfg.samples < (need := sum(w > 0 for w in weights)):
         raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
                              f"signature count, got samples {cfg.samples}")
+    for stage in table.values():  # a stage of zero weight fails before any draw (a given corpus has no prev)
+        resolve_weights([s for s in db if in_stage(sample_label(s), stage)], prev, f"stage {stage!r}")
     trained: dict[str, Stage] = {}
     for index, (name, stage) in enumerate(table.items()):
         seed = cfg.seed * 1000 + index  # a stage the table leaves out takes no index

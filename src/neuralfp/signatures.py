@@ -16,12 +16,13 @@ comparisons.  Whitespace around tokens is ignored, so the spaced variant
 comment lines, and ``records`` groups header-led records, for every text
 format neuralfp reads: databases, observations, dumps and prevalence tables.
 
-Each rule is parsed once into a ``FieldConstraint``: its field and a tuple
-of choices, one per alternative.  A choice is a ``str`` literal, an ``int``
-for a literal of a numeric field, or a ``Range(lo, hi)``, the open interval
-of a comparison chain, with ``None`` on an unbounded side, in a numeric field
-only and holding an integer from 0 to the field's bound.  An unknown field's
-rule keeps its raw text and has no choices, so it accepts any value.
+Each rule is parsed into a ``FieldConstraint``: its field and a tuple of
+choices, one per alternative.  A choice is a ``str`` literal, an ``int`` for
+a literal of a numeric field, or a ``Range(lo, hi)``, the open interval of a
+comparison chain, with ``None`` on an unbounded side, in a numeric field only
+and holding an integer from 0 to the field's bound.  An unknown field's rule
+keeps its raw text and has no choices, so it accepts any value.  A db parse
+reads each distinct rule once; records that repeat it share its constraint.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
@@ -246,6 +247,7 @@ def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstrai
 def parse_fingerprint_db(text: str) -> list[Signature]:
     """Parse a fingerprint database. Raises ParseError with the line number."""
     sigs: list[Signature] = []
+    parsed: dict[tuple[str, bool, str], FieldConstraint] = {}  # each distinct rule text, parsed once
     for _, head, body in records(text, _FP_RE.match):
         classes: list[tuple[str, str, str, str]] = []
         tests: dict[str, tuple[FieldConstraint, ...]] = {}
@@ -260,7 +262,7 @@ def parse_fingerprint_db(text: str) -> list[Signature]:
                 classes.append(tuple(parts))
                 continue
             tid, fields = _split_test_line(line, lineno)
-            rules = tuple(_parse_rule(*f, lineno) for f in fields)
+            rules = tuple(parsed.get(f) or parsed.setdefault(f, _parse_rule(*f, lineno)) for f in fields)
             if tid in tests:
                 raise ParseError(f"duplicate test {tid}", lineno)
             tests[tid] = rules

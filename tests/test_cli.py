@@ -329,7 +329,8 @@ class TestTrain:
         assert list(load(out).versions) == ["Linux", "OpenBSD", "FreeBSD", "NetBSD"]
 
     def test_hierarchy_with_every_family_of_zero_prevalence(self, work, tmp_path, capsys):
-        # the relevance stage still draws every other signature; the family stage has nothing to draw
+        # the relevance stage could still draw every other signature, but the family stage has
+        # nothing to draw, so training stops before either draws or trains
         prev, out = tmp_path / "zero.prev", tmp_path / "h.model"
         prev.write_text("".join(f"0 {family}\n" for family in RELEVANT_FAMILIES))
         assert main(["train", "--db", str(work["db"]), "--prevalence", str(prev), "--out", str(out)]) == 1

@@ -1,5 +1,7 @@
 """Sampling soundness, apportionment, and dataset determinism."""
 
+import dataclasses
+import gc
 import hashlib
 import logging
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralfp import datagen
 from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
@@ -182,6 +185,61 @@ class TestSampling:
         assert obs.tests["T1"] == {"DF": "Y"}
 
 
+class TestPlanCache:
+    """Each signature object is compiled once, on first use, into a plan kept while it lives."""
+
+    TEXT = OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK + "\n" + RICH_SIG
+
+    def _draws(self, db, seed):
+        rng = np.random.default_rng(seed)
+        return [sample_observation(sig, rng) for sig in db for _ in range(5)]
+
+    def test_a_warm_plan_draws_what_a_cold_one_does(self):
+        warm, cold = parse_fingerprint_db(self.TEXT), parse_fingerprint_db(self.TEXT)
+        generate_dataset(warm, None, 12, "relevance", seed=0)  # compiles the plans sample_observation reads
+        assert all(id(sig) in datagen._plans for sig in warm)
+        assert not any(id(sig) in datagen._plans for sig in cold)
+        for seed in range(4):
+            assert self._draws(warm, seed) == self._draws(cold, seed)
+
+    def test_changing_a_drawn_observation_leaves_the_next_draw(self):
+        db = parse_fingerprint_db(self.TEXT)
+        for obs in self._draws(db, 1):
+            for fields in obs.tests.values():
+                fields.update(dict.fromkeys(fields, "changed"), Extra="1")
+            obs.tests["T9"] = {"DF": "Y"}
+        assert self._draws(db, 1) == self._draws(parse_fingerprint_db(self.TEXT), 1)
+
+    def test_an_equal_signature_object_compiles_its_own_plan(self):
+        (a,), (b,) = parse_fingerprint_db(RICH_SIG), parse_fingerprint_db(RICH_SIG)
+        assert a == b and a is not b
+        sample_observation(a, np.random.default_rng(0))
+        assert id(a) in datagen._plans and id(b) not in datagen._plans
+        sample_observation(b, np.random.default_rng(0))
+        assert datagen._plans[id(a)] is not datagen._plans[id(b)]
+
+    def test_a_plan_that_raises_is_not_kept(self):
+        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (5, Range(10, 5))),)})
+        for seed in range(3):
+            with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
+                sample_observation(sig, np.random.default_rng(seed))
+            assert id(sig) not in datagen._plans
+
+    def test_a_collected_db_leaves_no_plan(self):
+        gc.collect()
+        before = len(datagen._plans)
+        for seed in range(3):
+            db = parse_fingerprint_db(demo_database())
+            generate_dataset(db, None, 200, "relevance", seed=seed)
+            self._draws(db, seed)
+            ids = [id(sig) for sig in db]
+            assert all(i in datagen._plans for i in ids)
+            del db
+            gc.collect()
+            assert not any(i in datagen._plans for i in ids)
+            assert len(datagen._plans) == before
+
+
 class TestDatasets:
     def db(self):
         extra = (
@@ -312,9 +370,11 @@ class TestGoldenDataset:
 # is the reference every row must equal, bit for bit.
 
 def reference_rows(db, counts, seed):
-    """Each signature's rows as the sampler and the encoder give them."""
+    """Each signature's rows as the sampler and the encoder give them, drawn
+    from copies of db's signatures, which compile plans of their own."""
     rows = []
     for i, (sig, count) in enumerate(zip(db, counts)):
+        sig = dataclasses.replace(sig)
         rng = np.random.default_rng((seed, i))
         rows += [encode_observation(sample_observation(sig, rng)) for _ in range(count)]
     return np.array(rows).reshape(-1, 568)
@@ -372,8 +432,8 @@ class TestPlannedRows:
         try:
             db = parse_fingerprint_db(text)
             counts = signature_counts(resolve_weights(db, None), total)
-            try:
-                expected = reference_rows(db, counts, seed)
+            try:  # from a second parse of the text, so the rows under test share no plan with it
+                expected = reference_rows(parse_fingerprint_db(text), counts, seed)
             except EncodeError:  # the same draw that the reference cannot encode
                 with pytest.raises(EncodeError):
                     generate_dataset(db, None, total, "relevance", seed=seed)

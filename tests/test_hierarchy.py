@@ -14,6 +14,7 @@ from neuralfp.corpus import demo_database, large_database
 from neuralfp.datagen import (
     RELEVANT_FAMILIES,
     Dataset,
+    GenerationError,
     SampleLabel,
     generate_dataset,
     sample_observation,
@@ -228,6 +229,13 @@ class TestStageTable:
         assert [seed for _, seed in seen] == list(range(2000, 2006))
         # the family stage still names every family
         assert model.family.labels == RELEVANT_FAMILIES
+
+    def test_a_drawn_stage_of_zero_weight_is_refused_before_any_stage_trains(self, db, monkeypatch):
+        # every relevant family at 0: relevance could still draw, but the family stage has no weight
+        monkeypatch.setattr(hierarchy, "train_stage", None)
+        monkeypatch.setattr(hierarchy, "generate_dataset", None)
+        with pytest.raises(GenerationError, match="^all signature weights of stage 'family' are zero$"):
+            train_hierarchy(db, dict.fromkeys(RELEVANT_FAMILIES, 0.0), HierarchyConfig(samples=300))
 
     def test_hidden_size_for_a_stage_the_table_leaves_out_is_refused(self, db, monkeypatch):
         monkeypatch.setattr(hierarchy, "train_stage", None)

@@ -169,6 +169,35 @@ class TestParsing:
         assert [r.choices for r in sig.tests["T1"]] == [("0x4000",), ("+4_0",)]
 
 
+class TestRuleMemo:
+    """A db parse reads each distinct rule text once, and the records that repeat it share it."""
+
+    def test_records_that_share_rules_parse_as_they_do_alone(self):
+        blocks = [OPENBSD_36_BLOCK, OPENBSD_22_BLOCK, LINUX_260_BLOCK]
+        together = parse_fingerprint_db("\n".join(blocks))
+        assert together == [sig for block in blocks for sig in parse_fingerprint_db(block)]
+        a, b, _ = together
+        assert all(x is y for x, y in zip(a.tests["T5"], b.tests["T5"]))  # the same five texts
+
+    def test_a_bad_rule_on_two_lines_fails_at_the_first(self):
+        with pytest.raises(ParseError, match="^line 3: field W wants a bare hex value, got 'Z'$"):
+            parse_fingerprint_db("Fingerprint A\nT2(Resp=N)\nT1(W=Z)\n\nFingerprint B\nT1(W=Z)\n")
+
+    @pytest.mark.parametrize("first, second, bad_line", [
+        ("T1(DF=Z)", "T1(W=Z)", 5), ("T1(W=Z)", "T1(DF=Z)", 2),
+        # an unknown test's W is no numeric field: its Z is kept verbatim
+        ("U1(W=Z)", "T1(W=Z)", 5)])
+    def test_each_field_reads_the_same_text_its_own_way(self, first, second, bad_line):
+        with pytest.raises(ParseError, match=f"^line {bad_line}: field W wants a bare hex value, got 'Z'$"):
+            parse_fingerprint_db(f"Fingerprint A\n{first}\n\nFingerprint B\n{second}\n")
+
+    def test_a_text_one_field_refuses_others_keep(self):
+        a, b = parse_fingerprint_db("Fingerprint A\nT1(DF=Z)\n\nFingerprint B\nU1(W=Z)\nT1(W=0%ACK=Z)\n")
+        assert a.tests["T1"] == (FieldConstraint("DF", ("Z",)),)
+        assert b.tests["U1"] == (FieldConstraint("W", (), "Z"),)
+        assert b.tests["T1"] == (FieldConstraint("W", (0,)), FieldConstraint("ACK", ("Z",)))
+
+
 class TestRoundTrip:
     def test_structural_roundtrip(self):
         text = (
