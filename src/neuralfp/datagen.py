@@ -27,7 +27,7 @@ from math import floor, isfinite
 
 import numpy as np
 
-from .encoding import _PACK, FIELDS, TOTAL_NEURONS, encode_observation
+from .encoding import FIELDS, TOTAL_NEURONS, encode_observation
 from .signatures import NUMERIC_FIELDS, Observation, Range, Signature, lines
 
 # OS families the pipeline is trained to tell apart, in output order.
@@ -74,10 +74,10 @@ def resolve_weights(db: list[Signature], prev: dict[str, float] | None, where: s
 
     Signature-name keys override; a family key spreads its mass equally over
     the family's signatures; everything else keeps the uniform default.
-    An error that every weight is zero names db as where.
+    An error that db is empty or that every weight is zero names db as where.
     """
     if not db:
-        return []
+        raise GenerationError(f"{where} has no signatures to sample")
     uniform = 1.0 / len(db)
     weights = [uniform] * len(db)
     if prev is not None:
@@ -269,12 +269,10 @@ def generate_dataset(
     if prev is not None and (unknown := sorted(set(prev) - known)):
         raise GenerationError(f"prevalence names no signature or family of the db: {', '.join(unknown)}")
     slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
-    if not slice_:
-        raise GenerationError(f"stage {stage!r} has no signatures to sample")
     counts = signature_counts(resolve_weights([sig for sig, _ in slice_], prev, f"stage {stage!r}"), total)
     inputs = np.zeros((total, TOTAL_NEURONS))
     labels: list[SampleLabel] = []
-    memo: dict[tuple[str, str, str], list[float]] = {}  # a drawn literal's slots, encoded and warned of once
+    memo: dict[tuple[str, str, str], np.ndarray] = {}  # a drawn literal's slots, encoded and warned of once
     for i, ((sig, label), count) in enumerate(zip(slice_, counts)):
         if not count:  # nothing drawn, nothing checked
             continue
@@ -290,19 +288,19 @@ def generate_dataset(
         template = encode_observation(Observation(None, {
             tid: {"Resp": "N"} if fields.get("Resp") == "N"
             else {k: v for k, v in fields.items() if isinstance(v, str)} or {"Resp": "Y"}
-            for tid, fields in tests.items() if fields})).tolist()
+            for tid, fields in tests.items() if fields}))
         # each row writes the slots of its drawn fields that no later rule or silent probe overrides
         steps = [(k, tid, name, _SLOTS[tid, name]) for k, (tid, name, _) in enumerate(draws)
                  if tests[tid][name] == k and (tid, name) in _SLOTS and tests[tid].get("Resp") != "N"]
         for r in range(start, start + count):
-            row, values = template.copy(), _draw(draws, rng)
+            inputs[r] = template
+            row, values = inputs[r], _draw(draws, rng)  # written in place
             for k, tid, name, where in steps:
                 if type(value := values[k]) is int:
                     row[where.start] = float(value)
                     continue
                 if (key := (tid, name, value)) not in memo:
-                    memo[key] = encode_observation(Observation(None, {tid: {name: value}}))[where].tolist()
+                    memo[key] = encode_observation(Observation(None, {tid: {name: value}}))[where].copy()
                 row[where] = memo[key]
-            _PACK.pack_into(inputs, _PACK.size * r, *row)
     targets = stage_targets(labels, stage, output_labels)
     return Dataset(stage, inputs, targets, labels, output_labels, seed)

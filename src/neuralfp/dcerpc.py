@@ -149,9 +149,10 @@ class WindowsLabelSpace:
     def total(self) -> int:
         return len(self.neurons)
 
-    def neuron_labels(self) -> list[str]:
+    @cached_property
+    def neuron_labels(self) -> tuple[str, ...]:
         infix = {"version": "version ", "edition": " edition ", "sp": " sp"}
-        return [f"{v or ''}{infix[g]}{x}" for g, v, x in self.neurons]
+        return tuple(f"{v or ''}{infix[g]}{x}" for g, v, x in self.neurons)
 
     def target_vector(self, version: str, edition: str, sp: str) -> np.ndarray:
         y = np.full(self.total, -1.0)
@@ -192,12 +193,12 @@ class WindowsRefiner:
 
         def pick(group: str, version: str | None = None) -> str:
             idx = self.labels.indices(group, version)
-            return self.labels.neurons[idx[int(np.argmax(out[idx.start : idx.stop]))]][2]
+            return self.labels.neurons[idx[int(out[idx.start : idx.stop].argmax())]][2]
 
         version = pick("version")
-        scores = dict(zip(self.labels.neuron_labels(), out.tolist()))
+        scores = dict(zip(self.labels.neuron_labels, out.tolist()))
         return WindowsVerdict(version, pick("edition", version), pick("sp", version),
-                              scores, not np.any(vec > 0.0), self.labels)
+                              scores, not (vec > 0.0).any(), self.labels)
 
 
 def report_windows(verdict: WindowsVerdict) -> str:

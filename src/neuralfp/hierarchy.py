@@ -192,7 +192,7 @@ def train_hierarchy(
     cfg = cfg or HierarchyConfig()
     if corpus is not None and prev is not None:
         raise HierarchyError("prevalence weights shape a drawn corpus; a given corpus takes none")
-    weights = resolve_weights(db, prev)
+    weights = resolve_weights(db, prev) if corpus is None else ()
     # a family has data if it has a row of the given corpus, else a signature of positive weight
     with_data = ({label.family for label in corpus[1]} if corpus
                  else {sample_label(sig).family for sig, w in zip(db, weights) if w > 0})
@@ -201,12 +201,12 @@ def train_hierarchy(
         if fam != "Windows" and fam in with_data and len(stage_outputs(db, f"version:{fam}")) >= 2}
     if unknown := sorted(set(cfg.hidden) - set(table)):
         raise HierarchyError(f"hidden sizes for unknown stages {unknown}; the stages are {list(table)}")
-    # the relevance stage samples every signature of positive weight at least once
-    if corpus is None and cfg.samples < (need := sum(w > 0 for w in weights)):
-        raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
-                             f"signature count, got samples {cfg.samples}")
-    for stage in table.values():  # a stage of zero weight fails before any draw (a given corpus has no prev)
-        resolve_weights([s for s in db if in_stage(sample_label(s), stage)], prev, f"stage {stage!r}")
+    if corpus is None:  # the checks of a drawn corpus, made before any stage draws or trains
+        if cfg.samples < (need := sum(w > 0 for w in weights)):  # relevance draws each at least once
+            raise HierarchyError(f"hierarchy training needs samples >= {need}, the positive-weight "
+                                 f"signature count, got samples {cfg.samples}")
+        for stage in table.values():  # a stage with no signature or no positive weight fails
+            resolve_weights([s for s in db if in_stage(sample_label(s), stage)], prev, f"stage {stage!r}")
     trained: dict[str, Stage] = {}
     for index, (name, stage) in enumerate(table.items()):
         seed = cfg.seed * 1000 + index  # a stage the table leaves out takes no index

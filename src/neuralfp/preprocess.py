@@ -139,14 +139,14 @@ class ReductionPipeline:
         Each row is its own vector-matrix product, so a row gets the same
         bits alone as inside any batch.
         """
-        if np.shape(x)[-1] != self.width:
-            raise ReductionError(f"rows have {np.shape(x)[-1]} columns, the pipeline expects {self.width}")
+        x = np.asarray(x, dtype=float)  # then the array's own attributes, not numpy's wrappers
+        if x.shape[-1] != self.width:
+            raise ReductionError(f"rows have {x.shape[-1]} columns, the pipeline expects {self.width}")
         # vecmat's bits follow the row layout: take() copies into contiguous rows
-        out = np.atleast_2d(np.asarray(x, dtype=float)).take(self._columns, axis=1)
+        out = x.take(self._columns, axis=-1)
         out -= self.center
         out /= self.scale
-        out = np.vecmat(out, self.basis)
-        return out[0] if np.ndim(x) == 1 else out
+        return np.vecmat(out, self.basis)
 
 
 def fit_pipeline(X: np.ndarray, variance: float = VARIANCE_TARGET) -> ReductionPipeline:

@@ -60,11 +60,10 @@ KNOWN_FIELDS = {test: tuple(f.name for f in FIELDS if f.test == test and f.kind 
 
 # Fields whose values are hexadecimal integers -> the sampler's upper bound.
 NUMERIC_FIELDS = {f.name: f.bound for f in FIELDS if f.kind == "num"}
+_NUMERIC = {tid: tuple(f for f in fields if f in NUMERIC_FIELDS) for tid, fields in KNOWN_FIELDS.items()}
 
-# lower-cased field name -> canonical spelling, per test
-_FIELD_CASE = {
-    tid: {f.lower(): f for f in fields} for tid, fields in KNOWN_FIELDS.items()
-}
+# canonical and lower-cased field name -> canonical spelling, per test
+_FIELD_CASE = {tid: {s: f for f in fields for s in (f, f.lower())} for tid, fields in KNOWN_FIELDS.items()}
 
 
 class ParseError(ValueError):
@@ -177,12 +176,9 @@ def _parse_choice(text: str, lineno: int) -> str | Range:
     return Range(lo, hi)
 
 
-def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool, str]]]:
-    """Tokenize one test line into its id and its fields, in line order.
-
-    Each field is (name, known, expr): the canonical name of a known field or
-    the raw name of an unknown one, and the stripped expression, unparsed.
-    """
+def _split_test_line(line: str, lineno: int) -> tuple[str, dict[str, str]]:
+    """Tokenize one test line into its id and its fields in line order: a dict from each canonical
+    name (the raw one of a field not in _FIELD_CASE[tid]) to its stripped expression, unparsed."""
     m = _TEST_RE.match(line)
     if not m:
         raise ParseError(f"unrecognized line {line!r}", lineno)
@@ -199,23 +195,20 @@ def _split_test_line(line: str, lineno: int) -> tuple[str, list[tuple[str, bool,
     if tid not in _FIELD_CASE:
         log.warning("line %d: unknown test id %s", lineno, tid)
     cases = _FIELD_CASE.get(tid, {})
-    fields = []
-    seen = set()
+    fields: dict[str, str] = {}
     for token in body.split("%"):
         name, eq, expr = token.partition("=")
         if not eq:
             if token.strip():
                 raise ParseError(f"missing '=' in {token.strip()!r}", lineno)
             continue
-        name = name.strip()
-        canonical = cases.get(name.lower())
-        if canonical is None:
-            log.warning("line %d: unknown field %s.%s kept verbatim", lineno, tid, name)
-        key = canonical or name
-        if key in seen:
+        if (canonical := cases.get(name)) is None:
+            name = name.strip()
+            if (canonical := cases.get(name) or cases.get(name.lower())) is None:
+                log.warning("line %d: unknown field %s.%s kept verbatim", lineno, tid, name)
+        if (key := canonical or name) in fields:
             raise ParseError(f"duplicate field {key} in {tid}", lineno)
-        seen.add(key)
-        fields.append((key, canonical is not None, expr.strip()))
+        fields[key] = expr.strip()
     return tid, fields
 
 
@@ -262,7 +255,8 @@ def parse_fingerprint_db(text: str) -> list[Signature]:
                 classes.append(tuple(parts))
                 continue
             tid, fields = _split_test_line(line, lineno)
-            rules = tuple(parsed.get(f) or parsed.setdefault(f, _parse_rule(*f, lineno)) for f in fields)
+            keys = [(name, name in _FIELD_CASE.get(tid, ()), expr) for name, expr in fields.items()]
+            rules = tuple(parsed.get(f) or parsed.setdefault(f, _parse_rule(*f, lineno)) for f in keys)
             if tid in tests:
                 raise ParseError(f"duplicate test {tid}", lineno)
             tests[tid] = rules
@@ -418,14 +412,15 @@ def parse_observations(text: str) -> list[Observation]:
     for _, head, body in records(text, _OBS_RE.match):
         tests: dict[str, dict[str, str]] = {}
         for lineno, line in body:
-            tid, fields = _split_test_line(line, lineno)
-            values = {}
-            for key, known, expr in fields:
-                if "|" in expr or "<" in expr or ">" in expr or "&" in expr:
+            tid, values = _split_test_line(line, lineno)
+            syntax = "|" in line or "<" in line or ">" in line or "&" in line  # one check per line
+            numeric = _NUMERIC.get(tid, ())
+            for key, expr in values.items():
+                if syntax and ("|" in expr or "<" in expr or ">" in expr or "&" in expr):
                     raise ParseError(f"constraint syntax in observation field {key}", lineno)
-                if known and key in NUMERIC_FIELDS:
+                if key in numeric:
                     _hex_value(key, expr := expr.upper(), lineno)
-                values[key] = expr
+                    values[key] = expr
             if tid in tests:
                 raise ParseError(f"duplicate test {tid}", lineno)
             tests[tid] = values

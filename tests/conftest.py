@@ -74,26 +74,3 @@ def openbsd_pair():
     from neuralfp.signatures import parse_fingerprint_db
 
     return parse_fingerprint_db(OPENBSD_36_BLOCK + "\n" + OPENBSD_22_BLOCK)
-
-
-def scan_hosts(db, n, seed=1):
-    """The first n hosts the bench scan workload draws for seed
-    (bench/pipeline.make_inputs), parsed from their printed forms as a scan
-    reads them: (Observation, EndpointMap or None) pairs."""
-    import numpy as np
-
-    from neuralfp import datagen, dcerpc, signatures
-
-    rng = np.random.default_rng((seed, 1))
-    dumps = dcerpc.synthetic_windows_corpus(seed=seed)
-    hosts = []
-    for _ in range(n):
-        sig = db[int(rng.integers(len(db)))]
-        obs = signatures.format_observation(datagen.sample_observation(sig, rng))
-        dump = None
-        # half the Windows hosts carry an endpoint dump
-        if datagen.signature_family(sig) == "Windows" and rng.random() < 0.5:
-            emap, _ = dumps[int(rng.integers(len(dumps)))]
-            dump = dcerpc.parse_endpoint_dump(dcerpc.format_endpoint_dump(emap))
-        hosts.append((signatures.parse_observation(obs), dump))
-    return hosts

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from neuralfp import hierarchy
 from neuralfp.cli import main
-from neuralfp.corpus import demo_database, pathology_observation
+from neuralfp.corpus import demo_database, large_database, pathology_observation
 from neuralfp.datagen import RELEVANT_FAMILIES, Dataset, SampleLabel, sample_observation, signature_family
 from neuralfp.dcerpc import format_endpoint_dump, synthetic_windows_corpus
 from neuralfp.encoding import TOTAL_NEURONS
@@ -336,6 +336,14 @@ class TestTrain:
         assert main(["train", "--db", str(work["db"]), "--prevalence", str(prev), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: all signature weights of stage 'family' are zero"]
+        assert not out.exists()
+
+    def test_hierarchy_of_a_db_with_no_relevant_family(self, tmp_path, capsys):
+        # the family stage has no signature to draw: one line, and nothing drawn or trained first
+        db, out = tmp_path / "irrelevant.db", tmp_path / "h.model"
+        db.write_text(large_database(30))
+        assert main(["train", "--db", str(db), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: stage 'family' has no signatures to sample"]
         assert not out.exists()
 
     def test_hierarchy_rejects_unknown_hidden_keys(self, work, tmp_path, capsys):

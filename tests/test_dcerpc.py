@@ -112,7 +112,7 @@ class TestLabelSpace:
         assert sum(len(v) for v in labels.service_packs.values()) == 11
         assert labels.total == 25
         assert len(labels.neurons) == 25
-        assert len(labels.neuron_labels()) == 25
+        assert len(labels.neuron_labels) == 25
         assert labels.neurons[labels.indices("edition", "XP")[1]] == ("edition", "XP", "Home")
 
     def test_groups_are_disjoint_and_cover(self):
@@ -132,7 +132,7 @@ class TestLabelSpace:
         assert y.shape == (25,)
         assert (y == 1.0).sum() == 3
         assert (y == -1.0).sum() == 22
-        names = labels.neuron_labels()
+        names = labels.neuron_labels
         lit = {names[i] for i in np.flatnonzero(y == 1.0)}
         assert lit == {"version 2000", "2000 edition Server", "2000 sp1"}
 

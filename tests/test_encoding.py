@@ -33,7 +33,8 @@ from neuralfp.signatures import (
     parse_observation,
 )
 
-from conftest import LINUX_260_T3, scan_hosts
+from conftest import LINUX_260_T3
+from hosts import scan_hosts, varied_observations
 
 
 def enc(text):
@@ -314,6 +315,14 @@ LAYOUT_SHA256 = "4dc92de25d56525fe09d708dfbd61bdb3db21502c8d5c5088f4985c72686ce0
 SAMPLES_SHA256 = "2907ca3f7afc4e16ba2f3f7520963caa0ce9ce9cab1dc07603be8353c76fc594"
 # recorded before known values were written from tables built at import
 SCAN_HOSTS_SHA256 = "03667819831da41a7f16b469980d51ae9ea1e059f9a224c8ac0eb967149dfd9f"
+# numbers and letters a parser would refuse or never give, one field each
+_ODD_VALUES = [("T1", "W", v) for v in ("0x10", "-1", "+1", " 1", "1_0", "", "G", "0" * 300, "1" + "0" * 255,
+                                        "F" * 256, "1" + "0" * 256, "ffff")] + [
+    ("T1", "DF", "X"), ("T1", "Resp", ""), ("PU", "UCK", "Q"), ("PU", "DAT", ""), ("TSeq", "Class", ""),
+    ("T2", "Flags", "as"), ("T2", "Flags", "AAS"), ("T2", "Ops", "mnw"), ("T2", "Ops", "M" * 10),
+    ("T2", "Ops", "X" * 11), ("TSeq", "TS", "0"), ("TSeq", "SI", "FFFFFFF"), ("PU", "Resp", "maybe")]
+# recorded before encoded rows were written into one preallocated row
+VARIED_SHA256 = "efb6a9551513c4c93d9e953de08f7ee0a7e5b2b3c876fdadd71c358cf45573bc"
 
 
 class TestGolden:
@@ -338,6 +347,21 @@ class TestGolden:
         for obs, _ in scan_hosts(_DBS[0], 1000):
             digest.update(encode_observation(obs).astype("<f8").tobytes())
         assert digest.hexdigest() == SCAN_HOSTS_SHA256
+
+    def test_varied_values_digest(self, caplog):
+        # sampled hosts repeat a dozen Flags and Ops values; these vary every
+        # value, and each host's bits or EncodeError are pinned with the warnings it logs
+        odd = [Observation(None, {test: {name: value}}) for test, name, value in _ODD_VALUES]
+        digest = hashlib.sha256()
+        for obs in varied_observations(2000) + odd:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="neuralfp.encoding"):
+                try:
+                    digest.update(encode_observation(obs).astype("<f8").tobytes())
+                except EncodeError as exc:
+                    digest.update(f"EncodeError: {exc}".encode())
+            digest.update(repr([(r.levelname, r.getMessage()) for r in _encoder_records(caplog)]).encode())
+        assert digest.hexdigest() == VARIED_SHA256
 
 
 def _encoder_records(caplog):

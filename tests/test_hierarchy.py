@@ -41,7 +41,7 @@ from neuralfp.neural import TrainConfig
 from neuralfp.preprocess import ReductionError
 from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
-from conftest import scan_hosts
+from hosts import scan_hosts
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +236,13 @@ class TestStageTable:
         monkeypatch.setattr(hierarchy, "generate_dataset", None)
         with pytest.raises(GenerationError, match="^all signature weights of stage 'family' are zero$"):
             train_hierarchy(db, dict.fromkeys(RELEVANT_FAMILIES, 0.0), HierarchyConfig(samples=300))
+
+    def test_a_drawn_stage_with_no_signature_is_refused_before_any_stage_trains(self, monkeypatch):
+        # a db of no relevant family: the relevance stage could draw, the family stage has nothing
+        seen = _spy_train_stage(monkeypatch)
+        with pytest.raises(GenerationError, match="^stage 'family' has no signatures to sample$"):
+            train_hierarchy(parse_fingerprint_db(large_database(30)), cfg=HierarchyConfig(samples=300))
+        assert seen == []
 
     def test_hidden_size_for_a_stage_the_table_leaves_out_is_refused(self, db, monkeypatch):
         monkeypatch.setattr(hierarchy, "train_stage", None)

@@ -35,6 +35,7 @@ from neuralfp.signatures import (
 )
 
 from conftest import LINUX_260_BLOCK, LINUX_260_T3, OPENBSD_22_BLOCK, OPENBSD_36_BLOCK
+from hosts import varied_observations
 from tree_grammar import (
     ORACLE_LOG,
     And,
@@ -696,6 +697,47 @@ class TestGoldenParse:
 
     def test_parses_keep_their_bits(self):
         assert parse_digest() == self.DIGEST
+
+
+# Unusual and malformed observation text, recorded before the parser checked
+# a line's constraint syntax once and a test's numeric fields by name.
+ODD_OBSERVATIONS = [
+    OPENBSD_36_BLOCK.replace("Fingerprint", "Observation").replace("Class", "# Class"),
+    "T1(DF=N % W=4000 % ACK=S++ % Flags=AS % Ops=MNWNNT)",
+    "t1(DF=Y)\nT1(df=y%w=ffff%flags=as%OPS=mnw%Resp=Y)\nTSeq(CLASS=td%Gcd=a%si=0%val=ff%ipid=i)",
+    "T1(DF=Y%W=1)\nT9(W=zz%DF=Q)\nFoo(x=1)\nPU(tos=ff%Ulen=0)",
+    "T1(DF=Y%Quirk=odd%TSeq=1)\nTSeq(PAD=1%W=q)",
+    "T1(  DF = Y  %  W = 00ff  % ACK = S ++ )",
+    "T1(W=1|2)", "T1(DF=<Y)", "T1(Quirk=a&b)", "T9(W=1|2)", "T1(W=zz%DF=a|b)", "T1(DF=a|b%W=zz)",
+    "T1(W|X=1%DF=Y)", "T1(a<b=1)", "T1(x>=1%y&=2)", "T1(W|X=1%W=zz)", "T1(a<b=1%W=10000)", "T9(a<b=1%W=zz)",
+    "T1(DF=Y%DF=N)", "T1(DF=Y%df=N)", "T1(Quirk=1%Quirk=2)",
+    "T1(W=0x10)", "T1(W=G)", "T1(W=)", "T1(W=-1)", "TSeq(VAL=zz%gcd=yy)", "PU(TOS=zz%ULEN=1000000)",
+    "PU(TOS=100)", "T1(W=10000)", "TSeq(gcd=1000000%SI=FFFFFF)", "PU(IPLEN=ffff%RIPTL=10000)",
+    "T1(DF)", "T1(DF=Y%%W=1%)", "T1()", "T1(%)", "T1(DF=Y%  %W=1)", "T1(DF=Y%|)",
+    "T1(DF=Y) x", "T1(DF=Y) ", "T1(DF=Y)|", "T1(DF=Y%W=10", "T1(DF=Y\nT2(Resp=N",
+    "hello world", "T1(DF=Y)\nT1(DF=N)", "Observation a\nT1(DF=Y)\nObservation b\nT1(DF=N)",
+    "Observation a\nObservation b", "", "# nothing", "T1(DF=Y)\nObservation late\nT2(Resp=N)",
+]
+
+
+class TestGoldenOddObservations:
+    DIGEST = "0a974fca5a5515cc5cd883ccbc0542642d63b71883b095875d8f323265e794d2"
+
+    def test_odd_and_varied_observations_keep_their_parse(self, caplog):
+        # each text's observations or ParseError, with the records it logs;
+        # then the varied hosts' printed forms, hex in both cases
+        texts = ODD_OBSERVATIONS + [format_observation(obs) for obs in varied_observations(2000)]
+        digest = hashlib.sha256()
+        for text in texts:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="neuralfp.signatures"):
+                try:
+                    got = repr(parse_observations(text))
+                except ParseError as exc:
+                    got = f"ParseError {exc.line}: {exc}"
+            records = [(r.levelname, r.getMessage()) for r in caplog.records]
+            digest.update(repr((got, records)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 # ---------------------------------------------------------------------------
