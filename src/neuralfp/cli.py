@@ -91,20 +91,17 @@ def cmd_train(args) -> int:
     if hierarchy == (args.dataset is not None):
         raise ValueError("train needs --db (the hierarchy) or --dataset (one stage)"
                          + (", not both" if hierarchy else ""))
-    mode, unread = (("training the hierarchy", "resume") if hierarchy
-                    else ("training a single stage", "prevalence"))
-    if getattr(args, unread) is not None:
-        raise ValueError(f"{mode} does not read --{unread}")
+    if not hierarchy and args.prevalence is not None:
+        raise ValueError("training a single stage does not read --prevalence")
     where = args.config or "--config"
     try:
         cfg_json = json.loads(Path(args.config).read_text()) if args.config else {}
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{where}: {exc}") from None
     kwargs = decode_config(HierarchyConfig, cfg_json, where)
-    # a single stage draws no corpus and makes no cascade; a resumed one keeps its net and pipeline
-    ignored = () if hierarchy else _STAGE_UNREAD + (("hidden", "variance") if args.resume else ())
-    if keys := sorted(set(kwargs) & set(ignored)):
-        raise ValueError(f"{where}: {'resuming a stage' if args.resume else mode} does not read {keys}")
+    # a single stage draws no corpus and makes no cascade
+    if not hierarchy and (keys := sorted(set(kwargs) & set(_STAGE_UNREAD))):
+        raise ValueError(f"{where}: training a single stage does not read {keys}")
     if args.seed is not None:
         cfg_json["seed"] = kwargs["seed"] = args.seed
     cfg = HierarchyConfig(**kwargs)
@@ -120,8 +117,7 @@ def cmd_train(args) -> int:
     ds = load(args.dataset, expected_kind="dataset")
     if other := sorted(set(cfg.hidden) - {ds.stage.split(":", 1)[-1]}):
         raise ValueError(f"{where}: training stage {ds.stage!r} does not read hidden sizes for {other}")
-    resume = load(args.resume, expected_kind="stage") if args.resume else None
-    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg, cfg.seed, resume)
+    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg, cfg.seed)
     save(stage, args.out, {**metadata, "stage": ds.stage})
     gen, mse, lam, _ = stage.net.history.rows[-1]
     print(f"wrote {args.out} (stage {ds.stage}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
@@ -241,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prevalence", help="weights file (hierarchy training)")
     p.add_argument("--config", help="JSON training config")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--resume", help="continue training a saved stage model")
     p.add_argument("--out", required=True, help="model container path")
     p.set_defaults(func=cmd_train)
 

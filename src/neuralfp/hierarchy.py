@@ -149,28 +149,19 @@ def train_stage(
     outputs: tuple[str, ...],
     cfg: HierarchyConfig,
     seed: int,
-    resume: Stage | None = None,
 ) -> Stage:
     """Train one stage net on its rows X with +-1 targets Y over outputs.
 
-    A fresh stage fits its pipeline to cfg.variance and a net sized by
+    The stage fits its pipeline to cfg.variance and a net sized by
     cfg.hidden, else STAGE_HIDDEN, under the stage's short name, seeded by
-    seed; `resume` continues a saved stage whose schema matches.
+    seed.
     """
     if len(X) == 0:
         raise HierarchyError(f"stage {stage!r} has an empty dataset")
-    if resume is not None:
-        if resume.labels != tuple(outputs) or resume.pipeline.width != X.shape[1]:
-            raise HierarchyError(
-                f"resume model schema mismatch: outputs {list(resume.labels)}, input width "
-                f"{resume.pipeline.width} vs dataset {list(outputs)}, input width {X.shape[1]}"
-            )
-        pipe, net = resume.pipeline, resume.net
-    else:
-        pipe = fit_pipeline(X, variance=cfg.variance)
-        name = stage.split(":", 1)[-1]
-        hidden = cfg.hidden.get(name, STAGE_HIDDEN[name])
-        net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=seed)
+    pipe = fit_pipeline(X, variance=cfg.variance)
+    name = stage.split(":", 1)[-1]
+    hidden = cfg.hidden.get(name, STAGE_HIDDEN[name])
+    net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=seed)
     train(net, pipe.apply(X), Y, cfg.train_config(seed))
     return Stage(pipe, net, tuple(outputs))
 

@@ -264,11 +264,6 @@ def backprop_generation(
     return total / len(inputs), prev_update
 
 
-def _next_lam(lam: float, mse: float, prev_mse: float) -> float:
-    """The adaptive schedule's lambda after errors prev_mse, then mse."""
-    return min(lam * LAM_UP, LAM_MAX) if mse <= prev_mse else max(lam * LAM_DOWN, LAM_MIN)
-
-
 def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> TrainHistory:
     """Train in place until the target error, a plateau of G or the generation cap.
 
@@ -284,11 +279,8 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
     is raised.  A subset size covering all the data is one plain run
     plus one G.  Each subset run counts its own plateau patience.
 
-    A net that already has a history (a resumed one) keeps it, and this
-    run's generations number on from its last row.  An adaptive run starts
-    at the lambda the schedule gives after that row (the row's own if it
-    is the only one).  The momentum state is not stored, so it restarts
-    at zero, and so does the patience count.
+    Each call records a fresh history, numbered from generation 1, and
+    sets it as mlp.history.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -300,10 +292,8 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
         chunks = [order[i:i + cfg.subset_size] for i in range(0, n, cfg.subset_size)]
     else:
         chunks = [slice(None)]
-    history = TrainHistory(list(mlp.history.rows) if mlp.history else [])
-    lam0, rows = cfg.lam, history.rows
-    if cfg.adaptive and rows:
-        lam0 = _next_lam(rows[-1][2], rows[-1][1], rows[-2][1]) if len(rows) > 1 else rows[-1][2]
+    history = TrainHistory()
+    lam0 = cfg.lam
     prev_g = None
     for s, chunk in enumerate(chunks):
         X, Y = inputs[chunk], targets[chunk]
@@ -330,7 +320,7 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
                     reason = "plateau"
                     break
             if cfg.adaptive and prev_mse is not None:
-                lam = _next_lam(lam, mse, prev_mse)
+                lam = min(lam * LAM_UP, LAM_MAX) if mse <= prev_mse else max(lam * LAM_DOWN, LAM_MIN)
             prev_mse = mse
         best = f", G {best_g:.6g} (best at generation {best_gen})" if reason == "plateau" else ""
         log.info("training stopped (%s) at generation %d, mse %.6g%s", reason, gen, mse, best)

@@ -1,8 +1,10 @@
 """README: every import it documents names a real module path, every
-`neuralfp` command line it shows parses, the line count it states for
-src/neuralfp is the tree's, and its config table names the config's fields.
+`neuralfp` command line it shows parses, every long flag it names is an
+option of a subcommand, the line count it states for src/neuralfp is the
+tree's, and its config table names the config's fields.
 The tree itself keeps to its line budget and line width."""
 
+import argparse
 import ast
 import re
 import shlex
@@ -61,6 +63,15 @@ def test_commands_parse(line):
     # parsed, not run: a flag the parser no longer has fails here
     assert len(COMMANDS) >= 7
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_named_flags_are_parser_options():
+    # pip's flag in the install line is the one flag that is not neuralfp's
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README)) - {"--no-build-isolation"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
+    assert len(named) >= 10
+    assert sorted(named - options) == []
 
 
 def test_config_table_keys_are_the_config_fields():

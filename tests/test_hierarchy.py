@@ -105,27 +105,6 @@ class TestTraining:
         assert seen == [TrainConfig(generations=9, target_error=0.02, lam=0.5, momentum=0.8,
                                     adaptive=True, subset_size=7, patience=STAGE_PATIENCE, seed=1234)]
 
-    def test_resumed_stage_numbers_its_generations_on(self, db):
-        ds = generate_dataset(db, None, 60, stage="version:OpenBSD", seed=2)
-        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels)
-        first = train_stage(*args, HierarchyConfig(generations=3, target_error=0.0), 0)
-        rows = list(first.net.history.rows)
-        resumed = train_stage(*args, HierarchyConfig(generations=2, target_error=0.0), 1, resume=first)
-        assert [row[0] for row in resumed.net.history.rows] == [1, 2, 3, 4, 5]
-        assert resumed.net.history.rows[:3] == rows
-
-    def test_resumed_stage_starts_at_the_schedules_next_lambda(self, db):
-        ds = generate_dataset(db, None, 300, stage="family", seed=2)
-        args = (ds.stage, ds.inputs, ds.targets, ds.output_labels)
-        first = train_stage(*args, HierarchyConfig(generations=6, target_error=0.0), 0)
-        (_, prev_mse, _, _), (_, mse, lam, _) = first.net.history.rows[-2:]
-        resumed = train_stage(*args, HierarchyConfig(generations=3, target_error=0.0), 1, resume=first)
-        rows = resumed.net.history.rows
-        assert len(rows) == 9
-        up = mse <= prev_mse
-        nxt = min(lam * neural.LAM_UP, neural.LAM_MAX) if up else max(lam * neural.LAM_DOWN, neural.LAM_MIN)
-        assert rows[6][2] == nxt != 0.01  # not the config's lam
-
     @pytest.mark.parametrize("kw, message", [
         ({"variance": 0}, "needs 0 < variance <= 1, got variance 0"),
         ({"variance": 1.5}, "needs 0 < variance <= 1, got variance 1.5"),
@@ -187,9 +166,9 @@ def _spy_train_stage(monkeypatch):
     """Record each (stage, seed) that train_hierarchy trains, and train it."""
     seen, real = [], hierarchy.train_stage
 
-    def spy(stage, X, Y, outputs, cfg, seed, resume=None):
+    def spy(stage, X, Y, outputs, cfg, seed):
         seen.append((stage, seed))
-        return real(stage, X, Y, outputs, cfg, seed, resume)
+        return real(stage, X, Y, outputs, cfg, seed)
 
     monkeypatch.setattr(hierarchy, "train_stage", spy)
     return seen

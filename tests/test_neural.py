@@ -312,15 +312,16 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"^training needs .*, got {key}={value!r}$"):
             TrainConfig(**bad)
 
-    def test_a_trained_net_continues_its_curve(self):
+    def test_a_second_train_records_a_fresh_curve(self):
         X = np.array([[0.5], [-0.5]])
         Y = np.array([[0.4], [-0.4]])
         net = init_mlp([1, 2, 1], seed=6)
-        first = list(train(net, X, Y, TrainConfig(generations=3, lam=0.1, seed=6)).rows)
-        hist = train(net, X, Y, TrainConfig(generations=2, lam=0.1, seed=6))
-        assert net.history is hist
-        assert [row[0] for row in hist.rows] == [1, 2, 3, 4, 5]
-        assert hist.rows[:3] == first
+        first = train(net, X, Y, TrainConfig(generations=3, lam=0.1, seed=6))
+        assert first.rows[-1][2] != 0.1  # the adaptive rate moved
+        hist = train(net, X, Y, TrainConfig(generations=2, lam=0.05, seed=6))
+        assert net.history is hist and hist is not first
+        assert [row[0] for row in hist.rows] == [1, 2]
+        assert hist.rows[0][2] == 0.05
 
     def test_target_error_stops_early(self):
         X = np.array([[0.5], [-0.5]])
@@ -410,21 +411,6 @@ class TestSubsets:
                 cur = min(cur * neural.LAM_UP, neural.LAM_MAX)
             expect.append(cur)
         assert lam0s == pytest.approx(expect)
-
-
-class TestResume:
-    """A net with a history goes on from it."""
-
-    def test_lambda_goes_on_from_the_history(self):
-        X, Y = TestSubsets.data(None)
-        net = init_mlp([3, 4, 1], seed=4)
-        train(net, X, Y, TrainConfig(generations=1, lam=0.02, seed=4))
-        # a history of one row keeps that row's lambda
-        train(net, X, Y, TrainConfig(generations=1, lam=0.05, seed=4))
-        assert [row[2] for row in net.history.rows] == [0.02, 0.02]
-        # a fixed rate is the config's
-        train(net, X, Y, TrainConfig(generations=2, lam=0.05, adaptive=False, seed=4))
-        assert [row[2] for row in net.history.rows] == [0.02, 0.02, 0.05, 0.05]
 
 
 def g_rises(gs, first=1):
