@@ -55,5 +55,6 @@ if last[1] <= TARGET:
 else:
     print(f"fixed lambda still at mse {last[1]:.4f} after {len(fixed.rows)} generations")
 print()
-print("the same curves come out of `neuralfp export-curves --model <saved model>`")
-print('(trained with {"adaptive": false} for the second run) as generation,mse,lambda,G rows')
+print("per-stage curves of a whole hierarchy come out of `neuralfp train --db <db>` (add")
+print('{"adaptive": false} to its config for fixed lambda) and then `neuralfp export-curves`,')
+print("one <stem>-<stage>.csv of generation,mse,lambda,G rows per stage")

@@ -1,11 +1,10 @@
 """Command line surface for the fingerprinting pipeline.
 
 Subcommands mirror the pipeline stages: generate a Monte Carlo dataset,
-reduce it, train the whole hierarchy (--db) or a dataset's stage
-(--dataset) from one HierarchyConfig, classify observations, evaluate
-held-out data, rank best-fit baselines, and export a saved model's
-training curves or the encoding layout.  Every command is deterministic
-for a given --seed.
+reduce it, train the whole hierarchy from a signature db and one
+HierarchyConfig, classify observations, evaluate held-out data, rank
+best-fit baselines, and export a saved hierarchy's training curves or
+the encoding layout.  Every command is deterministic for a given --seed.
 
 Exit codes: 0 success (classify: verdict reached), 1 operational error,
 a refused command line included, 2 an input or output path that cannot
@@ -26,16 +25,13 @@ from .encoding import TOTAL_NEURONS, feature_label, layout_table
 from .dcerpc import parse_endpoint_dump
 from .hierarchy import (
     HierarchyConfig,
-    HierarchyModel,
     ObservationError,
-    Stage,
     classify,
     evaluate,
     report_classification,
     train_hierarchy,
-    train_stage,
 )
-from .neural import Mlp, TrainingDivergedError
+from .neural import TrainingDivergedError
 from .persistence import PersistenceError, _canonical, _digest, decode_config, load, save
 from .preprocess import VARIANCE_TARGET, fit_pipeline, reduction_report
 from .signatures import best_fit, parse_fingerprint_db, parse_observation
@@ -48,9 +44,6 @@ EXIT_UNKNOWN = 4
 
 # ValueError covers the parse, generation, reduction and hierarchy errors
 _USER_ERRORS = (PersistenceError, TrainingDivergedError, ValueError)
-
-# the config keys only the hierarchy reads
-_STAGE_UNREAD = ("samples", "relevance_threshold", "decision_threshold", "windows")
 
 
 # ---------------------------------------------------------------------------
@@ -86,41 +79,20 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # the input names the mode: --db trains the hierarchy, --dataset that dataset's stage
-    hierarchy = args.db is not None
-    if hierarchy == (args.dataset is not None):
-        raise ValueError("train needs --db (the hierarchy) or --dataset (one stage)"
-                         + (", not both" if hierarchy else ""))
-    if not hierarchy and args.prevalence is not None:
-        raise ValueError("training a single stage does not read --prevalence")
     where = args.config or "--config"
     try:
         cfg_json = json.loads(Path(args.config).read_text()) if args.config else {}
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{where}: {exc}") from None
     kwargs = decode_config(HierarchyConfig, cfg_json, where)
-    # a single stage draws no corpus and makes no cascade
-    if not hierarchy and (keys := sorted(set(kwargs) & set(_STAGE_UNREAD))):
-        raise ValueError(f"{where}: training a single stage does not read {keys}")
     if args.seed is not None:
         cfg_json["seed"] = kwargs["seed"] = args.seed
     cfg = HierarchyConfig(**kwargs)
-    metadata = {"seed": cfg.seed, "config_digest": _digest(_canonical(cfg_json))}
-    if hierarchy:
-        db = parse_fingerprint_db(Path(args.db).read_text())
-        prev = parse_prevalence(Path(args.prevalence).read_text()) if args.prevalence is not None else None
-        model = train_hierarchy(db, prev, cfg)
-        save(model, args.out, metadata)
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
-    ds = load(args.dataset, expected_kind="dataset")
-    if other := sorted(set(cfg.hidden) - {ds.stage.split(":", 1)[-1]}):
-        raise ValueError(f"{where}: training stage {ds.stage!r} does not read hidden sizes for {other}")
-    stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, cfg, cfg.seed)
-    save(stage, args.out, {**metadata, "stage": ds.stage})
-    gen, mse, lam, _ = stage.net.history.rows[-1]
-    print(f"wrote {args.out} (stage {ds.stage}, {gen} generations, mse {mse:.6f}, lambda {lam:.6g})")
+    db = parse_fingerprint_db(Path(args.db).read_text())
+    prev = parse_prevalence(Path(args.prevalence).read_text()) if args.prevalence is not None else None
+    model = train_hierarchy(db, prev, cfg)
+    save(model, args.out, {"seed": cfg.seed, "config_digest": _digest(_canonical(cfg_json))})
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -162,15 +134,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
-    """Write the training curve of each net in the model: to --out for a
-    single net, to `<stem>-<name>.csv` for each net of a hierarchy."""
-    model = load(args.model)
-    if isinstance(model, HierarchyModel):
-        nets = {name: part.net for name, part in {**model.stages(), "windows": model.windows}.items() if part}
-    elif isinstance(model, (Mlp, Stage)):
-        nets = {None: model.net if isinstance(model, Stage) else model}
-    else:
-        raise ValueError(f"{args.model}: a {type(model).__name__} carries no training curves")
+    """Write the training curve of each net of a hierarchy to `<stem>-<name>.csv`."""
+    model = load(args.model, expected_kind="hierarchy")
+    nets = {name: part.net for name, part in {**model.stages(), "windows": model.windows}.items() if part}
     if all(net.history is None for net in nets.values()):
         raise ValueError(f"{args.model}: no training history recorded")
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
@@ -178,7 +144,7 @@ def cmd_export_curves(args) -> int:
         if net.history is None:
             print(f"skipping {name}: no history recorded")
             continue
-        path = args.out if name is None else f"{stem}-{name}.csv"
+        path = f"{stem}-{name}.csv"
         Path(path).write_text(net.history.to_csv())
         print(f"wrote {path}")
     return EXIT_OK
@@ -231,10 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the fitted pipeline container here")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("train", help="train the dataset's stage, or the full hierarchy from a db")
-    p.add_argument("--dataset", help="dataset container: train its stage")
-    p.add_argument("--db", help="signature database: train the hierarchy")
-    p.add_argument("--prevalence", help="weights file (hierarchy training)")
+    p = sub.add_parser("train", help="train the full hierarchy from a signature db")
+    p.add_argument("--db", required=True, help="signature database path")
+    p.add_argument("--prevalence", help="weights file: one '<weight> <name>' per line")
     p.add_argument("--config", help="JSON training config")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="model container path")
@@ -258,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("export-curves", help="dump recorded training history to CSV")
-    p.add_argument("--model", required=True, help="network, stage, or hierarchy container")
-    p.add_argument("--out", required=True, help="CSV path (stem for hierarchy models)")
+    p.add_argument("--model", required=True, help="hierarchy model container")
+    p.add_argument("--out", required=True, help="CSV path stem: one <stem>-<stage>.csv per net")
     p.set_defaults(func=cmd_export_curves)
 
     p = sub.add_parser("export-layout", help="write the observation encoding layout table")

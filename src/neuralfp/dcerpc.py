@@ -170,9 +170,6 @@ class WindowsVerdict:
     low_confidence: bool
     labels: "WindowsLabelSpace"
 
-    def os_name(self) -> str:
-        return f"Windows {self.version} {self.edition} sp{self.service_pack}"
-
 
 @dataclass
 class WindowsRefiner:

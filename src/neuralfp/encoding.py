@@ -125,8 +125,6 @@ def _declare() -> tuple[Field, ...]:
 FIELDS = _declare()
 _TABLE = tuple((f.start + i, f.test, label) for f in FIELDS for i, label in enumerate(f.labels))
 TOTAL_NEURONS = len(_TABLE)
-TSEQ_BASE = next(f.start for f in FIELDS if f.test == "TSeq")
-PU_BASE = next(f.start for f in FIELDS if f.test == "PU")
 _MINUS = array("d", [-1.0])
 _ZERO = array("d", bytes(8 * TOTAL_NEURONS))  # each encoding starts from a copy
 

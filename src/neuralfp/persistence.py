@@ -40,10 +40,7 @@ import zlib
 import numpy as np
 
 from .datagen import Dataset
-from .dcerpc import WindowsRefiner
-from .encoding import EndpointSchema
-from .hierarchy import HierarchyModel, Stage
-from .neural import Mlp
+from .hierarchy import HierarchyModel
 from .preprocess import ReductionPipeline
 
 
@@ -53,14 +50,11 @@ FORMAT_VERSION = 3
 # few percent and make the save several times slower
 _ZLIB_LEVEL = 1
 
+# one kind per artifact a command writes: generate, reduce --out and train
 _KINDS = {
-    "network": Mlp,
-    "pipeline": ReductionPipeline,
-    "stage": Stage,
-    "hierarchy": HierarchyModel,
-    "windows-refiner": WindowsRefiner,
-    "endpoint-schema": EndpointSchema,
     "dataset": Dataset,
+    "pipeline": ReductionPipeline,
+    "hierarchy": HierarchyModel,
 }
 
 class PersistenceError(Exception):

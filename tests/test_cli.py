@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralfp import hierarchy
+from neuralfp import hierarchy, persistence
 from neuralfp.cli import main
 from neuralfp.corpus import demo_database, large_database, pathology_observation
 from neuralfp.datagen import RELEVANT_FAMILIES, Dataset, SampleLabel, sample_observation, signature_family
@@ -40,9 +40,6 @@ T1(Resp=Y%DF=N%W=2017%ACK=S++%Flags=AS%Ops=M)
 """
 
 
-BOTH_INPUTS = "train needs --db (the hierarchy) or --dataset (one stage), not both"
-
-
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -57,9 +54,8 @@ def work(tmp_path_factory):
         "cfg": root / "hier.cfg",
         "rel_ds": root / "rel.ds",
         "fam_ds": root / "fam.ds",
-        "stage": root / "fam.stage",
-        "stage_csv": root / "fam.csv",
         "model": root / "hier.model",
+        "curves": root / "hier.csv",
     }
     paths["db"].write_text(demo_database())
     paths["two"].write_text(TWO_SIG_DB)
@@ -87,11 +83,9 @@ def work(tmp_path_factory):
                  "--seed", "3", "--out", str(paths["rel_ds"])]) == 0
     assert main(["generate", "--db", str(paths["db"]), "--total", "400",
                  "--stage", "family", "--seed", "4", "--out", str(paths["fam_ds"])]) == 0
-    assert main(["train", "--dataset", str(paths["fam_ds"]), "--seed", "11",
-                 "--out", str(paths["stage"])]) == 0
-    assert main(["export-curves", "--model", str(paths["stage"]), "--out", str(paths["stage_csv"])]) == 0
     assert main(["train", "--db", str(paths["db"]), "--config", str(paths["cfg"]), "--seed", "6",
                  "--out", str(paths["model"])]) == 0
+    assert main(["export-curves", "--model", str(paths["model"]), "--out", str(paths["curves"])]) == 0
     return paths
 
 
@@ -187,112 +181,107 @@ class TestReduce:
 
 class TestTrain:
     def test_history_csv_header(self, work):
-        first = work["stage_csv"].read_text().splitlines()[0]
+        first = work["curves"].with_name("hier-family.csv").read_text().splitlines()[0]
         assert first == "generation,mse,lambda,G"
-
-    def test_stage_metadata(self, work):
-        meta = load_container(work["stage"])["metadata"]
-        assert meta["stage"] == "family"
-        assert meta["seed"] == 11
-        assert "config_digest" in meta
 
     def test_digest_covers_the_whole_config(self, work, tmp_path):
         digests = []
         for hidden in (5, 6):
-            cfg, out = tmp_path / f"h{hidden}.cfg", tmp_path / f"h{hidden}.stage"
+            cfg, out = tmp_path / f"h{hidden}.cfg", tmp_path / f"h{hidden}.model"
             cfg.write_text(json.dumps({"generations": 3, "hidden": {"family": hidden}}))
-            assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+            assert main(["train", "--db", str(work["two"]), "--config", str(cfg),
                          "--seed", "11", "--out", str(out)]) == 0
             digests.append(load_container(out)["metadata"]["config_digest"])
-            assert load(out).net.sizes[1] == hidden
+            assert load(out).family.net.sizes[1] == hidden
         assert digests[0] != digests[1]
         # sha256 of the canonical '{"generations":3,"hidden":{"family":5},"seed":11}'
         assert digests[0] == "0f8c8add4a8f3426ae7c926ca744de350d074e95131ea9ef1f4be73a1c06e637"
 
     def test_trains_through_the_stage_trainer(self, work, tmp_path, monkeypatch):
-        # the traced bench times these three names on the hierarchy module
+        # the traced bench times these three names on the hierarchy module, once per stage
         called = []
 
         def spy(name, real):
             def wrapper(*args, **kwargs):
-                called.append(name)
+                called.append((name, args[0][-1] if name == "init_mlp" else None))
                 return real(*args, **kwargs)
             return wrapper
 
         for name in ("fit_pipeline", "init_mlp", "train"):
             monkeypatch.setattr(hierarchy, name, spy(name, getattr(hierarchy, name)))
-        assert main(["train", "--dataset", str(work["fam_ds"]), "--seed", "11",
-                     "--out", str(tmp_path / "t.stage")]) == 0
-        assert called == ["fit_pipeline", "init_mlp", "train"]
+        cfg, out = tmp_path / "small.cfg", tmp_path / "t.model"
+        cfg.write_text(json.dumps({"samples": 300, "generations": 2}))
+        assert main(["train", "--db", str(work["db"]), "--config", str(cfg), "--seed", "11",
+                     "--out", str(out)]) == 0
+        # init_mlp sizes each net's output layer: one output per label of the stage, in table order
+        stages = load(out).stages().values()
+        assert len(stages) == 7
+        assert called == [call for stage in stages for call in (
+            ("fit_pipeline", None), ("init_mlp", len(stage.labels)), ("train", None))]
 
     def test_fixed_lr_flag_freezes_lambda(self, work, tmp_path, capsys):
         # a fixed rate has one spelling, the config's "adaptive": false
-        out, cfg = tmp_path / "fixed.stage", tmp_path / "fixed.cfg"
-        assert main(["train", "--dataset", str(work["fam_ds"]), "--fixed-lr", "--out", str(out)]) == 1
+        out, cfg = tmp_path / "fixed.model", tmp_path / "fixed.cfg"
+        assert main(["train", "--db", str(work["db"]), "--fixed-lr", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: neuralfp: unrecognized arguments: --fixed-lr"]
-        cfg.write_text(json.dumps({"adaptive": False}))
-        assert main(["train", "--dataset", str(work["fam_ds"]), "--seed", "11", "--config", str(cfg),
+        cfg.write_text(json.dumps({"samples": 300, "generations": 10, "adaptive": False}))
+        assert main(["train", "--db", str(work["db"]), "--seed", "11", "--config", str(cfg),
                      "--out", str(out)]) == 0
-        assert len({lam for _, _, lam, _ in load(out).net.history.rows}) == 1
+        for stage in load(out).stages().values():
+            assert len({lam for _, _, lam, _ in stage.net.history.rows}) == 1
 
-    def test_stage_must_match_dataset(self, work, tmp_path, capsys):
-        # the dataset names the stage, and no flag can name another
-        assert main(["train", "--dataset", str(work["fam_ds"]), "--stage", "relevance",
-                     "--out", str(tmp_path / "x.stage")]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: neuralfp: unrecognized arguments: --stage relevance"]
-        assert list(tmp_path.iterdir()) == []
-
-    def test_a_stage_trained_twice_from_its_seed_is_the_same_bytes(self, work, tmp_path, capsys):
-        # two subset runs, a plateau stop and a growing lambda: every part of the curve is pinned
+    def test_trained_twice_from_its_seed_is_the_same_bytes(self, work, tmp_path, capsys):
+        # three subset runs a stage, each stopped on a plateau, and a lambda raised between them:
+        # every part of each curve is pinned
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(json.dumps({"generations": 8, "target_error": 0, "subset_size": 200}))
-        outs = [tmp_path / "a.stage", tmp_path / "b.stage"]
+        cfg.write_text(json.dumps({"samples": 300, "generations": 8, "target_error": 0, "subset_size": 100}))
+        outs = [tmp_path / "a.model", tmp_path / "b.model"]
         for out in outs:
-            assert main(["train", "--dataset", str(work["fam_ds"]), "--config", str(cfg),
+            assert main(["train", "--db", str(work["db"]), "--config", str(cfg),
                          "--seed", "11", "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            f"wrote {out} (stage family, 12 generations, mse 0.000664, lambda 0.0121551)" for out in outs]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out}" for out in outs]
         data = [out.read_bytes() for out in outs]
         assert data[0] == data[1]
-        # the container's sha256: a change to any trained bit of the stage shows here
+        for stage in load(outs[0]).stages().values():
+            rows = stage.net.history.rows
+            # G closes each subset run; with no target error, a run shorter than 8 stopped on a plateau
+            ends = [gen for gen, _, _, g in rows if g is not None]
+            assert len(ends) == 3 and all(b - a < 8 for a, b in zip([0] + ends, ends))
+            assert max(lam for _, _, lam, _ in rows) > rows[0][2]
+        # the container's sha256: a change to any trained bit of any stage shows here
         assert hashlib.sha256(data[0]).hexdigest() == (
-            "43cab723cd57d2c787869ab17d724c2d554a4e6569053f34a5765596ae379dd3")
+            "e1b0459314404e41613eba626fc52d21dcb5305a5b7e7a46511ac4598fa8e5ed")
 
-    @pytest.mark.parametrize("config, unread", [
-        ({"samples": 500}, ["samples"]),
-        ({"relevance_threshold": 0.1, "decision_threshold": 0.2}, ["decision_threshold", "relevance_threshold"]),
-        ({"windows": True, "generations": 2}, ["windows"]),
+    def test_hierarchy_requires_db(self, tmp_path, monkeypatch, capsys):
+        # train reads one input, the db, and has no --dataset flag
+        monkeypatch.chdir(tmp_path)
+        for argv, message in (
+                (["train", "--out", "y"], "neuralfp train: the following arguments are required: --db"),
+                (["train", "--db", "d", "--dataset", "x.ds", "--out", "y"],
+                 "neuralfp: unrecognized arguments: --dataset x.ds")):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("db_first, flags, message", [
+        pytest.param(True, ["--dataset"], "neuralfp: unrecognized arguments: --dataset {path}",
+                     id="True-flags0-train needs --db, not --dataset"),
+        # train reads no saved model to train on
+        (True, ["--resume"], "neuralfp: unrecognized arguments: --resume {path}"),
+        (False, ["--resume"], "neuralfp: unrecognized arguments: --resume {path}"),
+        pytest.param(False, ["--dataset"], "neuralfp: unrecognized arguments: --dataset {path}",
+                     id="False-flags3-train needs --db, not --dataset"),
     ])
-    def test_a_key_a_single_stage_does_not_read_is_refused(self, tmp_path, capsys, config, unread):
-        # a dataset path that does not exist: the key is refused before it is read
-        cfg, out = tmp_path / "s.cfg", tmp_path / "s.stage"
-        cfg.write_text(json.dumps(config))
-        assert main(["train", "--dataset", str(tmp_path / "missing.ds"), "--config", str(cfg),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {cfg}: training a single stage does not read {unread}"]
-        assert not out.exists()
-
-    def test_a_hidden_size_for_another_stage_is_refused(self, family40, tmp_path, capsys):
-        cfg, out = tmp_path / "h.cfg", tmp_path / "h.stage"
-        cfg.write_text(json.dumps({"hidden": {"family": 3, "Linux": 4, "relevance": 2}}))
-        assert main(["train", "--dataset", str(family40), "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {cfg}: training stage 'family' does not read hidden sizes for ['Linux', 'relevance']"]
-        assert not out.exists()
-
-    def test_a_single_stage_trains_with_the_hierarchys_recipe(self, family40, tmp_path, monkeypatch):
-        seen, real = [], hierarchy.train
-        monkeypatch.setattr(hierarchy, "train", lambda net, X, Y, tcfg: seen.append(tcfg) or real(net, X, Y, tcfg))
-        assert main(["train", "--dataset", str(family40), "--seed", "5", "--out", str(tmp_path / "d.stage")]) == 0
-        assert seen == [hierarchy.HierarchyConfig(seed=5).train_config(5)]
-        assert (seen[0].generations, seen[0].target_error, seen[0].patience) == (300, 0.02, hierarchy.STAGE_PATIENCE)
-
-    def test_hierarchy_requires_db(self, tmp_path, capsys):
-        assert main(["train", "--out", str(tmp_path / "h.model")]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: train needs --db (the hierarchy) or --dataset (one stage)"]
+    def test_a_path_the_mode_does_not_read_is_refused(self, work, tmp_path, capsys,
+                                                       db_first, flags, message):
+        # paths that do not exist, before or after --db: the flag is refused before any file is read
+        path = tmp_path / "missing"
+        unread = [a for flag in flags for a in (flag, str(path))]
+        mode = ["--db", str(work["db"])]
+        argv = [*mode, *unread] if db_first else [*unread, *mode]
+        assert main(["train", *argv, "--out", str(tmp_path / "x.model")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=path)}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_hierarchy_with_a_family_of_zero_prevalence(self, work, tmp_path):
         # a valid prevalence file may zero a family: it gets no version stage, and no corpus is drawn for one
@@ -364,10 +353,10 @@ class TestTrain:
         ({"lam_min": 1e-6}, ""),
         ({"lam_max": 1.0}, ""),
     ])
-    def test_bad_config_is_exit_1_and_one_line(self, family40, tmp_path, capsys, config, key):
-        cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.stage"
+    def test_bad_config_is_exit_1_and_one_line(self, work, tmp_path, capsys, config, key):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.model"
         cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-        assert main(["train", "--dataset", str(family40), "--config", str(cfg),
+        assert main(["train", "--db", str(work["two"]), "--config", str(cfg),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -383,7 +372,7 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["train", "--dataset", "fam_ds", "--config", '{"lam": HUGE}'],
+        (["train", "--db", "two", "--config", '{"lam": HUGE}'],
          "{cfg}.lam: integer of 401 digits is too large for a float"),
         (["train", "--db", "two", "--config", '{"decision_threshold": HUGE}'],
          "{cfg}.decision_threshold: integer of 401 digits is too large for a float"),
@@ -396,17 +385,16 @@ class TestTrain:
         if "--config" in argv:
             cfg.write_text(argv[-1].replace("HUGE", str(10**400)))
             argv = argv[:-1] + [str(cfg)]
-        argv = [str(work[a]) if a in ("fam_ds", "two") else a.replace("HUGE", str(10**400)) for a in argv]
+        argv = [str(work[a]) if a == "two" else a.replace("HUGE", str(10**400)) for a in argv]
         assert main(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: " + message.format(cfg=cfg)]
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", [("--dataset", "fam_ds"), ("--db", "two")])
-    def test_config_nested_too_deep_is_exit_1_and_one_line(self, work, tmp_path, capsys, mode):
+    def test_config_nested_too_deep_is_exit_1_and_one_line(self, work, tmp_path, capsys):
         cfg, out = tmp_path / "deep.cfg", tmp_path / "deep.model"
         cfg.write_text("[" * 100_000 + "]" * 100_000)
-        assert main(["train", mode[0], str(work[mode[1]]), "--config", str(cfg),
+        assert main(["train", "--db", str(work["two"]), "--config", str(cfg),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: maximum recursion depth exceeded")
@@ -465,24 +453,6 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: hierarchy training needs finite thresholds")
         assert key in err[0]
         assert not out.exists()
-
-    @pytest.mark.parametrize("hierarchy_mode, flags, message", [
-        (True, ["--dataset"], BOTH_INPUTS),
-        # no mode reads a saved model to train on
-        (True, ["--resume"], "neuralfp: unrecognized arguments: --resume {path}"),
-        (False, ["--resume"], "neuralfp: unrecognized arguments: --resume {path}"),
-        (False, ["--db"], BOTH_INPUTS),
-        (False, ["--prevalence"], "training a single stage does not read --prevalence"),
-    ])
-    def test_a_path_the_mode_does_not_read_is_refused(self, work, tmp_path, capsys,
-                                                       hierarchy_mode, flags, message):
-        mode = ["--db", str(work["db"])] if hierarchy_mode else ["--dataset", str(work["fam_ds"])]
-        # paths that do not exist: the flag is refused before any file is read
-        path = tmp_path / "missing"
-        unread = [a for flag in flags for a in (flag, str(path))]
-        assert main(["train", *mode, *unread, "--out", str(tmp_path / "x.model")]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=path)}"]
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("config, message", [
         ([], ": expected dict, got list"),
@@ -712,12 +682,6 @@ class TestEvaluateBaseline:
 
 
 class TestExports:
-    def test_export_curves_stage(self, work, tmp_path, capsys):
-        out = tmp_path / "re.csv"
-        assert main(["export-curves", "--model", str(work["stage"]),
-                     "--out", str(out)]) == 0
-        assert out.read_text().startswith("generation,mse,lambda,G")
-
     def test_export_curves_hierarchy(self, work, tmp_path):
         stem = tmp_path / "h.csv"
         assert main(["export-curves", "--model", str(work["model"]),
@@ -731,7 +695,8 @@ class TestExports:
         capsys.readouterr()
         assert main(["export-curves", "--model", str(pipe),
                      "--out", str(tmp_path / "no.csv")]) == 1
-        assert "no training curves" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pipe}: holds 'pipeline', expected 'hierarchy'"]
 
     def test_export_layout(self, work, tmp_path, capsys):
         out = tmp_path / "layout.txt"
@@ -753,10 +718,6 @@ class TestCurves:
         assert main(["export-curves", "--model", str(model), "--out", str(tmp_path / "c.csv")]) == 0
         return _files(tmp_path)
 
-    def test_stage(self, work, tmp_path):
-        history = load(work["stage"]).net.history
-        assert self._export(work["stage"], tmp_path) == {"c.csv": history.to_csv().encode()}
-
     def test_hierarchy(self, work, tmp_path):
         model = load(work["model"])
         nets = {name: stage.net for name, stage in model.stages().items()} | {"windows": model.windows.net}
@@ -770,7 +731,7 @@ class TestUsage:
     error line and exit 1, as any other operational error."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["train", "--dataset", "x.ds", "--fixed-lr", "--out", "x"],
+        (["train", "--db", "x.db", "--fixed-lr", "--out", "x"],
          "neuralfp: unrecognized arguments: --fixed-lr"),
         (["train", "--db", "x.db", "--history", "c.csv", "--out", "x"],
          "neuralfp: unrecognized arguments: --history c.csv"),
@@ -794,7 +755,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["train", "-h"])
         assert exc.value.code == 0
-        assert "--dataset" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--db" in out and "--dataset" not in out
+
+    def test_every_container_kind_has_a_writer(self, work, tmp_path):
+        # generate, reduce --out and train --db write every kind load accepts, and no other
+        ds, pipe, model, cfg = (tmp_path / name for name in ("t.ds", "t.pipe", "t.model", "t.cfg"))
+        cfg.write_text(json.dumps({"samples": 20, "generations": 1}))
+        for argv in (["generate", "--db", str(work["two"]), "--total", "20", "--out", str(ds)],
+                     ["reduce", "--dataset", str(ds), "--out", str(pipe)],
+                     ["train", "--db", str(work["two"]), "--config", str(cfg), "--out", str(model)]):
+            assert _run(argv) == (0, [])
+        assert {load_container(path)["kind"] for path in (ds, pipe, model)} == set(persistence._KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +810,9 @@ _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(10**4
                      st.text(max_size=3))
 _JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
                          st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
-# the keys a config may set, in either mode
+# the keys a config may set
 _CONFIG_KEYS = list(hierarchy.HierarchyConfig.__dataclass_fields__)
-_STAGE_CONFIG = b'{"generations": 2, "hidden": {"family": 3}, "variance": 0.9}'
+_SMALL_CONFIG = b'{"samples": 40, "generations": 2, "hidden": {"family": 3}, "variance": 0.9}'
 # the keys a hierarchy config may set, and values of which half are of
 # the kinds the keys take (a hidden size is keyed by stage name), so that
 # some configs train
@@ -852,17 +824,12 @@ _HIERARCHY_CONFIG = {"samples": 40, "generations": 2}
 # configs whose every key is in range, with a schedule that stays finite;
 # any other key is left out at times, so its default is drawn too, but
 # generations and samples are always set, so that no draw trains for long
-_VALID_SHARED = {
-    "seed": st.integers(0, 2**32), "target_error": st.floats(0, 1), "lam": st.floats(1e-4, 0.1),
-    "momentum": st.floats(0, 0.9), "adaptive": st.booleans(), "variance": st.floats(0.01, 1),
-    "subset_size": st.none() | st.integers(10, 60),
-}
-_VALID_STAGE_CONFIG = st.fixed_dictionaries({"generations": st.integers(1, 3)}, optional={
-    **_VALID_SHARED, "hidden": st.dictionaries(st.just("family"), st.integers(1, 6))})
 _VALID_HIERARCHY_CONFIG = st.fixed_dictionaries(
     {"generations": st.integers(1, 3), "samples": st.integers(10, 60)},
-    optional={**_VALID_SHARED, "windows": st.booleans(), "relevance_threshold": st.floats(-2, 2),
-              "decision_threshold": st.floats(-2, 2),
+    optional={"seed": st.integers(0, 2**32), "target_error": st.floats(0, 1), "lam": st.floats(1e-4, 0.1),
+              "momentum": st.floats(0, 0.9), "adaptive": st.booleans(), "variance": st.floats(0.01, 1),
+              "subset_size": st.none() | st.integers(10, 60), "windows": st.booleans(),
+              "relevance_threshold": st.floats(-2, 2), "decision_threshold": st.floats(-2, 2),
               "hidden": st.dictionaries(st.sampled_from(["relevance", "family"]), st.integers(1, 6))})
 # a weight as a prevalence file spells it, for a signature or family of the
 # two-signature db or for a name it lacks
@@ -960,29 +927,25 @@ class TestMainProperty:
         if code == 0:
             load(out, expected_kind=kind)
 
-    def _train(self, work, family40, config: bytes):
+    def _train(self, work, config: bytes, *prevalence: str):
         cfg = self._mutated_file(work, "fuzz.cfg", config)
-        self._writes(work, ["train", "--dataset", str(family40), "--config", cfg], "fuzz.stage", "stage")
-
-    def _train_hierarchy(self, work, config: dict, *prevalence: str):
-        cfg = self._mutated_file(work, "fuzz.hcfg", json.dumps(config).encode())
         self._writes(work, ["train", "--db", str(work["two"]), "--config", cfg,
                             *prevalence], "fuzz.model", "hierarchy")
 
     @settings(max_examples=60)
-    @given(config=_mutated(_STAGE_CONFIG))
-    def test_mutated_config(self, work, family40, config):
-        self._train(work, family40, config)
+    @given(config=_mutated(_SMALL_CONFIG))
+    def test_mutated_config(self, work, config):
+        self._train(work, config)
 
     @settings(max_examples=100)
     @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=3))
-    def test_drawn_config_values(self, work, family40, drawn):
-        self._train(work, family40, json.dumps({"generations": 2, **drawn}).encode())
+    def test_drawn_config_values(self, work, drawn):
+        self._train(work, json.dumps({**_HIERARCHY_CONFIG, **drawn}).encode())
 
     @settings(max_examples=100)
     @given(drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _HIERARCHY_VALUES, max_size=3))
     def test_drawn_hierarchy_config_values(self, work, drawn):
-        self._train_hierarchy(work, {**_HIERARCHY_CONFIG, **drawn})
+        self._train(work, json.dumps({**_HIERARCHY_CONFIG, **drawn}).encode())
 
     def _trains(self, work, argv, config: dict, name, kind):
         """Run argv with config: it exits 0 with no error line and writes an artifact load accepts."""
@@ -991,11 +954,6 @@ class TestMainProperty:
         out.unlink(missing_ok=True)
         assert _run(argv + ["--config", cfg, "--out", str(out)]) == (0, [])
         load(out, expected_kind=kind)
-
-    @settings(max_examples=100)
-    @given(config=_VALID_STAGE_CONFIG)
-    def test_valid_stage_config_trains(self, work, family40, config):
-        self._trains(work, ["train", "--dataset", str(family40)], config, "valid.stage", "stage")
 
     @settings(max_examples=50)
     @given(config=_VALID_HIERARCHY_CONFIG)
@@ -1009,7 +967,7 @@ class TestMainProperty:
         prev = self._mutated_file(work, "fuzz.prev", "".join(f"{w} {n}\n" for w, n in lines).encode())
         self._writes(work, ["generate", "--db", str(work["two"]), "--prevalence", prev, "--stage", stage,
                             "--total", str(total)], "fuzz.ds", "dataset")
-        self._train_hierarchy(work, _HIERARCHY_CONFIG, "--prevalence", prev)
+        self._train(work, json.dumps(_HIERARCHY_CONFIG).encode(), "--prevalence", prev)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -1017,12 +975,8 @@ class TestMainProperty:
         # every command that loads a dataset refuses it with one error line
         path = work["db"].parent / "fuzz.ds"
         _forged(data.draw(_inconsistent(load(family40))), path)
-        out = work["db"].parent / "fuzz.stage"
-        out.unlink(missing_ok=True)
         for argv in (["reduce", "--dataset", str(path)],
-                     ["train", "--dataset", str(path), "--out", str(out)],
                      ["evaluate", "--model", str(work["model"]), "--dataset", str(path)]):
             code, errors = _run(argv)
             assert code == 1 and len(errors) == 1, (argv[0], code, errors)
             assert "malformed dataset" in errors[0]
-        assert not out.exists()

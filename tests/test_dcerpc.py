@@ -229,9 +229,6 @@ class TestRefiner:
         assert "Windows version analysis" in text
         assert f"Windows {verdict.version} edition analysis" in text
         assert f"Windows {verdict.version} service pack analysis" in text
-        assert verdict.os_name() == (
-            f"Windows {verdict.version} {verdict.edition} sp{verdict.service_pack}"
-        )
 
     def test_corpus_deterministic(self):
         a = synthetic_windows_corpus(per_triple=2, seed=9, dropout=0.2)

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from neuralfp.encoding import (
     FIELDS,
-    PU_BASE,
     TOTAL_NEURONS,
-    TSEQ_BASE,
     EncodeError,
     EndpointMap,
     RpcProgram,
@@ -35,6 +33,10 @@ from neuralfp.signatures import (
 
 from conftest import LINUX_260_T3
 from hosts import scan_hosts, varied_observations
+
+# where the TSeq and PU blocks start, from the field table
+TSEQ_BASE = next(f.start for f in FIELDS if f.test == "TSeq")
+PU_BASE = next(f.start for f in FIELDS if f.test == "PU")
 
 
 def enc(text):

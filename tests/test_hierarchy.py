@@ -392,7 +392,7 @@ class TestClassification:
         assert result.windows is not None
         version, edition, sp = triple
         assert result.verdict[1] == f"{version} {edition} sp{sp}"
-        assert result.os_name() == result.windows.os_name()
+        assert result.os_name() == f"Windows {version} {edition} sp{sp}"
 
     def test_thresholds_gate_the_cascade(self, db, model, dataset):
         vec = dataset.inputs[0]

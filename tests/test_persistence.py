@@ -40,7 +40,7 @@ from neuralfp.hierarchy import (
     classify_vector,
     train_hierarchy,
 )
-from neuralfp.neural import Mlp, TrainConfig, forward, init_mlp, train
+from neuralfp.neural import Mlp, forward, init_mlp
 from neuralfp.persistence import (
     FORMAT_VERSION,
     CorruptContainerError,
@@ -84,36 +84,38 @@ def _relabel_format_2(path):
     _join(path, {**header, "format_version": 2}, body)
 
 
-def _trained_net(sizes=(2, 2, 1), seed=0):
-    rng = np.random.default_rng(seed)
-    net = init_mlp(list(sizes), seed=seed)
-    X = rng.uniform(-1.0, 1.0, (16, sizes[0]))
-    Y = np.sign(rng.uniform(-1.0, 1.0, (16, sizes[-1])))
-    train(net, X, Y, TrainConfig(generations=8, lam=0.05, seed=seed))
-    return net
+def _pipeline(seed=0):
+    """A small fitted pipeline: the container tests need some artifact of a kind."""
+    return fit_pipeline(np.random.default_rng(seed).normal(size=(40, 6)))
+
+
+def _stage_nets(model):
+    return {name: stage.net for name, stage in model.stages().items()}
 
 
 class TestNetworkRoundTrip:
-    def test_forward_outputs_bit_exact_on_100_random_inputs(self, tmp_path):
-        net = _trained_net()
-        path = tmp_path / "net.model"
-        save(net, path)
-        back = load(path)
-        probe = np.random.default_rng(42).uniform(-10.0, 10.0, (100, 2))
-        assert np.array_equal(forward(net, probe), forward(back, probe))
+    """A net is saved inside the hierarchy that holds it."""
 
-    def test_history_survives(self, tmp_path):
-        net = _trained_net()
-        path = tmp_path / "net.model"
-        save(net, path)
-        assert load(path).history.rows == net.history.rows
+    def test_forward_outputs_bit_exact_on_100_random_inputs(self, small_hierarchy):
+        model, root = small_hierarchy
+        back = _stage_nets(load(root / "h.model"))
+        for name, net in _stage_nets(model).items():
+            probe = np.random.default_rng(42).uniform(-10.0, 10.0, (100, net.sizes[0]))
+            assert np.array_equal(forward(net, probe), forward(back[name], probe))
 
-    def test_weights_identical(self, tmp_path):
-        net = _trained_net(sizes=(5, 4, 3), seed=9)
-        save(net, tmp_path / "n.model")
-        back = load(tmp_path / "n.model")
-        for a, b in zip(net.weights, back.weights):
-            assert np.array_equal(a, b)
+    def test_history_survives(self, small_hierarchy):
+        model, root = small_hierarchy
+        back = _stage_nets(load(root / "h.model"))
+        for name, net in _stage_nets(model).items():
+            assert back[name].history.rows == net.history.rows
+
+    def test_weights_identical(self, small_hierarchy):
+        model, root = small_hierarchy
+        back = _stage_nets(load(root / "h.model"))
+        for name, net in _stage_nets(model).items():
+            assert len(net.weights) == len(back[name].weights)
+            for a, b in zip(net.weights, back[name].weights):
+                assert np.array_equal(a, b)
 
 
 class TestOtherKinds:
@@ -181,7 +183,7 @@ class TestOtherKinds:
         _rewrite_body(path, lambda body: body.update(stage=stage))
         with pytest.raises(CorruptContainerError, match=f"malformed dataset: body: {wants}$"):
             load(path)
-        assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "s.stage")]) == 1
+        assert main(["reduce", "--dataset", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: malformed dataset: body: {wants}"]
 
     def test_dataset_seed_recorded_in_metadata(self, tmp_path):
@@ -192,37 +194,36 @@ class TestOtherKinds:
                      "--out", str(path)]) == 0
         assert load_container(path)["metadata"]["seed"] == load(path).seed == 31
 
-    def test_refiner_round_trip_classifies_identically(self, tmp_path):
-        corpus = synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)
-        ref = train_windows_net(corpus)
-        save(ref, tmp_path / "r.model")
-        back = load(tmp_path / "r.model")
-        for dump, _ in corpus[:10]:
-            a, b = ref.classify(dump), back.classify(dump)
+    def test_refiner_round_trip_classifies_identically(self, small_hierarchy):
+        model, root = small_hierarchy
+        back = load(root / "h.model").windows
+        for dump, _ in _refiner_corpus()[:10]:
+            a, b = model.windows.classify(dump), back.classify(dump)
             assert (a.version, a.edition, a.service_pack) == (b.version, b.edition, b.service_pack)
             assert a.scores == b.scores
 
     @pytest.mark.parametrize("group", ["editions", "service_packs"])
-    def test_refiner_version_without_its_group_is_corrupt(self, tmp_path, group):
-        path = tmp_path / "r.model"
-        save(train_windows_net(synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)), path)
+    def test_refiner_version_without_its_group_is_corrupt(self, small_hierarchy, tmp_path, group):
+        path = tmp_path / "h.model"
+        path.write_bytes((small_hierarchy[1] / "h.model").read_bytes())
 
         def drop_xp(body):
-            body["labels"][group] = [p for p in body["labels"][group] if p[0] != "XP"]
+            body["windows"]["labels"][group] = [p for p in body["windows"]["labels"][group] if p[0] != "XP"]
 
         _rewrite_body(path, drop_xp)
         with pytest.raises(CorruptContainerError,
-                           match="body.labels: expected editions and service packs for every"):
+                           match="body.windows.labels: expected editions and service packs for every"):
             load(path)
 
-    def test_schema_round_trip(self, tmp_path):
+    def test_schema_round_trip(self, small_hierarchy, tmp_path):
         emap = parse_endpoint_dump(
             "uuid 00000001-0000-0000-0000-000000000002\n"
             "  binding ncalrpc ep1\n  binding ncadg_ip_udp\n"
         )
-        schema = build_endpoint_schema([emap])
-        save(schema, tmp_path / "s.model")
-        back = load(tmp_path / "s.model")
+        schema, labels = build_endpoint_schema([emap]), WindowsLabelSpace.default()
+        ref = WindowsRefiner(init_mlp([schema.size, 2, labels.total]), schema, labels)
+        save(dataclasses.replace(small_hierarchy[0], windows=ref), tmp_path / "s.model")
+        back = load(tmp_path / "s.model").windows.schema
         assert back.uuid_index == schema.uuid_index
         assert back.binding_index == schema.binding_index
 
@@ -246,21 +247,21 @@ class TestOtherKinds:
 
 class TestContainerChecks:
     def test_tampered_body_is_an_integrity_error(self, tmp_path):
-        path = tmp_path / "n.model"
-        net = _trained_net()
-        save(net, path)
+        path = tmp_path / "p.pipe"
+        pipe = _pipeline()
+        save(pipe, path)
         header, body = _split(path)
         raw = json.loads(body)
-        w = net.weights[0].copy()
-        w[0, 0] += 1e-12
-        raw["weights"][0] = _encode(w)
+        center = pipe.center.copy()
+        center[0] += 1e-12
+        raw["center"] = _encode(center)
         _join(path, header, _canonical(raw))
         with pytest.raises(CorruptContainerError, match="does not match its digest"):
             load(path)
 
     def test_unknown_format_version(self, tmp_path):
-        path = tmp_path / "n.model"
-        save(_trained_net(), path)
+        path = tmp_path / "p.pipe"
+        save(_pipeline(), path)
         header, body = _split(path)
         header["format_version"] = FORMAT_VERSION + 1
         _join(path, header, body)
@@ -276,15 +277,15 @@ class TestContainerChecks:
                 "digest": "0" * 64, "body": {"weights": [[[0.5, 1.0]]]},
             }, separators=(",", ":")))
         else:
-            save(_trained_net(), path)
+            save(_pipeline(), path)
             _relabel_format_2(path)
         with pytest.raises(FormatVersionError, match=f"format version {version} "):
             load(path)
 
     def test_kind_mismatch(self, tmp_path):
-        path = tmp_path / "n.model"
-        save(_trained_net(), path)
-        with pytest.raises(KindMismatchError, match="holds 'network', expected 'dataset'"):
+        path = tmp_path / "p.pipe"
+        save(_pipeline(), path)
+        with pytest.raises(KindMismatchError, match="holds 'pipeline', expected 'dataset'"):
             load(path, expected_kind="dataset")
 
     def test_not_json_is_corrupt(self, tmp_path):
@@ -294,8 +295,8 @@ class TestContainerChecks:
             load(path)
 
     def test_missing_field_is_corrupt(self, tmp_path):
-        path = tmp_path / "n.model"
-        save(_trained_net(), path)
+        path = tmp_path / "p.pipe"
+        save(_pipeline(), path)
         header, body = _split(path)
         del header["digest"]
         _join(path, header, body)
@@ -315,22 +316,17 @@ class TestContainerChecks:
 
 class TestAtomicity:
     def test_overwrite_leaves_valid_file(self, tmp_path):
-        path = tmp_path / "n.model"
-        save(_trained_net(seed=0), path)
-        save(_trained_net(seed=1), path)
+        path = tmp_path / "p.pipe"
+        save(_pipeline(seed=0), path)
+        save(_pipeline(seed=1), path)
         back = load(path)
-        assert isinstance(back, Mlp)
+        assert np.array_equal(back.center, _pipeline(seed=1).center)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
     def test_no_partial_file_on_failure(self, tmp_path):
-        # an unserializable object aborts before the rename
-        class Weird(Mlp):
-            pass
-
-        net = _trained_net()
-        bad = Weird(net.weights)
-        with pytest.raises(PersistenceError):
-            save(bad, tmp_path / "w.model")
+        # an object of no container kind, a lone net among them, aborts before the rename
+        with pytest.raises(PersistenceError, match="no container kind for Mlp"):
+            save(init_mlp([2, 2, 1]), tmp_path / "w.model")
         assert not (tmp_path / "w.model").exists()
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
@@ -362,7 +358,7 @@ class TestAtomicity:
 
         monkeypatch.setattr(os, step, disk_full)
         with pytest.raises(OSError, match="No space left on device"):
-            save(_trained_net(), tmp_path / "n.model")
+            save(_pipeline(), tmp_path / "p.pipe")
         assert os.listdir(tmp_path) == []
 
     def test_failed_write_through_the_cli_is_one_error_line(self, tmp_path, monkeypatch, capsys):
@@ -386,10 +382,10 @@ class TestWrites:
     def test_mode_follows_umask(self, tmp_path, umask):
         old = os.umask(umask)
         try:
-            save(_trained_net(), tmp_path / "n.model")
+            save(_pipeline(), tmp_path / "p.pipe")
         finally:
             os.umask(old)
-        assert stat.S_IMODE(os.stat(tmp_path / "n.model").st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(os.stat(tmp_path / "p.pipe").st_mode) == 0o666 & ~umask
 
     def test_fsync_before_rename(self, tmp_path, monkeypatch):
         calls = []
@@ -401,18 +397,24 @@ class TestWrites:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b)))
-        save(_trained_net(), tmp_path / "n.model")
+        save(_pipeline(), tmp_path / "p.pipe")
         # the file reaches the disk before the rename, the rename after it
         assert calls == ["fsync file", "replace", "fsync dir"]
 
 
+def _refiner_corpus():
+    return synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)
+
+
 @pytest.fixture(scope="module")
 def small_hierarchy(tmp_path_factory):
+    """A hierarchy with a Windows refiner, saved: every net, stage and schema is saved inside one."""
     db = parse_fingerprint_db(demo_database())
     ds = generate_dataset(db, None, 300, stage="relevance", seed=8)
     model = train_hierarchy(
         db, cfg=HierarchyConfig(seed=2, generations=5), corpus=(ds.inputs, ds.labels)
     )
+    model = dataclasses.replace(model, windows=train_windows_net(_refiner_corpus()))
     root = tmp_path_factory.mktemp("hier")
     save(model, root / "h.model")
     sig = next(s for s in db if s.name == "Linux Kernel 2.4.20")
@@ -479,6 +481,23 @@ def _short_history_row(body, model):
     body["relevance"]["net"]["history"]["rows"][0].pop()
 
 
+def _unchained_net(body, model):
+    body["family"]["net"]["weights"] = [_encode(np.zeros((2, 3))), _encode(np.zeros((1, 2)))]
+
+
+def _wide_refiner_net(body, model):
+    ref = model.windows
+    body["windows"]["net"] = _encode(init_mlp([ref.schema.size, 2, ref.labels.total + 1]))
+
+
+def _short_binding(body, model):
+    body["windows"]["schema"]["binding_index"][0][0].pop()
+
+
+def _string_uuid_neuron(body, model):
+    body["windows"]["schema"]["uuid_index"][0][1] = "0"
+
+
 MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
@@ -495,6 +514,14 @@ MALFORMED = {
     "versions not key-value pairs": (_versions_not_pairs, "body.versions: expected \\[key, value\\] pairs"),
     "history row of three items": (_short_history_row,
                                    "body.relevance.net.history.rows: expected 4 items, got 3"),
+    # the rules of the artifacts a hierarchy nests: a net, the refiner and its endpoint schema
+    "net layers that do not chain": (_unchained_net, "body.family.net: expected 2-D layers whose widths chain"),
+    "refiner net wider than its label space": (
+        _wide_refiner_net, "body.windows: expected net widths = schema size and label space size"),
+    "schema binding of two items": (_short_binding,
+                                    "body.windows.schema.binding_index: expected 3 items, got 2"),
+    "schema uuid neuron not an int": (_string_uuid_neuron,
+                                      "body.windows.schema.uuid_index: expected int, got str"),
 }
 
 
@@ -670,9 +697,24 @@ UNBUILDABLE = {
 }
 
 
+@pytest.mark.parametrize("kind", ["stage", "network"])
+def test_a_retired_kind_is_refused(small_hierarchy, tmp_path, capsys, kind):
+    # earlier versions saved a lone stage or net; no command writes either, and none reads one
+    model, _ = small_hierarchy
+    body = _canonical(_encode(model.family if kind == "stage" else model.family.net))
+    path = tmp_path / f"old.{kind}"
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": {}, "digest": _digest(body)}
+    _join(path, header, body)
+    with pytest.raises(CorruptContainerError, match=f"unknown payload kind '{kind}'$"):
+        load(path)
+    assert main(["export-curves", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown payload kind '{kind}'"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def _windows_refiner() -> WindowsRefiner:
     labels = WindowsLabelSpace.default()
-    schema = build_endpoint_schema([m for m, _ in synthetic_windows_corpus(per_triple=1, seed=2, dropout=0.0)])
+    schema = build_endpoint_schema([m for m, _ in _refiner_corpus()])
     return WindowsRefiner(init_mlp([schema.size, 2, labels.total]), schema, labels)
 
 
@@ -709,13 +751,6 @@ def datasets(draw):
     return Dataset("relevance", inputs, targets, labels, ("relevant",), draw(st.integers(0, 2**32)))
 
 
-@st.composite
-def networks(draw):
-    sizes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4))
-    return Mlp([draw(arrays(np.float64, (n_out, n_in + 1), elements=FLOATS))
-                for n_in, n_out in zip(sizes, sizes[1:])])
-
-
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("prop")
@@ -732,18 +767,22 @@ class TestProperties:
         assert (back.labels, back.seed) == (ds.labels, ds.seed)
 
     @settings(max_examples=60)
-    @given(net=networks())
-    def test_network_round_trip_is_bit_identical(self, scratch, net):
-        save(net, scratch / "n.model")
-        back = load(scratch / "n.model")
+    @given(data=st.data())
+    def test_network_round_trip_is_bit_identical(self, small_hierarchy, scratch, data):
+        # the family net's weights drawn from every float class, saved inside its hierarchy
+        model, _ = small_hierarchy
+        net = Mlp([data.draw(arrays(np.float64, w.shape, elements=FLOATS)) for w in model.family.net.weights])
+        family = dataclasses.replace(model.family, net=net)
+        save(dataclasses.replace(model, family=family), scratch / "h.model")
+        back = load(scratch / "h.model").family.net
         assert [w.shape for w in back.weights] == [w.shape for w in net.weights]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(net.weights, back.weights))
 
     @settings(max_examples=100)
     @given(where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
     def test_any_flipped_body_byte_is_corrupt(self, scratch, where, bit):
-        path = scratch / "flip.model"
-        save(_trained_net(), path)
+        path = scratch / "flip.pipe"
+        save(_pipeline(), path)
         data = bytearray(path.read_bytes())
         start = data.index(b"\n") + 1
         data[start + int(where * (len(data) - start))] ^= 1 << bit
