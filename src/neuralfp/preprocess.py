@@ -5,14 +5,19 @@ are constant over a given corpus and many more are copies of one another
 (every neuron derived from the same absent field moves in lockstep).  The
 reduction pipeline is fitted per training corpus:
 
-1. normalize each column to zero mean and unit population variance,
-   flagging constants (std below 1e-9) whose output is pinned to 0;
-2. build the correlation matrix R = E[Xi Xj] of the normalized data;
+1. normalize to zero mean and unit population variance only the first
+   witness, by lowest index, of each distinct varying column: a constant
+   (std below 1e-9) could never be kept, and a column with the raw bytes of
+   an earlier one normalizes to the same bits, so step 3 would drop it;
+2. build the witnesses' correlation matrix R = E[Xi Xj] on their block
+   zero-padded to a width that is a multiple of 8: with OpenBLAS an entry
+   of A.T @ A has the same bits at every such width, 568 included, so R is
+   entry for entry the full-width matrix restricted to the witnesses
+   (unpadded, entries move by up to about 6e-15, and every basis with them);
 3. walk columns in ascending index order, keeping a column only when its
    R-column is not (numerically) in the span of the kept ones, which drops
-   exact duplicates and affine copies while keeping the first witness
+   affine copies and linear combinations while keeping the first witness
    (classical Gram-Schmidt run twice, two matrix-vector products a pass);
-   a constant's all-zero R-column could never be kept and is not visited;
 4. diagonalize R restricted to the kept columns and keep the smallest
    eigenvector prefix holding at least the target share (98%) of total
    variance.
@@ -35,8 +40,12 @@ class ReductionError(ValueError):
     pass
 
 
-def normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column means, population stds, and X normalized with its constant columns pinned to 0."""
+def normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Column means and population stds, the witnesses, and the witnesses normalized.
+
+    The witnesses are the first, by lowest index, of each distinct column whose
+    std is at least EPSILON_CONST: equal raw bytes give equal normalized bits.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ReductionError(f"normalization needs a 2-D array of at least 2 rows, got shape {X.shape}")
@@ -45,16 +54,23 @@ def normalize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ReductionError(f"normalization needs finite values, row {i} column {j} is {X[i, j]}")
     mean = X.mean(axis=0)
     std = X.std(axis=0)  # population variance, ddof=0
-    constant = std < EPSILON_CONST
-    Xn = (X - mean) / np.where(constant, 1.0, std)
-    Xn[:, constant] = 0.0
-    return mean, std, Xn
+    first: dict[bytes, int] = {}
+    for j in np.flatnonzero(std >= EPSILON_CONST).tolist():
+        first.setdefault(X[:, j].tobytes(), j)
+    columns = list(first.values())
+    return mean, std, columns, (X[:, columns] - mean[columns]) / std[columns]
 
 
 def correlation_matrix(Xn: np.ndarray) -> np.ndarray:
-    """R = E[Xi Xj] over normalized data, symmetrized against rounding."""
-    Xn = np.asarray(Xn, dtype=float)
-    R = Xn.T @ Xn / Xn.shape[0]
+    """R = E[Xi Xj] over normalized columns, symmetrized against rounding.
+
+    The product runs on Xn zero-padded to a width that is a multiple of 8,
+    where each entry has the bits it has in the full-width product.
+    """
+    n, m = Xn.shape
+    padded = np.zeros((n, -(-m // 8) * 8))
+    padded[:, :m] = Xn
+    R = (padded.T @ padded)[:m, :m] / n
     return (R + R.T) / 2.0
 
 
@@ -62,14 +78,14 @@ def reduce_dependent_columns(R: np.ndarray) -> list[int]:
     """Indices of columns linearly independent of the ones kept before them.
 
     Greedy in ascending index order, so of a group of perfectly correlated
-    columns the lowest index survives.  Constant columns have an all-zero
-    R-column, which the walk skips: its residual norm is 0 (NaN at worst).
+    columns the lowest index survives.  An all-zero R-column (a constant
+    column) is never kept: its residual norm is 0 (NaN at worst).
     """
     p = R.shape[0]
     kept: list[int] = []
     # CGS2: Q's leading columns are the kept unit vectors; twice is enough
     Q = np.empty((p, p), order="F")
-    for j in np.flatnonzero(R.any(axis=0)).tolist():
+    for j in range(p):
         r = R[:, j].copy()
         basis = Q[:, : len(kept)]
         for _ in range(2):
@@ -150,13 +166,13 @@ class ReductionPipeline:
 
 
 def fit_pipeline(X: np.ndarray, variance: float = VARIANCE_TARGET) -> ReductionPipeline:
-    mean, std, Xn = normalize(X)
+    mean, std, columns, Xn = normalize(X)
     R = correlation_matrix(Xn)
-    kept = reduce_dependent_columns(R)
-    if not kept:
+    local = reduce_dependent_columns(R)
+    if not local:
         raise ReductionError("every column is constant or dependent")
-    R_kept = R[np.ix_(kept, kept)]
-    basis, eigenvalues, variance_kept = fit_pca(R_kept, variance)
+    basis, eigenvalues, variance_kept = fit_pca(R[np.ix_(local, local)], variance)
+    kept = [columns[i] for i in local]
     # canonical layout: projections stay bit-identical across a save/load
     basis = np.ascontiguousarray(basis)
     return ReductionPipeline(len(mean), tuple(kept), mean[kept], std[kept], basis, eigenvalues,

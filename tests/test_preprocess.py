@@ -17,7 +17,9 @@ from neuralfp.hierarchy import HierarchyConfig, train_hierarchy
 from neuralfp.persistence import load, load_container, save
 from neuralfp.preprocess import (
     EPSILON_CONST,
+    VARIANCE_TARGET,
     ReductionError,
+    ReductionPipeline,
     correlation_matrix,
     fit_pca,
     fit_pipeline,
@@ -28,16 +30,59 @@ from neuralfp.preprocess import (
 from neuralfp.signatures import parse_fingerprint_db
 
 
+def full_width_normalize(X):
+    """Every column normalized, the constant ones pinned to 0: the reference
+    the fit over distinct varying columns must reproduce."""
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    constant = std < EPSILON_CONST
+    Xn = (X - mean) / np.where(constant, 1.0, std)
+    Xn[:, constant] = 0.0
+    return mean, std, Xn
+
+
+def full_width_correlation(X):
+    """R over every column, a constant one's row and column all zero."""
+    Xn = full_width_normalize(X)[2]
+    R = Xn.T @ Xn / Xn.shape[0]
+    return (R + R.T) / 2.0
+
+
+def full_width_fit(X, variance=VARIANCE_TARGET):
+    """The fit that normalizes every column, walks the full-width R and
+    diagonalizes it."""
+    mean, std, _ = full_width_normalize(X)
+    R = full_width_correlation(X)
+    kept = reduce_dependent_columns(R)
+    if not kept:
+        raise ReductionError("every column is constant or dependent")
+    basis, eigenvalues, share = fit_pca(R[np.ix_(kept, kept)], variance)
+    return ReductionPipeline(X.shape[1], tuple(kept), mean[kept], std[kept], np.ascontiguousarray(basis),
+                             eigenvalues, share)
+
+
+def fitted(fit, X):
+    """A fit's fields in order, each array as its shape and bytes, or the
+    message of the ReductionError it raised, alone in the list."""
+    try:
+        pipe = fit(X)
+    except ReductionError as exc:
+        return [str(exc)]
+    values = (getattr(pipe, f.name) for f in dataclasses.fields(pipe))
+    return [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
+
+
 class TestNormalizer:
     def test_population_std_by_hand(self):
         X = np.array([[0.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
-        mean, std, Xn = normalize(X)
+        mean, std, columns, Xn = normalize(X)
         assert mean.tolist() == [2.0, 2.0]
         # population std of column 0 is sqrt(8/3); column 1 is constant
         assert std.tolist() == [pytest.approx(np.sqrt(8.0 / 3.0)), 0.0]
         expect = 2.0 / np.sqrt(8.0 / 3.0)  # = sqrt(1.5)
+        # the constant column has no witness, so only column 0 is normalized
+        assert columns == [0] and Xn.shape == (3, 1)
         assert Xn[:, 0] == pytest.approx([-expect, 0.0, expect])
-        assert not Xn[:, 1].any()
+        assert np.array_equal(Xn, full_width_normalize(X)[2][:, columns])
 
     def test_requires_two_rows(self):
         with pytest.raises(ReductionError, match="2 rows"):
@@ -64,30 +109,54 @@ class TestNormalizer:
         X = np.zeros((4, 1))
         X[:, 0] = 5.0
         X[0, 0] = 5.0 + 1e-12
-        _, std, Xn = normalize(X)
-        # a std above 0 but below EPSILON_CONST still pins the column to 0
+        _, std, columns, Xn = normalize(X)
+        # a std above 0 but below EPSILON_CONST still counts as constant:
+        # the column has no witness, as the full-width fit pins it to 0
         assert 0 < std[0] < EPSILON_CONST
-        assert not Xn.any()
+        assert columns == [] and Xn.shape == (4, 0)
+        assert not full_width_normalize(X)[2].any()
+
+    def test_first_witness_of_each_distinct_varying_column(self):
+        a, b = np.arange(6.0), np.arange(6.0) ** 2
+        X = np.column_stack([np.ones(6), b, a, b, np.ones(6), a, 2.0 * a])
+        mean, std, columns, Xn = normalize(X)
+        # constants 0 and 4 have no witness, copies 3 and 5 are witnessed by 1
+        # and 2, and the affine copy 6 has bytes of its own
+        assert columns == [1, 2, 6]
+        assert np.array_equal(Xn, full_width_normalize(X)[2][:, columns])
+
+    def test_a_zero_of_another_sign_is_another_column(self):
+        # equal values, unequal bytes: both are witnesses, and the walk drops
+        # the second, as at full width
+        a = np.array([0.0, 1.0, 3.0, 2.0])
+        X = np.column_stack([a, np.r_[-0.0, a[1:]], a + 1.0])
+        assert normalize(X)[2] == [0, 1, 2]
+        assert fit_pipeline(X).kept == full_width_fit(X).kept == (0,)
 
 
 class TestCorrelation:
     def test_small_exact(self):
         X = np.array([[0.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
-        R = correlation_matrix(normalize(X)[2])
-        assert R[0, 0] == pytest.approx(1.0)
-        assert R[0, 1] == 0.0 and R[1, 1] == 0.0
+        _, _, columns, Xn = normalize(X)
+        R = correlation_matrix(Xn)
+        # the constant column 1 is not a witness: its full-width row and
+        # column are zero, and R has neither
+        assert R.shape == (1, 1) and R[0, 0] == pytest.approx(1.0)
+        full = full_width_correlation(X)
+        assert full[0, 1] == 0.0 and full[1, 1] == 0.0
+        assert np.array_equal(R, full[np.ix_(columns, columns)])
 
     def test_independent_columns_nearly_uncorrelated(self):
         rng = np.random.default_rng(123)
         X = rng.uniform(-1.0, 1.0, size=(10000, 4))
-        R = correlation_matrix(normalize(X)[2])
-        assert np.allclose(np.diag(R), 1.0)
+        R = correlation_matrix(normalize(X)[3])
+        assert R.shape == (4, 4) and np.allclose(np.diag(R), 1.0)
         off = R[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off)) < 0.05
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        R = correlation_matrix(normalize(rng.normal(size=(50, 6)))[2])
+        R = correlation_matrix(normalize(rng.normal(size=(50, 6)))[3])
         assert np.array_equal(R, R.T)
 
 
@@ -104,7 +173,7 @@ class TestColumnElimination:
             np.full(200, 7.0),  # 4: constant, dropped
             a + b,              # 5: linear combination, dropped
         ])
-        return correlation_matrix(normalize(X)[2])
+        return full_width_correlation(X)
 
     def test_duplicates_and_constants_dropped(self):
         assert reduce_dependent_columns(self.build()) == [0, 2]
@@ -117,8 +186,10 @@ class TestColumnElimination:
         assert reduce_dependent_columns(Rp) == [0, 2]
 
     def test_all_constant_rejected_by_pipeline(self):
-        with pytest.raises(ReductionError, match="constant or dependent"):
-            fit_pipeline(np.full((10, 3), 2.0))
+        for width in (3, 8):  # no witness at all, at a padded width and at another
+            with pytest.raises(ReductionError) as info:
+                fit_pipeline(np.tile(np.arange(width, dtype=float), (10, 1)))
+            assert str(info.value) == "every column is constant or dependent"
 
 
 def one_vector_at_a_time(R, tol=1e-6):
@@ -171,29 +242,29 @@ class TestRankTestEquivalence:
     @settings(max_examples=60)
     @given(X=planted_columns())
     def test_same_kept_columns_as_the_one_vector_loop(self, X):
-        R = correlation_matrix(normalize(X)[2])
-        assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
+        for R in (full_width_correlation(X), correlation_matrix(normalize(X)[3])):
+            assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
 
     @settings(max_examples=60)
     @given(X=planted_columns(), data=st.data())
     def test_same_kept_columns_amid_many_constant_columns(self, X, data):
         # a version stage's slice: a few varying columns among hundreds of
-        # constant ones, which the walk does not visit
+        # constant ones, whose all-zero R-columns the walk never keeps
         width = X.shape[1] + data.draw(st.integers(50, 300))
         at = sorted(data.draw(st.lists(st.integers(0, width - 1), min_size=X.shape[1],
                                        max_size=X.shape[1], unique=True)))
         padded = np.tile(data.draw(st.floats(-5.0, 5.0)), (X.shape[0], width))
         padded[:, at] = X
-        R = correlation_matrix(normalize(padded)[2])
+        R = full_width_correlation(padded)
         kept = reduce_dependent_columns(R)
         assert kept == one_vector_at_a_time(R)
-        assert kept == [at[i] for i in reduce_dependent_columns(correlation_matrix(normalize(X)[2]))]
+        assert kept == [at[i] for i in reduce_dependent_columns(full_width_correlation(X))]
 
     @pytest.mark.parametrize("bad, kept", [(np.nan, [2, 3]), (np.inf, [0])])
     def test_zero_column_after_a_non_finite_column(self, bad, kept, recwarn):
         # a NaN R-column is never kept; an inf one is, and writes NaN into Q,
-        # after which no column is; the zero column after either is dropped
-        # unvisited, as the one-vector loop drops it
+        # after which no column is; the zero column after either is dropped,
+        # as the one-vector loop drops it
         R = np.eye(4)
         R[:, 0] = [bad, 0.0, 0.0, 0.0]
         R[:, 1] = 0.0
@@ -202,8 +273,55 @@ class TestRankTestEquivalence:
     def test_same_kept_columns_on_a_sampled_corpus(self):
         db = parse_fingerprint_db(demo_database())
         X = generate_dataset(db, None, 600, stage="family", seed=3).inputs
-        R = correlation_matrix(normalize(X)[2])
-        assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
+        for R in (full_width_correlation(X), correlation_matrix(normalize(X)[3])):
+            assert reduce_dependent_columns(R) == one_vector_at_a_time(R)
+
+
+@st.composite
+def scattered_columns(draw, multiple_of_8):
+    """planted_columns() at random positions of a wider matrix, the other
+    positions constant or exact copies of an earlier column."""
+    X = draw(planted_columns())
+    n, k = X.shape
+    if multiple_of_8:
+        width = 8 * draw(st.integers(-(-(k + 1) // 8), 8))
+    else:
+        width = draw(st.integers(k + 1, 64).filter(lambda w: w % 8))
+    at = set(draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k, unique=True)))
+    planted = iter(X.T)
+    out = np.empty((n, width))
+    for j in range(width):
+        if j in at:
+            out[:, j] = next(planted)
+        elif j and draw(st.booleans()):
+            out[:, j] = out[:, draw(st.integers(0, j - 1))]
+        else:
+            out[:, j] = draw(st.floats(-5.0, 5.0))
+    return out
+
+
+class TestDistinctVaryingColumns:
+    """The fit over the first witness of each distinct varying column against
+    the fit that normalizes every column and builds the full-width R."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(X=scattered_columns(multiple_of_8=True))
+    def test_same_fit_bit_for_bit_at_a_width_that_is_a_multiple_of_8(self, X):
+        assert fitted(fit_pipeline, X) == fitted(full_width_fit, X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(X=scattered_columns(multiple_of_8=False))
+    def test_same_kept_columns_at_any_width(self, X):
+        # elsewhere R's entries may round otherwise, but the walk decides alike:
+        # the same width and kept columns, or the same error
+        got, want = fitted(fit_pipeline, X), fitted(full_width_fit, X)
+        assert got[:2] == want[:2]
+
+    def test_one_copied_column_keeps_its_lowest_index(self):
+        a = np.random.default_rng(8).normal(size=20)
+        X = np.column_stack([np.full(20, 3.0), a, a, np.zeros(20), a, a])
+        assert normalize(X)[2] == [1]
+        assert fit_pipeline(X).kept == full_width_fit(X).kept == (1,)
 
 
 # The bench corpus recipes (relevance, seed 42) and the sha256 of the fitted
@@ -253,9 +371,9 @@ def stage_pipelines_digest(text, total):
 
 class TestGoldenStagePipelines:
     """Every stage of the bench `train` and `corpus` recipes, recorded with the
-    rank test that visited every column.  The version stages vary in 5 to 28
-    of their 568 columns, so these pin the walk over the varying ones alone.
-    Same BLAS caveat as TestGoldenPipeline."""
+    rank test that visited every column of the full-width R.  The version
+    stages vary in 5 to 28 of their 568 columns, so these pin the fit over
+    the distinct varying ones alone.  Same BLAS caveat as TestGoldenPipeline."""
 
     @pytest.mark.parametrize("recipe, digest", [
         ("demo", "7c1591a791dbcb17080864d53d81d352ed230907cdf57a7105ff46330c706e35"),
@@ -277,7 +395,7 @@ class TestPca:
             z[:, 2],
             0.5 * z[:, 2] + 0.1 * z[:, 0],
         ])
-        return correlation_matrix(normalize(X)[2])
+        return correlation_matrix(normalize(X)[3])
 
     def test_orthonormal_basis_descending_spectrum(self):
         basis, w, kept_share = fit_pca(self.corr(), variance=0.98)
