@@ -2,7 +2,7 @@
 
 A container is a one-line JSON header, a newline, then the body:
 
-    {"digest":"<sha256 hex>","format_version":3,"kind":"...","metadata":{...}}
+    {"digest":"<sha256 hex>","format_version":4,"kind":"...","metadata":{...}}
     <canonical JSON body>
 
 The body is serialized once, as canonical JSON (sorted keys, no spaces),
@@ -10,12 +10,15 @@ and the digest covers exactly those bytes; it is checked before the body
 is parsed. One codec walks the artifact's dataclass fields and type
 hints. A dict becomes a list of [key, value] pairs, which keeps its
 order. An ndarray becomes an array record,
-{"dtype": "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
-whose raw bytes round-trip exactly. Decoding checks every field's type
-and each array's byte count, then builds each artifact, which checks
-itself; any mismatch is a CorruptContainerError. save rebuilds each
-artifact before encoding it. A container of an older format
-(format 1 was one JSON document) is rejected by its format_version.
+{"dtype": "<i4" or "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
+"<i4" exactly when every value casts to int32 and back to the same
+float64 bytes (no -0.0, NaN or inf), as a dataset's do; every array loads
+as float64 with its bits. Decoding checks every field's type and each
+array's byte count, inflating at most a byte past it, then builds each
+artifact, which checks itself; any mismatch is a CorruptContainerError.
+save rebuilds each artifact before encoding it. Format 4 only added the
+"<i4" record, so load reads formats 3 and 4; an older one (format 1 was
+one JSON document) is rejected by its format_version.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
 so a crash never leaves a half-written model.
@@ -44,7 +47,9 @@ from .hierarchy import HierarchyModel
 from .preprocess import ReductionPipeline
 
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+READ_FORMATS = (3, 4)
+_ITEM_BYTES = {"<f8": 8, "<i4": 4}  # per array record dtype
 
 # zlib level 1: on a 1500-row corpus, higher levels shrink the file by a
 # few percent and make the save several times slower
@@ -89,7 +94,12 @@ def _encode(value):
         return value
     if isinstance(value, np.ndarray):
         a = np.ascontiguousarray(value, dtype="<f8")
-        data = base64.b64encode(zlib.compress(a.tobytes(), _ZLIB_LEVEL)).decode("ascii")
+        if not a.size or a.flat[0].is_integer():  # a trained net's first weight settles it at once
+            with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values cast to junk
+                i = a.astype("<i4")
+            if np.array_equal(i.astype("<f8").view("<i8"), a.view("<i8")):  # bit for bit
+                a = i
+        data = base64.b64encode(zlib.compress(a, _ZLIB_LEVEL)).decode("ascii")
         return {"dtype": a.dtype.str, "shape": list(a.shape), "zlib": data}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
@@ -114,14 +124,21 @@ def _expect(value, tp, where: str):
 def _decode_array(rec, where: str) -> np.ndarray:
     rec = _expect(rec, dict, where)
     shape = _expect(rec.get("shape"), list, f"{where}.shape")
-    if rec.get("dtype") != "<f8":
-        raise ValueError(f"{where}: dtype {rec.get('dtype')!r}, expected '<f8'")
+    if (dtype := rec.get("dtype")) not in _ITEM_BYTES:
+        raise ValueError(f"{where}: dtype {dtype!r}, expected '<f8' or '<i4'")
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{where}: bad shape {shape!r}")
-    raw = zlib.decompress(base64.b64decode(_expect(rec.get("zlib"), str, where), validate=True))
-    if len(raw) != 8 * math.prod(shape):
+    size = _ITEM_BYTES[dtype] * math.prod(shape)
+    # a byte past the shape refuses a payload, however far it would inflate
+    inflate = zlib.decompressobj()
+    raw = inflate.decompress(base64.b64decode(_expect(rec.get("zlib"), str, where), validate=True), size + 1)
+    if len(raw) > size:
+        raise ValueError(f"{where}: data inflates past shape {tuple(shape)} of {dtype}")
+    if not inflate.eof:
+        raise ValueError(f"{where}: truncated zlib stream")
+    if len(raw) != size:
         raise ValueError(f"{where}: {len(raw)} bytes do not fill shape {tuple(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype("<f8")
 
 
 @functools.cache
@@ -260,9 +277,9 @@ def load_container(path, expected_kind: str | None = None) -> dict:
         if key not in container:
             raise CorruptContainerError(f"{path}: missing field {key!r}")
     version = container["format_version"]
-    if version != FORMAT_VERSION:
+    if version not in READ_FORMATS:
         raise FormatVersionError(f"{path}: format version {version!r} "
-                                 f"(supported: {FORMAT_VERSION})")
+                                 f"(supported: {', '.join(map(str, READ_FORMATS))})")
     if _digest(body) != container["digest"]:
         raise CorruptContainerError(f"{path}: body does not match its digest")
     kind = container["kind"]

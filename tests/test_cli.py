@@ -248,9 +248,15 @@ class TestTrain:
             ends = [gen for gen, _, _, g in rows if g is not None]
             assert len(ends) == 3 and all(b - a < 8 for a, b in zip([0] + ends, ends))
             assert max(lam for _, _, lam, _ in rows) > rows[0][2]
-        # the container's sha256: a change to any trained bit of any stage shows here
+        # the body's sha256: a change to any trained bit of any stage shows here (it is the
+        # format-3 body: the model holds no integral array, so format 4 writes the same bytes)
+        head, _, body = data[0].partition(b"\n")
+        assert hashlib.sha256(body).hexdigest() == (
+            "eaa13aa8f483db0a16b7fc566ae0d7e203659bc9c9fce0ed9f33b152d8333e81")
+        # the whole container's, header included: re-recorded when the header's format became 4
+        assert json.loads(head)["format_version"] == 4
         assert hashlib.sha256(data[0]).hexdigest() == (
-            "e1b0459314404e41613eba626fc52d21dcb5305a5b7e7a46511ac4598fa8e5ed")
+            "9878708f2ab642a185ee2526ed719e46fc90ea42e18d02495898be007f6addc6")
 
     def test_hierarchy_requires_db(self, tmp_path, monkeypatch, capsys):
         # train reads one input, the db, and has no --dataset flag

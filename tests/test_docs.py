@@ -1,7 +1,9 @@
 """README: every import it documents names a real module path, every
 `neuralfp` command line it shows parses, every long flag it names is an
 option of a subcommand, the line count it states for src/neuralfp is the
-tree's, and its config table names the config's fields.
+tree's, its config table names the config's fields, and its container
+paragraph names the format save writes, the formats load reads and the
+array record dtypes.
 The tree itself keeps to its line budget and line width."""
 
 import argparse
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from neuralfp import persistence
 from neuralfp.cli import build_parser
 from neuralfp.hierarchy import HierarchyConfig
 
@@ -80,3 +83,11 @@ def test_config_table_keys_are_the_config_fields():
                          README, re.M)
     keys = [key for row in rows.splitlines() for key in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(HierarchyConfig.__dataclass_fields__)
+
+
+def test_container_paragraph_names_the_formats_and_dtypes():
+    [(written, read)] = re.findall(r"versioned container \(format (\d+);\s+`load` reads formats ([^)]*)\)", README)
+    assert int(written) == persistence.FORMAT_VERSION
+    assert tuple(int(n) for n in re.findall(r"\d+", read)) == persistence.READ_FORMATS
+    (paragraph,) = [p for p in README.split("\n\n") if "versioned container" in p]
+    assert set(re.findall(r"`(<\w\d)`", paragraph)) == set(persistence._ITEM_BYTES)

@@ -3,12 +3,15 @@
 import base64
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
 import re
 import stat
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,17 +40,20 @@ from neuralfp.dcerpc import (
 from neuralfp.hierarchy import (
     HierarchyConfig,
     HierarchyError,
+    classify,
     classify_vector,
     train_hierarchy,
 )
 from neuralfp.neural import Mlp, forward, init_mlp
 from neuralfp.persistence import (
     FORMAT_VERSION,
+    READ_FORMATS,
     CorruptContainerError,
     FormatVersionError,
     KindMismatchError,
     PersistenceError,
     _canonical,
+    _decode_array,
     _digest,
     _encode,
     decode_config,
@@ -57,6 +63,10 @@ from neuralfp.persistence import (
 )
 from neuralfp.preprocess import fit_pipeline
 from neuralfp.signatures import format_observation, parse_fingerprint_db
+
+from hosts import scan_hosts
+
+DATA = Path(__file__).parent / "data"
 
 
 def _split(path):
@@ -436,10 +446,22 @@ def _narrow_basis(body, model):
 
 
 def _boolean_array(body, model):
-    # the record format 2 wrote for a boolean mask: every array is now <f8
+    # the record format 2 wrote for a boolean mask: every array is now <f8 or <i4
     mask = np.ones(len(model.relevance.pipeline.kept), dtype=bool)
     data = base64.b64encode(zlib.compress(mask.tobytes())).decode()
     body["relevance"]["pipeline"]["center"] = {"dtype": "|b1", "shape": [len(mask)], "zlib": data}
+
+
+def _inflating(shape):
+    """An <f8 array record whose data inflates to 64 MB of zeros, compressed a
+    MB at a time so that the test itself never holds them."""
+    deflate, chunk = zlib.compressobj(1), bytes(1 << 20)
+    data = b"".join(deflate.compress(chunk) for _ in range(64)) + deflate.flush()
+    return {"dtype": "<f8", "shape": list(shape), "zlib": base64.b64encode(data).decode()}
+
+
+def _inflating_weights(body, model):
+    body["relevance"]["net"]["weights"][0] = _inflating([1])
 
 
 def _constant_kept(body, model):
@@ -502,7 +524,9 @@ MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
     "net width is not PCA k": (_narrow_basis, "net input width = PCA k"),
-    "boolean array": (_boolean_array, "dtype '\\|b1', expected '<f8'"),
+    "boolean array": (_boolean_array, "dtype '\\|b1', expected '<f8' or '<i4'"),
+    "array data inflating past its shape": (_inflating_weights,
+                                            "body.relevance.net.weights: data inflates past shape \\(1,\\)"),
     "kept column is constant": (_constant_kept, "a finite scale > 0"),
     "kept column past the width": (_kept_past_width, "must be one of the 568 input columns"),
     "unknown key": (_unknown_key, "body.relevance: unknown keys \\['bogus'\\]"),
@@ -532,7 +556,7 @@ def test_cli_refuses_a_format_2_model_in_one_line(small_hierarchy, tmp_path, cap
     _relabel_format_2(path)
     assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: format version 2 (supported: {FORMAT_VERSION})"]
+        f"error: {path}: format version 2 (supported: 3, 4)"]
 
 
 def _list_header(path):
@@ -595,6 +619,7 @@ class TestMalformedBody:
             load(path)
 
     @pytest.mark.parametrize("case", ["missing key", "bytes do not fill shape", "net width is not PCA k",
+                                      "array data inflating past its shape",
                                       "kept column is constant", "threshold too large for a float",
                                       "array shape not counts", "versions not key-value pairs",
                                       "history row of three items"])
@@ -789,6 +814,146 @@ class TestProperties:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptContainerError):
             load(path)
+
+
+def _is_int32(v: float) -> bool:
+    # an int32 value, and not -0.0
+    return v.is_integer() and -2**31 <= v <= 2**31 - 1 and not (v == 0 and math.copysign(1.0, v) < 0)
+
+
+# (array, the dtype of its record): "<i4" exactly when every value is an int32
+# other than -0.0, so that the int32 bytes give back the float64 bytes
+CODEC_CASES = {
+    "int32 limits": (np.array([2**31 - 1, -(2**31 - 1), -2**31], dtype=float), "<i4"),
+    "2**31": (np.array([1.0, 2.0**31]), "<f8"),
+    "below -2**31": (np.array([-(2.0**31) - 1]), "<f8"),
+    "negative zero": (np.array([0.0, -0.0]), "<f8"),
+    "a half": (np.array([1.0, 0.5]), "<f8"),
+    "a half first": (np.array([0.5, 1.0]), "<f8"),
+    "nan": (np.array([1.0, math.nan]), "<f8"),
+    "infinities": (np.array([math.inf, -math.inf]), "<f8"),
+    "empty": (np.zeros(0), "<i4"),
+    "no columns": (np.zeros((3, 0)), "<i4"),
+    "2-D": (np.arange(-6.0, 6.0).reshape(3, 4), "<i4"),
+    "2-D with a fraction": (np.array([[1.0, 2.0], [3.0, 4.5]]), "<f8"),
+}
+
+
+def _record(dtype, shape, raw: bytes, cut=0):
+    data = zlib.compress(raw)
+    return {"dtype": dtype, "shape": shape, "zlib": base64.b64encode(data[:len(data) - cut]).decode()}
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("case", sorted(CODEC_CASES))
+    def test_dtype_and_bit_exact_round_trip(self, case):
+        a, dtype = CODEC_CASES[case]
+        rec = _encode(a)
+        assert (rec["dtype"], rec["shape"]) == (dtype, list(a.shape))
+        # the payload is the dtype's raw bytes; every array loads as float64 with its bits
+        assert zlib.decompress(base64.b64decode(rec["zlib"])) == a.astype(dtype).tobytes()
+        back = _decode_array(rec, "a")
+        assert back.dtype == np.float64 and back.shape == a.shape and back.tobytes() == a.tobytes()
+        back[...] = 0  # a loaded array owns its data
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_int32_exactly_when_every_value_is_one(self, data):
+        shape = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)) | st.tuples(st.integers(0, 6)))
+        ints = st.integers(-2**31, 2**31 - 1).map(float)
+        odd = st.sampled_from([2.0**31, -(2.0**31) - 1, -0.0, 0.5]) | FLOATS
+        a = data.draw(arrays(np.float64, shape, elements=ints))
+        if a.size and data.draw(st.booleans()):  # plant one value of any float class
+            a[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = data.draw(odd)
+        rec = _encode(a)
+        assert rec["dtype"] == ("<i4" if all(_is_int32(v) for v in a.flat) else "<f8")
+        back = _decode_array(rec, "a")
+        assert back.dtype == np.float64 and back.shape == a.shape and back.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("rec, wants", [
+        # an <i4 record holding the bytes the shape would take as <f8
+        (_record("<i4", [3], np.zeros(3).tobytes()), "data inflates past shape \\(3,\\) of <i4"),
+        (_record("<i4", [3], bytes(8)), "8 bytes do not fill shape \\(3,\\)"),
+        (_record("<i4", [3], bytes(12), cut=4), "truncated zlib stream"),
+        (_record("<f4", [3], np.zeros(3, "<f4").tobytes()), "dtype '<f4', expected '<f8' or '<i4'"),
+        (_record("<i8", [3], np.zeros(3, "<i8").tobytes()), "dtype '<i8', expected '<f8' or '<i4'"),
+        (_record("|b1", [3], np.zeros(3, bool).tobytes()), "dtype '\\|b1', expected '<f8' or '<i4'"),
+    ], ids=["f8 bytes as i4", "short i4", "truncated", "f4", "i8", "b1"])
+    def test_refused(self, rec, wants):
+        with pytest.raises(ValueError, match=f"^a: {wants}$"):
+            _decode_array(rec, "a")
+
+    def test_a_payload_inflating_past_its_shape_stops_a_byte_past_it(self, tmp_path):
+        # inflated in full, a crafted payload could exhaust memory before its byte count is checked
+        path = tmp_path / "d.ds"
+        save(generate_dataset(parse_fingerprint_db(demo_database()), None, 70, seed=8), path)
+        _rewrite_body(path, lambda body: body.update(targets=_inflating([1])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptContainerError, match="malformed dataset: body.targets: "
+                                                            r"data inflates past shape \(1,\) of <f8$"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_a_dataset_takes_int32_records_and_a_trained_net_does_not(self, small_hierarchy, tmp_path):
+        model, root = small_hierarchy
+        save(generate_dataset(parse_fingerprint_db(demo_database()), None, 70, seed=8), tmp_path / "d.ds")
+        body = json.loads(_split(tmp_path / "d.ds")[1])
+        assert (body["inputs"]["dtype"], body["targets"]["dtype"]) == ("<i4", "<i4")
+        assert all(_encode(w)["dtype"] == "<f8" for w in model.family.net.weights)
+        assert _split(root / "h.model")[0]["format_version"] == FORMAT_VERSION == 4
+
+
+class TestFormat3Fixtures:
+    """Containers written at FORMAT_VERSION 3 (commit 2fa18ba), before "<i4"
+    records, load at format 4 with every bit. They were made with
+
+        neuralfp generate --db demo.db --total 60 --stage family --seed 34 --out format3.ds
+        neuralfp train --db demo.db --config format3.cfg --seed 34 --out format3.model
+
+    where demo.db holds neuralfp.corpus.demo_database() and format3.cfg is
+    {"samples": 300, "generations": 5, "windows": true}."""
+
+    # sha256 of the model's verdicts on the first 500 bench scan hosts of seed 1,
+    # recorded with the format-3 code that wrote the model
+    VERDICTS_DIGEST = "17757267dc137721758d5f8d88d72f6399761d052a36984ebfa3a81cc4f7b3fa"
+
+    @pytest.mark.parametrize("name, kind", [("format3.ds", "dataset"), ("format3.model", "hierarchy")])
+    def test_a_format_3_header_is_read(self, name, kind):
+        assert READ_FORMATS == (3, 4)
+        assert load_container(DATA / name, kind)["format_version"] == 3
+
+    def test_dataset_is_the_same_draw_bit_for_bit(self):
+        ds = load(DATA / "format3.ds", "dataset")
+        fresh = generate_dataset(parse_fingerprint_db(demo_database()), None, 60, stage="family", seed=34)
+        for a, b in ((ds.inputs, fresh.inputs), (ds.targets, fresh.targets)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (ds.stage, ds.labels, ds.output_labels, ds.seed) == (
+            fresh.stage, fresh.labels, fresh.output_labels, fresh.seed)
+
+    def test_model_verdicts_are_the_format_3_verdicts(self):
+        model = load(DATA / "format3.model", "hierarchy")
+        h, dumps = hashlib.sha256(), 0
+        for obs, dump in scan_hosts(parse_fingerprint_db(demo_database()), 500):
+            r = classify(model, obs, dump)
+            w = r.windows
+            dumps += w is not None
+            windows = w and (w.version, w.edition, w.service_pack, w.scores, w.low_confidence)
+            h.update(repr((r.relevance, r.family_scores, r.version_scores, r.verdict,
+                           r.stage_trace, windows)).encode())
+        assert dumps > 0 and h.hexdigest() == self.VERDICTS_DIGEST
+
+    def test_saved_again_the_model_keeps_its_body_and_the_dataset_shrinks(self, tmp_path):
+        # a trained model holds no integral array, a dataset nothing else
+        for name in ("format3.model", "format3.ds"):
+            save(load(DATA / name), tmp_path / name)
+            (old_header, old), (header, new) = _split(DATA / name), _split(tmp_path / name)
+            assert (old_header["format_version"], header["format_version"]) == (3, 4)
+            assert (new == old) == (name == "format3.model")
+        assert len(new) < 0.8 * len(old)
 
 
 class TestDecodeConfig:
