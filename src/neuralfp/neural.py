@@ -1,4 +1,4 @@
-"""Multilayer perceptrons with momentum backpropagation and adaptive rate.
+"""Three-layer perceptrons with momentum backpropagation and adaptive rate.
 
 Every neuron computes v = tanh(sum_k w_k x_k - w_0): weights carry an
 explicit bias term against a fixed virtual input of -1 in slot 0.  Layer
@@ -19,9 +19,9 @@ checks its ranges when it is built, so a run never starts on a bad one.
 
 The per-pair kernel (_Workspace) allocates nothing: each step writes with
 `out=` into buffers built once per generation, and a step that is the
-same for every layer is one call on a flat buffer.  Each element still
+same for both layers is one call on a flat buffer.  Each element still
 goes through the same numpy operations, in the same order, as in the
-plain formulas, and the -1 slot of each buffered activation turns the
+plain formulas, and the -1 slot ahead of the buffered x and h turns the
 bias column into one more product: upd + lam * (-delta) equals
 upd - lam * delta bit for bit, since IEEE negation is exact.  So training
 gives the same weights as a loop that allocates every intermediate, and
@@ -95,43 +95,42 @@ class TrainHistory:
 
 @dataclass
 class Mlp:
-    """Feed-forward tanh network; weights[l] maps layer l to layer l+1."""
+    """Three-layer tanh perceptron: weights = [W1, W2], hidden then output layer."""
 
     weights: list[np.ndarray]
     history: TrainHistory | None = None
 
     def __post_init__(self):
-        if not (self.weights and all(w.ndim == 2 and w.shape[1] > 0 for w in self.weights)
-                and all(a.shape[0] + 1 == b.shape[1] for a, b in zip(self.weights, self.weights[1:]))):
-            raise ValueError("expected 2-D layers whose widths chain")
+        if not (len(self.weights) == 2 and all(w.ndim == 2 and w.shape[1] > 0 for w in self.weights)
+                and self.weights[0].shape[0] + 1 == self.weights[1].shape[1]):
+            raise ValueError("expected a 2-D hidden and output layer whose widths chain")
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[1] - 1] + [w.shape[0] for w in self.weights])
+    def sizes(self) -> tuple[int, int, int]:
+        W1, W2 = self.weights
+        return W1.shape[1] - 1, W1.shape[0], W2.shape[0]
 
 
-def init_mlp(sizes: tuple[int, ...] | list[int], seed: int = 0) -> Mlp:
-    """Uniform init on [-r, r] with r = 1/sqrt(fan-in), bias included."""
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ValueError(f"bad layer sizes {sizes!r}")
+def init_mlp(sizes: tuple[int, int, int] | list[int], seed: int = 0) -> Mlp:
+    """A net of (inputs, hidden, outputs) neurons; uniform init on [-r, r], r = 1/sqrt(fan-in)."""
+    if len(sizes) != 3 or any(s < 1 for s in sizes):
+        raise ValueError(f"expected (inputs, hidden, outputs) sizes >= 1, got {sizes!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    n, hidden, outputs = sizes
     rng = np.random.default_rng(seed)
-    weights = []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        r = 1.0 / np.sqrt(n_in + 1)
-        weights.append(rng.uniform(-r, r, size=(n_out, n_in + 1)))
-    return Mlp(weights)
+    r1, r2 = 1.0 / np.sqrt(n + 1), 1.0 / np.sqrt(hidden + 1)
+    W1 = rng.uniform(-r1, r1, size=(hidden, n + 1))
+    return Mlp([W1, rng.uniform(-r2, r2, size=(outputs, hidden + 1))])
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output for one input vector (n,) or each row of a stack
     (..., n).  Each row is its own matrix-vector product on contiguous
     memory, so a row gets the same bits alone as inside any batch."""
-    a = np.ascontiguousarray(x, dtype=float)
-    for W in mlp.weights:
-        a = np.tanh(np.matvec(W[:, 1:], a) - W[:, 0])
-    return a
+    W1, W2 = mlp.weights
+    h = np.tanh(np.matvec(W1[:, 1:], np.ascontiguousarray(x, dtype=float)) - W1[:, 0])
+    return np.tanh(np.matvec(W2[:, 1:], h) - W2[:, 0])
 
 
 def _flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -152,37 +151,29 @@ def _extended(inputs: np.ndarray) -> np.ndarray:
 class _Workspace:
     """Buffers for one net's online backprop, and the per-pair step on them.
 
-    A pair's input arrives as [-1, x], and each later layer's output sits
-    in one activation buffer behind a fixed -1.  The weights, the momentum
-    state and the gradient are each one flat copy; an element-wise
-    operation gives each element the same bits however the elements are
-    grouped, so one call on a flat buffer stands for one call per layer.
+    A pair's input arrives as [-1, x]; the hidden and output activations
+    share one buffer [-1, h, v].  The weights, the momentum state and
+    the gradient are each one flat copy; an element-wise operation gives
+    each element the same bits however the elements are grouped, so one
+    call on a flat buffer stands for one call per layer.
     """
 
     def __init__(self, mlp: Mlp, update: list[np.ndarray]):
-        sizes = mlp.sizes[1:]
-        starts = np.cumsum([0] + [n + 1 for n in sizes])
-        act = np.empty(starts[-1])
-        act[starts[:-1]] = -1.0
-        ext = [act[i:i + n + 1] for i, n in zip(starts, sizes)]
-        self.out = out = ext[-1][1:]
-        # f'(v) = 1 - v^2 for every layer in one go; the -1 slots give 0
-        fprime_all = np.empty_like(act)
-        fprime = [fprime_all[i + 1:i + 1 + n] for i, n in zip(starts, sizes)]
+        _, hidden, outputs = mlp.sizes
+        act = np.empty(1 + hidden + outputs)
+        act[0] = -1.0
+        h_ext, h, out = act[:hidden + 1], act[1:hidden + 1], act[hidden + 1:]
+        self.out = out
+        # f'(a) = 1 - a^2 for both layers in one go; the -1 slot gives 0
+        fprime = np.empty_like(act)
+        fprime_h, fprime_out = fprime[1:hidden + 1], fprime[hidden + 1:]
         self.w, self.weights = _flat(mlp.weights)
         self.upd, self.updates = _flat(update)
         self.g, self.grad = _flat(mlp.weights)
-        delta = [np.empty(n) for n in sizes]
-        delta_col = [d[:, None] for d in delta]
-        # per layer: v, W[:, 1:], W[:, 0]
-        forward_steps = [(e[1:], W[:, 1:], W[:, 0]) for e, W in zip(ext, self.weights)]
-        # per hidden layer, last first: W[:, 1:].T of the layer above and its delta,
-        # a buffer for the backpropagated sum, f'(v) and delta
-        backward_steps = [(self.weights[l + 1][:, 1:].T, delta[l + 1], np.empty(sizes[l]),
-                           fprime[l], delta[l]) for l in range(len(sizes) - 2, -1, -1)]
-        # past the first layer: delta[:, None], [-1, a] below and the gradient view
-        outer_steps = list(zip(delta_col[1:], ext, self.grad[1:]))
-        delta_col0, grad0, fprime_out, delta_out = delta_col[0], self.grad[0], fprime[-1], delta[-1]
+        (W1, W2), (grad1, grad2) = self.weights, self.grad
+        W1x, b1, W2h, b2, W2T = W1[:, 1:], W1[:, 0], W2[:, 1:], W2[:, 0], W2[:, 1:].T
+        delta_h, delta_out, backsum = np.empty(hidden), np.empty(outputs), np.empty(hidden)
+        delta_h_col, delta_out_col = delta_h[:, None], delta_out[:, None]
         matvec, matmul, multiply, subtract, tanh = np.matvec, np.matmul, np.multiply, np.subtract, np.tanh
 
         # numpy's call overhead on arrays of a few elements is the whole cost
@@ -191,26 +182,24 @@ class _Workspace:
         # which skips the keyword parsing
         def pair(xe: np.ndarray, y: np.ndarray, err: np.ndarray) -> None:
             """Forward [-1, x] as forward does, set err = y - v, and leave
-            every layer's delta [-1, a] (minus E's gradient) in grad.
+            each layer's delta [-1, a] (minus E's gradient) in grad.
 
-            Output delta: f'(v)(y - v); hidden: f'(v) * backpropagated sum.
+            Output delta: f'(v)(y - v); hidden: f'(h) * W2[:, 1:].T delta_out.
             """
-            a = xe[1:]
-            for v, W, b in forward_steps:
-                matvec(W, a, v)
-                subtract(v, b, v)
-                tanh(v, v)
-                a = v
+            matvec(W1x, xe[1:], h)
+            subtract(h, b1, h)
+            tanh(h, h)
+            matvec(W2h, h, out)
+            subtract(out, b2, out)
+            tanh(out, out)
             subtract(y, out, err)
-            multiply(act, act, fprime_all)
-            subtract(_ONE, fprime_all, fprime_all)
+            multiply(act, act, fprime)
+            subtract(_ONE, fprime, fprime)
             multiply(fprime_out, err, delta_out)
-            for WT, above, s, fp, d in backward_steps:
-                matmul(WT, above, s)
-                multiply(fp, s, d)
-            multiply(delta_col0, xe, grad0)
-            for d, e, g in outer_steps:
-                multiply(d, e, g)
+            matmul(W2T, delta_out, backsum)
+            multiply(fprime_h, backsum, delta_h)
+            multiply(delta_h_col, xe, grad1)
+            multiply(delta_out_col, h_ext, grad2)
 
         self.pair = pair
 

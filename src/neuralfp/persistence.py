@@ -51,8 +51,9 @@ FORMAT_VERSION = 4
 READ_FORMATS = (3, 4)
 _ITEM_BYTES = {"<f8": 8, "<i4": 4}  # per array record dtype
 
-# zlib level 1: on a 1500-row corpus, higher levels shrink the file by a
-# few percent and make the save several times slower
+# zlib level 1 stays because any other level changes every container's bytes, not for
+# speed: on the bench `train` recipe's 1000 x 568 <i4 inputs (one core), level 1 gives
+# 91,395 B in 5.2 ms and level 3 37,950 B in 4.6 ms; levels on <f8 model arrays are unmeasured
 _ZLIB_LEVEL = 1
 
 # one kind per artifact a command writes: generate, reduce --out and train

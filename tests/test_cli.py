@@ -711,6 +711,10 @@ class TestExports:
         assert lines[0] == "index  test  feature"
         assert len(lines) == 1 + 568
         assert lines[1].split() == ["0", "T1", "ACK", "FIELD"]
+        assert capsys.readouterr().out == f"wrote {out} (568 rows)\n"
+        # with no --out, stdout carries the same table
+        assert main(["export-layout"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 def _files(directory):

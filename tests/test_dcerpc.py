@@ -138,10 +138,11 @@ class TestLabelSpace:
 
 
 def _stub_refiner(outputs: np.ndarray, schema, labels) -> WindowsRefiner:
-    """A refiner whose single layer ignores its input: bias alone fixes the outputs."""
-    w = np.zeros((len(outputs), schema.size + 1))
+    """A refiner whose one hidden neuron ignores its input and whose
+    output layer ignores that neuron: bias alone fixes the outputs."""
+    w = np.zeros((len(outputs), 2))
     w[:, 0] = -np.arctanh(outputs)
-    return WindowsRefiner(Mlp([w]), schema, labels)
+    return WindowsRefiner(Mlp([np.zeros((1, schema.size + 1)), w]), schema, labels)
 
 
 def _stub_dump() -> tuple:

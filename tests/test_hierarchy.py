@@ -42,6 +42,7 @@ from neuralfp.preprocess import ReductionError
 from neuralfp.signatures import parse_fingerprint_db, parse_observation
 
 from hosts import scan_hosts
+from test_neural import TRAINED_SHAPES
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +336,10 @@ class TestGolden:
         assert plateaued == ["Solaris", "OpenBSD"]
         # the refiner trains with no patience and computes no G
         assert not any(net is model.windows.net for net, _ in seen)
+
+    def test_kernel_cases_are_the_trained_shapes(self, train_runs):
+        # test_neural checks the backprop kernel at each of these shapes
+        assert {name: net.sizes for name, net in self.nets(train_runs[0]).items()} == TRAINED_SHAPES
 
     @pytest.mark.parametrize("recipe", ["train", "corpus"])
     def test_patience_moves_only_the_stop(self, db, train_runs, recipe):

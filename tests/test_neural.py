@@ -1,6 +1,7 @@
 """Perceptron math, backprop against finite differences, training loop."""
 
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -60,15 +61,27 @@ def same_bits(a, b):
     return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-@st.composite
-def nets_and_pairs(draw):
-    """A net of 1-3 weight layers (widths 1-30) and 1-60 pairs for it."""
-    sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
-    rows = draw(st.integers(1, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def make_case(sizes, rows, rng):
+    """A net of the given (inputs, hidden, outputs) and rows pairs for it."""
     X = rng.uniform(-3, 3, size=(rows, sizes[0]))
     Y = np.where(rng.random((rows, sizes[-1])) < 0.5, -1.0, 1.0)
     return init_mlp(sizes, seed=int(rng.integers(2**32))), X, Y, rng
+
+
+# (inputs, hidden, outputs) of each net that the bench `train` recipe
+# trains: the criterion-6 stages, (k, hidden, outputs), and the Windows
+# refiner; test_hierarchy.TestGolden reads them back from the trained model
+TRAINED_SHAPES = {"relevance": (17, 20, 1), "family": (13, 20, 6), "Linux": (5, 18, 4),
+                  "Solaris": (4, 7, 5), "OpenBSD": (4, 4, 3), "FreeBSD": (4, 8, 2),
+                  "NetBSD": (3, 8, 2), "windows": (118, 24, 25)}
+
+
+@st.composite
+def nets_and_pairs(draw):
+    """A net of (inputs, hidden, outputs), each 1-30, and 1-60 pairs for it."""
+    sizes = draw(st.tuples(*[st.integers(1, 30)] * 3))
+    rows = draw(st.integers(1, 60))
+    return make_case(sizes, rows, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 def fd_gradient(mlp, x, y, h=1e-5):
@@ -105,15 +118,17 @@ def gradient_deviation(net, x, y):
 
 class TestPerceptron:
     def test_single_neuron_tanh(self):
-        net = Mlp([np.array([[0.0, 1.0]])])
-        assert forward(net, np.array([0.5]))[0] == pytest.approx(0.46211715726000974, abs=1e-15)
+        # one neuron per layer, unit weight, no bias: tanh(tanh(0.5))
+        net = Mlp([np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])])
+        assert forward(net, np.array([0.5]))[0] == pytest.approx(0.4318081805950961, abs=1e-15)
 
     def test_bias_subtracts(self):
-        net = Mlp([np.array([[0.2, 0.0]])])
-        assert forward(net, np.array([3.0]))[0] == pytest.approx(np.tanh(-0.2), abs=1e-15)
+        # the hidden neuron ignores its input; each layer subtracts its bias
+        net = Mlp([np.array([[0.2, 0.0]]), np.array([[0.3, 1.0]])])
+        assert forward(net, np.array([3.0]))[0] == pytest.approx(np.tanh(np.tanh(-0.2) - 0.3), abs=1e-15)
 
     @settings(max_examples=60)
-    @given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    @given(sizes=st.tuples(*[st.integers(1, 40)] * 3),
            rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            fortran=st.booleans())
     def test_forward_batch_matches_forward(self, sizes, rows, seed, fortran):
@@ -142,10 +157,11 @@ class TestInit:
         assert not np.array_equal(a.weights[0], c.weights[0])
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            init_mlp([4], seed=0)
-        with pytest.raises(ValueError):
-            init_mlp([4, 0, 2], seed=0)
+        # (inputs, hidden, outputs) only: no other depth, no empty layer
+        for sizes in ([4], [4, 2], [4, 3, 2, 1], [4, 0, 2]):
+            want = f"expected (inputs, hidden, outputs) sizes >= 1, got {sizes!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                init_mlp(sizes, seed=0)
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             init_mlp([4, 3, 2], seed=-1)
 
@@ -226,6 +242,19 @@ class TestKernelAgainstOracle:
             want = run(twin)
         assert repr(got) == repr(want)
         assert same_bits(net.weights, twin.weights)
+
+    @pytest.mark.parametrize("name", list(TRAINED_SHAPES))
+    def test_trained_shapes_are_bit_identical(self, name):
+        # two generations, the second carrying the first's momentum
+        net, X, Y, _ = make_case(TRAINED_SHAPES[name], 60, np.random.default_rng(TRAINED_SHAPES[name]))
+        twin = Mlp([W.copy() for W in net.weights])
+        got = want = None
+        for lam in (0.05, 0.0525):
+            mse, got = backprop_generation(net, X, Y, lam, 0.8, got)
+            want_mse, want = one_pair_at_a_time(twin, X, Y, lam, 0.8, want)
+            assert np.float64(mse).tobytes() == np.float64(want_mse).tobytes()
+            assert same_bits(net.weights, twin.weights)
+            assert same_bits(got, want)
 
     @settings(max_examples=60)
     @given(case=nets_and_pairs())
@@ -343,23 +372,30 @@ class TestTraining:
         assert lines[1].startswith("1,") and lines[1].endswith(",")
 
 
+def sign_net(n):
+    """n inputs, n hidden and n output neurons, each output tanh(tanh(x_i)):
+    its sign is the sign of x_i."""
+    unit = np.hstack([np.zeros((n, 1)), np.eye(n)])
+    return Mlp([unit, unit.copy()])
+
+
 class TestFitness:
     def test_binary_by_hand(self):
-        # identity net: prediction is sign(x)
-        net = Mlp([np.array([[0.0, 1.0]])])
+        # prediction is sign(x)
+        net = sign_net(1)
         X = np.array([[2.0], [2.0], [-2.0], [-2.0], [2.0]])
         Y = np.array([[1.0], [-1.0], [1.0], [-1.0], [-1.0]])
         # fp rate 2/3, fn rate 1/2
         assert fitness_g(net, X, Y) == pytest.approx(1.0 - (2 / 3 + 1 / 2))
 
     def test_binary_perfect(self):
-        net = Mlp([np.array([[0.0, 1.0]])])
+        net = sign_net(1)
         X = np.array([[3.0], [-3.0]])
         Y = np.array([[1.0], [-1.0]])
         assert fitness_g(net, X, Y) == 1.0
 
     def test_categorical_by_hand(self):
-        net = Mlp([np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+        net = sign_net(2)
         X = np.array([[2.0, -2.0], [-2.0, 2.0], [2.0, -2.0]])
         Y = np.array([[1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
         assert fitness_g(net, X, Y) == pytest.approx(2 / 3)

@@ -507,6 +507,15 @@ def _unchained_net(body, model):
     body["family"]["net"]["weights"] = [_encode(np.zeros((2, 3))), _encode(np.zeros((1, 2)))]
 
 
+def _one_layer_net(body, model):
+    del body["family"]["net"]["weights"][1]
+
+
+def _three_layer_net(body, model):
+    # a third layer that chains: the depth alone is refused
+    body["family"]["net"]["weights"].append(_encode(np.zeros((2, model.family.net.sizes[2] + 1))))
+
+
 def _wide_refiner_net(body, model):
     ref = model.windows
     body["windows"]["net"] = _encode(init_mlp([ref.schema.size, 2, ref.labels.total + 1]))
@@ -520,6 +529,7 @@ def _string_uuid_neuron(body, model):
     body["windows"]["schema"]["uuid_index"][0][1] = "0"
 
 
+NET_SHAPE = "expected a 2-D hidden and output layer whose widths chain"
 MALFORMED = {
     "missing key": (_drop_key, "missing key 'pipeline'"),
     "bytes do not fill shape": (_short_bytes, "bytes do not fill shape"),
@@ -539,7 +549,9 @@ MALFORMED = {
     "history row of three items": (_short_history_row,
                                    "body.relevance.net.history.rows: expected 4 items, got 3"),
     # the rules of the artifacts a hierarchy nests: a net, the refiner and its endpoint schema
-    "net layers that do not chain": (_unchained_net, "body.family.net: expected 2-D layers whose widths chain"),
+    "net layers that do not chain": (_unchained_net, f"body.family.net: {NET_SHAPE}$"),
+    "net of one layer": (_one_layer_net, f"body.family.net: {NET_SHAPE}$"),
+    "net of three layers": (_three_layer_net, f"body.family.net: {NET_SHAPE}$"),
     "refiner net wider than its label space": (
         _wide_refiner_net, "body.windows: expected net widths = schema size and label space size"),
     "schema binding of two items": (_short_binding,
@@ -622,7 +634,8 @@ class TestMalformedBody:
                                       "array data inflating past its shape",
                                       "kept column is constant", "threshold too large for a float",
                                       "array shape not counts", "versions not key-value pairs",
-                                      "history row of three items"])
+                                      "history row of three items", "net of one layer",
+                                      "net of three layers"])
     def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
         model, root = small_hierarchy
         path = tmp_path / "bad.model"
@@ -687,7 +700,7 @@ class TestUnsoundHierarchy:
 # a valid artifact of each kind, from the trained model, and the error its
 # constructor raises on the cross-field rule that load alone used to check
 KINDS = {
-    "network": (lambda model: model.family.net, ValueError, "expected 2-D layers whose widths chain"),
+    "network": (lambda model: model.family.net, ValueError, NET_SHAPE),
     "stage": (lambda model: model.family, HierarchyError,
               "expected net input width = PCA k and one net output per label"),
     "hierarchy": (lambda model: model, HierarchyError,
@@ -707,6 +720,9 @@ UNBUILDABLE = {
     "network layers that do not chain": ("network", lambda a, model: {
         "weights": [np.zeros((2, 3)), np.zeros((1, 2))]}),
     "network without layers": ("network", lambda a, model: {"weights": []}),
+    "network of one layer": ("network", lambda a, model: {"weights": a.weights[:1]}),
+    "network of three layers": ("network", lambda a, model: {
+        "weights": a.weights + [np.zeros((2, a.sizes[2] + 1))]}),
     "stage with too few labels": ("stage", lambda a, model: {"labels": a.labels[:-1]}),
     "stage whose net reads another width": ("stage", lambda a, model: {"net": model.relevance.net}),
     "hierarchy with nan thresholds": ("hierarchy", lambda a, model: {
@@ -735,6 +751,37 @@ def test_a_retired_kind_is_refused(small_hierarchy, tmp_path, capsys, kind):
     assert main(["export-curves", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown payload kind '{kind}'"]
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _fresh(net):
+    """A net of net's shape with no training history."""
+    return init_mlp(net.sizes, seed=1)
+
+
+def test_export_curves_skips_a_net_without_history(small_hierarchy, tmp_path, capsys):
+    model, _ = small_hierarchy
+    path = tmp_path / "h.model"
+    family = dataclasses.replace(model.family, net=_fresh(model.family.net))
+    save(dataclasses.replace(model, family=family), path)
+    assert main(["export-curves", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert "skipping family: no history recorded" in capsys.readouterr().out.splitlines()
+    trained = [name for name in [*model.stages(), "windows"] if name != "family"]
+    assert {p.name for p in tmp_path.iterdir()} == {"h.model"} | {f"c-{name}.csv" for name in trained}
+    assert (tmp_path / "c-relevance.csv").read_text() == model.relevance.net.history.to_csv()
+
+
+def test_export_curves_refuses_a_model_without_history(small_hierarchy, tmp_path, capsys):
+    model, _ = small_hierarchy
+    path = tmp_path / "h.model"
+    fresh = {name: dataclasses.replace(stage, net=_fresh(stage.net))
+             for name, stage in model.stages().items()}
+    windows = dataclasses.replace(model.windows, net=_fresh(model.windows.net))
+    save(dataclasses.replace(model, relevance=fresh.pop("relevance"), family=fresh.pop("family"),
+                             versions=fresh, windows=windows), path)
+    assert main(["export-curves", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {path}: no training history recorded"]
+    assert captured.out == "" and list(tmp_path.iterdir()) == [path]
 
 
 def _windows_refiner() -> WindowsRefiner:
