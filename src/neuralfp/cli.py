@@ -68,9 +68,6 @@ def cmd_generate(args) -> int:
 def cmd_reduce(args) -> int:
     ds = load(args.dataset, expected_kind="dataset")
     pipe = fit_pipeline(ds.inputs, variance=args.variance)
-    if args.out:
-        save(pipe, args.out, metadata={"dataset": args.dataset, "variance": args.variance})
-        print(f"wrote {args.out}")
     labels = None
     if ds.inputs.shape[1] == TOTAL_NEURONS:
         labels = [feature_label(i) for i in range(TOTAL_NEURONS)]
@@ -194,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="fit the correlation/PCA reduction on a dataset")
     p.add_argument("--dataset", required=True, help="dataset container path")
     p.add_argument("--variance", type=float, default=VARIANCE_TARGET, help="variance share to keep")
-    p.add_argument("--out", help="write the fitted pipeline container here")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("train", help="train the full hierarchy from a signature db")

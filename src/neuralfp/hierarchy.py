@@ -33,9 +33,9 @@ from .preprocess import VARIANCE_TARGET, ReductionPipeline, fit_pipeline
 from .signatures import Observation, Signature
 
 
-# hidden-layer size by stage short name, for every stage a dataset can carry
-STAGE_HIDDEN = {"relevance": 20, "family": 20, "Windows": 8, "Linux": 18, "Solaris": 7, "OpenBSD": 4,
-                "FreeBSD": 8, "NetBSD": 8}
+# hidden-layer size by stage short name, for every stage train_hierarchy builds
+STAGE_HIDDEN = {"relevance": 20, "family": 20, "Linux": 18, "Solaris": 7, "OpenBSD": 4, "FreeBSD": 8,
+                "NetBSD": 8}
 # every stage net stops this many generations after its last rise in G (neural.train)
 STAGE_PATIENCE = 5
 
@@ -158,9 +158,10 @@ def train_stage(
     """
     if len(X) == 0:
         raise HierarchyError(f"stage {stage!r} has an empty dataset")
-    pipe = fit_pipeline(X, variance=cfg.variance)
     name = stage.split(":", 1)[-1]
-    hidden = cfg.hidden.get(name, STAGE_HIDDEN[name])
+    if (hidden := cfg.hidden.get(name, STAGE_HIDDEN.get(name))) is None:  # Windows has no version stage
+        raise HierarchyError(f"stage {stage!r} has no hidden size: set one in cfg.hidden")
+    pipe = fit_pipeline(X, variance=cfg.variance)
     net = init_mlp([pipe.output_dim, hidden, Y.shape[1]], seed=seed)
     train(net, pipe.apply(X), Y, cfg.train_config(seed))
     return Stage(pipe, net, tuple(outputs))

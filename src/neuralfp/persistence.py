@@ -2,7 +2,7 @@
 
 A container is a one-line JSON header, a newline, then the body:
 
-    {"digest":"<sha256 hex>","format_version":4,"kind":"...","metadata":{...}}
+    {"digest":"<sha256 hex>","format_version":5,"kind":"...","metadata":{...}}
     <canonical JSON body>
 
 The body is serialized once, as canonical JSON (sorted keys, no spaces),
@@ -13,12 +13,16 @@ order. An ndarray becomes an array record,
 {"dtype": "<i4" or "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
 "<i4" exactly when every value casts to int32 and back to the same
 float64 bytes (no -0.0, NaN or inf), as a dataset's do; every array loads
-as float64 with its bits. Decoding checks every field's type and each
-array's byte count, inflating at most a byte past it, then builds each
-artifact, which checks itself; any mismatch is a CorruptContainerError.
-save rebuilds each artifact before encoding it. Format 4 only added the
-"<i4" record, so load reads formats 3 and 4; an older one (format 1 was
-one JSON document) is rejected by its format_version.
+as float64 with its bits. A field hinted as a list of records (a
+dataset's labels) becomes {"table": [record, ...], "index": <array record>}:
+each distinct record once, in order of first use, and one table position
+per row. Decoding checks every field's type and each array's byte count,
+inflating at most a byte past it, then builds each artifact, which checks
+itself; any mismatch is a CorruptContainerError. save rebuilds each
+artifact before encoding it. Format 4 added the "<i4" record and format 5
+the table, so load reads formats 3, 4 and 5, each body in its own format's
+layout; an older one (format 1 was one JSON document) is rejected by its
+format_version.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
 so a crash never leaves a half-written model.
@@ -44,11 +48,10 @@ import numpy as np
 
 from .datagen import Dataset
 from .hierarchy import HierarchyModel
-from .preprocess import ReductionPipeline
 
 
-FORMAT_VERSION = 4
-READ_FORMATS = (3, 4)
+FORMAT_VERSION = 5
+READ_FORMATS = (3, 4, 5)
 _ITEM_BYTES = {"<f8": 8, "<i4": 4}  # per array record dtype
 
 # zlib level 1 stays because any other level changes every container's bytes, not for
@@ -56,12 +59,8 @@ _ITEM_BYTES = {"<f8": 8, "<i4": 4}  # per array record dtype
 # 91,395 B in 5.2 ms and level 3 37,950 B in 4.6 ms; levels on <f8 model arrays are unmeasured
 _ZLIB_LEVEL = 1
 
-# one kind per artifact a command writes: generate, reduce --out and train
-_KINDS = {
-    "dataset": Dataset,
-    "pipeline": ReductionPipeline,
-    "hierarchy": HierarchyModel,
-}
+# one kind per artifact a command writes: generate and train
+_KINDS = {"dataset": Dataset, "hierarchy": HierarchyModel}
 
 class PersistenceError(Exception):
     pass
@@ -90,7 +89,14 @@ def _fields(cls) -> tuple[tuple[str, object], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _encode(value):
+@functools.cache
+def _record_list(tp) -> bool:
+    """Whether type hint tp is a list of records, which format 5 writes as a table."""
+    return typing.get_origin(tp) is list and dataclasses.is_dataclass(typing.get_args(tp)[0])
+
+
+def _encode(value, tp=None):
+    """Encode value; tp is its type hint where a dataclass field gives one."""
     if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, np.ndarray):
@@ -103,6 +109,10 @@ def _encode(value):
         data = base64.b64encode(zlib.compress(a, _ZLIB_LEVEL)).decode("ascii")
         return {"dtype": a.dtype.str, "shape": list(a.shape), "zlib": data}
     if isinstance(value, (list, tuple)):
+        if _record_list(tp):  # the hint decides, since an empty list has no record to show
+            positions = {}
+            index = np.array([positions.setdefault(v, len(positions)) for v in value], dtype="<i4")
+            return {"table": [_encode(v) for v in positions], "index": _encode(index)}
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return [[_encode(k), _encode(v)] for k, v in value.items()]
@@ -113,7 +123,7 @@ def _encode(value):
             dataclasses.replace(value)
         except ValueError as exc:
             raise PersistenceError(f"cannot save {type(value).__name__}: {exc}") from None
-    return {name: _encode(getattr(value, name)) for name, _ in _fields(type(value))}
+    return {name: _encode(getattr(value, name), hint) for name, hint in _fields(type(value))}
 
 
 def _expect(value, tp, where: str):
@@ -143,13 +153,13 @@ def _decode_array(rec, where: str) -> np.ndarray:
 
 
 @functools.cache
-def _decoder(tp):
-    """A checking decoder (value, where) -> object for type hint tp, built
-    once per hint so that long lists of records cost one call per field."""
+def _decoder(tp, version: int):
+    """A checking decoder (value, where) -> object for type hint tp in a
+    body of the given format version, built once per (hint, version)."""
     if tp is np.ndarray:
         return _decode_array
     if dataclasses.is_dataclass(tp):
-        fields = [(name, _decoder(hint)) for name, hint in _fields(tp)]
+        fields = [(name, _decoder(hint, version)) for name, hint in _fields(tp)]
 
         def decode_dataclass(v, where):
             _expect(v, dict, where)
@@ -168,10 +178,10 @@ def _decoder(tp):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # only `X | None` occurs
         (inner,) = [a for a in args if a is not type(None)]
-        dec = _decoder(inner)
+        dec = _decoder(inner, version)
         return lambda v, where: None if v is None else dec(v, where)
     if origin is dict:
-        key, val = _decoder(args[0]), _decoder(args[1])
+        key, val = _decoder(args[0], version), _decoder(args[1], version)
 
         def decode_dict(v, where):
             pairs = [_expect(p, list, where) for p in _expect(v, list, where)]
@@ -181,7 +191,7 @@ def _decoder(tp):
 
         return decode_dict
     if origin is tuple and args[-1] is not Ellipsis:
-        decs = [_decoder(a) for a in args]
+        decs = [_decoder(a, version) for a in args]
 
         def decode_record(v, where):
             if len(_expect(v, list, where)) != len(decs):
@@ -189,8 +199,24 @@ def _decoder(tp):
             return tuple(dec(x, where) for dec, x in zip(decs, v))
 
         return decode_record
+    if version >= 5 and _record_list(tp):
+        record = _decoder(args[0], version)
+
+        def decode_table(v, where):
+            if sorted(_expect(v, dict, where)) != ["index", "table"]:
+                raise ValueError(f"{where}: expected keys ['index', 'table'], got {sorted(v)}")
+            table = [record(x, f"{where}.table") for x in _expect(v["table"], list, f"{where}.table")]
+            index = _decode_array(v["index"], f"{where}.index")
+            with np.errstate(invalid="ignore"):  # NaN, inf and fractions cast to values the check refuses
+                rows = index.astype(np.intp)
+            if index.ndim != 1 or not (np.array_equal(rows, index) and 0 <= rows.min(initial=0)
+                                       and rows.max(initial=-1) < len(table)):
+                raise ValueError(f"{where}.index: expected a 1-D array of positions in [0, {len(table)})")
+            return [table[i] for i in rows.tolist()]
+
+        return decode_table
     if origin in (list, tuple):
-        item = _decoder(args[0])
+        item = _decoder(args[0], version)
         return lambda v, where: origin([item(x, where) for x in _expect(v, list, where)])
     if tp is float:
         def decode_float(v, where):
@@ -216,7 +242,7 @@ def decode_config(cls, obj, where: str) -> dict:
         tp, at = hints[key], f"{where}.{key}"
         if typing.get_origin(tp) is dict:
             value = [list(p) for p in _expect(value, dict, at).items()]
-        out[key] = _decoder(tp)(value, at)
+        out[key] = _decoder(tp, FORMAT_VERSION)(value, at)
     return out
 
 
@@ -299,6 +325,6 @@ def load(path, expected_kind: str | None = None):
     """Load an artifact saved by save(); see load_container for checks."""
     container = load_container(path, expected_kind)
     try:
-        return _decoder(_KINDS[container["kind"]])(container["body"], "body")
+        return _decoder(_KINDS[container["kind"]], container["format_version"])(container["body"], "body")
     except (ValueError, TypeError, zlib.error) as exc:
         raise CorruptContainerError(f"{path}: malformed {container['kind']}: {exc}") from exc

@@ -164,13 +164,16 @@ class TestGenerate:
 
 
 class TestReduce:
-    def test_report_and_artifact(self, work, capsys, tmp_path):
-        out = tmp_path / "rel.pipe"
-        assert main(["reduce", "--dataset", str(work["rel_ds"]), "--out", str(out)]) == 0
+    def test_report(self, work, capsys, tmp_path):
+        assert main(["reduce", "--dataset", str(work["rel_ds"])]) == 0
         text = capsys.readouterr().out
         assert "columns kept" in text
         assert "% of variance" in text
-        assert load_container(out)["kind"] == "pipeline"
+        # reduce writes no container: none of the commands reads a fitted pipeline alone
+        out = tmp_path / "rel.pipe"
+        assert main(["reduce", "--dataset", str(work["rel_ds"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: neuralfp: unrecognized arguments: --out {out}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("variance", ["0", "2", "nan"])
     def test_variance_outside_unit_interval_is_exit_1(self, family40, capsys, variance):
@@ -249,14 +252,15 @@ class TestTrain:
             assert len(ends) == 3 and all(b - a < 8 for a, b in zip([0] + ends, ends))
             assert max(lam for _, _, lam, _ in rows) > rows[0][2]
         # the body's sha256: a change to any trained bit of any stage shows here (it is the
-        # format-3 body: the model holds no integral array, so format 4 writes the same bytes)
+        # format-3 body: the model holds no integral array and no list of records, so formats 4
+        # and 5 write the same bytes)
         head, _, body = data[0].partition(b"\n")
         assert hashlib.sha256(body).hexdigest() == (
             "eaa13aa8f483db0a16b7fc566ae0d7e203659bc9c9fce0ed9f33b152d8333e81")
-        # the whole container's, header included: re-recorded when the header's format became 4
-        assert json.loads(head)["format_version"] == 4
+        # the whole container's, header included: re-recorded when the header's format became 5
+        assert json.loads(head)["format_version"] == 5
         assert hashlib.sha256(data[0]).hexdigest() == (
-            "9878708f2ab642a185ee2526ed719e46fc90ea42e18d02495898be007f6addc6")
+            "7ecff5256b59a2ff8cf97f58cb6c8678220931600e43f5a0af7c92248af9ead9")
 
     def test_hierarchy_requires_db(self, tmp_path, monkeypatch, capsys):
         # train reads one input, the db, and has no --dataset flag
@@ -695,14 +699,12 @@ class TestExports:
         names = {p.name for p in tmp_path.glob("h-*.csv")}
         assert {"h-relevance.csv", "h-family.csv", "h-windows.csv"} <= names
 
-    def test_export_curves_rejects_pipeline(self, work, tmp_path, capsys):
-        pipe = tmp_path / "p.pipe"
-        main(["reduce", "--dataset", str(work["rel_ds"]), "--out", str(pipe)])
-        capsys.readouterr()
-        assert main(["export-curves", "--model", str(pipe),
+    def test_export_curves_rejects_a_dataset(self, work, tmp_path, capsys):
+        assert main(["export-curves", "--model", str(work["rel_ds"]),
                      "--out", str(tmp_path / "no.csv")]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {pipe}: holds 'pipeline', expected 'hierarchy'"]
+            f"error: {work['rel_ds']}: holds 'dataset', expected 'hierarchy'"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_export_layout(self, work, tmp_path, capsys):
         out = tmp_path / "layout.txt"
@@ -769,14 +771,13 @@ class TestUsage:
         assert "--db" in out and "--dataset" not in out
 
     def test_every_container_kind_has_a_writer(self, work, tmp_path):
-        # generate, reduce --out and train --db write every kind load accepts, and no other
-        ds, pipe, model, cfg = (tmp_path / name for name in ("t.ds", "t.pipe", "t.model", "t.cfg"))
+        # generate and train --db write every kind load accepts, and no other
+        ds, model, cfg = (tmp_path / name for name in ("t.ds", "t.model", "t.cfg"))
         cfg.write_text(json.dumps({"samples": 20, "generations": 1}))
         for argv in (["generate", "--db", str(work["two"]), "--total", "20", "--out", str(ds)],
-                     ["reduce", "--dataset", str(ds), "--out", str(pipe)],
                      ["train", "--db", str(work["two"]), "--config", str(cfg), "--out", str(model)]):
             assert _run(argv) == (0, [])
-        assert {load_container(path)["kind"] for path in (ds, pipe, model)} == set(persistence._KINDS)
+        assert {load_container(path)["kind"] for path in (ds, model)} == set(persistence._KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +852,8 @@ _PREVALENCE_LINES = st.lists(st.tuples(
 def _forged(fields: dict, path) -> None:
     """Write a dataset's fields as a digest-valid container, past the checks
     that building a Dataset and saving it make."""
-    body = _canonical({name: _encode(value) for name, value in fields.items()})
+    hints = dict(persistence._fields(Dataset))
+    body = _canonical({name: _encode(value, hints[name]) for name, value in fields.items()})
     header = {"format_version": FORMAT_VERSION, "kind": "dataset", "metadata": {},
               "digest": _digest(body)}
     path.write_bytes(_canonical(header) + b"\n" + body)

@@ -186,11 +186,18 @@ class TestStageTable:
         assert stages["relevance"] is model.relevance and stages["family"] is model.family
         assert all(stages[name] is stage for name, stage in model.versions.items())
 
-    def test_every_stage_a_dataset_can_carry_has_a_hidden_size(self, db):
-        assert set(STAGE_HIDDEN) == {"relevance", "family", *RELEVANT_FAMILIES}
-        ds = generate_dataset(db, None, 60, stage="version:Windows", seed=2)
+    def test_every_stage_train_hierarchy_builds_has_a_hidden_size(self, db):
+        # Windows has no version stage: DCE-RPC, not TCP/IP probes, refines it
+        assert set(STAGE_HIDDEN) == {"relevance", "family", *RELEVANT_FAMILIES} - {"Windows"}
+        ds = generate_dataset(db, None, 60, stage="version:Solaris", seed=2)
         stage = train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels, HierarchyConfig(generations=2), 0)
-        assert stage.net.sizes[1] == STAGE_HIDDEN["Windows"] == 8
+        assert stage.net.sizes[1] == STAGE_HIDDEN["Solaris"] == 7
+        # `generate` still draws a Windows version dataset; training one needs a size given
+        ds = generate_dataset(db, None, 60, stage="version:Windows", seed=2)
+        args = ds.stage, ds.inputs, ds.targets, ds.output_labels
+        with pytest.raises(HierarchyError, match="^stage 'version:Windows' has no hidden size: set one"):
+            train_stage(*args, HierarchyConfig(generations=2), 0)
+        assert train_stage(*args, HierarchyConfig(generations=2, hidden={"Windows": 3}), 0).net.sizes[1] == 3
 
     def test_drawn_family_of_zero_weight_gets_no_version_stage(self, db, monkeypatch):
         seen = _spy_train_stage(monkeypatch)

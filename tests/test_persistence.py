@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -61,7 +62,6 @@ from neuralfp.persistence import (
     load_container,
     save,
 )
-from neuralfp.preprocess import fit_pipeline
 from neuralfp.signatures import format_observation, parse_fingerprint_db
 
 from hosts import scan_hosts
@@ -88,15 +88,20 @@ def _rewrite_body(path, mutate):
 
 
 def _relabel_format_2(path):
-    """Give a container the format-2 header: format 2 had this layout, but
-    each pipeline stored a full-width normalizer."""
+    """Give a container the format-2 header: format 2 had the format-3 layout,
+    but each pipeline stored a full-width normalizer."""
     header, body = _split(path)
     _join(path, {**header, "format_version": 2}, body)
 
 
-def _pipeline(seed=0):
-    """A small fitted pipeline: the container tests need some artifact of a kind."""
-    return fit_pipeline(np.random.default_rng(seed).normal(size=(40, 6)))
+@functools.cache
+def _demo_db():
+    return parse_fingerprint_db(demo_database())
+
+
+def _dataset(seed=0):
+    """A small drawn dataset: the container tests need some artifact of a kind."""
+    return generate_dataset(_demo_db(), None, 70, seed=seed)
 
 
 def _stage_nets(model):
@@ -129,16 +134,6 @@ class TestNetworkRoundTrip:
 
 
 class TestOtherKinds:
-    def test_pipeline_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(60, 9))
-        X[:, 4] = 2.0  # constant column exercises the mask
-        pipe = fit_pipeline(X, variance=0.98)
-        save(pipe, tmp_path / "p.model")
-        back = load(tmp_path / "p.model")
-        assert back.kept == pipe.kept
-        assert np.array_equal(pipe.apply(X), back.apply(X))
-
     def test_dataset_round_trip(self, tmp_path):
         db = parse_fingerprint_db(demo_database())
         ds = generate_dataset(db, None, 120, stage="family", seed=6)
@@ -257,21 +252,21 @@ class TestOtherKinds:
 
 class TestContainerChecks:
     def test_tampered_body_is_an_integrity_error(self, tmp_path):
-        path = tmp_path / "p.pipe"
-        pipe = _pipeline()
-        save(pipe, path)
+        path = tmp_path / "d.ds"
+        ds = _dataset()
+        save(ds, path)
         header, body = _split(path)
         raw = json.loads(body)
-        center = pipe.center.copy()
-        center[0] += 1e-12
-        raw["center"] = _encode(center)
+        inputs = ds.inputs.copy()
+        inputs[0, 0] += 1
+        raw["inputs"] = _encode(inputs)
         _join(path, header, _canonical(raw))
         with pytest.raises(CorruptContainerError, match="does not match its digest"):
             load(path)
 
     def test_unknown_format_version(self, tmp_path):
-        path = tmp_path / "p.pipe"
-        save(_pipeline(), path)
+        path = tmp_path / "d.ds"
+        save(_dataset(), path)
         header, body = _split(path)
         header["format_version"] = FORMAT_VERSION + 1
         _join(path, header, body)
@@ -287,16 +282,16 @@ class TestContainerChecks:
                 "digest": "0" * 64, "body": {"weights": [[[0.5, 1.0]]]},
             }, separators=(",", ":")))
         else:
-            save(_pipeline(), path)
+            save(_dataset(), path)
             _relabel_format_2(path)
         with pytest.raises(FormatVersionError, match=f"format version {version} "):
             load(path)
 
     def test_kind_mismatch(self, tmp_path):
-        path = tmp_path / "p.pipe"
-        save(_pipeline(), path)
-        with pytest.raises(KindMismatchError, match="holds 'pipeline', expected 'dataset'"):
-            load(path, expected_kind="dataset")
+        path = tmp_path / "d.ds"
+        save(_dataset(), path)
+        with pytest.raises(KindMismatchError, match="holds 'dataset', expected 'hierarchy'"):
+            load(path, expected_kind="hierarchy")
 
     def test_not_json_is_corrupt(self, tmp_path):
         path = tmp_path / "junk.model"
@@ -305,8 +300,8 @@ class TestContainerChecks:
             load(path)
 
     def test_missing_field_is_corrupt(self, tmp_path):
-        path = tmp_path / "p.pipe"
-        save(_pipeline(), path)
+        path = tmp_path / "d.ds"
+        save(_dataset(), path)
         header, body = _split(path)
         del header["digest"]
         _join(path, header, body)
@@ -326,11 +321,11 @@ class TestContainerChecks:
 
 class TestAtomicity:
     def test_overwrite_leaves_valid_file(self, tmp_path):
-        path = tmp_path / "p.pipe"
-        save(_pipeline(seed=0), path)
-        save(_pipeline(seed=1), path)
+        path = tmp_path / "d.ds"
+        save(_dataset(seed=0), path)
+        save(_dataset(seed=1), path)
         back = load(path)
-        assert np.array_equal(back.center, _pipeline(seed=1).center)
+        assert np.array_equal(back.inputs, _dataset(seed=1).inputs)
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
     def test_no_partial_file_on_failure(self, tmp_path):
@@ -352,11 +347,10 @@ class TestAtomicity:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("name", ["center", "scale", "_columns"])
-    def test_pipeline_arrays_cannot_change_in_place(self, tmp_path, name):
-        # what a pipeline saves is what it applies
-        pipe = fit_pipeline(np.random.default_rng(0).normal(size=(40, 6)))
-        save(pipe, tmp_path / "p.pipe")
-        for p in (pipe, load(tmp_path / "p.pipe")):
+    def test_pipeline_arrays_cannot_change_in_place(self, small_hierarchy, name):
+        # what a stage's pipeline saves is what it applies
+        model, root = small_hierarchy
+        for p in (model.relevance.pipeline, load(root / "h.model").relevance.pipeline):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, name)[0] = 0
 
@@ -368,7 +362,7 @@ class TestAtomicity:
 
         monkeypatch.setattr(os, step, disk_full)
         with pytest.raises(OSError, match="No space left on device"):
-            save(_pipeline(), tmp_path / "p.pipe")
+            save(_dataset(), tmp_path / "d.ds")
         assert os.listdir(tmp_path) == []
 
     def test_failed_write_through_the_cli_is_one_error_line(self, tmp_path, monkeypatch, capsys):
@@ -392,10 +386,10 @@ class TestWrites:
     def test_mode_follows_umask(self, tmp_path, umask):
         old = os.umask(umask)
         try:
-            save(_pipeline(), tmp_path / "p.pipe")
+            save(_dataset(), tmp_path / "d.ds")
         finally:
             os.umask(old)
-        assert stat.S_IMODE(os.stat(tmp_path / "p.pipe").st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(os.stat(tmp_path / "d.ds").st_mode) == 0o666 & ~umask
 
     def test_fsync_before_rename(self, tmp_path, monkeypatch):
         calls = []
@@ -407,7 +401,7 @@ class TestWrites:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b)))
-        save(_pipeline(), tmp_path / "p.pipe")
+        save(_dataset(), tmp_path / "d.ds")
         # the file reaches the disk before the rename, the rename after it
         assert calls == ["fsync file", "replace", "fsync dir"]
 
@@ -568,7 +562,7 @@ def test_cli_refuses_a_format_2_model_in_one_line(small_hierarchy, tmp_path, cap
     _relabel_format_2(path)
     assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: format version 2 (supported: 3, 4)"]
+        f"error: {path}: format version 2 (supported: 3, 4, 5)"]
 
 
 def _list_header(path):
@@ -738,13 +732,15 @@ UNBUILDABLE = {
 }
 
 
-@pytest.mark.parametrize("kind", ["stage", "network"])
+@pytest.mark.parametrize("kind", ["stage", "network", "pipeline"])
 def test_a_retired_kind_is_refused(small_hierarchy, tmp_path, capsys, kind):
-    # earlier versions saved a lone stage or net; no command writes either, and none reads one
+    # format 4 and earlier saved a lone stage, net or fitted pipeline; no command writes one, and
+    # none reads one
     model, _ = small_hierarchy
-    body = _canonical(_encode(model.family if kind == "stage" else model.family.net))
+    body = _canonical(_encode({"stage": model.family, "network": model.family.net,
+                               "pipeline": model.family.pipeline}[kind]))
     path = tmp_path / f"old.{kind}"
-    header = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": {}, "digest": _digest(body)}
+    header = {"format_version": 4, "kind": kind, "metadata": {}, "digest": _digest(body)}
     _join(path, header, body)
     with pytest.raises(CorruptContainerError, match=f"unknown payload kind '{kind}'$"):
         load(path)
@@ -853,8 +849,8 @@ class TestProperties:
     @settings(max_examples=100)
     @given(where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
     def test_any_flipped_body_byte_is_corrupt(self, scratch, where, bit):
-        path = scratch / "flip.pipe"
-        save(_pipeline(), path)
+        path = scratch / "flip.ds"
+        save(_dataset(), path)
         data = bytearray(path.read_bytes())
         start = data.index(b"\n") + 1
         data[start + int(where * (len(data) - start))] ^= 1 << bit
@@ -951,12 +947,152 @@ class TestArrayCodec:
         body = json.loads(_split(tmp_path / "d.ds")[1])
         assert (body["inputs"]["dtype"], body["targets"]["dtype"]) == ("<i4", "<i4")
         assert all(_encode(w)["dtype"] == "<f8" for w in model.family.net.weights)
-        assert _split(root / "h.model")[0]["format_version"] == FORMAT_VERSION == 4
+        assert _split(root / "h.model")[0]["format_version"] == FORMAT_VERSION == 5
+
+
+def _index(rows):
+    return lambda labels: labels.update(index=_encode(np.asarray(rows, dtype=float)))
+
+
+def _record_edit(edit):
+    return lambda labels: edit(labels["table"][0])
+
+
+# a format-5 dataset's labels record edited, and the error load gives (n: table length, r: rows)
+LABEL_TABLE_EDITS = {
+    "index out of range": (lambda n, r: _index([n] * r), r"body.labels.index: expected a 1-D array of "
+                                                         r"positions in \[0, \d+\)$"),
+    "negative index": (lambda n, r: _index([-1] + [0] * (r - 1)), r"positions in \[0, \d+\)$"),
+    "fractional index": (lambda n, r: _index([0.5] + [0] * (r - 1)), r"positions in \[0, \d+\)$"),
+    "nan index": (lambda n, r: _index([math.nan] * r), r"positions in \[0, \d+\)$"),
+    "2-D index": (lambda n, r: _index([[0]] * r), r"positions in \[0, \d+\)$"),
+    "an index of a row too few": (lambda n, r: _index([0] * (r - 1)), "expected one 2-D input row and "
+                                                                       "target row per label"),
+    "index not an array record": (lambda n, r: lambda labels: labels.update(index=[0] * r),
+                                  "body.labels.index: expected dict, got list$"),
+    "malformed record": (lambda n, r: _record_edit(lambda rec: rec.update(relevant="yes")),
+                         "body.labels.table.relevant: expected bool, got str$"),
+    "record missing a key": (lambda n, r: _record_edit(lambda rec: rec.pop("line")),
+                             "body.labels.table: missing key 'line'$"),
+    "record with an unknown key": (lambda n, r: _record_edit(lambda rec: rec.update(os="x")),
+                                   r"body.labels.table: unknown keys \['os'\]$"),
+    "record not a dict": (lambda n, r: lambda labels: labels["table"].append([]),
+                          "body.labels.table: expected dict, got list$"),
+    "table not a list": (lambda n, r: lambda labels: labels.update(table={}),
+                         "body.labels.table: expected list, got dict$"),
+    "a third key": (lambda n, r: lambda labels: labels.update(runs=[]),
+                    r"body.labels: expected keys \['index', 'table'\], got \['index', 'runs', 'table'\]$"),
+}
+
+
+class TestLabelTable:
+    """Format 5 writes a dataset's labels as a table of distinct records and
+    an index of one table position per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 69), max_size=40) | st.permutations(range(70))
+           | st.integers(0, 69).flatmap(lambda i: st.lists(st.just(i), min_size=1, max_size=5)),
+           copies=st.booleans())
+    def test_any_label_order_round_trips(self, scratch, rows, copies):
+        # shuffled and interleaved rows, one label, no rows; equal labels that are other objects
+        base = _dataset()
+        labels = [dataclasses.replace(base.labels[i]) if copies else base.labels[i] for i in rows]
+        ds = Dataset("relevance", base.inputs[rows], base.targets[rows], labels, base.output_labels, 3)
+        save(ds, scratch / "order.ds")
+        table = json.loads(_split(scratch / "order.ds")[1])["labels"]["table"]
+        assert len(table) == len(set(labels))
+        back = load(scratch / "order.ds")
+        assert back.labels == ds.labels and back.inputs.shape == ds.inputs.shape
+        assert back.inputs.tobytes() == ds.inputs.tobytes() and back.targets.tobytes() == ds.targets.tobytes()
+
+    def test_one_record_per_distinct_label_in_order_of_first_use(self, tmp_path):
+        ds = _dataset()
+        save(ds, tmp_path / "d.ds")
+        labels = json.loads(_split(tmp_path / "d.ds")[1])["labels"]
+        table = [SampleLabel(**rec) for rec in labels["table"]]
+        assert table == list(dict.fromkeys(ds.labels))
+        assert [table[int(i)] for i in _decode_array(labels["index"], "i")] == ds.labels
+        assert labels["index"]["dtype"] == "<i4"
+        # the rows of one signature share one label, as generate_dataset built them
+        back = load(tmp_path / "d.ds").labels
+        assert all(a is b for a, b in zip(back, back[1:]) if a == b)
+
+    def test_saved_again_a_dataset_keeps_its_bytes(self, tmp_path):
+        save(_dataset(), tmp_path / "a.ds")
+        save(load(tmp_path / "a.ds"), tmp_path / "b.ds")
+        assert (tmp_path / "a.ds").read_bytes() == (tmp_path / "b.ds").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(LABEL_TABLE_EDITS))
+    def test_an_edited_table_is_refused_in_one_line(self, tmp_path, case):
+        edit, wants = LABEL_TABLE_EDITS[case]
+        path = tmp_path / "d.ds"
+        ds = _dataset()
+        save(ds, path)
+        n = len(set(ds.labels))
+        _rewrite_body(path, lambda body: edit(n, len(ds.labels))(body["labels"]))
+        with pytest.raises(CorruptContainerError, match="malformed dataset: body") as err:
+            load(path)
+        assert re.search(wants, str(err.value)) and "\n" not in str(err.value)
+
+    def test_each_format_refuses_the_others_labels(self, tmp_path):
+        ds = _dataset()
+        path = tmp_path / "d.ds"
+        save(ds, path)
+        header, body = _split(path)
+        plain = _canonical(dict(json.loads(body), labels=[_encode(label) for label in ds.labels]))
+        for version, raw, wants in ((4, body, "expected list, got dict"), (5, plain, "expected dict, got list")):
+            _join(path, {**header, "format_version": version, "digest": _digest(raw)}, raw)
+            with pytest.raises(CorruptContainerError, match=f"malformed dataset: body.labels: {wants}$"):
+                load(path)
+        _join(path, {**header, "format_version": 4, "digest": _digest(plain)}, plain)
+        assert load(path).labels == ds.labels  # the plain list is the format-4 layout
+
+    def test_evaluate_on_a_refused_table_is_exit_1_and_one_line(self, small_hierarchy, tmp_path, capsys):
+        _, root = small_hierarchy
+        path = tmp_path / "d.ds"
+        ds = _dataset()
+        save(ds, path)
+        _rewrite_body(path, lambda body: _index([len(set(ds.labels))] * len(ds.labels))(body["labels"]))
+        assert main(["evaluate", "--model", str(root / "h.model"), "--dataset", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"error: {path}: malformed dataset: body.labels.index: expected a 1-D array of positions in "
+            f"[0, {len(set(ds.labels))})"]
+
+
+def _assert_the_fixture_draw(ds):
+    fresh = generate_dataset(parse_fingerprint_db(demo_database()), None, 60, stage="family", seed=34)
+    for a, b in ((ds.inputs, fresh.inputs), (ds.targets, fresh.targets)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (ds.stage, ds.labels, ds.output_labels, ds.seed) == (
+        fresh.stage, fresh.labels, fresh.output_labels, fresh.seed)
+
+
+def _verdicts_digest(model) -> str:
+    h, dumps = hashlib.sha256(), 0
+    for obs, dump in scan_hosts(parse_fingerprint_db(demo_database()), 500):
+        r = classify(model, obs, dump)
+        w = r.windows
+        dumps += w is not None
+        windows = w and (w.version, w.edition, w.service_pack, w.scores, w.low_confidence)
+        h.update(repr((r.relevance, r.family_scores, r.version_scores, r.verdict,
+                       r.stage_trace, windows)).encode())
+    assert dumps > 0
+    return h.hexdigest()
+
+
+def _resaved(tmp_path, name, version):
+    """Save the fixture name again: the old and new (header, body) pairs of a
+    container that was written at format version."""
+    save(load(DATA / name), tmp_path / name)
+    (old_header, old), (header, new) = _split(DATA / name), _split(tmp_path / name)
+    assert (old_header["format_version"], header["format_version"]) == (version, FORMAT_VERSION)
+    return old, new
 
 
 class TestFormat3Fixtures:
     """Containers written at FORMAT_VERSION 3 (commit 2fa18ba), before "<i4"
-    records, load at format 4 with every bit. They were made with
+    records, load at format 5 with every bit. They were made with
 
         neuralfp generate --db demo.db --total 60 --stage family --seed 34 --out format3.ds
         neuralfp train --db demo.db --config format3.cfg --seed 34 --out format3.model
@@ -970,37 +1106,45 @@ class TestFormat3Fixtures:
 
     @pytest.mark.parametrize("name, kind", [("format3.ds", "dataset"), ("format3.model", "hierarchy")])
     def test_a_format_3_header_is_read(self, name, kind):
-        assert READ_FORMATS == (3, 4)
+        assert READ_FORMATS == (3, 4, 5)
         assert load_container(DATA / name, kind)["format_version"] == 3
 
     def test_dataset_is_the_same_draw_bit_for_bit(self):
-        ds = load(DATA / "format3.ds", "dataset")
-        fresh = generate_dataset(parse_fingerprint_db(demo_database()), None, 60, stage="family", seed=34)
-        for a, b in ((ds.inputs, fresh.inputs), (ds.targets, fresh.targets)):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert (ds.stage, ds.labels, ds.output_labels, ds.seed) == (
-            fresh.stage, fresh.labels, fresh.output_labels, fresh.seed)
+        _assert_the_fixture_draw(load(DATA / "format3.ds", "dataset"))
 
     def test_model_verdicts_are_the_format_3_verdicts(self):
-        model = load(DATA / "format3.model", "hierarchy")
-        h, dumps = hashlib.sha256(), 0
-        for obs, dump in scan_hosts(parse_fingerprint_db(demo_database()), 500):
-            r = classify(model, obs, dump)
-            w = r.windows
-            dumps += w is not None
-            windows = w and (w.version, w.edition, w.service_pack, w.scores, w.low_confidence)
-            h.update(repr((r.relevance, r.family_scores, r.version_scores, r.verdict,
-                           r.stage_trace, windows)).encode())
-        assert dumps > 0 and h.hexdigest() == self.VERDICTS_DIGEST
+        assert _verdicts_digest(load(DATA / "format3.model", "hierarchy")) == self.VERDICTS_DIGEST
 
     def test_saved_again_the_model_keeps_its_body_and_the_dataset_shrinks(self, tmp_path):
-        # a trained model holds no integral array, a dataset nothing else
-        for name in ("format3.model", "format3.ds"):
-            save(load(DATA / name), tmp_path / name)
-            (old_header, old), (header, new) = _split(DATA / name), _split(tmp_path / name)
-            assert (old_header["format_version"], header["format_version"]) == (3, 4)
-            assert (new == old) == (name == "format3.model")
+        # a trained model holds no integral array and no list of records
+        old, new = _resaved(tmp_path, "format3.model", 3)
+        assert new == old
+        old, new = _resaved(tmp_path, "format3.ds", 3)
         assert len(new) < 0.8 * len(old)
+
+
+class TestFormat4Fixtures:
+    """Containers written at FORMAT_VERSION 4 (commit c890097), before the
+    label table, load at format 5 with every bit. They were made with the
+    commands of TestFormat3Fixtures, writing format4.ds and format4.model."""
+
+    @pytest.mark.parametrize("name, kind", [("format4.ds", "dataset"), ("format4.model", "hierarchy")])
+    def test_a_format_4_header_is_read(self, name, kind):
+        assert load_container(DATA / name, kind)["format_version"] == 4
+
+    def test_dataset_is_the_same_draw_bit_for_bit(self):
+        _assert_the_fixture_draw(load(DATA / "format4.ds", "dataset"))
+
+    def test_model_verdicts_are_the_format_3_verdicts(self):
+        # the same recipe trains the same weights at formats 3 and 4
+        model = load(DATA / "format4.model", "hierarchy")
+        assert _verdicts_digest(model) == TestFormat3Fixtures.VERDICTS_DIGEST
+
+    def test_saved_again_the_model_keeps_its_body_and_the_dataset_shrinks(self, tmp_path):
+        old, new = _resaved(tmp_path, "format4.model", 4)
+        assert new == old
+        old, new = _resaved(tmp_path, "format4.ds", 4)
+        assert len(new) < len(old)
 
 
 class TestDecodeConfig:
