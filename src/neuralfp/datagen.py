@@ -7,10 +7,12 @@ upper-case hex, a Range uniformly over its integers up to the field's
 bound), so every sample matches its source signature perfectly by
 construction.  Each signature object is compiled once, on first use, into
 a plan both samplers share while it lives: its fixed fields and, in rule
-order, its draws (the rules with several choices or a Range), which one
-loop makes.  generate_dataset encodes a plan's fixed fields once a call,
-as a template row; each row copies it and writes only its drawn fields'
-slots: the bits encode_observation gives the same draw's sample_observation.
+order, its draws (the rules with several choices or a Range).
+sample_observation makes one rng call a draw; generate_dataset draws a
+signature's rows in one call, which takes the same stream, unless a choice
+is a Range.  It encodes a plan's fixed fields once a call, as a template
+row; each row copies it and writes only its drawn fields' slots: the bits
+encode_observation gives the same draw's sample_observation.
 
 Sample counts follow a prevalence table, apportioned by largest remainder
 after reserving one sample per signature with positive weight.  Each
@@ -152,13 +154,25 @@ def _plan(sig: Signature) -> tuple[dict[str, dict[str, str | int]], list[tuple]]
 
 
 def _draw(draws: list[tuple], rng) -> list[str | int]:
-    """One value per draw, in order: a choice, or an int of a Range.  This
-    loop alone makes the rng calls, so both samplers draw the same stream."""
+    """One value per draw, in order: a choice, or an int of a Range, one rng
+    call for each.  _rows draws the same stream in blocks."""
     values = []
     for _, _, choices in draws:
         c = choices[0] if len(choices) == 1 else choices[int(rng.integers(len(choices)))]
         values.append(int(rng.integers(c.start, c.stop)) if type(c) is range else c)
     return values
+
+
+def _rows(draws: list[tuple], rng, count: int) -> list[list[str | int]]:
+    """count rows of _draw's values.  Unless a choice is a Range, whose bounds
+    hang on the pick before it, one rng call draws them all: integers with
+    array bounds takes the stream element by element, in C order, as _draw's
+    calls do."""
+    if any(len(c) > 1 and range in map(type, c) for _, _, c in draws):
+        return [_draw(draws, rng) for _ in range(count)]
+    bounds = [(0, len(c)) if len(c) > 1 else (c[0].start, c[0].stop) for _, _, c in draws]
+    picks = rng.integers(*zip(*bounds), size=(count, len(draws))).tolist() if draws else [[]] * count
+    return [[c[p] if len(c) > 1 else p for p, (_, _, c) in zip(row, draws)] for row in picks]
 
 
 def sample_observation(sig: Signature, rng) -> Observation:
@@ -251,8 +265,9 @@ def stage_targets(
         keys = ["relevant" if l.relevant else None for l in labels]
     else:
         keys = [l.family if stage == "family" else l.line for l in labels]
-    rows = [[1.0 if key == out else -1.0 for out in outputs] for key in keys]
-    return np.array(rows, dtype=float).reshape(len(labels), len(outputs))
+    first = {out: j for j, out in reversed(list(enumerate(outputs)))}  # a repeated output's first column
+    hit = np.array([first.get(key, -1) for key in keys], dtype=np.intp)
+    return np.where(hit[:, None] == [first[out] for out in outputs], 1.0, -1.0)
 
 
 def generate_dataset(
@@ -270,7 +285,10 @@ def generate_dataset(
         raise GenerationError(f"prevalence names no signature or family of the db: {', '.join(unknown)}")
     slice_ = [(sig, label) for sig, label in labeled if in_stage(label, stage)]
     counts = signature_counts(resolve_weights([sig for sig, _ in slice_], prev, f"stage {stage!r}"), total)
-    inputs = np.zeros((total, TOTAL_NEURONS))
+    try:
+        inputs = np.zeros((total, TOTAL_NEURONS))
+    except (MemoryError, ValueError):  # ValueError: more rows than numpy can index
+        raise GenerationError(f"total {total}: too many rows to allocate") from None
     labels: list[SampleLabel] = []
     memo: dict[tuple[str, str, str], np.ndarray] = {}  # a drawn literal's slots, encoded and warned of once
     for i, ((sig, label), count) in enumerate(zip(slice_, counts)):
@@ -292,9 +310,9 @@ def generate_dataset(
         # each row writes the slots of its drawn fields that no later rule or silent probe overrides
         steps = [(k, tid, name, _SLOTS[tid, name]) for k, (tid, name, _) in enumerate(draws)
                  if tests[tid][name] == k and (tid, name) in _SLOTS and tests[tid].get("Resp") != "N"]
-        for r in range(start, start + count):
+        for r, values in enumerate(_rows(draws, rng, count), start):
             inputs[r] = template
-            row, values = inputs[r], _draw(draws, rng)  # written in place
+            row = inputs[r]  # written in place
             for k, tid, name, where in steps:
                 if type(value := values[k]) is int:
                     row[where.start] = float(value)

@@ -260,10 +260,12 @@ def synthetic_windows_corpus(
         for edition in labels.editions[version]:
             for sp in labels.service_packs[version]:
                 template = _template(labels, version, edition, sp)
+                n = sum(len(prog.bindings) for prog in template.programs)
                 for _ in range(per_triple):
+                    survives = iter((rng.random(n) >= dropout).tolist())  # the stream of n scalar draws
                     progs = []
                     for prog in template.programs:
-                        kept = tuple(b for b in prog.bindings if rng.random() >= dropout)
+                        kept = tuple(b for b in prog.bindings if next(survives))
                         if kept:
                             progs.append(RpcProgram(prog.uuid, prog.annotation, kept))
                     corpus.append((

@@ -401,6 +401,23 @@ class TestTrain:
         assert captured.err.splitlines() == ["error: " + message.format(cfg=cfg)]
         assert not out.exists()
 
+    # totals far past any address space, so the allocation fails at once, never lazily
+    @pytest.mark.parametrize("argv", [
+        ["train", "--db", "two", "--config", '{"samples": TOTAL}'],
+        ["generate", "--db", "two", "--total", "TOTAL"],
+    ], ids=["samples", "total"])
+    @pytest.mark.parametrize("total", [10**12, 10**13, 10**19])
+    def test_rows_beyond_memory_are_exit_1_and_one_line(self, work, tmp_path, capsys, argv, total):
+        cfg, out = tmp_path / "big.cfg", tmp_path / "big.out"
+        if "--config" in argv:
+            cfg.write_text(argv[-1].replace("TOTAL", str(total)))
+            argv = argv[:-1] + [str(cfg)]
+        argv = [str(work[a]) if a == "two" else a.replace("TOTAL", str(total)) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: total {total}: too many rows to allocate"]
+        assert not out.exists()
+
     def test_config_nested_too_deep_is_exit_1_and_one_line(self, work, tmp_path, capsys):
         cfg, out = tmp_path / "deep.cfg", tmp_path / "deep.model"
         cfg.write_text("[" * 100_000 + "]" * 100_000)

@@ -340,6 +340,19 @@ class TestStageVocabulary:
         assert targets[1].tolist() == [1.0 if i == 1 else -1.0 for i in range(len(outputs))]
         assert stage_targets([], "family", RELEVANT_FAMILIES).shape == (0, 6)
 
+    @settings(max_examples=200)
+    @given(keys=st.lists(st.tuples(st.booleans(), st.sampled_from(["A", "B", "C", None])), max_size=8),
+           outputs=st.lists(st.sampled_from(["A", "B", "C", "relevant"]), max_size=5).map(tuple),
+           stage=st.sampled_from(["relevance", "family", "version:Linux"]))
+    def test_targets_are_the_label_by_output_comparison(self, keys, outputs, stage):
+        # the plain loop is the reference: an output may repeat, a key may be no output
+        labels = [SampleLabel("s", relevant, key, key) for relevant, key in keys]
+        rows = [[1.0 if {"relevance": "relevant" if l.relevant else None, "family": l.family}.get(stage, l.line)
+                 == out else -1.0 for out in outputs] for l in labels]
+        expected = np.array(rows, dtype=float).reshape(len(labels), len(outputs))
+        assert stage_targets(labels, stage, outputs).tobytes() == expected.tobytes()
+        assert stage_targets(labels, stage, outputs).shape == expected.shape
+
 
 
 # The bench corpus recipes, (db text, relevance rows), and the sha256 of the
@@ -460,11 +473,24 @@ class TestPlannedRows:
         # numeric literals at and past the field's bound, which no parser gives
         {"T1": (FieldConstraint("W", (0xFFFF, 0, 0x10000)),), "PU": (FieldConstraint("DF", ("Y",)),)},
         {"T1": (FieldConstraint("W", (0x10000,)),), "T4": (FieldConstraint("W", (2**60, 1)),)},
+        # W=5|>A: a Range among the choices, so its bounds hang on the pick and rows draw one by one
+        {"T1": (FieldConstraint("W", (5, Range(10, None))), FieldConstraint("DF", ("Y", "N"))),
+         "TSeq": (FieldConstraint("gcd", (Range(None, 5),)),)},
     ])
     def test_hand_built_rules(self, rules):
         db = [Signature("X", (), rules), Signature("Y", (), {"T1": (FieldConstraint("DF", ("N",)),)})]
         ds = generate_dataset(db, None, 40, "relevance", seed=3)
         assert ds.inputs.tobytes() == reference_rows(db, [20, 20], 3).tobytes()
+
+    def test_one_row_a_signature(self):
+        # a block of one row; int and hex-text picks in one rule; a per-row signature next to it
+        db = [Signature("X", (), {"T1": (FieldConstraint("W", (0xFFFF, 0, 0x10000)),
+                                          FieldConstraint("DF", ("Y", "N")))}),
+              Signature("Y", (), {"T1": (FieldConstraint("W", (5, Range(10, None))),)}),
+              Signature("Z", (), {"TSeq": (FieldConstraint("SI", (Range(None, 5),)),)})]
+        for seed in range(8):
+            ds = generate_dataset(db, None, 3, "relevance", seed=seed)
+            assert ds.inputs.tobytes() == reference_rows(db, [1, 1, 1], seed).tobytes()
 
     @pytest.mark.parametrize("choice", [-1, 10**400])
     def test_a_literal_the_encoder_refuses_is_an_encode_error(self, choice):
@@ -488,6 +514,32 @@ class TestPlannedRows:
         good = Signature("Good", (), {"T1": (FieldConstraint("DF", ("Y",)),)})
         ds = generate_dataset([bad, good], {"Bad": 0.0}, 5, "relevance", seed=0)
         assert {label.signature for label in ds.labels} == {"Good"}
+
+
+# generate_dataset draws a signature's rows in one rng call unless a choice
+# is a Range. numpy's integers with array bounds must take the stream as the
+# scalar calls of _draw do, element by element in C order, or every dataset
+# changes its bits: a numpy that draws otherwise fails here.
+
+_LITERAL = st.sampled_from(["Y", "N", "S", "MNW"]) | st.integers(0, 0xFFFF)
+_SPAN = st.sampled_from([1, 2, 3, 256, 2**16, 2**24 + 1, 2**31, 2**32 - 1, 2**32, 2**33]) | st.integers(1, 2**32)
+_FIXED_DRAW = (st.lists(_LITERAL, min_size=2, max_size=6)
+               | st.builds(lambda lo, n: [range(lo, lo + n)], st.integers(0, 2**32), _SPAN))
+
+
+class TestBlockDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(choices=st.lists(_FIXED_DRAW, max_size=8), count=st.integers(0, 12),
+           seed=st.integers(0, 2**64 - 1))
+    def test_one_block_is_the_stream_of_per_row_draws(self, choices, count, seed):
+        draws = [("T1", "W", c) for c in choices]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = datagen._rows(draws, rng, count)
+        expected = [datagen._draw(draws, twin) for _ in range(count)]
+        assert rows == expected
+        assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in expected]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.integers(2**63) == twin.integers(2**63)
 
 
 class TestDrawnLiterals:
