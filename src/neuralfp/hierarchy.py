@@ -100,7 +100,6 @@ class HierarchyConfig:
     variance: float = VARIANCE_TARGET
     relevance_threshold: float = 0.0
     decision_threshold: float = 0.5
-    subset_size: int | None = None
     hidden: dict[str, int] = field(default_factory=dict)
     # train a DCE-RPC refiner on the synthetic dump corpus and attach it
     windows: bool = False
@@ -122,8 +121,8 @@ class HierarchyConfig:
     def train_config(self, seed: int) -> TrainConfig:
         """What every stage net trains with: the shared keys, STAGE_PATIENCE and seed."""
         return TrainConfig(generations=self.generations, target_error=self.target_error, lam=self.lam,
-                           momentum=self.momentum, adaptive=self.adaptive, subset_size=self.subset_size,
-                           patience=STAGE_PATIENCE, seed=seed)
+                           momentum=self.momentum, adaptive=self.adaptive, patience=STAGE_PATIENCE,
+                           seed=seed)
 
 
 @dataclass

@@ -10,11 +10,12 @@ adapts between generations: a generation that does not increase the error
 scales lambda up, a worse one scales it down, both within fixed bounds.
 Each generation visits the pairs in a freshly shuffled, seeded order.
 
-A run ends at the target error, at the generation cap, or on a plateau
-of its decisions (Prechelt, "Early Stopping -- But When?", 1998): with
-`patience` set, each generation measures fitness G on the run's rows,
-and the run stops `patience` generations after the last one whose G beat
-every earlier G of the run.  Each run logs why it stopped.  A TrainConfig
+One call of train is one run over all of its pairs.  A run ends at the
+target error, at the generation cap, or on a plateau of its decisions
+(Prechelt, "Early Stopping -- But When?", 1998): with `patience` set,
+each generation measures fitness G on the run's rows, and the run stops
+`patience` generations after the last one whose G beat every earlier G
+of the run.  Each run logs why it stopped.  A TrainConfig
 checks its ranges when it is built, so a run never starts on a bad one.
 
 The per-pair kernel (_Workspace) allocates nothing: each step writes with
@@ -59,27 +60,26 @@ class TrainConfig:
     lam: float = 0.01
     momentum: float = 0.8
     adaptive: bool = True
-    subset_size: int | None = None
     # stop a run this many generations after its last rise in G; None: never
     patience: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         in_range = {"generations": self.generations >= 1,  # nan fails every comparison
-                    "seed": self.seed >= 0, "subset_size": self.subset_size is None or self.subset_size >= 1,
-                    "patience": self.patience is None or self.patience >= 1,
+                    "seed": self.seed >= 0, "patience": self.patience is None or self.patience >= 1,
                     "target_error": self.target_error is None or 0 <= self.target_error < np.inf,
                     "lam": 0 < self.lam < np.inf, "momentum": 0 <= self.momentum < np.inf}
         if bad := [key for key, ok in in_range.items() if not ok]:
-            raise ValueError("training needs generations >= 1, seed >= 0, subset_size and patience >= 1 or "
-                             "None, finite floats, target_error >= 0 or None, lam > 0 and momentum >= 0, got "
+            raise ValueError("training needs generations >= 1, seed >= 0, patience >= 1 or None, finite "
+                             "floats, target_error >= 0 or None, lam > 0 and momentum >= 0, got "
                              + ", ".join(f"{key}={getattr(self, key)!r}" for key in bad))
 
 
 @dataclass
 class TrainHistory:
-    """Per-generation (generation, mse, lambda, G) rows. G is set only when
-    subset training measures fitness at a subset boundary."""
+    """Per-generation (generation, mse, lambda, G) rows.  train leaves G
+    None; a model saved by an earlier version may hold a G on the last row
+    of each subset run it trained, and keeps it."""
 
     rows: list[tuple[int, float, float, float | None]] = field(default_factory=list)
 
@@ -258,69 +258,40 @@ def train(mlp: Mlp, inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -
 
     The lambda recorded per generation is the one that generation used;
     adaptation compares consecutive generation errors, ties counting as
-    improvement.
-
-    With cfg.subset_size, training runs over a seeded partition of the
-    data, one full run per subset.  After each subset, fitness G is
-    measured on the next subset in line (not yet trained on; the last
-    wraps around to the first) and recorded on that run's final
-    generation.  When G improved, the starting lambda of the next subset
-    is raised.  A subset size covering all the data is one plain run
-    plus one G.  Each subset run counts its own plateau patience.
-
-    Each call records a fresh history, numbered from generation 1, and
-    sets it as mlp.history.
+    improvement.  Each call is one run: it records a fresh history,
+    numbered from generation 1, and sets it as mlp.history.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n = len(inputs)
-    if n == 0:
+    if len(inputs) == 0:
         raise ValueError("no training pairs")
-    if cfg.subset_size and cfg.subset_size < n:
-        order = np.random.default_rng((cfg.seed, 1)).permutation(n)
-        chunks = [order[i:i + cfg.subset_size] for i in range(0, n, cfg.subset_size)]
-    else:
-        chunks = [slice(None)]
     history = TrainHistory()
-    lam0 = cfg.lam
-    prev_g = None
-    for s, chunk in enumerate(chunks):
-        X, Y = inputs[chunk], targets[chunk]
-        rng = np.random.default_rng(cfg.seed + s)
-        gen0 = history.generations()
-        lam = lam0
-        prev_mse = best_g = update = None
-        reason = "cap"
-        for gen in range(gen0 + 1, gen0 + cfg.generations + 1):
-            order = rng.permutation(len(X))
-            with np.errstate(over="ignore", invalid="ignore"):
-                mse, update = backprop_generation(mlp, X[order], Y[order], lam, cfg.momentum, update)
-            history.rows.append((gen, mse, lam, None))
-            if not np.isfinite(mse) or not all(np.isfinite(W).all() for W in mlp.weights):
-                raise TrainingDivergedError(gen)
-            if cfg.target_error is not None and mse <= cfg.target_error:
-                reason = "target"
+    rng = np.random.default_rng(cfg.seed)
+    lam = cfg.lam
+    prev_mse = best_g = update = None
+    reason = "cap"
+    for gen in range(1, cfg.generations + 1):
+        order = rng.permutation(len(inputs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse, update = backprop_generation(mlp, inputs[order], targets[order], lam, cfg.momentum, update)
+        history.rows.append((gen, mse, lam, None))
+        if not np.isfinite(mse) or not all(np.isfinite(W).all() for W in mlp.weights):
+            raise TrainingDivergedError(gen)
+        if cfg.target_error is not None and mse <= cfg.target_error:
+            reason = "target"
+            break
+        if cfg.patience is not None:
+            g = fitness_g(mlp, inputs, targets)
+            if best_g is None or g > best_g:
+                best_g, best_gen = g, gen
+            elif gen - best_gen >= cfg.patience:
+                reason = "plateau"
                 break
-            if cfg.patience is not None:
-                g = fitness_g(mlp, X, Y)
-                if best_g is None or g > best_g:
-                    best_g, best_gen = g, gen
-                elif gen - best_gen >= cfg.patience:
-                    reason = "plateau"
-                    break
-            if cfg.adaptive and prev_mse is not None:
-                lam = min(lam * LAM_UP, LAM_MAX) if mse <= prev_mse else max(lam * LAM_DOWN, LAM_MIN)
-            prev_mse = mse
-        best = f", G {best_g:.6g} (best at generation {best_gen})" if reason == "plateau" else ""
-        log.info("training stopped (%s) at generation %d, mse %.6g%s", reason, gen, mse, best)
-        if not cfg.subset_size:
-            continue
-        probe = chunks[(s + 1) % len(chunks)]
-        g = fitness_g(mlp, inputs[probe], targets[probe])
-        history.rows[-1] = history.rows[-1][:3] + (g,)
-        if prev_g is not None and g > prev_g:
-            lam0 = min(lam0 * LAM_UP, LAM_MAX)
-        prev_g = g
+        if cfg.adaptive and prev_mse is not None:
+            lam = min(lam * LAM_UP, LAM_MAX) if mse <= prev_mse else max(lam * LAM_DOWN, LAM_MIN)
+        prev_mse = mse
+    best = f", G {best_g:.6g} (best at generation {best_gen})" if reason == "plateau" else ""
+    log.info("training stopped (%s) at generation %d, mse %.6g%s", reason, gen, mse, best)
     mlp.history = history
     return history
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from neuralfp.persistence import (
 )
 from neuralfp.signatures import format_observation, parse_fingerprint_db
 
+DATA = Path(__file__).parent / "data"
 TWO_SIG_DB = """\
 Fingerprint Alpha Server
 Class Alpha | Linux | 2.4.X | general purpose
@@ -234,10 +236,10 @@ class TestTrain:
             assert len({lam for _, _, lam, _ in stage.net.history.rows}) == 1
 
     def test_trained_twice_from_its_seed_is_the_same_bytes(self, work, tmp_path, capsys):
-        # three subset runs a stage, each stopped on a plateau, and a lambda raised between them:
+        # each stage stops on a plateau before its cap of 8, with lambda raised on the way:
         # every part of each curve is pinned
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(json.dumps({"samples": 300, "generations": 8, "target_error": 0, "subset_size": 100}))
+        cfg.write_text(json.dumps({"samples": 300, "generations": 8, "target_error": 0}))
         outs = [tmp_path / "a.model", tmp_path / "b.model"]
         for out in outs:
             assert main(["train", "--db", str(work["db"]), "--config", str(cfg),
@@ -247,20 +249,31 @@ class TestTrain:
         assert data[0] == data[1]
         for stage in load(outs[0]).stages().values():
             rows = stage.net.history.rows
-            # G closes each subset run; with no target error, a run shorter than 8 stopped on a plateau
-            ends = [gen for gen, _, _, g in rows if g is not None]
-            assert len(ends) == 3 and all(b - a < 8 for a, b in zip([0] + ends, ends))
-            assert max(lam for _, _, lam, _ in rows) > rows[0][2]
-        # the body's sha256: a change to any trained bit of any stage shows here (it is the
-        # format-3 body: the model holds no integral array and no list of records, so formats 4
-        # and 5 write the same bytes)
+            # with no target error, a run shorter than 8 stopped on a plateau
+            assert len(rows) < 8 and max(lam for _, _, lam, _ in rows) > rows[0][2]
+        # the body's sha256: a change to any trained bit of any stage shows here. Both digests
+        # were recorded with the subset schedule still in neural.train, whose deletion kept them
         head, _, body = data[0].partition(b"\n")
         assert hashlib.sha256(body).hexdigest() == (
-            "eaa13aa8f483db0a16b7fc566ae0d7e203659bc9c9fce0ed9f33b152d8333e81")
-        # the whole container's, header included: re-recorded when the header's format became 5
+            "a76178adc3f835497a740dafd78bffcaf6002ef974a08fbcb1b388173bfc0bb2")
+        # the whole container's, header included
         assert json.loads(head)["format_version"] == 5
         assert hashlib.sha256(data[0]).hexdigest() == (
-            "7ecff5256b59a2ff8cf97f58cb6c8678220931600e43f5a0af7c92248af9ead9")
+            "85059495540f4bbc4b5c735e8c31e49a6d21e28cf0fed9698b176416b4eaad30")
+
+    def test_subset_size_is_an_unknown_key(self, work, tmp_path, monkeypatch, capsys):
+        # subset training is gone: its key is refused as any unknown key is, before a file is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"subset_size": 100}))
+        assert main(["train", "--db", str(work["db"]), "--config", "c.json", "--out", "s.model"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: c.json: unknown config keys ['subset_size']"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        # the key was never part of a model body: models of earlier versions load and classify
+        reports = []
+        for name in ("format3.model", "format4.model"):
+            assert main(["classify", "--model", str(DATA / name), "--obs", str(work["sol_obs"])]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and "Setting OS to Solaris" in reports[0]
 
     def test_hierarchy_requires_db(self, tmp_path, monkeypatch, capsys):
         # train reads one input, the db, and has no --dataset flag
@@ -342,7 +355,7 @@ class TestTrain:
         ({"hidden": {"Linux": "a"}}, "hidden"),
         ({"adaptive": "no"}, "adaptive"),
         ({"generations": 0}, None),
-        ({"subset_size": -5}, None),
+        ({"target_error": -1}, None),
         ({"variance": 0}, None),
         ({"variance": 2}, None),
         ({"generations": 2, "bogus": 1}, ""),
@@ -856,7 +869,7 @@ _VALID_HIERARCHY_CONFIG = st.fixed_dictionaries(
     {"generations": st.integers(1, 3), "samples": st.integers(10, 60)},
     optional={"seed": st.integers(0, 2**32), "target_error": st.floats(0, 1), "lam": st.floats(1e-4, 0.1),
               "momentum": st.floats(0, 0.9), "adaptive": st.booleans(), "variance": st.floats(0.01, 1),
-              "subset_size": st.none() | st.integers(10, 60), "windows": st.booleans(),
+              "windows": st.booleans(),
               "relevance_threshold": st.floats(-2, 2), "decision_threshold": st.floats(-2, 2),
               "hidden": st.dictionaries(st.sampled_from(["relevance", "family"]), st.integers(1, 6))})
 # a weight as a prevalence file spells it, for a signature or family of the

@@ -102,9 +102,9 @@ class TestTraining:
         seen = []
         monkeypatch.setattr(hierarchy, "train", lambda net, X, Y, tcfg: seen.append(tcfg))
         train_stage(ds.stage, ds.inputs, ds.targets, ds.output_labels,
-                    HierarchyConfig(seed=3, generations=9, lam=0.5, subset_size=7), 1234)
-        assert seen == [TrainConfig(generations=9, target_error=0.02, lam=0.5, momentum=0.8,
-                                    adaptive=True, subset_size=7, patience=STAGE_PATIENCE, seed=1234)]
+                    HierarchyConfig(seed=3, generations=9, lam=0.5, momentum=0.3), 1234)
+        assert seen == [TrainConfig(generations=9, target_error=0.02, lam=0.5, momentum=0.3,
+                                    adaptive=True, patience=STAGE_PATIENCE, seed=1234)]
 
     @pytest.mark.parametrize("kw, message", [
         ({"variance": 0}, "needs 0 < variance <= 1, got variance 0"),
@@ -118,7 +118,7 @@ class TestTraining:
         with pytest.raises(HierarchyError, match=f"^hierarchy training {re.escape(message)}$"):
             HierarchyConfig(**kw)
 
-    @pytest.mark.parametrize("kw", [{"generations": 0}, {"lam": -1.0}, {"subset_size": 0},
+    @pytest.mark.parametrize("kw", [{"generations": 0}, {"lam": -1.0}, {"target_error": -0.5},
                                     {"target_error": float("nan")}, {"momentum": float("inf")}])
     def test_shared_training_keys_are_refused_as_the_config_is_built(self, kw):
         (key, value), = kw.items()

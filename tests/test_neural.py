@@ -224,12 +224,11 @@ class TestKernelAgainstOracle:
         assert same_bits(update, want_update)
 
     @settings(max_examples=40)
-    @given(case=nets_and_pairs(), lam=st.floats(0.001, 0.5), subsets=st.booleans())
-    def test_train_is_bit_identical(self, case, lam, subsets):
+    @given(case=nets_and_pairs(), lam=st.floats(0.001, 0.5))
+    def test_train_is_bit_identical(self, case, lam):
         net, X, Y, _ = case
         twin = Mlp([W.copy() for W in net.weights])
-        cfg = TrainConfig(generations=4, lam=lam, seed=3,
-                          subset_size=max(1, len(X) // 3) if subsets else None)
+        cfg = TrainConfig(generations=4, lam=lam, seed=3)
 
         def run(mlp):
             try:
@@ -327,8 +326,8 @@ class TestTraining:
             train(net, X, Y, TrainConfig(generations=200, lam=10.0, momentum=2.0, adaptive=False, seed=3))
 
     @pytest.mark.parametrize("bad", [{"generations": 0}, {"generations": -3}, {"lam": 0.0},
-                                     {"lam": float("nan")}, {"subset_size": 0},
-                                     {"subset_size": -5}, {"seed": -1}, {"patience": 0},
+                                     {"lam": float("nan")}, {"generations": float("nan")},
+                                     {"patience": float("nan")}, {"seed": -1}, {"patience": 0},
                                      {"patience": -2}, {"target_error": float("nan")},
                                      {"momentum": float("inf")}, {"momentum": -2}, {"lam": -0.5},
                                      {"target_error": -0.1}, {"lam": float("inf")},
@@ -401,59 +400,11 @@ class TestFitness:
         assert fitness_g(net, X, Y) == pytest.approx(2 / 3)
 
 
-class TestSubsets:
-    def data(self):
-        rng = np.random.default_rng(8)
-        X = rng.uniform(-1, 1, (40, 3))
-        Y = np.sign(X[:, :1] - 0.1)
-        return X, Y
-
-    def test_single_subset_degenerates_to_train(self):
-        X, Y = self.data()
-        cfg = TrainConfig(generations=25, lam=0.05, seed=4, subset_size=len(X))
-        a, b = init_mlp([3, 4, 1], seed=4), init_mlp([3, 4, 1], seed=4)
-        ha = train(a, X, Y, TrainConfig(generations=25, lam=0.05, seed=4))
-        hb = train(b, X, Y, cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-        assert [r[:3] for r in ha.rows] == [r[:3] for r in hb.rows]
-        gs = [r[3] for r in hb.rows if r[3] is not None]
-        assert len(gs) == 1
-
-    def test_g_measured_per_subset_and_lambda_raised(self):
-        X, Y = self.data()
-        cfg = TrainConfig(generations=10, lam=0.02, seed=4, subset_size=20)
-        net = init_mlp([3, 4, 1], seed=4)
-        hist = train(net, X, Y, cfg)
-        gs = [r[3] for r in hist.rows if r[3] is not None]
-        assert len(gs) == 2
-        # generation indices keep counting across subsets
-        assert [r[0] for r in hist.rows] == list(range(1, 21))
-        # a raise earned by the second subset would only reach a third one
-        assert hist.rows[0][2] == 0.02
-        assert hist.rows[10][2] == 0.02
-
-    def test_lambda_raise_applies_to_later_subsets(self):
-        X, Y = self.data()
-        cfg = TrainConfig(generations=5, lam=0.02, seed=4, subset_size=10)
-        net = init_mlp([3, 4, 1], seed=4)
-        hist = train(net, X, Y, cfg)
-        gs = [r[3] for r in hist.rows if r[3] is not None]
-        assert len(gs) == 4
-        lam0s = [hist.rows[i][2] for i in (0, 5, 10, 15)]
-        expect = [cfg.lam]
-        cur = cfg.lam
-        for i in range(1, 4):
-            if i >= 2 and gs[i - 1] > gs[i - 2]:
-                cur = min(cur * neural.LAM_UP, neural.LAM_MAX)
-            expect.append(cur)
-        assert lam0s == pytest.approx(expect)
-
-
-def g_rises(gs, first=1):
-    """By hand: the generations, numbered from first, whose G is strictly
-    above every earlier G of the run."""
+def g_rises(gs):
+    """By hand: the generations, numbered from 1, whose G is strictly above
+    every earlier G of the run."""
     rises, best = [], None
-    for gen, g in enumerate(gs, start=first):
+    for gen, g in enumerate(gs, start=1):
         if best is None or g > best:
             rises.append(gen)
             best = g
@@ -478,10 +429,14 @@ def stop_records(caplog):
 
 
 class TestPlateau:
-    """Stopping on G on TestSubsets' data, a net whose G on its rows rises
-    at generations 1, 2 and 6 while its mse creeps down for 120."""
+    """Stopping on G, on a net whose G on its rows rises at generations 1,
+    2 and 6 while its mse creeps down for 120."""
 
-    data = TestSubsets.data
+    def data(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (40, 3))
+        Y = np.sign(X[:, :1] - 0.1)
+        return X, Y
 
     def run(self, **kw):
         X, Y = self.data()
@@ -494,8 +449,9 @@ class TestPlateau:
         _, full = self.run()
         assert seen_g == []  # no patience, no G
         _, hist = self.run(patience=patience)
-        # one G per generation, on the run's own rows
+        # one G per generation, on the run's own rows, and none kept in the history
         assert len(seen_g) == hist.generations()
+        assert {row[3] for row in hist.rows} == {None}
         rises = g_rises(seen_g)
         assert hist.generations() == rises[-1] + patience < 120
         # no earlier gap between rises left room for a stop
@@ -525,30 +481,6 @@ class TestPlateau:
             _, hist = self.run(patience=2, target_error=mse)
         assert hist.generations() == stop
         assert stop_records(caplog) == [f"training stopped (target) at generation {stop}, mse {mse:.6g}"]
-
-    def test_each_subset_run_restarts_the_count(self, caplog, seen_g):
-        patience = 5
-        with caplog.at_level(logging.INFO, logger="neuralfp.neural"):
-            _, hist = self.run(patience=patience, subset_size=20)
-        # a run's last generation carries its G
-        ends = [i for i, row in enumerate(hist.rows, start=1) if row[3] is not None]
-        assert len(ends) == 2
-        runs = [hist.rows[:ends[0]], hist.rows[ends[0]:]]
-        # each run computes one G per generation, then the probe G of its last row
-        cut = len(runs[0])
-        gs = [seen_g[:cut], seen_g[cut + 1:-1]]
-        assert [seen_g[cut], seen_g[-1]] == [run[-1][3] for run in runs]
-        records = []
-        for run, run_gs in zip(runs, gs):
-            assert len(run_gs) == len(run)
-            rises = g_rises(run_gs, first=run[0][0])
-            assert run[-1][0] == rises[-1] + patience < run[0][0] + 119
-            assert all(b - a <= patience for a, b in zip(rises, rises[1:]))
-            records.append(f"training stopped (plateau) at generation {run[-1][0]}, mse {run[-1][1]:.6g}, "
-                           f"G {max(run_gs):.6g} (best at generation {rises[-1]})")
-        # the second run's first G is below the first run's best, yet it counts as a rise
-        assert gs[1][0] < max(gs[0]) and g_rises(gs[1])[0] == 1
-        assert stop_records(caplog) == records
 
     @pytest.mark.parametrize("kw, reason", [({}, "cap"), ({"patience": 5}, "plateau"),
                                             ({"patience": 5, "target_error": 0.2}, "target")])

@@ -45,7 +45,7 @@ from neuralfp.hierarchy import (
     classify_vector,
     train_hierarchy,
 )
-from neuralfp.neural import Mlp, forward, init_mlp
+from neuralfp.neural import Mlp, TrainHistory, forward, init_mlp
 from neuralfp.persistence import (
     FORMAT_VERSION,
     READ_FORMATS,
@@ -123,6 +123,22 @@ class TestNetworkRoundTrip:
         back = _stage_nets(load(root / "h.model"))
         for name, net in _stage_nets(model).items():
             assert back[name].history.rows == net.history.rows
+
+    def test_g_of_a_subset_run_survives(self, small_hierarchy, tmp_path):
+        # train leaves G None, but a model that an earlier version trained in subset runs holds
+        # a G on the last row of each run: it loads, saves and exports with those values
+        model, _ = small_hierarchy
+        net = model.versions["Solaris"].net
+        rows = net.history.rows
+        history = TrainHistory([rows[0][:3] + (0.75,), *rows[1:-1], rows[-1][:3] + (0.875,)])
+        solaris = dataclasses.replace(model.versions["Solaris"], net=Mlp(net.weights, history))
+        path = tmp_path / "g.model"
+        save(dataclasses.replace(model, versions=model.versions | {"Solaris": solaris}), path)
+        assert load(path).versions["Solaris"].net.history.rows == history.rows
+        assert main(["export-curves", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        lines = (tmp_path / "c-Solaris.csv").read_text().splitlines()[1:]
+        assert len(lines) > 2
+        assert [line.rsplit(",", 1)[1] for line in lines] == ["0.75", *[""] * (len(rows) - 2), "0.875"]
 
     def test_weights_identical(self, small_hierarchy):
         model, root = small_hierarchy
@@ -1161,7 +1177,7 @@ class TestDecodeConfig:
         ({"hidden": {"Linux": 3.0}}, "c.hidden: expected int, got float"),
         ({"adaptive": 1}, "c.adaptive: expected bool, got int"),
         ({"seed": True}, "c.seed: expected int, got bool"),
-        ({"subset_size": "4"}, "c.subset_size: expected int, got str"),
+        ({"samples": "4"}, "c.samples: expected int, got str"),
         ({"lam": 10**400}, "c.lam: integer of 401 digits is too large for a float"),
     ])
     def test_mismatch_is_a_value_error_naming_the_key(self, obj, message):
