@@ -65,6 +65,8 @@ def run(per_family: int, seed: int, overrides: dict) -> list[dict]:
     heldout = generate_dataset(db, None, HELDOUT_ROWS, "relevance", seed=HELDOUT_SEED)
     stops, stats, train_stage = _LastStop(), {}, hierarchy.train_stage
 
+    # a model keeps no stage's time, stop reason or training rows, so the run
+    # wraps the stage trainer that train_hierarchy calls, and puts it back after
     def timed_stage(stage, X, Y, *args):
         start = time.perf_counter()
         trained = train_stage(stage, X, Y, *args)
