@@ -9,10 +9,10 @@ construction.  Each signature object is compiled once, on first use, into
 a plan both samplers share while it lives: its fixed fields and, in rule
 order, its draws (the rules with several choices or a Range).
 sample_observation makes one rng call a draw; generate_dataset draws a
-signature's rows in one call, which takes the same stream, unless a choice
-is a Range.  It encodes a plan's fixed fields once a call, as a template
-row; each row copies it and writes only its drawn fields' slots: the bits
-encode_observation gives the same draw's sample_observation.
+signature's rows in one call, which takes the same stream, unless a Range
+is one of several choices.  It encodes a plan's fixed fields once a call,
+as a template row; each row copies it and writes only its drawn fields'
+slots: the bits encode_observation gives the same draw's sample_observation.
 
 Sample counts follow a prevalence table, apportioned by largest remainder
 after reserving one sample per signature with positive weight.  Each
@@ -121,33 +121,22 @@ def signature_counts(weights: list[float], total: int) -> list[int]:
 
 
 def _plan(sig: Signature) -> tuple[dict[str, dict[str, str | int]], list[tuple]]:
-    """sig compiled on first use, so its checks run once: each test's fields
-    in first-rule order, each holding a single literal's text or the index of
-    the draw that decides it, and the draws in rule order as (test, field,
-    choices).  A later rule of a field overrides an earlier one."""
+    """sig compiled on first use: each test's fields in first-rule order, each
+    holding a single literal's text or the index of the draw that decides it,
+    and the draws in rule order as (test, field, choices), a Range as its span
+    (never empty).  A later rule of a field overrides an earlier one."""
     if (plan := _plans.get(id(sig))) is not None:
         return plan
     tests, draws = {}, []
     for tid, rules in sig.tests.items():
         fields = tests[tid] = {}
         for rule in rules:
-            if not (choices := rule.choices):  # an unknown field: nothing to encode
-                continue
-            if len(choices) == 1 and not isinstance(c := choices[0], Range):
+            if len(choices := rule.choices) == 1 and not isinstance(c := choices[0], Range):
                 fields[rule.field] = c if isinstance(c, str) else f"{c:X}"
-                continue
-            field, bound, drawn = rule.field, NUMERIC_FIELDS.get(rule.field), []
-            for c in choices:
-                if isinstance(c, Range):
-                    if bound is None:
-                        raise GenerationError(f"{sig.name}: {tid}.{field}: comparison in a non-numeric field")
-                    if not (c := c.span(bound)):
-                        raise GenerationError(f"{sig.name}: {tid}.{field}: unsatisfiable interval")
-                elif not (isinstance(c, str) or type(c) is int and bound is not None and 0 <= c <= bound):
-                    c = f"{c:X}"
-                drawn.append(c)
-            fields[field] = len(draws)
-            draws.append((tid, field, drawn))
+            elif choices:  # an unknown field's rule has none: nothing to encode
+                fields[rule.field] = len(draws)
+                drawn = [c.span(NUMERIC_FIELDS[rule.field]) if isinstance(c, Range) else c for c in choices]
+                draws.append((tid, rule.field, drawn))
     weakref.finalize(sig, _plans.pop, id(sig), None)
     _plans[id(sig)] = tests, draws
     return tests, draws
@@ -164,10 +153,10 @@ def _draw(draws: list[tuple], rng) -> list[str | int]:
 
 
 def _rows(draws: list[tuple], rng, count: int) -> list[list[str | int]]:
-    """count rows of _draw's values.  Unless a choice is a Range, whose bounds
-    hang on the pick before it, one rng call draws them all: integers with
-    array bounds takes the stream element by element, in C order, as _draw's
-    calls do."""
+    """count rows of _draw's values.  Unless a rule's several choices hold a
+    Range, whose bounds hang on the pick, one rng call draws them all (a
+    numeric field's picks as ints): integers with array bounds takes the
+    stream element by element, in C order, as _draw's calls do."""
     if any(len(c) > 1 and range in map(type, c) for _, _, c in draws):
         return [_draw(draws, rng) for _ in range(count)]
     bounds = [(0, len(c)) if len(c) > 1 else (c[0].start, c[0].stop) for _, _, c in draws]
@@ -292,7 +281,7 @@ def generate_dataset(
     labels: list[SampleLabel] = []
     memo: dict[tuple[str, str, str], np.ndarray] = {}  # a drawn literal's slots, encoded and warned of once
     for i, ((sig, label), count) in enumerate(zip(slice_, counts)):
-        if not count:  # nothing drawn, nothing checked
+        if not count:  # nothing to draw
             continue
         tests, draws = _plan(sig)
         rng, start = np.random.default_rng((seed, i)), len(labels)

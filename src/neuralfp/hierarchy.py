@@ -80,6 +80,10 @@ class HierarchyModel:
         if self.relevance.labels != ("relevant",) or not np.isfinite(
                 [self.relevance_threshold, self.decision_threshold]).all():
             raise HierarchyError("expected a relevance stage labelled ('relevant',) and finite thresholds")
+        for name, stage in self.stages().items():  # each reads the rows encode_observation writes
+            if (width := stage.pipeline.width) != TOTAL_NEURONS:
+                raise HierarchyError(f"stage {name}: model expects {width} features, "
+                                     f"observation encodes to {TOTAL_NEURONS}")
 
     def stages(self) -> dict[str, Stage]:
         """Every TCP/IP stage by short name, in cascade order: relevance, family, then the versions."""
@@ -295,9 +299,6 @@ def classify(
     """Encode one observation and run the cascade on it (see ObservationError)."""
     if not has_encoded_field(obs):
         raise ObservationError("no probe field the layout encodes")
-    if (width := model.relevance.pipeline.width) != TOTAL_NEURONS:
-        raise HierarchyError(f"model/observation layout mismatch: model expects {width} "
-                             f"features, observation encodes to {TOTAL_NEURONS}")
     return classify_vector(model, encode_observation(obs), dump)
 
 

@@ -17,12 +17,13 @@ comment lines, and ``records`` groups header-led records, for every text
 format neuralfp reads: databases, observations, dumps and prevalence tables.
 
 Each rule is parsed into a ``FieldConstraint``: its field and a tuple of
-choices, one per alternative.  A choice is a ``str`` literal, an ``int`` for
-a literal of a numeric field, or a ``Range(lo, hi)``, the open interval of a
-comparison chain, with ``None`` on an unbounded side, in a numeric field only
-and holding an integer from 0 to the field's bound.  An unknown field's rule
-keeps its raw text and has no choices, so it accepts any value.  A db parse
-reads each distinct rule once; records that repeat it share its constraint.
+choices, one per alternative: a ``str`` literal in a text field; in a numeric
+field an ``int`` from 0 to its bound, or a ``Range(lo, hi)`` holding one, the
+open interval of a comparison chain (``None`` on an unbounded side).  Both
+check this when built (the parser's ``ParseError`` names the line).  An
+unknown field's rule keeps its raw text and has no choices, so it accepts any
+value.  A db parse reads each distinct rule once; records that repeat it share
+its constraint.
 
 Observations use the same test-line grammar but carry concrete values only;
 a value holding ``|``, ``<``, ``>`` or ``&`` is rejected, whatever its field.
@@ -109,6 +110,11 @@ class Range:
     lo: int | None
     hi: int | None
 
+    def __post_init__(self):
+        for b in (self.lo, self.hi):
+            if not (b is None or type(b) is int and b >= 0) or self.lo is self.hi is None:
+                raise ValueError(f"a Range bound is None or an int >= 0, and one bound is an int: got {self}")
+
     def span(self, bound: int) -> range:
         """The integers a sample of this Range takes in a field bounded by bound."""
         return range(0 if self.lo is None else self.lo + 1,
@@ -124,6 +130,18 @@ class FieldConstraint:
     field: str
     choices: tuple[str | int | Range, ...]
     raw: str | None = None
+
+    def __post_init__(self):
+        bound = NUMERIC_FIELDS.get(self.field)
+        for c in self.choices:
+            if type(c) is not Range and type(c) is not (str if bound is None else int):
+                raise ValueError(f"field {self.field}: choice {c!r} is neither a Range nor "
+                                 + ("a str" if bound is None else "an int"))
+            if type(c) is Range and bound is None:
+                raise ValueError(f"comparison in non-numeric field {self.field}: {_format_rule(self)!r}")
+            if bound is not None and not (c.span(bound) if type(c) is Range else 0 <= c <= bound):
+                raise ValueError(f"field {self.field}: no value in 0..{bound:X} "
+                                 f"satisfies {_format_rule(self)!r}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +175,9 @@ _TEST_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*\(")
 _CMP_RE = re.compile(r"^([<>])\s*([0-9A-Fa-f]+)$")
 
 
-def _parse_choice(text: str, lineno: int) -> str | Range:
-    """One alternative: a literal, or a comparison or &-chain of them as the
-    Range of its largest '>' and smallest '<' bound."""
+def _parse_choice(name: str, text: str, lineno: int) -> str | int | Range:
+    """One alternative: a literal (a numeric field's as its int), or a comparison
+    or &-chain of them as the Range of its largest '>' and smallest '<' bound."""
     text = text.strip()
     lo = hi = None
     for part in text.split("&"):
@@ -167,7 +185,7 @@ def _parse_choice(text: str, lineno: int) -> str | Range:
         if not m:
             if "&" in text:
                 raise ParseError(f"bad conjunction term {part!r}", lineno)
-            return text
+            return _hex_value(name, text.upper(), lineno) if name in NUMERIC_FIELDS else text
         bound = int(m.group(2), 16)
         if m.group(1) == ">":
             lo = bound if lo is None else max(lo, bound)
@@ -224,17 +242,11 @@ def _hex_value(name: str, text: str, lineno: int) -> int:
 def _parse_rule(name: str, known: bool, expr: str, lineno: int) -> FieldConstraint:
     if not known:
         return FieldConstraint(name, (), expr)
-    bound = NUMERIC_FIELDS.get(name)
-    choices = [_parse_choice(a, lineno) for a in (expr if bound is None else expr.upper()).split("|")]
-    for i, c in enumerate(choices):
-        if isinstance(c, Range):
-            if bound is None:
-                raise ParseError(f"comparison in non-numeric field {name}: {expr!r}", lineno)
-            if not c.span(bound):
-                raise ParseError(f"field {name}: no value in 0..{bound:X} satisfies {expr!r}", lineno)
-        elif bound is not None:
-            choices[i] = _hex_value(name, c, lineno)
-    return FieldConstraint(name, tuple(choices))
+    choices = tuple([_parse_choice(name, a, lineno) for a in expr.split("|")])
+    try:  # the rule checks itself
+        return FieldConstraint(name, choices)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def parse_fingerprint_db(text: str) -> list[Signature]:
@@ -305,7 +317,7 @@ def _matcher(constraints: list[tuple[int, tuple]]) -> list[int] | dict | tuple[d
         for c in choices:
             if not isinstance(c, Range):
                 literals.setdefault(c, []).append(number)
-            elif c.lo is None or c.hi is None or c.lo + 1 < c.hi:  # the parser refuses a Range with no int
+            else:
                 opens.setdefault(None if c.lo is None else c.lo + 1, []).append(number)
                 closes.setdefault(c.hi, []).append(number)
     if isinstance(constraints[0][1][0], str):

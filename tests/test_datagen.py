@@ -140,18 +140,6 @@ class TestSampling:
             assert 0xFFFF0 < int(obs.tests["TSeq"]["SI"], 16) <= 0xFFFFFF
             assert int(obs.tests["TSeq"]["VAL"], 16) in (8, 9)
 
-    def test_unsatisfiable_interval(self):
-        # the parser refuses such a rule, so only a hand-built signature has one
-        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (Range(10, 5),)),)})
-        with pytest.raises(GenerationError, match="X: TSeq.SI"):
-            sample_observation(sig, np.random.default_rng(0))
-
-    def test_comparison_in_a_non_numeric_field(self):
-        # nor one with a range in a field that is not numeric
-        sig = Signature("X", (), {"T1": (FieldConstraint("DF", (Range(None, 5),)),)})
-        with pytest.raises(GenerationError, match="X: T1.DF: comparison in a non-numeric field"):
-            sample_observation(sig, np.random.default_rng(0))
-
     def test_silent_response_collapses_fields(self):
         sig = parse_fingerprint_db("Fingerprint X\nT2(Resp=Y|N%DF=N%W=0)\n")[0]
         rng = np.random.default_rng(11)
@@ -217,13 +205,6 @@ class TestPlanCache:
         assert id(a) in datagen._plans and id(b) not in datagen._plans
         sample_observation(b, np.random.default_rng(0))
         assert datagen._plans[id(a)] is not datagen._plans[id(b)]
-
-    def test_a_plan_that_raises_is_not_kept(self):
-        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (5, Range(10, 5))),)})
-        for seed in range(3):
-            with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
-                sample_observation(sig, np.random.default_rng(seed))
-            assert id(sig) not in datagen._plans
 
     def test_a_collected_db_leaves_no_plan(self):
         gc.collect()
@@ -470,9 +451,9 @@ class TestPlannedRows:
         {"TSeq": (FieldConstraint("Resp", ("Y", "N")), FieldConstraint("gcd", (Range(None, 5),)))},
         {"PU": (FieldConstraint("Resp", ("N", "Y")), FieldConstraint("TOS", (0, 0xC0)))},
         {"U1": (FieldConstraint("W", (Range(None, 5),)),), "T3": (FieldConstraint("W", (1, 2)),)},
-        # numeric literals at and past the field's bound, which no parser gives
-        {"T1": (FieldConstraint("W", (0xFFFF, 0, 0x10000)),), "PU": (FieldConstraint("DF", ("Y",)),)},
-        {"T1": (FieldConstraint("W", (0x10000,)),), "T4": (FieldConstraint("W", (2**60, 1)),)},
+        # numeric literals at the field's bound and at 0, drawn and fixed
+        {"T1": (FieldConstraint("W", (0xFFFF, 0)),), "PU": (FieldConstraint("DF", ("Y",)),)},
+        {"T1": (FieldConstraint("W", (0xFFFF,)),), "T4": (FieldConstraint("W", (0xFFFF, 1)),)},
         # W=5|>A: a Range among the choices, so its bounds hang on the pick and rows draw one by one
         {"T1": (FieldConstraint("W", (5, Range(10, None))), FieldConstraint("DF", ("Y", "N"))),
          "TSeq": (FieldConstraint("gcd", (Range(None, 5),)),)},
@@ -483,8 +464,8 @@ class TestPlannedRows:
         assert ds.inputs.tobytes() == reference_rows(db, [20, 20], 3).tobytes()
 
     def test_one_row_a_signature(self):
-        # a block of one row; int and hex-text picks in one rule; a per-row signature next to it
-        db = [Signature("X", (), {"T1": (FieldConstraint("W", (0xFFFF, 0, 0x10000)),
+        # a block of one row; int picks in one rule next to str picks; a per-row signature next to it
+        db = [Signature("X", (), {"T1": (FieldConstraint("W", (0xFFFF, 0, 7)),
                                           FieldConstraint("DF", ("Y", "N")))}),
               Signature("Y", (), {"T1": (FieldConstraint("W", (5, Range(10, None))),)}),
               Signature("Z", (), {"TSeq": (FieldConstraint("SI", (Range(None, 5),)),)})]
@@ -492,28 +473,40 @@ class TestPlannedRows:
             ds = generate_dataset(db, None, 3, "relevance", seed=seed)
             assert ds.inputs.tobytes() == reference_rows(db, [1, 1, 1], seed).tobytes()
 
-    @pytest.mark.parametrize("choice", [-1, 10**400])
-    def test_a_literal_the_encoder_refuses_is_an_encode_error(self, choice):
-        db = [Signature("X", (), {"T1": (FieldConstraint("W", (choice, 1)),)})]
-        with pytest.raises(EncodeError):
-            reference_rows(db, [30], 0)
-        with pytest.raises(EncodeError, match="T1.W"):
-            generate_dataset(db, None, 30, "relevance", seed=0)
 
-    def test_a_bad_range_fails_before_it_is_drawn(self):
-        # the plan checks every choice once, so a signature that could draw
-        # an unsatisfiable Range is refused even by a draw that picks another
-        sig = Signature("X", (), {"TSeq": (FieldConstraint("SI", (5, Range(10, 5))),)})
-        with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
-            sample_observation(sig, np.random.default_rng(0))
-        with pytest.raises(GenerationError, match="^X: TSeq.SI: unsatisfiable interval$"):
-            generate_dataset([sig], None, 5, "relevance", seed=0)
+# Rules the parser never gives, built in code: each is refused when built,
+# so no plan, draw or encoding meets one (the parser's message where it has one).
+RANGE_RULE = "a Range bound is None or an int >= 0, and one bound is an int"
+REFUSED = {
+    "range in a text field": (lambda: FieldConstraint("DF", ("Y", Range(None, 5))),
+                              "comparison in non-numeric field DF: 'Y|<5'"),
+    "empty span": (lambda: FieldConstraint("SI", (5, Range(10, 5))),
+                   "field SI: no value in 0..FFFFFF satisfies '5|>A&<5'"),
+    "span past the bound": (lambda: FieldConstraint("W", (Range(0xFFFF, None),)),
+                            "field W: no value in 0..FFFF satisfies '>FFFF'"),
+    "literal past the bound": (lambda: FieldConstraint("W", (0xFFFF, 0x10000)),
+                               "field W: no value in 0..FFFF satisfies 'FFFF|10000'"),
+    "negative literal": (lambda: FieldConstraint("W", (-1, 1)),
+                         "field W: no value in 0..FFFF satisfies '-1|1'"),
+    "10**400": (lambda: FieldConstraint("W", (10**400,)),
+                f"field W: no value in 0..FFFF satisfies '{10**400:X}'"),
+    "bool": (lambda: FieldConstraint("TOS", (True,)), "field TOS: choice True is neither a Range nor an int"),
+    "int in a text field": (lambda: FieldConstraint("DF", (1,)),
+                            "field DF: choice 1 is neither a Range nor a str"),
+    "text in a hex field": (lambda: FieldConstraint("W", ("A",)),
+                            "field W: choice 'A' is neither a Range nor an int"),
+    "Range(None, None)": (lambda: Range(None, None), f"{RANGE_RULE}: got Range(lo=None, hi=None)"),
+    "negative Range bound": (lambda: Range(-1, 5), f"{RANGE_RULE}: got Range(lo=-1, hi=5)"),
+    "bool Range bound": (lambda: Range(None, True), f"{RANGE_RULE}: got Range(lo=None, hi=True)"),
+}
 
-    def test_a_zero_weight_signature_is_not_checked(self):
-        bad = Signature("Bad", (), {"TSeq": (FieldConstraint("SI", (Range(10, 5),)),)})
-        good = Signature("Good", (), {"T1": (FieldConstraint("DF", ("Y",)),)})
-        ds = generate_dataset([bad, good], {"Bad": 0.0}, 5, "relevance", seed=0)
-        assert {label.signature for label in ds.labels} == {"Good"}
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_rule_no_parser_gives_is_refused_when_built(case):
+    build, message = REFUSED[case]
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 # generate_dataset draws a signature's rows in one rng call unless a choice

@@ -485,6 +485,11 @@ def _kept_past_width(body, model):
     body["relevance"]["pipeline"]["kept"][-1] = model.relevance.pipeline.width
 
 
+def _wide_linux_pipeline(body, model):
+    # each stage is well formed, but the Linux one reads rows the encoder never gives
+    dict(body["versions"])["Linux"]["pipeline"]["width"] = 600
+
+
 def _unknown_key(body, model):
     body["relevance"]["bogus"] = 1
 
@@ -549,6 +554,8 @@ MALFORMED = {
                                             "body.relevance.net.weights: data inflates past shape \\(1,\\)"),
     "kept column is constant": (_constant_kept, "a finite scale > 0"),
     "kept column past the width": (_kept_past_width, "must be one of the 568 input columns"),
+    "stages of two row widths": (_wide_linux_pipeline,
+                                 "stage Linux: model expects 600 features, observation encodes to 568"),
     "unknown key": (_unknown_key, "body.relevance: unknown keys \\['bogus'\\]"),
     "labels not a list": (_string_labels, "expected list, got str"),
     "array data not base64": (_bad_base64, "malformed hierarchy"),
@@ -645,7 +652,7 @@ class TestMalformedBody:
                                       "kept column is constant", "threshold too large for a float",
                                       "array shape not counts", "versions not key-value pairs",
                                       "history row of three items", "net of one layer",
-                                      "net of three layers"])
+                                      "net of three layers", "stages of two row widths"])
     def test_cli_prints_one_error_line(self, small_hierarchy, tmp_path, capsys, case):
         model, root = small_hierarchy
         path = tmp_path / "bad.model"

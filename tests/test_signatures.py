@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralfp.corpus import demo_database, family_task_database, large_database, openbsd_study_database
@@ -25,6 +25,7 @@ from neuralfp.signatures import (
     Signature,
     best_fit,
     format_observation,
+    format_signature,
     match_scores,
     parse_fingerprint_db,
     parse_observation,
@@ -441,6 +442,26 @@ def tree_signatures(draw):
     return Signature(draw(_NAME), classes, tests)
 
 
+# what a choice might hold, built in code: a text literal from the tokenizer's
+# alphabet (no separator or space), any int, or a Range's (lo, hi) pair;
+# mostly of its field's kind, so that most rules drawn are accepted
+_TEXT = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters="|%()<>&="),
+                max_size=6)
+_INT = (st.integers(-2, 2) | st.integers(0, 0x100) | st.integers(0, 0x10001) | st.integers(0, 2**25)
+        | st.sampled_from([True, False, 0xFFFF, 0x10000, 0xFFFFFF, 2**60, 10**400]))
+_HEX_CHOICE = _INT | st.tuples(st.none() | _INT, st.none() | _INT)
+
+
+def _rule_choices(field):
+    kind = _HEX_CHOICE if field in NUMERIC_FIELDS else _TEXT
+    # hypothesis favours the ends of a range, so a middle value picks the rare case
+    choice = st.integers(0, 6).flatmap(lambda i: _TEXT | _HEX_CHOICE if i == 3 else kind)
+    return st.lists(choice, min_size=1, max_size=3)
+
+
+_RULE = st.sampled_from([(tid, field) for tid, fields in KNOWN_FIELDS.items() for field in fields]).flatmap(
+    lambda slot: st.tuples(st.just(slot), _rule_choices(slot[1])))
+
 _DEMO = parse_fingerprint_db(demo_database())
 
 
@@ -457,6 +478,27 @@ class TestProperties:
         db = parse_fingerprint_db(text)
         assert db == flatten(oracle_parse_fingerprint_db(text))
         assert parse_fingerprint_db(serialize_fingerprint_db(db)) == db
+
+    @settings(max_examples=300)
+    @given(drawn=_RULE)
+    @example((("T1", "DF"), [(None, 5)]))
+    @example((("TSeq", "SI"), [5, (10, 5)]))
+    @example((("T1", "W"), [(0xFFFF, None)]))
+    @example((("T1", "W"), [0x10000]))
+    @example((("T1", "W"), [-1, 1]))
+    @example((("T1", "W"), [10**400]))
+    @example((("PU", "TOS"), [True]))
+    @example((("T1", "W"), [(None, None)]))
+    @example((("T1", "W"), [(-1, 5)]))
+    def test_the_constructors_are_no_looser_than_the_parser(self, drawn):
+        # every rule FieldConstraint and Range accept is one the parser reads back from its text
+        (tid, field), choices = drawn
+        try:
+            rule = FieldConstraint(field, tuple(Range(*c) if type(c) is tuple else c for c in choices))
+        except ValueError:
+            return
+        sig = Signature("X", (), {tid: (rule,)})
+        assert parse_fingerprint_db(format_signature(sig)) == [sig]
 
     @settings(max_examples=20)
     @given(n=st.integers(1, 30), seed=st.integers(0, 2**16))
