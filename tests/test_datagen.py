@@ -30,6 +30,7 @@ from neuralfp.encoding import FIELDS, EncodeError, encode_observation
 from neuralfp.signatures import (
     KNOWN_FIELDS,
     FieldConstraint,
+    ParseError,
     Range,
     Signature,
     match_scores,
@@ -139,6 +140,13 @@ class TestSampling:
             assert 0 <= int(obs.tests["TSeq"]["gcd"], 16) <= 5
             assert 0xFFFF0 < int(obs.tests["TSeq"]["SI"], 16) <= 0xFFFFFF
             assert int(obs.tests["TSeq"]["VAL"], 16) in (8, 9)
+
+    def test_unsatisfiable_interval(self):
+        # no sampler meets such a rule: it is refused when built and when parsed
+        with pytest.raises(ValueError, match=r"^field SI: no value in 0\.\.FFFFFF satisfies '>A&<5'$"):
+            FieldConstraint("SI", (Range(10, 5),))
+        with pytest.raises(ParseError, match=r"^line 2: field SI: no value in 0\.\.FFFFFF satisfies '>A&<5'$"):
+            parse_fingerprint_db("Fingerprint X\nTSeq(SI=>A&<5)\n")
 
     def test_silent_response_collapses_fields(self):
         sig = parse_fingerprint_db("Fingerprint X\nT2(Resp=Y|N%DF=N%W=0)\n")[0]
@@ -472,6 +480,16 @@ class TestPlannedRows:
         for seed in range(8):
             ds = generate_dataset(db, None, 3, "relevance", seed=seed)
             assert ds.inputs.tobytes() == reference_rows(db, [1, 1, 1], seed).tobytes()
+
+    def test_a_bad_range_fails_before_it_is_drawn(self):
+        # a rule that could pick an unsatisfiable Range is refused, even
+        # though its other choice is drawable, before any plan is compiled
+        plans = len(datagen._plans)
+        with pytest.raises(ValueError, match=r"^field SI: no value in 0\.\.FFFFFF satisfies '5\|>A&<5'$"):
+            FieldConstraint("SI", (5, Range(10, 5)))
+        with pytest.raises(ParseError, match=r"^line 2: field SI: no value in 0\.\.FFFFFF satisfies '5\|>A&<5'$"):
+            parse_fingerprint_db("Fingerprint X\nTSeq(SI=5|>A&<5)\n")
+        assert len(datagen._plans) == plans
 
 
 # Rules the parser never gives, built in code: each is refused when built,
