@@ -2,7 +2,7 @@
 
 A container is a one-line JSON header, a newline, then the body:
 
-    {"digest":"<sha256 hex>","format_version":5,"kind":"...","metadata":{...}}
+    {"digest":"<sha256 hex>","format_version":6,"kind":"...","metadata":{...}}
     <canonical JSON body>
 
 The body is serialized once, as canonical JSON (sorted keys, no spaces),
@@ -13,16 +13,20 @@ order. An ndarray becomes an array record,
 {"dtype": "<i4" or "<f8", "shape": [...], "zlib": base64(zlib(bytes))},
 "<i4" exactly when every value casts to int32 and back to the same
 float64 bytes (no -0.0, NaN or inf), as a dataset's do; every array loads
-as float64 with its bits. A field hinted as a list of records (a
+as float64 with its bits. A 2-D "<i4" record (a dataset's inputs and
+targets) deflates a column table: each distinct column once, in order of
+first use, one column after another, plus "columns", an "<i4" record of
+one table position per column. A field hinted as a list of records (a
 dataset's labels) becomes {"table": [record, ...], "index": <array record>}:
 each distinct record once, in order of first use, and one table position
 per row. Decoding checks every field's type and each array's byte count,
-inflating at most a byte past it, then builds each artifact, which checks
-itself; any mismatch is a CorruptContainerError. save rebuilds each
-artifact before encoding it. Format 4 added the "<i4" record and format 5
-the table, so load reads formats 3, 4 and 5, each body in its own format's
-layout; an older one (format 1 was one JSON document) is rejected by its
-format_version.
+inflating at most a byte past it (a column table's: 4 x width x rows,
+its width the largest position + 1), then builds each artifact, which
+checks itself; any mismatch is a CorruptContainerError. save rebuilds
+each artifact before encoding it. Format 4 added the "<i4" record, format
+5 the label table and format 6 the column table, so load reads formats 3
+to 6, each body in its own format's layout; an older one (format 1 was one
+JSON document) is rejected by its format_version.
 Writes go to a fresh temp file in the target directory, are fsynced and
 then renamed into place, and the directory is fsynced after the rename,
 so a crash never leaves a half-written model.
@@ -50,13 +54,14 @@ from .datagen import Dataset
 from .hierarchy import HierarchyModel
 
 
-FORMAT_VERSION = 5
-READ_FORMATS = (3, 4, 5)
+FORMAT_VERSION = 6
+READ_FORMATS = (3, 4, 5, 6)
 _ITEM_BYTES = {"<f8": 8, "<i4": 4}  # per array record dtype
 
-# zlib level 1 stays because any other level changes every container's bytes, not for
-# speed: on the bench `train` recipe's 1000 x 568 <i4 inputs (one core), level 1 gives
-# 91,395 B in 5.2 ms and level 3 37,950 B in 4.6 ms; levels on <f8 model arrays are unmeasured
+# zlib level 1 stays because any other level changes every model's bytes, not for speed:
+# on the column table of the bench `train` recipe's 1000 x 568 inputs (102 distinct columns,
+# one core), level 1 gives 8,013 B in 1.2 ms, level 3 7,880 B in 1.2 ms and level 6 5,702 B
+# in 1.9 ms; levels on <f8 model arrays are unmeasured
 _ZLIB_LEVEL = 1
 
 # one kind per artifact a command writes: generate and train
@@ -106,8 +111,13 @@ def _encode(value, tp=None):
                 i = a.astype("<i4")
             if np.array_equal(i.astype("<f8").view("<i8"), a.view("<i8")):  # bit for bit
                 a = i
-        data = base64.b64encode(zlib.compress(a, _ZLIB_LEVEL)).decode("ascii")
-        return {"dtype": a.dtype.str, "shape": list(a.shape), "zlib": data}
+        rec = {"dtype": a.dtype.str, "shape": list(a.shape)}
+        if a.ndim == 2 and a.dtype == "<i4":  # each distinct column once, column after column
+            table = {}  # column bytes -> position
+            columns = [table.setdefault(c.tobytes(), len(table)) for c in a.T.copy()]
+            rec["columns"], a = _encode(np.array(columns)), b"".join(table)
+        rec["zlib"] = base64.b64encode(zlib.compress(a, _ZLIB_LEVEL)).decode("ascii")
+        return rec
     if isinstance(value, (list, tuple)):
         if _record_list(tp):  # the hint decides, since an empty list has no record to show
             positions = {}
@@ -132,24 +142,42 @@ def _expect(value, tp, where: str):
     return value
 
 
-def _decode_array(rec, where: str) -> np.ndarray:
+def _positions(a: np.ndarray, n: int, where: str) -> np.ndarray:
+    """a as indices, if it is a 1-D array of positions in [0, n)."""
+    with np.errstate(invalid="ignore"):  # NaN, inf and fractions cast to values the check refuses
+        p = a.astype(np.intp)
+    if a.ndim != 1 or not (np.array_equal(p, a) and 0 <= p.min(initial=0) and p.max(initial=-1) < n):
+        raise ValueError(f"{where}: expected a 1-D array of positions in [0, {n})")
+    return p
+
+
+def _decode_array(rec, where: str, version: int = FORMAT_VERSION) -> np.ndarray:
     rec = _expect(rec, dict, where)
     shape = _expect(rec.get("shape"), list, f"{where}.shape")
     if (dtype := rec.get("dtype")) not in _ITEM_BYTES:
         raise ValueError(f"{where}: dtype {dtype!r}, expected '<f8' or '<i4'")
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{where}: bad shape {shape!r}")
+    if (table := version >= 6 and dtype == "<i4" and len(shape) == 2) != ("columns" in rec):
+        raise ValueError(f"{where}: {'missing' if table else 'unexpected'} key 'columns'")
+    if table:  # the distinct columns, each once, and one table position per column
+        at = f"{where}.columns"
+        if len(columns := _positions(_decode_array(rec["columns"], at, version), shape[1], at)) != shape[1]:
+            raise ValueError(f"{at}: {len(columns)} positions for {shape[1]} columns")
+        shape = [columns.max(initial=-1) + 1, shape[0]]
     size = _ITEM_BYTES[dtype] * math.prod(shape)
     # a byte past the shape refuses a payload, however far it would inflate
     inflate = zlib.decompressobj()
     raw = inflate.decompress(base64.b64decode(_expect(rec.get("zlib"), str, where), validate=True), size + 1)
+    what = lambda: f"column table ({shape[1]}, {shape[0]})" if table else f"shape {tuple(shape)}"
     if len(raw) > size:
-        raise ValueError(f"{where}: data inflates past shape {tuple(shape)} of {dtype}")
+        raise ValueError(f"{where}: data inflates past {what()} of {dtype}")
     if not inflate.eof:
         raise ValueError(f"{where}: truncated zlib stream")
     if len(raw) != size:
-        raise ValueError(f"{where}: {len(raw)} bytes do not fill shape {tuple(shape)}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype("<f8")
+        raise ValueError(f"{where}: {len(raw)} bytes do not fill {what()}")
+    a = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return np.ascontiguousarray(a[columns].T, dtype="<f8") if table else a.astype("<f8")
 
 
 @functools.cache
@@ -157,7 +185,7 @@ def _decoder(tp, version: int):
     """A checking decoder (value, where) -> object for type hint tp in a
     body of the given format version, built once per (hint, version)."""
     if tp is np.ndarray:
-        return _decode_array
+        return lambda v, where: _decode_array(v, where, version)
     if dataclasses.is_dataclass(tp):
         fields = [(name, _decoder(hint, version)) for name, hint in _fields(tp)]
 
@@ -206,12 +234,8 @@ def _decoder(tp, version: int):
             if sorted(_expect(v, dict, where)) != ["index", "table"]:
                 raise ValueError(f"{where}: expected keys ['index', 'table'], got {sorted(v)}")
             table = [record(x, f"{where}.table") for x in _expect(v["table"], list, f"{where}.table")]
-            index = _decode_array(v["index"], f"{where}.index")
-            with np.errstate(invalid="ignore"):  # NaN, inf and fractions cast to values the check refuses
-                rows = index.astype(np.intp)
-            if index.ndim != 1 or not (np.array_equal(rows, index) and 0 <= rows.min(initial=0)
-                                       and rows.max(initial=-1) < len(table)):
-                raise ValueError(f"{where}.index: expected a 1-D array of positions in [0, {len(table)})")
+            index = _decode_array(v["index"], f"{where}.index", version)
+            rows = _positions(index, len(table), f"{where}.index")
             return [table[i] for i in rows.tolist()]
 
         return decode_table
@@ -326,5 +350,5 @@ def load(path, expected_kind: str | None = None):
     container = load_container(path, expected_kind)
     try:
         return _decoder(_KINDS[container["kind"]], container["format_version"])(container["body"], "body")
-    except (ValueError, TypeError, zlib.error) as exc:
+    except (ValueError, TypeError, zlib.error, RecursionError) as exc:  # nested column tables recurse
         raise CorruptContainerError(f"{path}: malformed {container['kind']}: {exc}") from exc

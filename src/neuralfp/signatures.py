@@ -125,13 +125,16 @@ class Range:
 class FieldConstraint:
     """One rule: the alternatives its field accepts, each a literal (an int
     in a numeric field) or a Range.  An unknown field's rule keeps its raw
-    text and has no choices: it accepts any value."""
+    text and has no choices: it accepts any value.  No rule has both."""
 
     field: str
     choices: tuple[str | int | Range, ...]
     raw: str | None = None
 
     def __post_init__(self):
+        if (self.raw is None) == (not self.choices):
+            raise ValueError(f"field {self.field}: expected choices or raw text, got "
+                             + ("both" if self.choices else "neither"))
         bound = NUMERIC_FIELDS.get(self.field)
         for c in self.choices:
             if type(c) is not Range and type(c) is not (str if bound is None else int):

@@ -257,9 +257,9 @@ class TestTrain:
         assert hashlib.sha256(body).hexdigest() == (
             "a76178adc3f835497a740dafd78bffcaf6002ef974a08fbcb1b388173bfc0bb2")
         # the whole container's, header included
-        assert json.loads(head)["format_version"] == 5
+        assert json.loads(head)["format_version"] == 6
         assert hashlib.sha256(data[0]).hexdigest() == (
-            "85059495540f4bbc4b5c735e8c31e49a6d21e28cf0fed9698b176416b4eaad30")
+            "9c276eca1296e46266a15a68570bb10633e1799c109ff263c8516b7e4f4401b1")
 
     def test_subset_size_is_an_unknown_key(self, work, tmp_path, monkeypatch, capsys):
         # subset training is gone: its key is refused as any unknown key is, before a file is written

@@ -513,6 +513,12 @@ REFUSED = {
                             "field DF: choice 1 is neither a Range nor a str"),
     "text in a hex field": (lambda: FieldConstraint("W", ("A",)),
                             "field W: choice 'A' is neither a Range nor an int"),
+    # a known field's rule without choices would accept any value, and raw text beside choices
+    # would be lost on a round trip through format_signature
+    "neither choices nor raw text": (lambda: FieldConstraint("DF", ()),
+                                     "field DF: expected choices or raw text, got neither"),
+    "choices and raw text": (lambda: FieldConstraint("DF", ("Y",), "Y|N"),
+                             "field DF: expected choices or raw text, got both"),
     "Range(None, None)": (lambda: Range(None, None), f"{RANGE_RULE}: got Range(lo=None, hi=None)"),
     "negative Range bound": (lambda: Range(-1, 5), f"{RANGE_RULE}: got Range(lo=-1, hi=5)"),
     "bool Range bound": (lambda: Range(None, True), f"{RANGE_RULE}: got Range(lo=None, hi=True)"),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -585,7 +585,7 @@ def test_cli_refuses_a_format_2_model_in_one_line(small_hierarchy, tmp_path, cap
     _relabel_format_2(path)
     assert main(["classify", "--model", str(path), "--obs", str(root / "host.obs")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: format version 2 (supported: 3, 4, 5)"]
+        f"error: {path}: format version 2 (supported: 3, 4, 5, 6)"]
 
 
 def _list_header(path):
@@ -916,8 +916,12 @@ class TestArrayCodec:
         a, dtype = CODEC_CASES[case]
         rec = _encode(a)
         assert (rec["dtype"], rec["shape"]) == (dtype, list(a.shape))
-        # the payload is the dtype's raw bytes; every array loads as float64 with its bits
-        assert zlib.decompress(base64.b64decode(rec["zlib"])) == a.astype(dtype).tobytes()
+        # the payload is the dtype's raw bytes, a 2-D <i4 array's its distinct columns one after
+        # another (each column of these cases differs); every array loads as float64 with its bits
+        table = "columns" in rec
+        assert table == (dtype == "<i4" and a.ndim == 2)
+        raw = a.astype(dtype).T if table else a.astype(dtype)
+        assert zlib.decompress(base64.b64decode(rec["zlib"])) == raw.tobytes()
         back = _decode_array(rec, "a")
         assert back.dtype == np.float64 and back.shape == a.shape and back.tobytes() == a.tobytes()
         back[...] = 0  # a loaded array owns its data
@@ -964,13 +968,166 @@ class TestArrayCodec:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_a_crafted_column_table_stops_a_byte_past_its_width(self, tmp_path):
+        path = tmp_path / "d.ds"
+        ds = generate_dataset(parse_fingerprint_db(demo_database()), None, 70, seed=8)
+        save(ds, path)
+        width = len({c.tobytes() for c in ds.inputs.T})
+        _rewrite_body(path, lambda body: body["inputs"].update(zlib=_inflating([1])["zlib"]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptContainerError, match="malformed dataset: body.inputs: data inflates "
+                                                            rf"past column table \(70, {width}\) of <i4$"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_a_dataset_takes_int32_records_and_a_trained_net_does_not(self, small_hierarchy, tmp_path):
         model, root = small_hierarchy
         save(generate_dataset(parse_fingerprint_db(demo_database()), None, 70, seed=8), tmp_path / "d.ds")
         body = json.loads(_split(tmp_path / "d.ds")[1])
         assert (body["inputs"]["dtype"], body["targets"]["dtype"]) == ("<i4", "<i4")
-        assert all(_encode(w)["dtype"] == "<f8" for w in model.family.net.weights)
-        assert _split(root / "h.model")[0]["format_version"] == FORMAT_VERSION == 5
+        assert "columns" in body["inputs"] and "columns" in body["targets"]
+        assert all(_encode(w)["dtype"] == "<f8" and "columns" not in _encode(w) for w in model.family.net.weights)
+        assert _split(root / "h.model")[0]["format_version"] == FORMAT_VERSION == 6
+
+
+@st.composite
+def int32_columns(draw):
+    """A 2-D array of int32 values whose columns are copies of earlier ones,
+    constant, all zero or drawn, with the int32 ends among the values."""
+    a = np.zeros((draw(st.integers(0, 6)), draw(st.integers(0, 8))))
+    values = st.sampled_from([-2**31, 2**31 - 1, -1, 1]) | st.integers(-2**31, 2**31 - 1)
+    for j in range(a.shape[1]):
+        kind = draw(st.sampled_from(["copy", "constant", "zero", "drawn"][j == 0:]))
+        if kind == "copy":
+            a[:, j] = a[:, draw(st.integers(0, j - 1))]
+        elif kind == "constant":
+            a[:, j] = draw(values)
+        elif kind == "drawn":
+            a[:, j] = draw(st.lists(values, min_size=len(a), max_size=len(a)))
+    return a
+
+
+def _format_5_body(ds) -> dict:
+    """The body of ds in the format-5 layout: its 2-D arrays as plain <i4 records."""
+    body = _encode(ds)
+    for name in ("inputs", "targets"):
+        a = getattr(ds, name)
+        body[name] = _record("<i4", list(a.shape), a.astype("<i4").tobytes())
+    return body
+
+
+def _positions(edit):
+    """Edit the column positions of a dataset's inputs record."""
+    def edit_record(rec):
+        rec["columns"] = _encode(np.asarray(edit(_decode_array(rec["columns"], "c")), dtype=float))
+    return edit_record
+
+
+def _grown_table(rec):
+    # one column of zeros past the table's width
+    raw = zlib.decompress(base64.b64decode(rec["zlib"]))
+    rows = rec["shape"][0]
+    rec["zlib"] = base64.b64encode(zlib.compress(raw + bytes(4 * rows))).decode()
+
+
+# a format-6 dataset's inputs record edited, the format its header names, and the error load gives
+# ({W}: the table's width; the dataset of _dataset() has 70 rows and 568 columns)
+POSITIONS = r"body.inputs.columns: expected a 1-D array of positions in \[0, 568\)$"
+COLUMN_TABLE_EDITS = {
+    "missing columns": (lambda rec: rec.pop("columns"), 6, "body.inputs: missing key 'columns'$"),
+    "columns in a format-5 body": (lambda rec: None, 5, "body.inputs: unexpected key 'columns'$"),
+    "negative position": (_positions(lambda p: np.where(p == p.max(), -1, p)), 6, POSITIONS),
+    "fractional position": (_positions(lambda p: p + 0.5), 6, POSITIONS),
+    "2-D positions": (_positions(lambda p: p.reshape(1, -1)), 6, POSITIONS),
+    "position out of range": (_positions(lambda p: np.append(p[:-1], 568)), 6, POSITIONS),
+    "a position too few": (_positions(lambda p: p[:-1]), 6,
+                           "body.inputs.columns: 567 positions for 568 columns$"),
+    "table short of its width": (_positions(lambda p: np.append(p[:-1], p.max() + 1)), 6,
+                                 r"body.inputs: {B} bytes do not fill column table \(70, {W1}\)$"),
+    "table past its width": (_grown_table, 6, r"body.inputs: data inflates past column table \(70, {W}\) of <i4$"),
+}
+
+
+class TestColumnTable:
+    """Format 6 writes a 2-D <i4 array as its distinct columns, each once in
+    order of first use and one after another, and one table position per column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=int32_columns())
+    @example(a=np.zeros((0, 3)))  # no rows: one empty column, written once
+    @example(a=np.zeros((4, 0)))  # no columns: an empty table
+    @example(a=np.array([[-2.0**31], [2.0**31 - 1]]))  # one column of the int32 ends
+    @example(a=np.array([[1.0, 0, 1, 7, 7, 3], [2, 0, 2, 7, 7, -2.0**31]]))  # a copy, zeros, a constant
+    def test_any_int32_array_round_trips(self, scratch, a):
+        rec = _encode(a)
+        assert rec["dtype"] == "<i4" and rec["shape"] == list(a.shape)
+        first = {}  # each distinct column's position: the count of distinct columns before its first use
+        assert _decode_array(rec["columns"], "c").tolist() == [
+            first.setdefault(tuple(c), len(first)) for c in a.T.tolist()]
+        back = _decode_array(rec, "a")
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
+        # inside a dataset: loaded with its bits, and saved again with its file's bytes
+        labels = [SampleLabel(f"sig {i}", i % 2 == 0, None, None) for i in range(len(a))]
+        ds = Dataset("relevance", a, stage_targets(labels, "relevance", ("relevant",)), labels, ("relevant",), 1)
+        save(ds, scratch / "a.ds")
+        loaded = load(scratch / "a.ds")
+        assert loaded.inputs.flags.c_contiguous and loaded.inputs.tobytes() == a.tobytes()
+        save(loaded, scratch / "b.ds")
+        assert (scratch / "a.ds").read_bytes() == (scratch / "b.ds").read_bytes()
+
+    def _edited(self, tmp_path, case):
+        edit, version, wants = COLUMN_TABLE_EDITS[case]
+        path = tmp_path / "d.ds"
+        ds = _dataset()
+        save(ds, path)
+        _rewrite_body(path, lambda body: edit(body["inputs"]))
+        header, body = _split(path)
+        _join(path, {**header, "format_version": version}, body)
+        width = len({c.tobytes() for c in ds.inputs.T})
+        return path, wants.format(W=width, W1=width + 1, B=4 * 70 * width)
+
+    @pytest.mark.parametrize("case", sorted(COLUMN_TABLE_EDITS))
+    def test_an_edited_table_is_refused_in_one_line(self, tmp_path, case):
+        path, wants = self._edited(tmp_path, case)
+        with pytest.raises(CorruptContainerError, match=f"^{re.escape(str(path))}: malformed dataset: {wants}"):
+            load(path)
+
+    @pytest.mark.parametrize("case", sorted(COLUMN_TABLE_EDITS))
+    def test_reduce_on_an_edited_table_is_exit_1_and_one_line(self, tmp_path, capsys, case):
+        path, wants = self._edited(tmp_path, case)
+        assert main(["reduce", "--dataset", str(path)]) == 1
+        captured = capsys.readouterr()
+        (err,) = captured.err.splitlines()
+        assert captured.out == "" and re.match(f"^error: {re.escape(str(path))}: malformed dataset: {wants}", err)
+
+    def test_each_format_refuses_the_others_arrays(self, tmp_path):
+        ds = _dataset()
+        path = tmp_path / "d.ds"
+        save(ds, path)
+        header, body = _split(path)
+        old = _canonical(_format_5_body(ds))
+        for version, raw, wants in ((5, body, "unexpected"), (6, old, "missing")):
+            _join(path, {**header, "format_version": version, "digest": _digest(raw)}, raw)
+            with pytest.raises(CorruptContainerError, match=f"malformed dataset: body.inputs: {wants} key 'columns'$"):
+                load(path)
+        _join(path, {**header, "format_version": 5, "digest": _digest(old)}, old)
+        back = load(path)  # the plain records are the format-5 layout
+        assert back.inputs.tobytes() == ds.inputs.tobytes() and back.targets.tobytes() == ds.targets.tobytes()
+
+    def test_one_column_per_distinct_column_in_order_of_first_use(self, tmp_path):
+        ds = _dataset()
+        save(ds, tmp_path / "d.ds")
+        rec = json.loads(_split(tmp_path / "d.ds")[1])["inputs"]
+        columns = _decode_array(rec["columns"], "c").astype(int)
+        table = np.frombuffer(zlib.decompress(base64.b64decode(rec["zlib"])), "<i4").reshape(-1, len(ds.inputs))
+        assert len(table) == len({c.tobytes() for c in ds.inputs.T}) < 568 // 2
+        assert np.array_equal(table[columns].T, ds.inputs)
+        assert columns[np.sort(np.unique(columns, return_index=True)[1])].tolist() == list(range(len(table)))
 
 
 def _index(rows):
@@ -1061,8 +1218,9 @@ class TestLabelTable:
         ds = _dataset()
         path = tmp_path / "d.ds"
         save(ds, path)
-        header, body = _split(path)
-        plain = _canonical(dict(json.loads(body), labels=[_encode(label) for label in ds.labels]))
+        header, _ = _split(path)
+        body = _canonical(_format_5_body(ds))
+        plain = _canonical(dict(_format_5_body(ds), labels=[_encode(label) for label in ds.labels]))
         for version, raw, wants in ((4, body, "expected list, got dict"), (5, plain, "expected dict, got list")):
             _join(path, {**header, "format_version": version, "digest": _digest(raw)}, raw)
             with pytest.raises(CorruptContainerError, match=f"malformed dataset: body.labels: {wants}$"):
@@ -1115,7 +1273,7 @@ def _resaved(tmp_path, name, version):
 
 class TestFormat3Fixtures:
     """Containers written at FORMAT_VERSION 3 (commit 2fa18ba), before "<i4"
-    records, load at format 5 with every bit. They were made with
+    records, load at format 6 with every bit. They were made with
 
         neuralfp generate --db demo.db --total 60 --stage family --seed 34 --out format3.ds
         neuralfp train --db demo.db --config format3.cfg --seed 34 --out format3.model
@@ -1129,7 +1287,7 @@ class TestFormat3Fixtures:
 
     @pytest.mark.parametrize("name, kind", [("format3.ds", "dataset"), ("format3.model", "hierarchy")])
     def test_a_format_3_header_is_read(self, name, kind):
-        assert READ_FORMATS == (3, 4, 5)
+        assert READ_FORMATS == (3, 4, 5, 6)
         assert load_container(DATA / name, kind)["format_version"] == 3
 
     def test_dataset_is_the_same_draw_bit_for_bit(self):
@@ -1148,7 +1306,7 @@ class TestFormat3Fixtures:
 
 class TestFormat4Fixtures:
     """Containers written at FORMAT_VERSION 4 (commit c890097), before the
-    label table, load at format 5 with every bit. They were made with the
+    label table, load at format 6 with every bit. They were made with the
     commands of TestFormat3Fixtures, writing format4.ds and format4.model."""
 
     @pytest.mark.parametrize("name, kind", [("format4.ds", "dataset"), ("format4.model", "hierarchy")])
@@ -1167,6 +1325,30 @@ class TestFormat4Fixtures:
         old, new = _resaved(tmp_path, "format4.model", 4)
         assert new == old
         old, new = _resaved(tmp_path, "format4.ds", 4)
+        assert len(new) < len(old)
+
+
+class TestFormat5Fixtures:
+    """Containers written at FORMAT_VERSION 5 (commit 56b87c0), before the
+    column table, load at format 6 with every bit. They were made with the
+    commands of TestFormat3Fixtures, writing format5.ds and format5.model."""
+
+    @pytest.mark.parametrize("name, kind", [("format5.ds", "dataset"), ("format5.model", "hierarchy")])
+    def test_a_format_5_header_is_read(self, name, kind):
+        assert load_container(DATA / name, kind)["format_version"] == 5
+
+    def test_dataset_is_the_same_draw_bit_for_bit(self):
+        _assert_the_fixture_draw(load(DATA / "format5.ds", "dataset"))
+
+    def test_model_verdicts_are_the_format_3_verdicts(self):
+        # the same recipe trains the same weights at formats 3, 4 and 5
+        model = load(DATA / "format5.model", "hierarchy")
+        assert _verdicts_digest(model) == TestFormat3Fixtures.VERDICTS_DIGEST
+
+    def test_saved_again_the_model_keeps_its_body_and_the_dataset_shrinks(self, tmp_path):
+        old, new = _resaved(tmp_path, "format5.model", 5)
+        assert new == old
+        old, new = _resaved(tmp_path, "format5.ds", 5)
         assert len(new) < len(old)
 
 
